@@ -3,8 +3,8 @@
 Lines are the circles r = t_n = 1 + n*d.  The inner circle carries u = 0,
 the outer circle the symbol uf (the boundary function of the angle).  The
 sweep coefficients a_n, b_n are the same scalars as in the Cartesian
-solver; c_n becomes polynomial-valued because the proximal anchor is a
-polynomial.  The backward pass is fully explicit: the angular second
+solver and come from ``sweep.ab_recursion`` with q = 2 + K*d^2/eps; c_n
+becomes polynomial-valued because the proximal anchor is a polynomial.  The backward pass is fully explicit: the angular second
 derivative is taken symbolically on the already-known line n+1 and the
 radial first derivative uses the previous outer iterate's anchors, so no
 per-line solve is needed.  Each assembled expression is truncated to the
@@ -12,14 +12,19 @@ configured caps before moving on.
 
 A numeric mirror of the same explicit scheme (finite differences in the
 angle, periodic) provides an independent cross-check of the polynomials.
+It computes a and b once and takes its c from ``sweep.c_recursion``; the
+polynomial c-recursion and the two backward passes stay separate code, so
+the cross-check still compares two implementations.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .sweep import ab_recursion, c_recursion
 from .symalg import (
     DEFAULT_TRUNCATION,
     BoundaryPolynomial,
@@ -58,7 +63,10 @@ class PolarSymbolicConfig:
     trunc: TruncationSpec = DEFAULT_TRUNCATION
 
     def __post_init__(self):
-        if self.epsilon <= 0.0 or self.n_lines < 2 or self.iters < 1:
+        params = (self.epsilon, self.prox_weight, self.alpha, self.beta)
+        if not all(math.isfinite(x) for x in params):
+            raise ValueError("polar configuration parameters must be finite")
+        if self.epsilon <= 0.0 or self.prox_weight < 0.0 or self.n_lines < 2 or self.iters < 1:
             raise ValueError("invalid polar configuration")
 
     @property
@@ -85,15 +93,10 @@ def symbolic_sweep(
     K = cfg.prox_weight
     kap = cfg.d**2 / cfg.epsilon
     one = poly_const(1.0, cfg.trunc)
-    a = np.empty(m8 - 1)
-    b = np.empty(m8 - 1)
+    a, b = ab_recursion(2.0 + K * kap, m8 - 1)
     c: list[BoundaryPolynomial] = []
-    a[0] = 1.0 / (2.0 + K * kap)
-    b[0] = a[0]
     c.append(poly_scale(poly_add(poly_scale(anchors[1], K), one), a[0] * kap))
     for i in range(2, m8):
-        a[i - 1] = 1.0 / (2.0 + K * kap - a[i - 2])
-        b[i - 1] = a[i - 1] * (b[i - 2] + 1.0)
         ft = poly_scale(poly_add(poly_scale(anchors[i], K), one), kap)
         c.append(poly_scale(poly_add(c[i - 2], ft), a[i - 1]))
     return a, b, c
@@ -161,19 +164,11 @@ def polar_numeric_solve(cfg: PolarSymbolicConfig, boundary: np.ndarray) -> np.nd
     boundary = np.asarray(boundary, dtype=float)
     mth = boundary.size
     h_th = 2.0 * np.pi / mth
+    a, b = ab_recursion(2.0 + K * kap, m8 - 1)
     uo = np.zeros((m8 + 1, mth))
     u = np.zeros((m8 + 1, mth))
     for _ in range(cfg.iters):
-        a = np.empty(m8 - 1)
-        b = np.empty(m8 - 1)
-        c = np.empty((m8 - 1, mth))
-        a[0] = 1.0 / (2.0 + K * kap)
-        b[0] = a[0]
-        c[0] = a[0] * (K * uo[1] + 1.0) * kap
-        for i in range(2, m8):
-            a[i - 1] = 1.0 / (2.0 + K * kap - a[i - 2])
-            b[i - 1] = a[i - 1] * (b[i - 2] + 1.0)
-            c[i - 1] = a[i - 1] * (c[i - 2] + (K * uo[i] + 1.0) * kap)
+        c = c_recursion(a, K * uo + 1.0, kap)
         u = np.zeros((m8 + 1, mth))
         u[m8] = boundary
         for n in range(m8 - 1, 0, -1):

@@ -10,6 +10,7 @@ case reduces to the plain finite-difference scheme.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -76,6 +77,9 @@ class ProblemSpec:
     domain: Domain
 
     def __post_init__(self):
+        for name in ("epsilon", "alpha", "beta", "prox_weight"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.epsilon > 0.0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.prox_weight < 0.0:

@@ -1,10 +1,5 @@
 """Outer proximal fixed-point driver and solution diagnostics.
 
-One outer cycle: refresh the sweep coefficients with the current anchor,
-add the defect correction evaluated at the anchor, run the backward pass
-(lines N-1 down to 1), measure the sup-norm change against the anchor, and
-promote the result to the new anchor.
-
 The backward pass replaces the sum that exact elimination carries,
 w_n = a_n*(w_{n-1} + T(u_n)), by b_n*[kap*R(u_{n+1}) + d^2*D_yy u_n], with
 R(u) = -alpha*u^3 + beta*u, kap = d^2/eps and T(u) = kap*R(u) + d^2*D_yy u.
@@ -12,7 +7,15 @@ The correction E_n = w_n(u0) - b_n*[kap*R(u0_{n+1}) + d^2*D_yy u0_n] adds
 the difference back at the anchor u0 (defect correction, Stetter 1978), so
 at the fixed point u = u0 the pass is the exact elimination of the
 finite-difference system and the proximal term vanishes: the fixed point
-solves the original FD system.  At the zero anchor E = 0.
+solves the original FD system.
+
+w obeys the same recursion as c, and T/kap = R + eps*D_yy, so c_n + E_n
+is one c-recursion run on the source g = K*u0 + f + R(u0) + eps*D_yy u0,
+minus b_n*[kap*R(u0_{n+1}) + d^2*D_yy u0_n].  One outer cycle builds that
+c, runs the backward pass (lines N-1 down to 1), measures the sup-norm
+change against the anchor and promotes the result to the new anchor.  At
+the zero anchor g = f and the lag term vanishes, so the first cycle is a
+plain ``forward_sweep`` + ``backward_pass``.
 
 The loop stops once the update drops below ``tol`` and the FD residual is
 at most K*tol (or after a fixed iteration count when one is forced).
@@ -20,13 +23,14 @@ at most K*tol (or after a fixed iteration count when one is forced).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linebvp import solve_line
 from .problem import FieldSolution, LineGrid, ProblemSpec, source_values, transverse_step
-from .sweep import IterateState, SweepCoefficients, forward_sweep, refresh_c
+from .sweep import SweepCoefficients, c_recursion, scalar_coefficients
 
 __all__ = [
     "SolveReport",
@@ -79,51 +83,55 @@ def proximal_iterate(
 ) -> SolveReport:
     """Run the outer proximal loop from a zero anchor.
 
-    Every cycle runs the backward pass on c + E, where E is the defect
-    correction computed from the anchor (see the module docstring).  The
-    run counts as converged when the anchor update is at most ``tol`` and
-    the FD residual is at most K*tol; the residual is evaluated only once
-    the update test holds.  For K = 0 that bound is zero and cannot be
-    met, so the update test alone decides.
+    a, b, f and the transverse steps are computed once per solve.  Every
+    cycle runs the c-recursion on the corrected source of the anchor (see
+    the module docstring) and then the backward pass.  The run counts as
+    converged when the anchor update is at most ``tol`` and the FD
+    residual is at most K*tol; the residual is evaluated only once the
+    update test holds.  For K = 0 that bound is zero and cannot be met,
+    so the update test alone decides.
 
     ``fixed_iters`` forces exactly that many cycles with no convergence
     test (used to mirror a fixed-iteration reference schedule); the same
     rule then sets the ``converged`` flag of the last cycle.
     Non-convergence within ``max_iter`` is reported, not raised.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    N, M = grid.n_lines, grid.m_nodes
-    boundary = np.zeros(M + 1)
+    K = spec.prox_weight
+    kap = grid.d**2 / spec.epsilon
+    a, b = scalar_coefficients(spec, grid)
     h = _transverse_steps(grid)
     f = source_values(spec, grid)
-    residual_bound = spec.prox_weight * tol
+    boundary = np.zeros(grid.m_nodes + 1)
+    residual_bound = K * tol
+
+    def residual_sup(u: FieldSolution) -> float:
+        return float(np.max(np.abs(_fd_residual(spec, grid, u.values, f, h))))
 
     def stops(diff: float, u: FieldSolution) -> bool:
         if diff > tol:
             return False
-        if residual_bound == 0.0:
-            return True
-        return float(np.max(np.abs(_fd_residual(spec, grid, u.values, f, h)))) <= residual_bound
+        return residual_bound == 0.0 or residual_sup(u) <= residual_bound
 
-    state = IterateState(anchor=FieldSolution.zeros(grid), iteration=0)
-    coeffs = forward_sweep(spec, grid, state)
-    correction = np.zeros((N - 1, M + 1))
     limit = fixed_iters if fixed_iters is not None else max_iter
     updates = []
     converged = False
-    u = state.anchor
-    for it in range(1, limit + 1):
-        if it > 1:
-            coeffs = refresh_c(coeffs, spec, grid, state)
-            correction[:, 1:-1] = _defect_correction(coeffs, state.anchor, spec, grid, h)
-        corrected = SweepCoefficients(a=coeffs.a, b=coeffs.b, c=coeffs.c + correction)
-        u = backward_pass(corrected, spec, grid, boundary)
-        diff = float(np.max(np.abs(u.values - state.anchor.values)))
+    u = FieldSolution.zeros(grid)
+    coeffs = SweepCoefficients(a=a, b=b, c=np.zeros((grid.n_lines - 1, grid.m_nodes + 1)))
+    for _ in range(limit):
+        v = u.values
+        react = -spec.alpha * v**3 + spec.beta * v
+        d_yy = np.zeros_like(v)
+        d_yy[:, 1:-1] = _transverse_second_derivative(h, v)
+        c = c_recursion(a, K * v + f + react + spec.epsilon * d_yy, kap)
+        c -= b[:, None] * (kap * react[2:] + grid.d**2 * d_yy[1:-1])
+        coeffs = SweepCoefficients(a=a, b=b, c=c)
+        u = backward_pass(coeffs, spec, grid, boundary)
+        diff = float(np.max(np.abs(u.values - v)))
         updates.append(diff)
-        state = IterateState(anchor=u, iteration=it)
         if fixed_iters is None and stops(diff, u):
             converged = True
             break
@@ -131,9 +139,9 @@ def proximal_iterate(
         converged = bool(updates) and stops(updates[-1], u)
     return SolveReport(
         solution=u,
-        outer_iterations=state.iteration,
+        outer_iterations=len(updates),
         anchor_update_norm=updates[-1] if updates else 0.0,
-        residual_sup=residual_norm(spec, grid, u),
+        residual_sup=residual_sup(u),
         error_estimates=error_estimate(coeffs, u, spec, grid),
         converged=converged,
         update_history=np.array(updates),
@@ -173,42 +181,6 @@ def residual_norm(spec: ProblemSpec, grid: LineGrid, u: FieldSolution) -> float:
     return float(np.max(np.abs(residual_field(spec, grid, u))))
 
 
-def _lag_defect(
-    coeffs: SweepCoefficients, v: np.ndarray, spec: ProblemSpec, grid: LineGrid, h: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """G_n = a_n*G_{n-1} + b_n*(T(u_n) - T(u_{n+1})), G_0 = 0, for n = 1..N-1.
-
-    G_n = w_n - b_n*T(u_{n+1}) on interior transverse nodes; shape (N-1, M-1).
-    Also returns d^2*D_yy u on lines 1..N, which the correction needs.
-    """
-    kap = grid.d**2 / spec.epsilon
-    rows = v[1:]
-    transverse = _transverse_second_derivative(h[1:], rows) * grid.d**2
-    mid = rows[:, 1:-1]
-    T = (-spec.alpha * mid**3 + spec.beta * mid) * kap + transverse
-    G = np.empty((grid.n_lines - 1, mid.shape[1]))
-    g = np.zeros(mid.shape[1])
-    for k in range(grid.n_lines - 1):  # line n = k+1; T[k] is T(u_{k+1}), T[k+1] is T(u_{k+2})
-        g = coeffs.a[k] * g + coeffs.b[k] * (T[k] - T[k + 1])
-        G[k] = g
-    return G, transverse
-
-
-def _defect_correction(
-    coeffs: SweepCoefficients,
-    anchor: FieldSolution,
-    spec: ProblemSpec,
-    grid: LineGrid,
-    h: np.ndarray,
-) -> np.ndarray:
-    """E_n = w_n(u0) - b_n*[kap*R(u0_{n+1}) + d^2*D_yy u0_n] on interior nodes.
-
-    That is G_n plus b_n*d^2*(D_yy u0_{n+1} - D_yy u0_n); shape (N-1, M-1).
-    """
-    G, transverse = _lag_defect(coeffs, anchor.values, spec, grid, h)
-    return G + coeffs.b[:, None] * (transverse[1:] - transverse[:-1])
-
-
 def error_estimate(
     coeffs: SweepCoefficients, u: FieldSolution, spec: ProblemSpec, grid: LineGrid
 ) -> np.ndarray:
@@ -222,5 +194,14 @@ def error_estimate(
     field it gives the size of the term the loop adds back, not an error
     left in the returned field.  It shrinks with a and b as K grows.
     """
-    G, _ = _lag_defect(coeffs, u.values, spec, grid, _transverse_steps(grid))
-    return np.max(np.abs(G), axis=1)
+    kap = grid.d**2 / spec.epsilon
+    rows = u.values[1:]
+    transverse = _transverse_second_derivative(_transverse_steps(grid)[1:], rows) * grid.d**2
+    mid = rows[:, 1:-1]
+    T = (-spec.alpha * mid**3 + spec.beta * mid) * kap + transverse
+    out = np.empty(grid.n_lines - 1)
+    g = np.zeros(mid.shape[1])
+    for k in range(grid.n_lines - 1):  # line n = k+1; T[k] is T(u_{k+1}), T[k+1] is T(u_{k+2})
+        g = coeffs.a[k] * g + coeffs.b[k] * (T[k] - T[k + 1])
+        out[k] = np.max(np.abs(g))
+    return out

@@ -1,14 +1,19 @@
 """Forward recursion for the sweep coefficients a_n, b_n, c_n.
 
-With q = 2 + K*d^2/eps the scalar recursion is
+With q = 2 + K*d^2/eps and kap = d^2/eps the recursion is
 
     a_1 = 1/q,            a_n = 1/(q - a_{n-1}),
     b_1 = a_1,            b_n = a_n*(b_{n-1} + 1),
-    c_1 = a_1*ft_1*d^2/eps,   c_n = a_n*(c_{n-1} + ft_n*d^2/eps),
+    c_1 = a_1*g_1*kap,    c_n = a_n*(c_{n-1} + g_n*kap),
 
-where ft_n = K*(u0)_n + f_n combines the proximal anchor with the source.
-a and b depend only on (N, d, eps, K); only c has to be refreshed when the
-anchor changes between outer iterations.
+where g_n is the line source.  For a plain sweep g = K*u0 + f combines
+the proximal anchor with f.  a and b depend only on (N, d, eps, K), so a
+solve computes them once; only c changes with the anchor.
+
+``ab_recursion`` and ``c_recursion`` are the only copies of these
+recursions in the package: the Cartesian outer loop feeds ``c_recursion``
+a source that also carries its defect correction (see ``proximal``), and
+the annulus solvers take a and b from ``ab_recursion``.
 """
 
 from __future__ import annotations
@@ -19,7 +24,14 @@ import numpy as np
 
 from .problem import FieldSolution, LineGrid, ProblemSpec, source_values
 
-__all__ = ["SweepCoefficients", "IterateState", "forward_sweep", "refresh_c", "scalar_coefficients"]
+__all__ = [
+    "SweepCoefficients",
+    "IterateState",
+    "ab_recursion",
+    "c_recursion",
+    "forward_sweep",
+    "scalar_coefficients",
+]
 
 
 @dataclass(frozen=True)
@@ -40,43 +52,44 @@ class SweepCoefficients:
 
 @dataclass(frozen=True)
 class IterateState:
-    """Proximal anchor (u0) and the outer-iteration counter."""
+    """Proximal anchor (u0) of a sweep."""
 
     anchor: FieldSolution
-    iteration: int = 0
 
 
-def scalar_coefficients(spec: ProblemSpec, grid: LineGrid) -> tuple[np.ndarray, np.ndarray]:
-    """The anchor-independent a_n and b_n for n = 1..N-1."""
-    N = grid.n_lines
-    q = 2.0 + spec.prox_weight * grid.d**2 / spec.epsilon
-    a = np.empty(N - 1)
-    b = np.empty(N - 1)
+def ab_recursion(q: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """a_n and b_n for n = 1..count with diagonal q; entry k for line k+1."""
+    a = np.empty(count)
+    b = np.empty(count)
     a[0] = 1.0 / q
     b[0] = a[0]
-    for k in range(1, N - 1):
+    for k in range(1, count):
         denom = q - a[k - 1]
         if denom <= 0.0:
-            # cannot happen for K >= 0 (a_n < 1 < q - 1); kept as a guard
+            # cannot happen for q >= 2 (a_n < 1 < q - 1); kept as a guard
             raise ArithmeticError(f"non-positive sweep denominator at line {k + 1}")
         a[k] = 1.0 / denom
         b[k] = a[k] * (b[k - 1] + 1.0)
     return a, b
 
 
-def _c_recursion(
-    a: np.ndarray, spec: ProblemSpec, grid: LineGrid, state: IterateState
-) -> np.ndarray:
-    N = grid.n_lines
-    kap = grid.d**2 / spec.epsilon
-    K = spec.prox_weight
-    f = source_values(spec, grid)
-    anchor = state.anchor.values
-    c = np.empty((N - 1, grid.m_nodes + 1))
-    c[0] = a[0] * (K * anchor[1] + f[1]) * kap
-    for k in range(1, N - 1):
-        c[k] = a[k] * (c[k - 1] + (K * anchor[k + 1] + f[k + 1]) * kap)
+def c_recursion(a: np.ndarray, g: np.ndarray, kap: float) -> np.ndarray:
+    """c_n for n = 1..len(a) from the line sources g.
+
+    ``g`` is indexed by line number: row n is the source on line n, and
+    only rows 1..len(a) are read.  Returns shape (len(a), g.shape[1]).
+    """
+    c = np.empty((a.size, g.shape[1]))
+    c[0] = a[0] * g[1] * kap
+    for k in range(1, a.size):
+        c[k] = a[k] * (c[k - 1] + g[k + 1] * kap)
     return c
+
+
+def scalar_coefficients(spec: ProblemSpec, grid: LineGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The anchor-independent a_n and b_n for n = 1..N-1."""
+    q = 2.0 + spec.prox_weight * grid.d**2 / spec.epsilon
+    return ab_recursion(q, grid.n_lines - 1)
 
 
 def forward_sweep(spec: ProblemSpec, grid: LineGrid, state: IterateState) -> SweepCoefficients:
@@ -84,18 +97,5 @@ def forward_sweep(spec: ProblemSpec, grid: LineGrid, state: IterateState) -> Swe
     if state.anchor.values.shape != (grid.n_lines + 1, grid.m_nodes + 1):
         raise ValueError("anchor shape does not match grid")
     a, b = scalar_coefficients(spec, grid)
-    return SweepCoefficients(a=a, b=b, c=_c_recursion(a, spec, grid, state))
-
-
-def refresh_c(
-    coeffs: SweepCoefficients, spec: ProblemSpec, grid: LineGrid, state: IterateState
-) -> SweepCoefficients:
-    """Recompute c for a new anchor, reusing the anchor-independent a, b.
-
-    Bit-identical to a fresh forward_sweep with the same anchor.
-    """
-    if state.anchor.values.shape != (grid.n_lines + 1, grid.m_nodes + 1):
-        raise ValueError("anchor shape does not match grid")
-    if coeffs.a.shape != (grid.n_lines - 1,):
-        raise ValueError("coefficient length does not match grid")
-    return SweepCoefficients(a=coeffs.a, b=coeffs.b, c=_c_recursion(coeffs.a, spec, grid, state))
+    g = spec.prox_weight * state.anchor.values + source_values(spec, grid)
+    return SweepCoefficients(a=a, b=b, c=c_recursion(a, g, grid.d**2 / spec.epsilon))

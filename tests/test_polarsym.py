@@ -24,6 +24,16 @@ def test_config_validation():
         PolarSymbolicConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         PolarSymbolicConfig(epsilon=0.1, iters=0)
+    for bad in (
+        dict(epsilon=float("nan")),
+        dict(epsilon=float("inf")),
+        dict(epsilon=0.1, prox_weight=-1000.0),
+        dict(epsilon=0.1, prox_weight=float("nan")),
+        dict(epsilon=0.1, alpha=float("inf")),
+        dict(epsilon=0.1, beta=float("nan")),
+    ):
+        with pytest.raises(ValueError):
+            PolarSymbolicConfig(**bad)
     cfg = PolarSymbolicConfig(epsilon=0.1)
     assert cfg.d == pytest.approx(0.01)
     assert cfg.radius(0) == 1.0 and cfg.radius(100) == 2.0

@@ -94,3 +94,12 @@ def test_field_zeros_shape():
     u = FieldSolution.zeros(grid)
     assert u.values.shape == (6, 8)
     assert not u.values.flags.writeable
+
+
+@pytest.mark.parametrize("field", ["epsilon", "alpha", "beta", "prox_weight"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_spec_rejects_non_finite(field, bad):
+    params = dict(epsilon=0.1, alpha=1.0, beta=1.0, prox_weight=50.0)
+    params[field] = bad
+    with pytest.raises(ValueError, match=field):
+        ProblemSpec(source=ones_source, domain=UNIT_SQUARE, **params)

@@ -1,8 +1,9 @@
 import numpy as np
+import pytest
 
 from proxgml.cli import parse_source
 from proxgml.linebvp import assemble_line_system, thomas_solve
-from proxgml.problem import FieldSolution, build_cartesian_grid
+from proxgml.problem import CartesianDomain, FieldSolution, ProblemSpec, build_cartesian_grid
 from proxgml.proximal import (
     backward_pass,
     error_estimate,
@@ -12,7 +13,7 @@ from proxgml.proximal import (
 )
 from proxgml.sweep import IterateState, forward_sweep
 
-from conftest import UNIT_SQUARE, square_problem, zero_source
+from conftest import UNIT_SQUARE, ones_source, square_problem, zero_source
 
 
 def test_homogeneous_problem_is_fixed_at_zero():
@@ -188,3 +189,53 @@ def test_zero_weight_stops_on_update_alone():
     assert report.converged
     assert report.anchor_update_norm <= 1e-8
 
+
+
+CURVED = CartesianDomain(a=0.0, b=1.0, y1=lambda x: 0.0, y2=lambda x: 1.0 + 0.5 * x)
+
+
+def curved_problem(epsilon, source=ones_source):
+    return ProblemSpec(epsilon=epsilon, alpha=1.0, beta=1.0, source=source,
+                       prox_weight=50.0, domain=CURVED)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-8])
+def test_tol_must_be_finite_and_positive(tol):
+    spec = square_problem(0.1)
+    grid = build_cartesian_grid(UNIT_SQUARE, 6, 6)
+    with pytest.raises(ValueError, match="tol"):
+        proximal_iterate(spec, grid, tol=tol, max_iter=200)
+
+
+def test_source_sampled_once_per_solve():
+    calls = []
+
+    def counting_source(x, y):
+        calls.append(x)
+        return np.ones_like(np.asarray(y, dtype=float))
+
+    spec = square_problem(0.1, source=counting_source)
+    grid = build_cartesian_grid(UNIT_SQUARE, 10, 10)
+    report = proximal_iterate(spec, grid, fixed_iters=20)
+    assert report.outer_iterations == 20
+    assert len(calls) == grid.n_lines + 1
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.01])
+def test_curved_strip_converges(eps):
+    # the transverse step h_n changes from line to line
+    spec = curved_problem(eps)
+    grid = build_cartesian_grid(CURVED, 16, 16)
+    report = proximal_iterate(spec, grid, tol=1e-8)
+    assert report.converged
+    assert report.residual_sup <= spec.prox_weight * 1e-8
+
+
+def test_first_cycle_is_plain_sweep():
+    # at the zero anchor the corrected source is f and the lag term is zero
+    spec = curved_problem(0.05, source=parse_source("sin(pi*x)*sin(pi*y)"))
+    grid = build_cartesian_grid(CURVED, 12, 9)
+    report = proximal_iterate(spec, grid, fixed_iters=1)
+    coeffs = forward_sweep(spec, grid, IterateState(FieldSolution.zeros(grid)))
+    plain = backward_pass(coeffs, spec, grid, np.zeros(grid.m_nodes + 1))
+    assert np.array_equal(report.solution.values, plain.values)

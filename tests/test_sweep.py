@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from proxgml.problem import FieldSolution, build_cartesian_grid
-from proxgml.sweep import IterateState, forward_sweep, refresh_c, scalar_coefficients
+from proxgml.sweep import IterateState, forward_sweep, scalar_coefficients
 
 from conftest import UNIT_SQUARE, square_problem, ones_source
 
@@ -90,29 +90,6 @@ def test_a_b_anchor_independent_bit_exact():
     assert np.array_equal(c0.b, c1.b)
 
 
-def test_refresh_c_matches_fresh_sweep():
-    spec = square_problem(0.2, K=13.0)
-    grid = build_cartesian_grid(UNIT_SQUARE, 9, 6)
-    coeffs = forward_sweep(spec, grid, zero_state(grid))
-    rng = np.random.default_rng(7)
-    anchor = np.zeros((10, 7))
-    anchor[1:-1, 1:-1] = rng.normal(size=(8, 5))
-    state = IterateState(FieldSolution(anchor))
-    refreshed = refresh_c(coeffs, spec, grid, state)
-    fresh = forward_sweep(spec, grid, state)
-    assert np.array_equal(refreshed.c, fresh.c)
-    assert np.array_equal(refreshed.a, fresh.a)
-
-
-def test_refresh_c_same_anchor_bit_identical():
-    spec = square_problem(0.1, K=5.0)
-    grid = build_cartesian_grid(UNIT_SQUARE, 8, 4)
-    state = zero_state(grid)
-    coeffs = forward_sweep(spec, grid, state)
-    again = refresh_c(coeffs, spec, grid, state)
-    assert np.array_equal(coeffs.c, again.c)
-
-
 def test_anchor_times_zero_weight_equals_zero_anchor():
     # K multiplies the anchor inside c: zero anchor with any K matches
     # arbitrary anchor with K = 0
@@ -133,6 +110,3 @@ def test_dimension_mismatch_rejected():
     state = zero_state(other)
     with pytest.raises(ValueError):
         forward_sweep(spec, grid, state)
-    coeffs = forward_sweep(spec, grid, zero_state(grid))
-    with pytest.raises(ValueError):
-        refresh_c(coeffs, spec, grid, state)
