@@ -46,7 +46,9 @@ _ALLOWED_NODES = (
 def parse_source(text: str):
     """Build f(x, y) from 'const:<v>' or a small arithmetic expression.
 
-    Expressions may use x, y, pi, + - * / ** and sin/cos/exp.
+    Expressions may use x, y, pi, + - * / ** and sin/cos/exp.  Numbers are
+    floats, so no expression can build a huge integer.  An evaluation that
+    overflows or gives a non-finite value raises ValueError.
     """
     if text.startswith("const:"):
         v = float(text[len("const:"):])
@@ -55,6 +57,11 @@ def parse_source(text: str):
     for node in ast.walk(tree):
         if not isinstance(node, _ALLOWED_NODES):
             raise ValueError(f"unsupported element in source expression: {ast.dump(node)}")
+        if isinstance(node, ast.Constant):
+            # floats keep every power O(1): an int tower like 9**9**9 would not
+            if type(node.value) not in (int, float):
+                raise ValueError(f"unsupported constant {node.value!r} in source expression")
+            node.value = float(node.value)
         if isinstance(node, ast.Name) and node.id not in ("x", "y", "pi", "sin", "cos", "exp"):
             raise ValueError(f"unknown name {node.id!r} in source expression")
         if isinstance(node, ast.Call):
@@ -64,7 +71,14 @@ def parse_source(text: str):
     env = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "pi": math.pi}
 
     def f(x, y):
-        return eval(code, {"__builtins__": {}}, dict(env, x=x, y=y))
+        try:
+            with np.errstate(all="ignore"):
+                v = eval(code, {"__builtins__": {}}, dict(env, x=x, y=y))
+        except ArithmeticError as exc:
+            raise ValueError(f"source expression {text!r} fails to evaluate: {exc}") from None
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"source expression {text!r} is not finite at x={x}")
+        return v
 
     return f
 

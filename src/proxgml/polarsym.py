@@ -2,19 +2,22 @@
 
 Lines are the circles r = t_n = 1 + n*d.  The inner circle carries u = 0,
 the outer circle the symbol uf (the boundary function of the angle).  The
-sweep coefficients a_n, b_n are the same scalars as in the Cartesian
-solver and come from ``sweep.ab_recursion`` with q = 2 + K*d^2/eps; c_n
-becomes polynomial-valued because the proximal anchor is a polynomial.  The backward pass is fully explicit: the angular second
-derivative is taken symbolically on the already-known line n+1 and the
-radial first derivative uses the previous outer iterate's anchors, so no
-per-line solve is needed.  Each assembled expression is truncated to the
-configured caps before moving on.
+sweep coefficients a_n, b_n are the scalars of the Cartesian solver, from
+``sweep.ab_recursion`` with q = 2 + K*d^2/eps; c_n is polynomial-valued
+because the proximal anchor is.  The backward pass is fully explicit: the
+angular second derivative is taken symbolically on the already-known line
+n+1 and the radial first derivative uses the previous outer iterate's
+anchors, so no per-line solve is needed.  Every product is truncated to
+the configured caps as it is formed.
 
-A numeric mirror of the same explicit scheme (finite differences in the
-angle, periodic) provides an independent cross-check of the polynomials.
-It computes a and b once and takes its c from ``sweep.c_recursion``; the
-polynomial c-recursion and the two backward passes stay separate code, so
-the cross-check still compares two implementations.
+The solve keeps all lines as one (n_lines+1, B) array of coefficient rows
+over the truncation basis (see ``symalg``).  The c-recursion is linear, so
+``sweep.c_recursion`` runs it on those rows coefficient by coefficient.
+``symbolic_sweep`` and ``symbolic_backward_pass`` wrap the same kernels
+for lists of polynomials.  A numeric mirror of the scheme (periodic finite
+differences in the angle) shares a, b and ``sweep.c_recursion`` but has its
+own backward pass, so cross-checking it against the polynomials still
+compares two implementations.
 """
 
 from __future__ import annotations
@@ -25,19 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .sweep import ab_recursion, c_recursion
-from .symalg import (
-    DEFAULT_TRUNCATION,
-    BoundaryPolynomial,
-    TruncationSpec,
-    poly_add,
-    poly_const,
-    poly_diff,
-    poly_eval,
-    poly_mul,
-    poly_scale,
-    poly_symbol,
-    poly_zero,
-)
+from .symalg import DEFAULT_TRUNCATION, BoundaryPolynomial, TruncationSpec, poly_eval
 
 __all__ = [
     "PolarSymbolicConfig",
@@ -78,6 +69,45 @@ class PolarSymbolicConfig:
         return 1.0 + n * self.d
 
 
+def _rows(cfg: PolarSymbolicConfig, polys: list[BoundaryPolynomial]) -> np.ndarray:
+    if any(p.trunc != cfg.trunc for p in polys):
+        raise ValueError(f"polynomials must use the configured truncation {cfg.trunc}")
+    return np.array([p.coeffs for p in polys])
+
+
+def _polys(cfg: PolarSymbolicConfig, rows: np.ndarray) -> list[BoundaryPolynomial]:
+    return [BoundaryPolynomial.from_coeffs(row, cfg.trunc) for row in rows]
+
+
+def _sweep_rows(cfg: PolarSymbolicConfig, a: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """c for lines 1..n_lines-1 (row k for line k+1) from anchor rows 0..n_lines."""
+    g = cfg.prox_weight * anchors
+    g[:, 0] += 1.0  # f = 1 on the constant monomial, basis[0]
+    return c_recursion(a, g, cfg.d**2 / cfg.epsilon)
+
+
+def _backward_rows(cfg, a, b, c, anchors) -> np.ndarray:
+    """Explicit backward pass on coefficient rows; row n is line n."""
+    kap = cfg.d**2 / cfg.epsilon
+    tr = cfg.trunc
+    d2 = tr.diff_matrix @ tr.diff_matrix
+    u = np.zeros_like(anchors)
+    u[-1, tr.basis[(1, 0, 0, 0, 0)]] = 1.0  # line n_lines is the bare symbol uf
+    for n in range(cfg.n_lines - 1, 0, -1):
+        t = cfg.radius(n)
+        un1 = u[n + 1]
+        cubic = tr.mul(tr.mul(un1, un1), un1)
+        reaction = cubic * -cfg.alpha + un1 * cfg.beta
+        u[n] = (
+            un1 * a[n - 1]
+            + reaction * (b[n - 1] * kap)
+            + c[n - 1]
+            + (d2 @ un1) * (b[n - 1] * cfg.d**2 / t**2)
+            + (anchors[n + 1] - anchors[n]) * (b[n - 1] * cfg.d / t)
+        )
+    return u
+
+
 def symbolic_sweep(
     cfg: PolarSymbolicConfig, anchors: list[BoundaryPolynomial]
 ) -> tuple[np.ndarray, np.ndarray, list[BoundaryPolynomial]]:
@@ -87,27 +117,15 @@ def symbolic_sweep(
     inner boundary is fixed at zero).  Returns scalar arrays a, b (entry k
     for line k+1) and the list of polynomials c (same indexing).
     """
-    m8 = cfg.n_lines
-    if len(anchors) != m8 + 1:
-        raise ValueError(f"need {m8 + 1} anchor entries, got {len(anchors)}")
-    K = cfg.prox_weight
-    kap = cfg.d**2 / cfg.epsilon
-    one = poly_const(1.0, cfg.trunc)
-    a, b = ab_recursion(2.0 + K * kap, m8 - 1)
-    c: list[BoundaryPolynomial] = []
-    c.append(poly_scale(poly_add(poly_scale(anchors[1], K), one), a[0] * kap))
-    for i in range(2, m8):
-        ft = poly_scale(poly_add(poly_scale(anchors[i], K), one), kap)
-        c.append(poly_scale(poly_add(c[i - 2], ft), a[i - 1]))
-    return a, b, c
+    if len(anchors) != cfg.n_lines + 1:
+        raise ValueError(f"need {cfg.n_lines + 1} anchor entries, got {len(anchors)}")
+    a, b = ab_recursion(2.0 + cfg.prox_weight * cfg.d**2 / cfg.epsilon, cfg.n_lines - 1)
+    return a, b, _polys(cfg, _sweep_rows(cfg, a, _rows(cfg, anchors)))
 
 
 def symbolic_backward_pass(
-    cfg: PolarSymbolicConfig,
-    a: np.ndarray,
-    b: np.ndarray,
-    c: list[BoundaryPolynomial],
-    anchors: list[BoundaryPolynomial],
+    cfg: PolarSymbolicConfig, a: np.ndarray, b: np.ndarray,
+    c: list[BoundaryPolynomial], anchors: list[BoundaryPolynomial],
 ) -> list[BoundaryPolynomial]:
     """Explicit backward pass; returns lines indexed 0..n_lines.
 
@@ -115,40 +133,16 @@ def symbolic_backward_pass(
     radial first-derivative term uses the anchors of the previous outer
     iterate, not the lines being built.
     """
-    m8 = cfg.n_lines
-    kap = cfg.d**2 / cfg.epsilon
-    u: list[BoundaryPolynomial] = [poly_zero(cfg.trunc)] * (m8 + 1)
-    u[m8] = poly_symbol(0, cfg.trunc)
-    for n in range(m8 - 1, 0, -1):
-        t = cfg.radius(n)
-        un1 = u[n + 1]
-        cubic = poly_mul(poly_mul(un1, un1), un1)
-        reaction = poly_add(poly_scale(cubic, -cfg.alpha), poly_scale(un1, cfg.beta))
-        expr = poly_scale(un1, a[n - 1])
-        expr = poly_add(expr, poly_scale(reaction, b[n - 1] * kap))
-        expr = poly_add(expr, c[n - 1])
-        expr = poly_add(
-            expr, poly_scale(poly_diff(poly_diff(un1)), b[n - 1] * cfg.d**2 / t**2)
-        )
-        radial = poly_add(anchors[n + 1], poly_scale(anchors[n], -1.0))
-        expr = poly_add(expr, poly_scale(radial, b[n - 1] * cfg.d / t))
-        u[n] = expr
-    return u
+    return _polys(cfg, _backward_rows(cfg, a, b, _rows(cfg, c), _rows(cfg, anchors)))
 
 
 def symbolic_solve(cfg: PolarSymbolicConfig) -> list[BoundaryPolynomial]:
-    """Run exactly cfg.iters sweep+backward cycles from zero anchors.
-
-    Returns the final line polynomials, indexed 0..n_lines.
-    """
-    m8 = cfg.n_lines
-    anchors = [poly_zero(cfg.trunc)] * (m8 + 1)
-    u = anchors
+    """Run exactly cfg.iters sweep+backward cycles from zero anchors; lines 0..n_lines."""
+    a, b = ab_recursion(2.0 + cfg.prox_weight * cfg.d**2 / cfg.epsilon, cfg.n_lines - 1)
+    u = np.zeros((cfg.n_lines + 1, len(cfg.trunc.basis)))
     for _ in range(cfg.iters):
-        a, b, c = symbolic_sweep(cfg, anchors)
-        u = symbolic_backward_pass(cfg, a, b, c, anchors)
-        anchors = list(u)
-    return u
+        u = _backward_rows(cfg, a, b, _sweep_rows(cfg, a, u), u)
+    return _polys(cfg, u)
 
 
 def polar_numeric_solve(cfg: PolarSymbolicConfig, boundary: np.ndarray) -> np.ndarray:
@@ -217,10 +211,8 @@ def cross_check_numeric(
     if lines is None:
         lines = symbolic_solve(cfg)
     m8 = cfg.n_lines
-    sym = np.empty((m8 - 1, g.size))
-    for n in range(1, m8):
-        p = lines[n]
-        sym[n - 1] = [poly_eval(p, g[j], 0.0, g2[j]) for j in range(g.size)]
+    sym = np.array([[poly_eval(lines[n], x, 0.0, x2) for x, x2 in zip(g, g2)]
+                    for n in range(1, m8)])
     num = polar_numeric_solve(cfg, g)[1:m8]
     per_line = np.max(np.abs(sym - num), axis=1)
     return CrossCheckReport(

@@ -100,6 +100,8 @@ def proximal_iterate(
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if fixed_iters is not None and fixed_iters < 1:
+        raise ValueError(f"fixed_iters must be >= 1, got {fixed_iters}")
     K = spec.prox_weight
     kap = grid.d**2 / spec.epsilon
     a, b = scalar_coefficients(spec, grid)
@@ -120,7 +122,6 @@ def proximal_iterate(
     updates = []
     converged = False
     u = FieldSolution.zeros(grid)
-    coeffs = SweepCoefficients(a=a, b=b, c=np.zeros((grid.n_lines - 1, grid.m_nodes + 1)))
     for _ in range(limit):
         v = u.values
         react = -spec.alpha * v**3 + spec.beta * v
@@ -136,11 +137,11 @@ def proximal_iterate(
             converged = True
             break
     if fixed_iters is not None:
-        converged = bool(updates) and stops(updates[-1], u)
+        converged = stops(updates[-1], u)
     return SolveReport(
         solution=u,
         outer_iterations=len(updates),
-        anchor_update_norm=updates[-1] if updates else 0.0,
+        anchor_update_norm=updates[-1],
         residual_sup=residual_sup(u),
         error_estimates=error_estimate(coeffs, u, spec, grid),
         converged=converged,

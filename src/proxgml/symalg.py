@@ -1,17 +1,23 @@
 """Truncated polynomial algebra over the boundary-data symbols.
 
 The variable ladder is (uf, uf', uf'', uf''', uf'''') -- the outer-circle
-boundary value and its first four tangential derivatives.  A polynomial is
-a sparse map from exponent 5-tuples to real coefficients, kept in the
-canonical form of the truncation spec: any monomial whose exponent exceeds
-a per-variable cap is discarded the moment it appears, which reproduces
-the series-truncation semantics of multiplying then cutting.  With the
-default caps (3, 1, 1, 0, 0) at most 16 monomials can ever be stored.
+boundary value and its first four tangential derivatives.  A truncation
+spec caps each exponent and so fixes a dense basis: every monomial within
+the caps, in sorted order (the constant first).  A polynomial is its
+coefficient vector over that basis; products and derivatives never form
+a monomial over a cap, which reproduces the series-truncation semantics
+of multiplying then cutting.  The default caps (3, 1, 1, 0, 0) give 16
+monomials.  Each spec builds its product table and derivative matrix on
+first use; the annulus solver applies them to coefficient rows directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import itertools
+from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "TruncationSpec",
@@ -40,7 +46,7 @@ _DROP_BELOW = 1e-300
 
 @dataclass(frozen=True)
 class TruncationSpec:
-    """Per-variable maximum exponents."""
+    """Per-variable maximum exponents, and the dense basis they define."""
 
     caps: tuple[int, int, int, int, int] = (3, 1, 1, 0, 0)
 
@@ -51,39 +57,92 @@ class TruncationSpec:
     def admits(self, exponents: tuple[int, ...]) -> bool:
         return all(e <= c for e, c in zip(exponents, self.caps))
 
+    @functools.cached_property
+    def basis(self) -> dict:
+        """Every monomial within the caps, in sorted order -> its coefficient position."""
+        return {e: k for k, e in enumerate(itertools.product(*(range(c + 1) for c in self.caps)))}
+
+    @functools.cached_property
+    def _products(self) -> tuple[np.ndarray, ...]:
+        # (i, j, k): the monomials at positions i and j multiply to the one at k
+        ijk = [(i, j, self.basis[e]) for (e1, i), (e2, j)
+               in itertools.product(self.basis.items(), repeat=2)
+               if (e := tuple(x + y for x, y in zip(e1, e2))) in self.basis]
+        return tuple(np.array(col, dtype=np.intp) for col in zip(*ijk))
+
+    def mul(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Truncated product of two coefficient vectors."""
+        i, j, k = self._products
+        return np.bincount(k, weights=p[i] * q[j], minlength=len(self.basis))
+
+    @functools.cached_property
+    def diff_matrix(self) -> np.ndarray:
+        """d/dx via the symbol ladder uf -> uf' -> ... -> uf'''' as a matrix.
+
+        Product rule per monomial; the ladder top differentiates to a symbol
+        outside the tracked set and is dropped, as are monomials whose
+        bumped exponent exceeds its cap.
+        """
+        D = np.zeros((len(self.basis), len(self.basis)))
+        for e, k in self.basis.items():
+            for i in range(NVARS - 1):
+                bumped = e[:i] + (e[i] - 1, e[i + 1] + 1) + e[i + 2:]
+                if e[i] > 0 and bumped in self.basis:
+                    D[self.basis[bumped], k] += e[i]
+        D.setflags(write=False)
+        return D
+
 
 DEFAULT_TRUNCATION = TruncationSpec()
 
 
-def _canonical(terms: dict, trunc: TruncationSpec) -> dict:
-    return {
-        e: c
-        for e, c in terms.items()
-        if abs(c) >= _DROP_BELOW and trunc.admits(e)
-    }
-
-
-@dataclass(frozen=True)
 class BoundaryPolynomial:
     """Truncated real polynomial in the boundary symbols.
 
-    Equality is structural on the canonical term map; term order is
-    irrelevant.  Instances are immutable; arithmetic goes through the
-    module-level functions (also available as operators).
+    Built from a term map {exponent tuple: coefficient}, dropping monomials
+    over the caps and coefficients below 1e-300 in magnitude; stored as the
+    read-only vector ``coeffs`` over ``trunc.basis``.  Equality is
+    structural on the term map.  Instances are immutable; arithmetic goes
+    through the module-level functions (also available as operators).
     """
 
-    terms: dict = field(default_factory=dict)
-    trunc: TruncationSpec = DEFAULT_TRUNCATION
+    __slots__ = ("coeffs", "trunc")
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", _canonical(self.terms, self.trunc))
+    def __init__(self, terms: dict | None = None, trunc: TruncationSpec = DEFAULT_TRUNCATION):
+        coeffs = np.zeros(len(trunc.basis))
+        for e, c in (terms or {}).items():
+            k = trunc.basis.get(tuple(e))
+            if k is not None and abs(c) >= _DROP_BELOW:
+                coeffs[k] = c
+        self._set(coeffs, trunc)
+
+    @classmethod
+    def from_coeffs(cls, coeffs: np.ndarray, trunc: TruncationSpec = DEFAULT_TRUNCATION):
+        """Wrap a vector over ``trunc.basis`` without copying; it becomes read-only."""
+        if coeffs.shape != (len(trunc.basis),):
+            raise ValueError(f"need {len(trunc.basis)} coefficients, got shape {coeffs.shape}")
+        return cls.__new__(cls)._set(coeffs, trunc)
+
+    def _set(self, coeffs: np.ndarray, trunc: TruncationSpec):
+        coeffs.setflags(write=False)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "trunc", trunc)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BoundaryPolynomial is immutable")
+
+    def __reduce__(self):
+        return BoundaryPolynomial.from_coeffs, (self.coeffs, self.trunc)
+
+    @property
+    def terms(self) -> dict:
+        """{exponent tuple: coefficient} of the stored monomials, in basis order."""
+        return {e: c for e, c in zip(self.trunc.basis, self.coeffs.tolist()) if abs(c) >= _DROP_BELOW}
 
     def __eq__(self, other):
-        return (
-            isinstance(other, BoundaryPolynomial)
-            and self.trunc == other.trunc
-            and self.terms == other.terms
-        )
+        return (isinstance(other, BoundaryPolynomial) and self.trunc == other.trunc
+                and self.terms == other.terms)
 
     def __hash__(self):
         return hash((frozenset(self.terms.items()), self.trunc))
@@ -129,73 +188,34 @@ def _require_same_trunc(p: BoundaryPolynomial, q: BoundaryPolynomial):
 
 def poly_add(p: BoundaryPolynomial, q: BoundaryPolynomial) -> BoundaryPolynomial:
     _require_same_trunc(p, q)
-    terms = dict(p.terms)
-    for e, c in q.terms.items():
-        s = terms.get(e, 0.0) + c
-        if s == 0.0:
-            terms.pop(e, None)
-        else:
-            terms[e] = s
-    return BoundaryPolynomial(terms, p.trunc)
+    return BoundaryPolynomial.from_coeffs(p.coeffs + q.coeffs, p.trunc)
 
 
 def poly_scale(p: BoundaryPolynomial, s: float) -> BoundaryPolynomial:
-    if s == 0.0:
-        return poly_zero(p.trunc)
-    return BoundaryPolynomial({e: c * s for e, c in p.terms.items()}, p.trunc)
+    return BoundaryPolynomial.from_coeffs(p.coeffs * s, p.trunc)
 
 
 def poly_mul(p: BoundaryPolynomial, q: BoundaryPolynomial) -> BoundaryPolynomial:
     """Distributive product; monomials exceeding any cap are discarded."""
     _require_same_trunc(p, q)
-    caps = p.trunc.caps
-    terms: dict = {}
-    for e1, c1 in p.terms.items():
-        for e2, c2 in q.terms.items():
-            e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3], e1[4] + e2[4])
-            if e[0] <= caps[0] and e[1] <= caps[1] and e[2] <= caps[2] \
-                    and e[3] <= caps[3] and e[4] <= caps[4]:
-                terms[e] = terms.get(e, 0.0) + c1 * c2
-    return BoundaryPolynomial({e: c for e, c in terms.items() if c != 0.0}, p.trunc)
+    return BoundaryPolynomial.from_coeffs(p.trunc.mul(p.coeffs, q.coeffs), p.trunc)
 
 
 def poly_diff(p: BoundaryPolynomial) -> BoundaryPolynomial:
-    """d/dx via the symbol ladder uf -> uf' -> ... -> uf''''.
-
-    Product rule per monomial; the ladder top differentiates to a symbol
-    outside the tracked set and is dropped, as are monomials whose bumped
-    exponent exceeds its cap.
-    """
-    terms: dict = {}
-    for e, c in p.terms.items():
-        for i in range(NVARS - 1):
-            if e[i] > 0:
-                ne = list(e)
-                ne[i] -= 1
-                ne[i + 1] += 1
-                ne = tuple(ne)
-                if p.trunc.admits(ne):
-                    terms[ne] = terms.get(ne, 0.0) + c * e[i]
-    return BoundaryPolynomial({e: c for e, c in terms.items() if c != 0.0}, p.trunc)
+    """d/dx via the symbol ladder (see ``TruncationSpec.diff_matrix``)."""
+    return BoundaryPolynomial.from_coeffs(p.trunc.diff_matrix @ p.coeffs, p.trunc)
 
 
 def poly_eval(p: BoundaryPolynomial, u_f: float, u_f1: float, u_f2: float) -> float:
     """Numeric value at (uf, uf', uf''); requires caps 0 on uf''' and uf''''."""
     if p.trunc.caps[3] != 0 or p.trunc.caps[4] != 0:
         raise ValueError("poly_eval supports only specs with uf''' and uf'''' capped at 0")
-    total = 0.0
-    for e, c in p.terms.items():
-        total += c * u_f ** e[0] * u_f1 ** e[1] * u_f2 ** e[2]
-    return total
+    return sum((c * u_f ** e[0] * u_f1 ** e[1] * u_f2 ** e[2] for e, c in p.terms.items()), 0.0)
 
 
 def to_json_dict(p: BoundaryPolynomial) -> dict:
     """JSON form: {"terms": [{"exp": [...], "coeff": ...}, ...]}, exp-sorted."""
-    return {
-        "terms": [
-            {"exp": list(e), "coeff": c} for e, c in sorted(p.terms.items())
-        ]
-    }
+    return {"terms": [{"exp": list(e), "coeff": c} for e, c in p.terms.items()]}
 
 
 def from_json_dict(data: dict, trunc: TruncationSpec = DEFAULT_TRUNCATION) -> BoundaryPolynomial:
@@ -204,28 +224,15 @@ def from_json_dict(data: dict, trunc: TruncationSpec = DEFAULT_TRUNCATION) -> Bo
 
 
 def _monomial_text(e: tuple[int, ...]) -> str:
-    parts = []
-    for name, k in zip(_NAMES, e):
-        if k == 1:
-            parts.append(name)
-        elif k > 1:
-            parts.append(f"{name}^{k}")
-    return "*".join(parts)
+    return "*".join(name if k == 1 else f"{name}^{k}" for name, k in zip(_NAMES, e) if k)
 
 
 def format_terms(p: BoundaryPolynomial, fmt: str = "%.6g") -> str:
     """Human-readable rendering, constant first then by exponent order."""
-    if not p.terms:
-        return "0"
     pieces = []
-    for e, c in sorted(p.terms.items()):
-        mono = _monomial_text(e)
-        num = fmt % c
-        text = num if not mono else f"{num} {mono}"
-        if pieces and not text.startswith("-"):
-            pieces.append("+ " + text)
-        elif pieces:
-            pieces.append("- " + text[1:])
-        else:
-            pieces.append(text)
-    return " ".join(pieces)
+    for e, c in p.terms.items():
+        text = " ".join(filter(None, (fmt % c, _monomial_text(e))))
+        if pieces:
+            text = "- " + text[1:] if text.startswith("-") else "+ " + text
+        pieces.append(text)
+    return " ".join(pieces) or "0"

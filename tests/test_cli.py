@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import proxgml
 from proxgml.cli import (
     EXIT_IO,
     EXIT_NO_CONVERGENCE,
@@ -36,6 +40,32 @@ def test_parse_source_rejects_unsafe():
         parse_source("__import__('os').system('true')")
     with pytest.raises(ValueError):
         parse_source("z + 1")
+    with pytest.raises(ValueError):
+        parse_source("'text'")
+
+
+def test_parse_source_constants_are_floats():
+    assert type(parse_source("3**50")(0.0, 0.0)) is float
+
+
+@pytest.mark.parametrize("expr", ["2**1024", "1/0", "exp(1000)", "x/0"])
+def test_parse_source_rejects_overflow_and_non_finite(expr):
+    f = parse_source(expr)
+    with pytest.raises(ValueError):
+        f(0.0, np.linspace(0.0, 1.0, 5))
+
+
+def test_power_tower_source_exits_2_promptly():
+    # evaluated with Python ints, 9**9**9 would build a ~370M-digit number
+    src_dir = os.path.dirname(os.path.dirname(proxgml.__file__))
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    proc = subprocess.run(
+        [sys.executable, "-m", "proxgml.cli", "--mode", "cartesian", "--N", "6",
+         "--f", "9**9**9"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cartesian_mode_and_csv_round_trip(tmp_path, capsys):
@@ -100,6 +130,9 @@ def test_invalid_flags_exit_2():
     assert main(["--mode", "bogus"]) == EXIT_USAGE
     assert main(["--mode", "cartesian", "--eps", "-1"]) == EXIT_USAGE
     assert main(["--mode", "cartesian", "--f", "nope("]) == EXIT_USAGE
+    assert main(["--mode", "cartesian", "--N", "6", "--f", "exp(1000)"]) == EXIT_USAGE
+    for mode in ("cartesian", "compare"):
+        assert main(["--mode", mode, "--N", "6", "--iters", "0"]) == EXIT_USAGE
 
 
 def test_non_convergence_exit_3():

@@ -9,7 +9,17 @@ from proxgml.polarsym import (
     symbolic_solve,
     symbolic_sweep,
 )
-from proxgml.symalg import poly_const, poly_eval, poly_symbol, poly_zero
+from proxgml.symalg import (
+    BoundaryPolynomial,
+    poly_add,
+    poly_const,
+    poly_diff,
+    poly_eval,
+    poly_mul,
+    poly_scale,
+    poly_symbol,
+    poly_zero,
+)
 
 CONST = (0, 0, 0, 0, 0)
 LIN = (1, 0, 0, 0, 0)
@@ -99,6 +109,56 @@ def test_backward_pass_radial_term_uses_anchors():
     n = 3
     delta3 = with_anchor[3].coefficient(CONST) - base[3].coefficient(CONST)
     assert delta3 == pytest.approx(-b[n - 1] * cfg.d / cfg.radius(n), rel=1e-13)
+
+
+def _random_anchors(cfg, seed):
+    rng = np.random.default_rng(seed)
+    basis = list(cfg.trunc.basis)
+    return [poly_zero(cfg.trunc)] + [
+        BoundaryPolynomial({e: float(rng.uniform(-0.5, 0.5)) for e in basis}, cfg.trunc)
+        for _ in range(cfg.n_lines)
+    ]
+
+
+def _max_coeff_diff(ps, qs):
+    assert len(ps) == len(qs)
+    return max(abs(p.coefficient(e) - q.coefficient(e))
+               for p, q in zip(ps, qs) for e in set(p.terms) | set(q.terms))
+
+
+def test_sweep_matches_polynomial_recursion():
+    cfg = PolarSymbolicConfig(epsilon=0.05, n_lines=10)
+    anchors = _random_anchors(cfg, 3)
+    a, _, c = symbolic_sweep(cfg, anchors)
+    kap = cfg.d**2 / cfg.epsilon
+    one = poly_const(1.0, cfg.trunc)
+    ref = [poly_scale(poly_add(poly_scale(anchors[1], cfg.prox_weight), one), a[0] * kap)]
+    for i in range(2, cfg.n_lines):
+        ft = poly_scale(poly_add(poly_scale(anchors[i], cfg.prox_weight), one), kap)
+        ref.append(poly_scale(poly_add(ref[-1], ft), a[i - 1]))
+    assert _max_coeff_diff(c, ref) <= 1e-15
+
+
+def test_backward_pass_matches_line_by_line_scheme():
+    # the explicit scheme spelled out with the public polynomial functions
+    cfg = PolarSymbolicConfig(epsilon=0.05, n_lines=10, alpha=1.3, beta=0.7)
+    anchors = _random_anchors(cfg, 5)
+    a, b, c = symbolic_sweep(cfg, anchors)
+    got = symbolic_backward_pass(cfg, a, b, c, anchors)
+    kap = cfg.d**2 / cfg.epsilon
+    ref = [poly_zero(cfg.trunc)] * (cfg.n_lines + 1)
+    ref[cfg.n_lines] = poly_symbol(0, cfg.trunc)
+    for n in range(cfg.n_lines - 1, 0, -1):
+        t, un1 = cfg.radius(n), ref[n + 1]
+        cubic = poly_mul(poly_mul(un1, un1), un1)
+        reaction = poly_add(poly_scale(cubic, -cfg.alpha), poly_scale(un1, cfg.beta))
+        expr = poly_add(poly_scale(un1, a[n - 1]), poly_scale(reaction, b[n - 1] * kap))
+        expr = poly_add(expr, c[n - 1])
+        expr = poly_add(expr, poly_scale(poly_diff(poly_diff(un1)), b[n - 1] * cfg.d**2 / t**2))
+        radial = poly_add(anchors[n + 1], poly_scale(anchors[n], -1.0))
+        ref[n] = poly_add(expr, poly_scale(radial, b[n - 1] * cfg.d / t))
+    assert len(got[1].terms) > 8  # the random anchors fill the basis
+    assert _max_coeff_diff(got, ref) <= 1e-15
 
 
 def test_all_caps_respected_every_line(symbolic_lines_eps01):

@@ -207,6 +207,14 @@ def test_tol_must_be_finite_and_positive(tol):
         proximal_iterate(spec, grid, tol=tol, max_iter=200)
 
 
+@pytest.mark.parametrize("fixed_iters", [0, -3])
+def test_fixed_iters_must_be_positive(fixed_iters):
+    spec = square_problem(0.1)
+    grid = build_cartesian_grid(UNIT_SQUARE, 6, 6)
+    with pytest.raises(ValueError, match="fixed_iters"):
+        proximal_iterate(spec, grid, fixed_iters=fixed_iters)
+
+
 def test_source_sampled_once_per_solve():
     calls = []
 

@@ -1,6 +1,9 @@
+import copy
 import json
 import math
+import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -173,3 +176,58 @@ def _close(p, q, tol=1e-9):
         math.isclose(p.coefficient(k), q.coefficient(k), rel_tol=tol, abs_tol=tol)
         for k in keys
     )
+
+
+# -- table kernels against term-by-term references ----------------------------
+
+def _brute_mul(p, q):
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            if p.trunc.admits(e):
+                out[e] = out.get(e, 0.0) + c1 * c2
+    return out
+
+
+def _brute_diff(p):
+    out = {}
+    for e, c in p.terms.items():
+        for i in range(4):
+            bumped = e[:i] + (e[i] - 1, e[i + 1] + 1) + e[i + 2:]
+            if e[i] > 0 and p.trunc.admits(bumped):
+                out[bumped] = out.get(bumped, 0.0) + c * e[i]
+    return out
+
+
+def _random_terms(rng, spec):
+    basis = list(spec.basis)
+    picks = rng.choice(len(basis), size=int(rng.integers(0, len(basis) + 1)), replace=False)
+    return BoundaryPolynomial({basis[k]: float(rng.uniform(-3.0, 3.0)) for k in picks}, spec)
+
+
+@pytest.mark.parametrize("caps", [(3, 1, 1, 0, 0), (2, 1, 1, 0, 0), (2, 1, 1, 1, 1)])
+def test_table_kernels_match_term_by_term_reference(caps):
+    spec = TruncationSpec(caps)
+    rng = np.random.default_rng(sum(caps))
+    for _ in range(200):
+        p, q = _random_terms(rng, spec), _random_terms(rng, spec)
+        for got, want in ((poly_mul(p, q), _brute_mul(p, q)), (poly_diff(p), _brute_diff(p))):
+            assert set(got.terms) == {e for e, c in want.items() if c != 0.0}
+            for e, c in want.items():
+                assert got.coefficient(e) == pytest.approx(c, rel=1e-14, abs=1e-14)
+
+
+def test_coefficient_vector_is_read_only():
+    p = poly_add(UF, poly_const(2.0))
+    assert p.coeffs.shape == (len(DEFAULT_TRUNCATION.basis),) == (16,)
+    with pytest.raises(ValueError):
+        p.coeffs[0] = 5.0
+    with pytest.raises(AttributeError):
+        p.trunc = TruncationSpec((2, 1, 1, 0, 0))
+
+
+def test_pickle_and_deepcopy_round_trip():
+    p = poly_add(poly_mul(UF, UF2), poly_const(-0.5))
+    for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+        assert q == p and not q.coeffs.flags.writeable
