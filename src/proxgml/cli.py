@@ -142,12 +142,18 @@ def _run_cartesian(args) -> int:
     center = report.solution.values[grid.n_lines // 2, grid.m_nodes // 2]
     print(
         f"cartesian: iterations={report.outer_iterations} "
-        f"converged={report.converged} update={report.anchor_update_norm:.3e} "
+        f"converged={report.converged} stop={report.stop_reason} "
+        f"update={report.anchor_update_norm:.3e} "
         f"residual={report.residual_sup:.3e} center={center:.6f}"
     )
     if args.out_field:
         write_field_csv(args.out_field, grid, report.solution)
-    if args.iters is None and not report.converged:
+    return _proximal_exit_code(args, report)
+
+
+def _proximal_exit_code(args, report) -> int:
+    """Exit 3 on a non-finite stop, or when a tolerance run did not converge."""
+    if report.stop_reason == "non-finite" or (args.iters is None and not report.converged):
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
 
@@ -206,6 +212,7 @@ def _run_compare(args) -> int:
     sup, l2 = compare_fields(gml.solution, full.solution)
     print(
         f"compare: gml_iterations={gml.outer_iterations} converged={gml.converged} "
+        f"stop={gml.stop_reason} "
         f"sup_diff={sup:.3e} l2_diff={l2:.3e}"
     )
     if args.out_report:
@@ -214,15 +221,14 @@ def _run_compare(args) -> int:
             "l2_diff": l2,
             "gml_iterations": gml.outer_iterations,
             "gml_converged": gml.converged,
+            "gml_stop_reason": gml.stop_reason,
             "gml_residual_sup": gml.residual_sup,
             "newton_iterations": full.iterations,
             "newton_residual_sup": full.residual_sup,
         }
         with open(args.out_report, "w") as fh:
             json.dump(payload, fh, indent=1)
-    if args.iters is None and not gml.converged:
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+    return _proximal_exit_code(args, gml)
 
 
 _RUNNERS = {

@@ -5,8 +5,16 @@ Each line n requires the linear BVP
     u - gamma * u'' = rhs(y),   gamma = b_n * d^2,   u(ends) = 0,
 
 discretized by the standard 3-point stencil at the line's M+1 nodes with
-physical step h.  The interior system is tridiagonal, strictly diagonally
-dominant and an M-matrix, so the Thomas algorithm applies without pivoting.
+physical step h.  The interior system is tridiagonal, symmetric positive
+definite, strictly diagonally dominant and an M-matrix.
+
+Its matrix depends only on (b_n, d, h_n), so it is the same in every outer
+cycle of a solve.  ``factor_lines`` computes the LDL^T factors of all lines
+once (LAPACK ``dpttrf``), and ``backward_solve`` runs a cycle's backward
+pass as one loop of ``dpttrs`` solves on those factors; this is the
+production path.  ``assemble_line_system``, ``thomas_solve`` and
+``solve_line`` solve one line from scratch with the Thomas algorithm and are
+kept as the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -14,11 +22,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .problem import LineGrid, ProblemSpec, transverse_step
 from .sweep import SweepCoefficients
 
-__all__ = ["TridiagonalSystem", "assemble_line_system", "thomas_solve", "solve_line"]
+__all__ = [
+    "TridiagonalSystem",
+    "assemble_line_system",
+    "thomas_solve",
+    "solve_line",
+    "LineFactors",
+    "factor_lines",
+    "backward_solve",
+]
 
 
 @dataclass(frozen=True)
@@ -112,3 +129,69 @@ def solve_line(
     out = np.zeros(grid.m_nodes + 1)
     out[1:-1] = thomas_solve(sys)
     return out
+
+
+@dataclass(frozen=True)
+class LineFactors:
+    """LDL^T factors of the interior systems of lines 1..L; row k is line k+1.
+
+    diag: shape (L, m), the diagonal of D.  off: shape (L, max(m-1, 1)),
+    the subdiagonal of the unit bidiagonal L (f2py wants one entry even
+    when m = 1, where LAPACK reads none).
+    """
+
+    diag: np.ndarray
+    off: np.ndarray
+
+
+def factor_lines(b: np.ndarray, d: float, h: np.ndarray, size: int) -> LineFactors:
+    """Factor the ``size``-unknown system of every line with ``dpttrf``.
+
+    Line k+1 has the matrix of ``assemble_line_system(b[k], d, h[k], .)``:
+    diagonal 1 + 2g/h^2 and off-diagonals -g/h^2 with g = b[k]*d^2.
+    """
+    b = np.asarray(b, dtype=float)
+    h = np.asarray(h, dtype=float)
+    if b.shape != h.shape or b.ndim != 1:
+        raise ValueError(f"need one b_n and one h_n per line, got shapes {b.shape}, {h.shape}")
+    if not np.all(h > 0.0):
+        raise ValueError(f"transverse steps must be positive, got min {np.min(h)}")
+    if not np.all(b > 0.0):
+        raise ValueError(f"b_n must be positive, got min {np.min(b)}")
+    g = b * d * d
+    off = -g / (h * h)
+    diag = 1.0 + 2.0 * g / (h * h)
+    out_d = np.empty((b.size, size))
+    out_e = np.zeros((b.size, max(size - 1, 1)))
+    for k in range(b.size):
+        dk, ek, info = dpttrf(np.full(size, diag[k]), np.full(out_e.shape[1], off[k]))
+        if info != 0:
+            raise ArithmeticError(f"line {k + 1} system is not positive definite (info={info})")
+        out_d[k] = dk
+        out_e[k] = ek
+    return LineFactors(diag=out_d, off=out_e)
+
+
+def backward_solve(
+    factors: LineFactors,
+    coeffs: SweepCoefficients,
+    kap: float,
+    alpha: float,
+    beta: float,
+    values: np.ndarray,
+) -> None:
+    """Fill rows L, L-1, ..., 1 of ``values`` from row L+1, in place.
+
+    Line n solves the system of ``solve_line`` on its interior nodes,
+    (I - b_n*d^2*D_yy) u_n = c_n + (a_n + b_n*kap*beta)*u_{n+1}
+    - (b_n*kap*alpha)*u_{n+1}^3, with the factors of ``factor_lines``.
+    The end columns of ``values`` are left as they are.
+    """
+    lin = (coeffs.a + coeffs.b * (kap * beta)).tolist()
+    cub = (coeffs.b * (kap * alpha)).tolist()
+    c = coeffs.c
+    diag, off = factors.diag, factors.off
+    for k in range(len(lin) - 1, -1, -1):
+        u = values[k + 2, 1:-1]
+        rhs = (lin[k] - cub[k] * (u * u)) * u + c[k, 1:-1]
+        values[k + 1, 1:-1] = dpttrs(diag[k], off[k], rhs, overwrite_b=1)[0]

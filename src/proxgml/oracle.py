@@ -9,6 +9,7 @@ meaningful check.  Dense-friendly sizes only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,8 +62,10 @@ def newton_solve(
 ) -> NewtonReport:
     """Damped Newton from a zero start; retries once from the flat root
     of u^3 - u - 1 if the zero start diverges."""
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if max_newton < 1:
+        raise ValueError(f"max_newton must be >= 1, got {max_newton}")
     N, M = grid.n_lines, grid.m_nodes
     h = _require_uniform_rectangle(grid)
     A = -spec.epsilon * _laplacian(N, M, grid.d, h)

@@ -17,8 +17,14 @@ change against the anchor and promotes the result to the new anchor.  At
 the zero anchor g = f and the lag term vanishes, so the first cycle is a
 plain ``forward_sweep`` + ``backward_pass``.
 
+The line systems depend only on (b_n, d, h_n), so a solve factors them
+once (``linebvp.factor_lines``) and every backward pass, in the loop and
+in ``backward_pass``, is the same ``linebvp.backward_solve`` on those
+factors.
+
 The loop stops once the update drops below ``tol`` and the FD residual is
-at most K*tol (or after a fixed iteration count when one is forced).
+at most K*tol, when the update is not finite, or after a fixed iteration
+count when one is forced; ``SolveReport.stop_reason`` says which.
 """
 
 from __future__ import annotations
@@ -28,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linebvp import solve_line
-from .problem import FieldSolution, LineGrid, ProblemSpec, source_values, transverse_step
+from .linebvp import backward_solve, factor_lines
+from .problem import FieldSolution, LineGrid, ProblemSpec, source_values
 from .sweep import SweepCoefficients, c_recursion, scalar_coefficients
 
 __all__ = [
@@ -53,6 +59,7 @@ class SolveReport:
     error_estimates: np.ndarray  # per-line sup|G_n|, n = 1..N-1 (see error_estimate)
     converged: bool
     update_history: np.ndarray  # sup-norm anchor update of every iteration
+    stop_reason: str  # "converged", "max_iter", "non-finite" or "fixed_iters"
 
 
 def backward_pass(
@@ -63,17 +70,20 @@ def backward_pass(
 ) -> FieldSolution:
     """Solve lines N-1, N-2, ..., 1 and assemble the field.
 
+    Factors the line systems for this one pass; ``proximal_iterate`` runs
+    the same ``backward_solve`` on factors it makes once per solve.
     ``u_boundary_N`` is the Dirichlet data on the last line (all zeros for
     the homogeneous problem).
     """
     N, M = grid.n_lines, grid.m_nodes
     values = np.zeros((N + 1, M + 1))
     values[N] = np.asarray(u_boundary_N, dtype=float)
-    for n in range(N - 1, 0, -1):
-        values[n] = solve_line(n, coeffs, values[n + 1], spec, grid)
+    factors = factor_lines(coeffs.b, grid.d, _transverse_steps(grid)[1:-1], M - 1)
+    backward_solve(factors, coeffs, grid.d**2 / spec.epsilon, spec.alpha, spec.beta, values)
     return FieldSolution(values)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def proximal_iterate(
     spec: ProblemSpec,
     grid: LineGrid,
@@ -83,18 +93,21 @@ def proximal_iterate(
 ) -> SolveReport:
     """Run the outer proximal loop from a zero anchor.
 
-    a, b, f and the transverse steps are computed once per solve.  Every
-    cycle runs the c-recursion on the corrected source of the anchor (see
-    the module docstring) and then the backward pass.  The run counts as
-    converged when the anchor update is at most ``tol`` and the FD
-    residual is at most K*tol; the residual is evaluated only once the
-    update test holds.  For K = 0 that bound is zero and cannot be met,
-    so the update test alone decides.
+    a, b, f, the transverse steps and the line factors are computed once
+    per solve.  Every cycle runs the c-recursion on the corrected source of
+    the anchor (see the module docstring) and then the backward pass.  The
+    run counts as converged when the anchor update is at most ``tol`` and
+    the FD residual is at most K*tol; the residual is evaluated only once
+    the update test holds.  For K = 0 that bound is zero and cannot be
+    met, so the update test alone decides.
 
     ``fixed_iters`` forces exactly that many cycles with no convergence
     test (used to mirror a fixed-iteration reference schedule); the same
     rule then sets the ``converged`` flag of the last cycle.
-    Non-convergence within ``max_iter`` is reported, not raised.
+    Non-convergence within ``max_iter`` is reported, not raised.  A cycle
+    whose update is not finite ends the run unconverged at once, with
+    ``stop_reason`` "non-finite"; numpy's overflow and invalid-value
+    warnings are off during the solve, as that stop reports them.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -107,7 +120,7 @@ def proximal_iterate(
     a, b = scalar_coefficients(spec, grid)
     h = _transverse_steps(grid)
     f = source_values(spec, grid)
-    boundary = np.zeros(grid.m_nodes + 1)
+    factors = factor_lines(b, grid.d, h[1:-1], grid.m_nodes - 1)
     residual_bound = K * tol
 
     def residual_sup(u: FieldSolution) -> float:
@@ -121,6 +134,7 @@ def proximal_iterate(
     limit = fixed_iters if fixed_iters is not None else max_iter
     updates = []
     converged = False
+    stop_reason = "max_iter" if fixed_iters is None else "fixed_iters"
     u = FieldSolution.zeros(grid)
     for _ in range(limit):
         v = u.values
@@ -130,13 +144,19 @@ def proximal_iterate(
         c = c_recursion(a, K * v + f + react + spec.epsilon * d_yy, kap)
         c -= b[:, None] * (kap * react[2:] + grid.d**2 * d_yy[1:-1])
         coeffs = SweepCoefficients(a=a, b=b, c=c)
-        u = backward_pass(coeffs, spec, grid, boundary)
-        diff = float(np.max(np.abs(u.values - v)))
+        values = np.zeros_like(v)
+        backward_solve(factors, coeffs, kap, spec.alpha, spec.beta, values)
+        u = FieldSolution(values)
+        diff = float(np.max(np.abs(values - v)))
         updates.append(diff)
+        if not math.isfinite(diff):
+            stop_reason = "non-finite"
+            break
         if fixed_iters is None and stops(diff, u):
             converged = True
+            stop_reason = "converged"
             break
-    if fixed_iters is not None:
+    if stop_reason == "fixed_iters":
         converged = stops(updates[-1], u)
     return SolveReport(
         solution=u,
@@ -146,12 +166,14 @@ def proximal_iterate(
         error_estimates=error_estimate(coeffs, u, spec, grid),
         converged=converged,
         update_history=np.array(updates),
+        stop_reason=stop_reason,
     )
 
 
 def _transverse_steps(grid: LineGrid) -> np.ndarray:
-    """Physical transverse step h_n of every line n = 0..N."""
-    return np.array([transverse_step(grid, n) for n in range(grid.n_lines + 1)])
+    """Physical transverse step h_n of every line n = 0..N (see ``transverse_step``)."""
+    lo, hi = grid.per_line_range.T
+    return (hi - lo) / grid.m_nodes
 
 
 def _transverse_second_derivative(h: np.ndarray, rows: np.ndarray) -> np.ndarray:

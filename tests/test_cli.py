@@ -141,6 +141,16 @@ def test_non_convergence_exit_3():
     assert rc == EXIT_NO_CONVERGENCE
 
 
+@pytest.mark.parametrize("extra", [[], ["--iters", "50"]])
+def test_non_finite_update_exits_3_at_once(capsys, extra):
+    rc = main(["--mode", "cartesian", "--N", "6", "--f", "3**50"] + extra)
+    assert rc == EXIT_NO_CONVERGENCE
+    out = capsys.readouterr().out
+    assert "stop=non-finite" in out
+    iterations = int(out.split("iterations=")[1].split()[0])
+    assert iterations <= 2
+
+
 def test_io_error_exit_4(tmp_path):
     rc = main(["--mode", "cartesian", "--eps", "0.1", "--N", "8", "--M", "8",
                "--out-field", str(tmp_path / "no" / "such" / "dir" / "f.csv")])

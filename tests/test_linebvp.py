@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
 
-from proxgml.linebvp import TridiagonalSystem, assemble_line_system, solve_line, thomas_solve
-from proxgml.problem import build_cartesian_grid
-from proxgml.sweep import SweepCoefficients
+import proxgml.linebvp as linebvp
+from proxgml.linebvp import (
+    TridiagonalSystem,
+    assemble_line_system,
+    factor_lines,
+    solve_line,
+    thomas_solve,
+)
+from proxgml.problem import CartesianDomain, FieldSolution, ProblemSpec, build_cartesian_grid
+from proxgml.proximal import backward_pass, proximal_iterate
+from proxgml.sweep import IterateState, SweepCoefficients, forward_sweep
 
 from conftest import UNIT_SQUARE, square_problem
 
@@ -156,3 +164,52 @@ def test_linear_chain_when_nonlinearity_off():
     rhs = coeffs.a[n - 1] * u_next + coeffs.c[n - 1]
     sys = assemble_line_system(coeffs.b[n - 1], grid.d, 0.1, rhs[1:-1])
     np.testing.assert_allclose(got[1:-1], thomas_solve(sys), atol=0)
+
+
+CURVED = CartesianDomain(a=0.0, b=1.0, y1=lambda x: 0.0, y2=lambda x: 1.0 + 0.5 * x)
+
+
+@pytest.mark.parametrize("N, M", [(12, 12), (5, 2)])
+def test_factored_backward_pass_matches_thomas_chain(N, M):
+    # h_n changes from line to line; M = 2 leaves one interior node per line
+    spec = ProblemSpec(epsilon=0.07, alpha=2.0, beta=0.5,
+                       source=lambda x, y: np.cos(3.0 * x) * np.sin(np.pi * y),
+                       prox_weight=11.0, domain=CURVED)
+    grid = build_cartesian_grid(CURVED, N, M)
+    rng = np.random.default_rng(21)
+    anchor = np.zeros((N + 1, M + 1))
+    anchor[1:-1, 1:-1] = rng.uniform(-1.5, 1.5, size=(N - 1, M - 1))
+    coeffs = forward_sweep(spec, grid, IterateState(FieldSolution(anchor)))
+    got = backward_pass(coeffs, spec, grid, np.zeros(M + 1))
+
+    ref = np.zeros((N + 1, M + 1))
+    for n in range(N - 1, 0, -1):
+        ref[n] = solve_line(n, coeffs, ref[n + 1], spec, grid)
+    assert np.max(np.abs(ref)) > 0.1
+    np.testing.assert_allclose(got.values, ref, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("b, h", [
+    ([0.5, 0.0], [0.1, 0.1]),
+    ([0.5, -0.2], [0.1, 0.1]),
+    ([0.5, 0.5], [0.1, 0.0]),
+    ([0.5, 0.5], [-0.1, 0.1]),
+    ([0.5, 0.5], [0.1, float("nan")]),
+])
+def test_factor_lines_rejects_non_positive_inputs(b, h):
+    with pytest.raises(ValueError):
+        factor_lines(np.array(b), 0.1, np.array(h), 5)
+
+
+def test_solve_loop_builds_no_line_system(monkeypatch):
+    # the cycle loop runs on factors made once per solve, not on per-line
+    # Thomas solves
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-line reference code called in the solve loop")
+
+    for name in ("assemble_line_system", "thomas_solve", "solve_line", "TridiagonalSystem",
+                 "transverse_step"):
+        monkeypatch.setattr(linebvp, name, forbidden)
+    report = proximal_iterate(square_problem(0.1), build_cartesian_grid(UNIT_SQUARE, 8, 8),
+                              fixed_iters=3)
+    assert report.outer_iterations == 3

@@ -54,6 +54,21 @@ def test_local_quadratic_convergence():
     assert tail[2] < tail[1] < tail[0]
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"tol": float("nan")},
+    {"tol": float("inf")},
+    {"tol": 0.0},
+    {"tol": -1e-10},
+    {"max_newton": 0},
+    {"max_newton": -2},
+])
+def test_rejects_bad_arguments(kwargs):
+    spec = square_problem(0.1)
+    grid = build_cartesian_grid(UNIT_SQUARE, 6, 6)
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        newton_solve(spec, grid, **kwargs)
+
+
 def test_rejects_curved_domains():
     dom = CartesianDomain(a=0.0, b=1.0, y1=lambda x: 0.0, y2=lambda x: 1.0 + 0.2 * x)
     grid = build_cartesian_grid(dom, 8, 8)

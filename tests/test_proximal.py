@@ -89,6 +89,7 @@ def test_updates_eventually_decreasing(run_eps01_n20):
 def test_converged_flag_and_tolerance(run_eps01_n20):
     _, _, report = run_eps01_n20
     assert report.converged
+    assert report.stop_reason == "converged"
     assert report.anchor_update_norm <= 1e-8
 
 
@@ -98,6 +99,19 @@ def test_non_convergence_reported_not_raised():
     report = proximal_iterate(spec, grid, tol=1e-14, max_iter=3)
     assert not report.converged
     assert report.outer_iterations == 3
+    assert report.stop_reason == "max_iter"
+
+
+@pytest.mark.parametrize("fixed_iters", [None, 50])
+def test_non_finite_update_stops_at_once(fixed_iters):
+    # a finite source of 7.2e23 overflows the cubic term in the first cycle
+    spec = square_problem(0.1, source=parse_source("3**50"))
+    grid = build_cartesian_grid(UNIT_SQUARE, 6, 6)
+    report = proximal_iterate(spec, grid, fixed_iters=fixed_iters)
+    assert report.stop_reason == "non-finite"
+    assert not report.converged
+    assert report.outer_iterations <= 2
+    assert not np.isfinite(report.anchor_update_norm)
 
 
 def test_fixed_iteration_override():
@@ -105,6 +119,7 @@ def test_fixed_iteration_override():
     grid = build_cartesian_grid(UNIT_SQUARE, 10, 10)
     r5 = proximal_iterate(spec, grid, fixed_iters=5)
     assert r5.outer_iterations == 5
+    assert r5.stop_reason == "fixed_iters"
     r5b = proximal_iterate(spec, grid, tol=1e-30, max_iter=5)
     np.testing.assert_array_equal(r5.solution.values, r5b.solution.values)
 
