@@ -9,7 +9,7 @@ from .problem import (
     build_cartesian_grid,
     transverse_step,
 )
-from .sweep import SweepCoefficients, IterateState, forward_sweep
+from .sweep import SweepCoefficients, forward_sweep
 from .linebvp import TridiagonalSystem, assemble_line_system, thomas_solve, solve_line
 from .proximal import (
     SolveReport,

@@ -48,7 +48,7 @@ def parse_source(text: str):
 
     Expressions may use x, y, pi, + - * / ** and sin/cos/exp.  Numbers are
     floats, so no expression can build a huge integer.  An evaluation that
-    overflows or gives a non-finite value raises ValueError.
+    overflows or gives a complex or non-finite value raises ValueError.
     """
     if text.startswith("const:"):
         v = float(text[len("const:"):])
@@ -76,8 +76,8 @@ def parse_source(text: str):
                 v = eval(code, {"__builtins__": {}}, dict(env, x=x, y=y))
         except ArithmeticError as exc:
             raise ValueError(f"source expression {text!r} fails to evaluate: {exc}") from None
-        if not np.all(np.isfinite(v)):
-            raise ValueError(f"source expression {text!r} is not finite at x={x}")
+        if np.iscomplexobj(v) or not np.all(np.isfinite(v)):
+            raise ValueError(f"source expression {text!r} is not real and finite at x={x}")
         return v
 
     return f
@@ -144,7 +144,7 @@ def _run_cartesian(args) -> int:
         f"cartesian: iterations={report.outer_iterations} "
         f"converged={report.converged} stop={report.stop_reason} "
         f"update={report.anchor_update_norm:.3e} "
-        f"residual={report.residual_sup:.3e} center={center:.6f}"
+        f"residual={report.residual_sup:.3e} center={center:.6g}"
     )
     if args.out_field:
         write_field_csv(args.out_field, grid, report.solution)
@@ -197,7 +197,7 @@ def _run_oracle(args) -> int:
     center = report.solution.values[grid.n_lines // 2, grid.m_nodes // 2]
     print(
         f"oracle: newton_iterations={report.iterations} "
-        f"residual={report.residual_sup:.3e} center={center:.6f}"
+        f"residual={report.residual_sup:.3e} center={center:.6g}"
     )
     if args.out_field:
         write_field_csv(args.out_field, grid, report.solution)

@@ -2,9 +2,10 @@
 
 Assembles the complete nonlinear finite-difference system on the 2D grid
 (5-point Laplacian, steps d and h, scaled by -eps, plus the diagonal
-reaction alpha*u^3 - beta*u) and drives it to a root with damped Newton.
-Shares no code path with the line sweep, so agreement between the two is a
-meaningful check.  Dense-friendly sizes only.
+reaction alpha*u^3 - beta*u) and drives it to a root with damped Newton,
+started from the reduced problem alpha*u^3 - beta*u = f (the eps -> 0
+limit).  Shares no code path with the line sweep, so agreement between the
+two is a meaningful check.  Dense-friendly sizes only.
 """
 
 from __future__ import annotations
@@ -53,15 +54,23 @@ def _laplacian(N: int, M: int, d: float, h: float) -> sp.csc_matrix:
     return (sp.kron(Lx, sp.eye(ny)) + sp.kron(sp.eye(nx), Ly)).tocsc()
 
 
+def _reduced_root(alpha: float, beta: float, f: np.ndarray) -> np.ndarray:
+    """Per-node root of alpha*u^3 - beta*u = f with the sign of f and 3*alpha*u^2 > beta
+    (0 where f = 0); alpha, beta > 0.  u = 2r*t turns it into 4t^3 - 3t = z, solved by
+    t = cosh(arccosh(z)/3), taken in complex arithmetic so that z < 1 gives the cos form."""
+    r = math.sqrt(beta / (3.0 * alpha))
+    z = 1.5 * np.abs(f) / (beta * r)  # |f| / (2*alpha*r^3)
+    return np.sign(f) * 2.0 * r * np.cosh(np.arccosh(z.astype(complex)) / 3.0).real
+
+
 def newton_solve(
     spec: ProblemSpec,
     grid: LineGrid,
     tol: float = 1e-10,
     max_newton: int = 50,
-    _initial: np.ndarray | None = None,
 ) -> NewtonReport:
-    """Damped Newton from a zero start; retries once from the flat root
-    of u^3 - u - 1 if the zero start diverges."""
+    """Damped Newton from the reduced-problem root, or from zero unless alpha, beta > 0.
+    ``iterations`` counts every Newton step, one linear solve each."""
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if max_newton < 1:
@@ -70,14 +79,15 @@ def newton_solve(
     h = _require_uniform_rectangle(grid)
     A = -spec.epsilon * _laplacian(N, M, grid.d, h)
     f = source_values(spec, grid)[1:-1, 1:-1].ravel()
-    u = np.zeros((N - 1) * (M - 1)) if _initial is None else _initial.copy()
+    stable_branch = spec.alpha > 0.0 and spec.beta > 0.0
+    u = _reduced_root(spec.alpha, spec.beta, f) if stable_branch else np.zeros_like(f)
 
     def F(v):
         return A @ v + spec.alpha * v**3 - spec.beta * v - f
 
     res_hist = []
     step_hist = []
-    for it in range(max_newton):
+    for it in range(max_newton + 1):
         Fu = F(u)
         sup = float(np.max(np.abs(Fu))) if Fu.size else 0.0
         res_hist.append(sup)
@@ -91,6 +101,8 @@ def newton_solve(
                 residual_history=np.array(res_hist),
                 step_norms=np.array(step_hist),
             )
+        if it == max_newton:
+            break
         J = (A + sp.diags(3.0 * spec.alpha * u**2 - spec.beta)).tocsc()
         delta = spla.spsolve(J, -Fu)
         # halving line search on the euclidean residual norm
@@ -101,18 +113,11 @@ def newton_solve(
                 break
             t *= 0.5
         else:
-            break
+            break  # no decrease along the Newton direction
         u = u + t * delta
         step_hist.append(float(np.max(np.abs(t * delta))))
-    if _initial is None:
-        # zero start stalled; restart from the stable flat root
-        return newton_solve(
-            spec, grid, tol, max_newton,
-            _initial=np.full((N - 1) * (M - 1), 1.3247179572447458),
-        )
-    raise NewtonDivergenceError(
-        f"no convergence after {max_newton} iterations (residual {res_hist[-1]:.3e})"
-    )
+    failure = "no convergence" if it == max_newton else "line search failed"
+    raise NewtonDivergenceError(f"{failure} after {it} Newton steps (residual {sup:.3e})")
 
 
 def compare_fields(u1: FieldSolution, u2: FieldSolution) -> tuple[float, float]:

@@ -26,7 +26,6 @@ from .problem import FieldSolution, LineGrid, ProblemSpec, source_values
 
 __all__ = [
     "SweepCoefficients",
-    "IterateState",
     "ab_recursion",
     "c_recursion",
     "forward_sweep",
@@ -48,13 +47,6 @@ class SweepCoefficients:
     def __post_init__(self):
         for arr in (self.a, self.b, self.c):
             arr.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class IterateState:
-    """Proximal anchor (u0) of a sweep."""
-
-    anchor: FieldSolution
 
 
 def ab_recursion(q: float, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -92,10 +84,10 @@ def scalar_coefficients(spec: ProblemSpec, grid: LineGrid) -> tuple[np.ndarray, 
     return ab_recursion(q, grid.n_lines - 1)
 
 
-def forward_sweep(spec: ProblemSpec, grid: LineGrid, state: IterateState) -> SweepCoefficients:
-    """Compute all sweep coefficients for the current anchor."""
-    if state.anchor.values.shape != (grid.n_lines + 1, grid.m_nodes + 1):
+def forward_sweep(spec: ProblemSpec, grid: LineGrid, anchor: FieldSolution) -> SweepCoefficients:
+    """Compute all sweep coefficients for the anchor u0."""
+    if anchor.values.shape != (grid.n_lines + 1, grid.m_nodes + 1):
         raise ValueError("anchor shape does not match grid")
     a, b = scalar_coefficients(spec, grid)
-    g = spec.prox_weight * state.anchor.values + source_values(spec, grid)
+    g = spec.prox_weight * anchor.values + source_values(spec, grid)
     return SweepCoefficients(a=a, b=b, c=c_recursion(a, g, grid.d**2 / spec.epsilon))

@@ -12,7 +12,7 @@ from proxgml.oracle import compare_fields, newton_solve
 from proxgml.polarsym import cross_check_numeric, polar_numeric_solve
 from proxgml.problem import FieldSolution, build_cartesian_grid
 from proxgml.proximal import proximal_iterate
-from proxgml.sweep import IterateState, forward_sweep, scalar_coefficients
+from proxgml.sweep import forward_sweep, scalar_coefficients
 from proxgml.symalg import (
     DEFAULT_TRUNCATION,
     BoundaryPolynomial,
@@ -237,8 +237,8 @@ def test_criterion_10_sweep_coefficient_properties():
     grid = build_cartesian_grid(UNIT_SQUARE, 30, 10)
     anchor = np.zeros((31, 11))
     anchor[1:-1, 1:-1] = rng.normal(size=(29, 9))
-    c0 = forward_sweep(spec, grid, IterateState(FieldSolution.zeros(grid)))
-    c1 = forward_sweep(spec, grid, IterateState(FieldSolution(anchor)))
+    c0 = forward_sweep(spec, grid, FieldSolution.zeros(grid))
+    c1 = forward_sweep(spec, grid, FieldSolution(anchor))
     exact_ok = np.array_equal(c0.a, c1.a) and np.array_equal(c0.b, c1.b)
     ok = mono_ok and exact_ok
     _report(10, "sweep coefficient properties", ok,

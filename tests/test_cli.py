@@ -2,9 +2,11 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import proxgml
 from proxgml.cli import (
@@ -131,6 +133,8 @@ def test_invalid_flags_exit_2():
     assert main(["--mode", "cartesian", "--eps", "-1"]) == EXIT_USAGE
     assert main(["--mode", "cartesian", "--f", "nope("]) == EXIT_USAGE
     assert main(["--mode", "cartesian", "--N", "6", "--f", "exp(1000)"]) == EXIT_USAGE
+    for mode in ("cartesian", "oracle", "compare"):
+        assert main(["--mode", mode, "--N", "6", "--f", "(-1)**0.5"]) == EXIT_USAGE
     for mode in ("cartesian", "compare"):
         assert main(["--mode", mode, "--N", "6", "--iters", "0"]) == EXIT_USAGE
 
@@ -151,6 +155,13 @@ def test_non_finite_update_exits_3_at_once(capsys, extra):
     assert iterations <= 2
 
 
+def test_diverged_center_is_printed_short(capsys):
+    # the non-finite stop leaves a center of about 1.7e192
+    main(["--mode", "cartesian", "--N", "6", "--f", "3**50"])
+    center = capsys.readouterr().out.split("center=")[1].split()[0]
+    assert len(center) <= 12, center
+
+
 def test_io_error_exit_4(tmp_path):
     rc = main(["--mode", "cartesian", "--eps", "0.1", "--N", "8", "--M", "8",
                "--out-field", str(tmp_path / "no" / "such" / "dir" / "f.csv")])
@@ -161,3 +172,34 @@ def test_fixed_iters_override_exits_ok():
     rc = main(["--mode", "cartesian", "--eps", "0.1", "--N", "10", "--M", "10",
                "--iters", "3"])
     assert rc == EXIT_OK
+
+
+_FUZZ_NUMBERS = ["0", "-1", "1e-300", "1e308", "nan", "inf", "-inf", "0.5"]
+# weighted towards 0.5 so that about a tenth of the examples reach a solver
+_FUZZ_NUMBER = st.one_of(st.just("0.5"), st.sampled_from(_FUZZ_NUMBERS))
+_FUZZ_SOURCES = ["const:1", "const:-2", "(-1)**0.5", "1/(x-0.5)", "exp(50*x)",
+                 "x - 0.5", "sin(pi*x)*sin(pi*y)", "3**50", "y**0.5", "nope("]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mode=st.sampled_from(["cartesian", "polar-symbolic", "oracle", "compare"]),
+    n=st.integers(2, 6),
+    m=st.integers(2, 6),
+    max_iter=st.integers(-2, 30),
+    iters=st.one_of(st.none(), st.integers(-1, 10)),
+    numbers=st.fixed_dictionaries(
+        {k: _FUZZ_NUMBER for k in ("eps", "alpha", "beta", "K", "tol")}
+    ),
+    source=st.sampled_from(_FUZZ_SOURCES),
+)
+def test_fuzzed_flags_exit_with_documented_codes(mode, n, m, max_iter, iters, numbers, source):
+    # sizes stay tiny so every example runs in milliseconds
+    argv = [f"--mode={mode}", f"--N={n}", f"--M={m}", f"--max-iter={max_iter}",
+            f"--f={source}"] + [f"--{k}={v}" for k, v in numbers.items()]
+    if iters is not None:
+        argv.append(f"--iters={iters}")
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # e.g. a singular Jacobian at alpha = beta = 0
+        rc = main(argv)
+    assert rc in (EXIT_OK, EXIT_USAGE, EXIT_NO_CONVERGENCE, EXIT_IO)

@@ -11,7 +11,7 @@ from proxgml.linebvp import (
 )
 from proxgml.problem import CartesianDomain, FieldSolution, ProblemSpec, build_cartesian_grid
 from proxgml.proximal import backward_pass, proximal_iterate
-from proxgml.sweep import IterateState, SweepCoefficients, forward_sweep
+from proxgml.sweep import SweepCoefficients, forward_sweep
 
 from conftest import UNIT_SQUARE, square_problem
 
@@ -179,7 +179,7 @@ def test_factored_backward_pass_matches_thomas_chain(N, M):
     rng = np.random.default_rng(21)
     anchor = np.zeros((N + 1, M + 1))
     anchor[1:-1, 1:-1] = rng.uniform(-1.5, 1.5, size=(N - 1, M - 1))
-    coeffs = forward_sweep(spec, grid, IterateState(FieldSolution(anchor)))
+    coeffs = forward_sweep(spec, grid, FieldSolution(anchor))
     got = backward_pass(coeffs, spec, grid, np.zeros(M + 1))
 
     ref = np.zeros((N + 1, M + 1))

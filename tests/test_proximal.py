@@ -11,7 +11,7 @@ from proxgml.proximal import (
     residual_field,
     residual_norm,
 )
-from proxgml.sweep import IterateState, forward_sweep
+from proxgml.sweep import forward_sweep
 
 from conftest import UNIT_SQUARE, ones_source, square_problem, zero_source
 
@@ -29,7 +29,7 @@ def test_homogeneous_problem_is_fixed_at_zero():
 def test_backward_pass_zero_coefficients():
     spec = square_problem(0.1, source=zero_source)
     grid = build_cartesian_grid(UNIT_SQUARE, 8, 6)
-    coeffs = forward_sweep(spec, grid, IterateState(FieldSolution.zeros(grid)))
+    coeffs = forward_sweep(spec, grid, FieldSolution.zeros(grid))
     u = backward_pass(coeffs, spec, grid, np.zeros(7))
     np.testing.assert_array_equal(u.values, 0.0)
 
@@ -38,7 +38,7 @@ def test_first_pass_interior_positive():
     # f = 1 > 0 and the M-matrix line solves keep every interior value positive
     spec = square_problem(0.1)
     grid = build_cartesian_grid(UNIT_SQUARE, 20, 20)
-    coeffs = forward_sweep(spec, grid, IterateState(FieldSolution.zeros(grid)))
+    coeffs = forward_sweep(spec, grid, FieldSolution.zeros(grid))
     u = backward_pass(coeffs, spec, grid, np.zeros(21))
     assert np.min(u.values[1:-1, 1:-1]) > 0.0
 
@@ -50,7 +50,7 @@ def test_backward_pass_matches_hand_unrolled_chain():
     rng = np.random.default_rng(8)
     anchor = np.zeros((4, 7))
     anchor[1:-1, 1:-1] = rng.normal(size=(2, 5))
-    coeffs = forward_sweep(spec, grid, IterateState(FieldSolution(anchor)))
+    coeffs = forward_sweep(spec, grid, FieldSolution(anchor))
     got = backward_pass(coeffs, spec, grid, np.zeros(7))
 
     kap = grid.d**2 / spec.epsilon
@@ -147,7 +147,7 @@ def test_residual_constant_root_interior():
 def test_error_estimate_zero_solution():
     spec = square_problem(0.1)
     grid = build_cartesian_grid(UNIT_SQUARE, 8, 8)
-    coeffs = forward_sweep(spec, grid, IterateState(FieldSolution.zeros(grid)))
+    coeffs = forward_sweep(spec, grid, FieldSolution.zeros(grid))
     E = error_estimate(coeffs, FieldSolution.zeros(grid), spec, grid)
     np.testing.assert_array_equal(E, 0.0)
 
@@ -158,7 +158,7 @@ def test_error_estimate_line_independent_solution():
     grid = build_cartesian_grid(UNIT_SQUARE, 8, 8)
     profile = np.sin(np.pi * grid.reference_nodes)
     values = np.tile(profile, (9, 1))
-    coeffs = forward_sweep(spec, grid, IterateState(FieldSolution.zeros(grid)))
+    coeffs = forward_sweep(spec, grid, FieldSolution.zeros(grid))
     E = error_estimate(coeffs, FieldSolution(values), spec, grid)
     assert np.max(np.abs(E)) < 1e-15
 
@@ -259,6 +259,6 @@ def test_first_cycle_is_plain_sweep():
     spec = curved_problem(0.05, source=parse_source("sin(pi*x)*sin(pi*y)"))
     grid = build_cartesian_grid(CURVED, 12, 9)
     report = proximal_iterate(spec, grid, fixed_iters=1)
-    coeffs = forward_sweep(spec, grid, IterateState(FieldSolution.zeros(grid)))
+    coeffs = forward_sweep(spec, grid, FieldSolution.zeros(grid))
     plain = backward_pass(coeffs, spec, grid, np.zeros(grid.m_nodes + 1))
     assert np.array_equal(report.solution.values, plain.values)

@@ -2,19 +2,15 @@ import numpy as np
 import pytest
 
 from proxgml.problem import FieldSolution, build_cartesian_grid
-from proxgml.sweep import IterateState, forward_sweep, scalar_coefficients
+from proxgml.sweep import forward_sweep, scalar_coefficients
 
 from conftest import UNIT_SQUARE, square_problem, ones_source
-
-
-def zero_state(grid):
-    return IterateState(anchor=FieldSolution.zeros(grid))
 
 
 def test_a1_b1_unregularized():
     spec = square_problem(0.1, K=0.0)
     grid = build_cartesian_grid(UNIT_SQUARE, 10, 4)
-    coeffs = forward_sweep(spec, grid, zero_state(grid))
+    coeffs = forward_sweep(spec, grid, FieldSolution.zeros(grid))
     assert coeffs.a[0] == pytest.approx(0.5, abs=0)
     assert coeffs.b[0] == pytest.approx(0.5, abs=0)
 
@@ -23,7 +19,7 @@ def test_a1_reference_parameters():
     # K*d^2/eps = 50*1e-4/0.1 = 0.05, so a_1 = 1/2.05
     spec = square_problem(0.1, K=50.0)
     grid = build_cartesian_grid(UNIT_SQUARE, 100, 4)
-    coeffs = forward_sweep(spec, grid, zero_state(grid))
+    coeffs = forward_sweep(spec, grid, FieldSolution.zeros(grid))
     assert coeffs.a[0] == pytest.approx(1.0 / 2.05, rel=1e-15)
     assert coeffs.a[0] == pytest.approx(0.487805, abs=5e-7)
 
@@ -31,7 +27,7 @@ def test_a1_reference_parameters():
 def test_c1_zero_anchor_unit_source():
     spec = square_problem(0.1, K=50.0)
     grid = build_cartesian_grid(UNIT_SQUARE, 100, 4)
-    coeffs = forward_sweep(spec, grid, zero_state(grid))
+    coeffs = forward_sweep(spec, grid, FieldSolution.zeros(grid))
     np.testing.assert_allclose(coeffs.c[0], (1.0 / 2.05) * 0.001, rtol=1e-14)
 
 
@@ -41,7 +37,7 @@ def test_full_recursion_against_direct_evaluation():
     rng = np.random.default_rng(3)
     anchor = np.zeros((7, 4))
     anchor[1:-1, 1:-1] = rng.normal(size=(5, 2))
-    coeffs = forward_sweep(spec, grid, IterateState(FieldSolution(anchor)))
+    coeffs = forward_sweep(spec, grid, FieldSolution(anchor))
     q = 2.0 + 7.0 * grid.d**2 / 0.05
     kap = grid.d**2 / 0.05
     a_prev, b_prev = 1.0 / q, 1.0 / q
@@ -84,8 +80,8 @@ def test_a_b_anchor_independent_bit_exact():
     rng = np.random.default_rng(0)
     anchor = np.zeros((13, 6))
     anchor[1:-1, 1:-1] = rng.normal(size=(11, 4))
-    c0 = forward_sweep(spec, grid, zero_state(grid))
-    c1 = forward_sweep(spec, grid, IterateState(FieldSolution(anchor)))
+    c0 = forward_sweep(spec, grid, FieldSolution.zeros(grid))
+    c1 = forward_sweep(spec, grid, FieldSolution(anchor))
     assert np.array_equal(c0.a, c1.a)
     assert np.array_equal(c0.b, c1.b)
 
@@ -98,8 +94,8 @@ def test_anchor_times_zero_weight_equals_zero_anchor():
     anchor = np.zeros((9, 5))
     anchor[1:-1, 1:-1] = rng.normal(size=(7, 3))
     c_k0 = forward_sweep(square_problem(0.1, K=0.0), grid,
-                         IterateState(FieldSolution(anchor)))
-    c_zero = forward_sweep(square_problem(0.1, K=0.0), grid, zero_state(grid))
+                         FieldSolution(anchor))
+    c_zero = forward_sweep(square_problem(0.1, K=0.0), grid, FieldSolution.zeros(grid))
     assert np.array_equal(c_k0.c, c_zero.c)
 
 
@@ -107,6 +103,6 @@ def test_dimension_mismatch_rejected():
     spec = square_problem(0.1)
     grid = build_cartesian_grid(UNIT_SQUARE, 8, 4)
     other = build_cartesian_grid(UNIT_SQUARE, 9, 4)
-    state = zero_state(other)
+    state = FieldSolution.zeros(other)
     with pytest.raises(ValueError):
         forward_sweep(spec, grid, state)
