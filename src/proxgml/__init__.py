@@ -2,7 +2,6 @@
 
 from .problem import (
     CartesianDomain,
-    PolarDomain,
     ProblemSpec,
     LineGrid,
     FieldSolution,

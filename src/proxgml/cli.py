@@ -28,7 +28,7 @@ from .problem import (
     build_cartesian_grid,
     line_ordinates,
 )
-from .proximal import proximal_iterate, residual_norm
+from .proximal import proximal_iterate
 from .symalg import format_terms, to_json_dict
 
 EXIT_OK = 0

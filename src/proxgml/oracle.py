@@ -70,7 +70,9 @@ def newton_solve(
     max_newton: int = 50,
 ) -> NewtonReport:
     """Damped Newton from the reduced-problem root, or from zero unless alpha, beta > 0.
-    ``iterations`` counts every Newton step, one linear solve each."""
+    Stops once the sup residual is at most tol*max(1, sup|f|): rounding in the
+    residual grows with the source.  ``iterations`` counts every Newton step,
+    one linear solve each; ``residual_sup`` is the absolute residual."""
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if max_newton < 1:
@@ -81,6 +83,7 @@ def newton_solve(
     f = source_values(spec, grid)[1:-1, 1:-1].ravel()
     stable_branch = spec.alpha > 0.0 and spec.beta > 0.0
     u = _reduced_root(spec.alpha, spec.beta, f) if stable_branch else np.zeros_like(f)
+    threshold = tol * max(1.0, float(np.max(np.abs(f))))
 
     def F(v):
         return A @ v + spec.alpha * v**3 - spec.beta * v - f
@@ -91,7 +94,7 @@ def newton_solve(
         Fu = F(u)
         sup = float(np.max(np.abs(Fu))) if Fu.size else 0.0
         res_hist.append(sup)
-        if sup <= tol:
+        if sup <= threshold:
             values = np.zeros((N + 1, M + 1))
             values[1:-1, 1:-1] = u.reshape(N - 1, M - 1)
             return NewtonReport(

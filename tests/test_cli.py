@@ -134,7 +134,8 @@ def test_invalid_flags_exit_2():
     assert main(["--mode", "cartesian", "--f", "nope("]) == EXIT_USAGE
     assert main(["--mode", "cartesian", "--N", "6", "--f", "exp(1000)"]) == EXIT_USAGE
     for mode in ("cartesian", "oracle", "compare"):
-        assert main(["--mode", mode, "--N", "6", "--f", "(-1)**0.5"]) == EXIT_USAGE
+        for source in ("(-1)**0.5", "const:nan", "const:inf", "const:1e400"):
+            assert main(["--mode", mode, "--N", "6", "--f", source]) == EXIT_USAGE
     for mode in ("cartesian", "compare"):
         assert main(["--mode", mode, "--N", "6", "--iters", "0"]) == EXIT_USAGE
 
@@ -177,8 +178,8 @@ def test_fixed_iters_override_exits_ok():
 _FUZZ_NUMBERS = ["0", "-1", "1e-300", "1e308", "nan", "inf", "-inf", "0.5"]
 # weighted towards 0.5 so that about a tenth of the examples reach a solver
 _FUZZ_NUMBER = st.one_of(st.just("0.5"), st.sampled_from(_FUZZ_NUMBERS))
-_FUZZ_SOURCES = ["const:1", "const:-2", "(-1)**0.5", "1/(x-0.5)", "exp(50*x)",
-                 "x - 0.5", "sin(pi*x)*sin(pi*y)", "3**50", "y**0.5", "nope("]
+_FUZZ_SOURCES = ["const:1", "const:-2", "const:nan", "(-1)**0.5", "1/(x-0.5)",
+                 "exp(50*x)", "x - 0.5", "sin(pi*x)*sin(pi*y)", "3**50", "y**0.5", "nope("]
 
 
 @settings(max_examples=300, deadline=None)

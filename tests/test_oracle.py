@@ -60,6 +60,16 @@ def _x_minus_half(x, y):
     return np.full_like(np.asarray(y, dtype=float), x - 0.5)
 
 
+@pytest.mark.parametrize("scale", [1e6, 1e10])
+def test_tolerance_scales_with_the_source(scale):
+    # rounding keeps the absolute residual far above 1e-10 for such sources
+    spec = square_problem(0.1, source=lambda x, y: np.full_like(np.asarray(y, dtype=float), scale))
+    grid = build_cartesian_grid(UNIT_SQUARE, 6, 6)
+    report = newton_solve(spec, grid, tol=1e-10)
+    assert report.residual_sup <= 1e-10 * scale
+    assert report.iterations <= 5
+
+
 @pytest.mark.parametrize("eps", [0.01, 0.001])
 def test_sign_changing_source_converges(eps):
     grid = build_cartesian_grid(UNIT_SQUARE, 20, 20)

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
+from proxgml.oracle import newton_solve
 from proxgml.problem import (
     CartesianDomain,
     FieldSolution,
-    PolarDomain,
     ProblemSpec,
     build_cartesian_grid,
     line_ordinates,
     transverse_step,
 )
+from proxgml.proximal import proximal_iterate
 
 from conftest import UNIT_SQUARE, ones_source
 
@@ -48,8 +49,6 @@ def test_rejects_degenerate_width():
 def test_domain_invariants():
     with pytest.raises(ValueError):
         CartesianDomain(a=1.0, b=0.0, y1=lambda x: 0.0, y2=lambda x: 1.0)
-    with pytest.raises(ValueError):
-        PolarDomain(r_inner=2.0, r_outer=1.0)
     with pytest.raises(ValueError):
         ProblemSpec(epsilon=0.0, alpha=1, beta=1, source=ones_source,
                     prox_weight=1.0, domain=UNIT_SQUARE)
@@ -103,3 +102,13 @@ def test_spec_rejects_non_finite(field, bad):
     params[field] = bad
     with pytest.raises(ValueError, match=field):
         ProblemSpec(source=ones_source, domain=UNIT_SQUARE, **params)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("solve", [proximal_iterate, newton_solve])
+def test_non_finite_source_rejected(solve, bad):
+    spec = ProblemSpec(epsilon=0.1, alpha=1.0, beta=1.0, prox_weight=50.0, domain=UNIT_SQUARE,
+                       source=lambda x, y: np.where(np.asarray(y) > 0.5, bad, 1.0))
+    grid = build_cartesian_grid(UNIT_SQUARE, 6, 6)
+    with pytest.raises(ValueError, match="source is not finite"):
+        solve(spec, grid)

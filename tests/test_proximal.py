@@ -3,7 +3,13 @@ import pytest
 
 from proxgml.cli import parse_source
 from proxgml.linebvp import assemble_line_system, thomas_solve
-from proxgml.problem import CartesianDomain, FieldSolution, ProblemSpec, build_cartesian_grid
+from proxgml.problem import (
+    CartesianDomain,
+    FieldSolution,
+    ProblemSpec,
+    build_cartesian_grid,
+    transverse_step,
+)
 from proxgml.proximal import (
     backward_pass,
     error_estimate,
@@ -161,6 +167,64 @@ def test_error_estimate_line_independent_solution():
     coeffs = forward_sweep(spec, grid, FieldSolution.zeros(grid))
     E = error_estimate(coeffs, FieldSolution(values), spec, grid)
     assert np.max(np.abs(E)) < 1e-15
+
+
+def _lag_defect_loop(coeffs, v, spec, grid):
+    # G_n = a_n*G_{n-1} + b_n*(T(u_n) - T(u_{n+1})), written out line by line
+    kap = grid.d**2 / spec.epsilon
+    T = []
+    for n in range(grid.n_lines + 1):
+        u = v[n]
+        d_yy = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / transverse_step(grid, n) ** 2
+        mid = u[1:-1]
+        T.append((-spec.alpha * mid**3 + spec.beta * mid) * kap + d_yy * grid.d**2)
+    G = np.zeros(grid.m_nodes - 1)
+    out = []
+    for n in range(1, grid.n_lines):
+        G = coeffs.a[n - 1] * G + coeffs.b[n - 1] * (T[n] - T[n + 1])
+        out.append(np.max(np.abs(G)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("K", [50.0, 0.0])
+def test_error_estimate_matches_line_by_line_recursion(K):
+    spec = ProblemSpec(epsilon=0.05, alpha=2.0, beta=0.5, source=ones_source,
+                       prox_weight=K, domain=CURVED)
+    grid = build_cartesian_grid(CURVED, 12, 9)
+    rng = np.random.default_rng(21)
+    u = FieldSolution(rng.normal(size=(13, 10)))
+    coeffs = forward_sweep(spec, grid, FieldSolution.zeros(grid))
+    got = error_estimate(coeffs, u, spec, grid)
+    want = _lag_defect_loop(coeffs, u.values, spec, grid)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_fixed_iters_sets_converged_by_the_same_test():
+    spec = square_problem(0.1)
+    grid = build_cartesian_grid(UNIT_SQUARE, 10, 10)
+    reference = proximal_iterate(spec, grid, tol=1e-8)
+    k = reference.outer_iterations
+    assert k == 315
+    at_k = proximal_iterate(spec, grid, tol=1e-8, fixed_iters=k)
+    assert at_k.converged
+    assert np.array_equal(at_k.solution.values, reference.solution.values)
+    assert not proximal_iterate(spec, grid, tol=1e-8, fixed_iters=k - 1).converged
+    past_k = proximal_iterate(spec, grid, tol=1e-8, fixed_iters=k + 5)
+    assert past_k.converged
+    assert past_k.outer_iterations == k + 5
+    assert past_k.stop_reason == "fixed_iters"
+
+
+def test_fixed_iters_flag_checks_the_residual(square_grid_20):
+    # stopped at the first cycle whose update is below tol, the FD residual
+    # is still above K*tol, so that cycle is not converged
+    spec = square_problem(0.01, source=parse_source("sin(pi*x)*sin(pi*y)"))
+    report = proximal_iterate(spec, square_grid_20, tol=1e-8)
+    first_small = int(np.argmax(report.update_history <= 1e-8)) + 1
+    assert first_small < report.outer_iterations
+    early = proximal_iterate(spec, square_grid_20, tol=1e-8, fixed_iters=first_small)
+    assert early.anchor_update_norm <= 1e-8
+    assert not early.converged
 
 
 def test_error_estimate_shrinks_with_larger_weight():
