@@ -11,13 +11,19 @@ anchors, so no per-line solve is needed.  Every product is truncated to
 the configured caps as it is formed.
 
 The solve keeps all lines as one (n_lines+1, B) array of coefficient rows
-over the truncation basis (see ``symalg``).  The c-recursion is linear, so
-``sweep.c_recursion`` runs it on those rows coefficient by coefficient.
-``symbolic_sweep`` and ``symbolic_backward_pass`` wrap the same kernels
-for lists of polynomials.  A numeric mirror of the scheme (periodic finite
-differences in the angle) shares a, b and ``sweep.c_recursion`` but has its
-own backward pass, so cross-checking it against the polynomials still
-compares two implementations.
+over the truncation basis (see ``symalg``).  Everything linear that does
+not depend on the anchors is built once per solve: the c operator
+(``sweep.c_operator``, applied to those rows coefficient by coefficient),
+the line operators A_n = (a_n + b_n*kap*beta)*I + (b_n*d^2/t_n^2)*D^2, the
+cubic weights -alpha*b_n*kap and the radial weights b_n*d/t_n.  A cycle
+forms s_n = c_n + (anchor_{n+1} - anchor_n)*b_n*d/t_n in one array
+expression, and each row step is
+u_n = A_n @ u_{n+1} - alpha*b_n*kap*cube(u_{n+1}) + s_n, with the cube from
+``TruncationSpec.cube``.  ``symbolic_sweep`` and ``symbolic_backward_pass``
+wrap the same kernels for lists of polynomials.  A numeric mirror of the
+scheme (periodic finite differences in the angle) shares a, b and the c
+operator but has its own backward pass, so cross-checking it against the
+polynomials still compares two implementations.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sweep import ab_recursion, c_recursion
+from .sweep import COperator, ab_recursion, c_operator
 from .symalg import DEFAULT_TRUNCATION, BoundaryPolynomial, TruncationSpec, poly_eval
 
 __all__ = [
@@ -79,32 +85,40 @@ def _polys(cfg: PolarSymbolicConfig, rows: np.ndarray) -> list[BoundaryPolynomia
     return [BoundaryPolynomial.from_coeffs(row, cfg.trunc) for row in rows]
 
 
-def _sweep_rows(cfg: PolarSymbolicConfig, a: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+def _sweep_rows(cfg: PolarSymbolicConfig, c_op: COperator, anchors: np.ndarray) -> np.ndarray:
     """c for lines 1..n_lines-1 (row k for line k+1) from anchor rows 0..n_lines."""
     g = cfg.prox_weight * anchors
     g[:, 0] += 1.0  # f = 1 on the constant monomial, basis[0]
-    return c_recursion(a, g, cfg.d**2 / cfg.epsilon)
+    return c_op(g, cfg.d**2 / cfg.epsilon)
 
 
-def _backward_rows(cfg, a, b, c, anchors) -> np.ndarray:
-    """Explicit backward pass on coefficient rows; row n is line n."""
+@dataclass(frozen=True)
+class _LineOperators:
+    """The anchor-independent parts of the backward pass; entry k for line k+1."""
+
+    A: np.ndarray  # (n_lines-1, B, B): (a + b*kap*beta)*I + (b*d^2/t^2)*D^2
+    cubic: np.ndarray  # -alpha*b*kap
+    radial: np.ndarray  # b*d/t
+
+
+def _line_operators(cfg: PolarSymbolicConfig, a: np.ndarray, b: np.ndarray) -> _LineOperators:
     kap = cfg.d**2 / cfg.epsilon
-    tr = cfg.trunc
-    d2 = tr.diff_matrix @ tr.diff_matrix
+    d2 = cfg.trunc.diff_matrix @ cfg.trunc.diff_matrix
+    t = cfg.radius(np.arange(1, cfg.n_lines))
+    A = ((a + b * kap * cfg.beta)[:, None, None] * np.eye(len(d2))
+         + (b * cfg.d**2 / t**2)[:, None, None] * d2)
+    return _LineOperators(A=A, cubic=-cfg.alpha * b * kap, radial=b * cfg.d / t)
+
+
+def _backward_rows(cfg, ops: _LineOperators, c, anchors) -> np.ndarray:
+    """Explicit backward pass on coefficient rows; row n is line n."""
+    s = c + (anchors[2:] - anchors[1:-1]) * ops.radial[:, None]
+    cube = cfg.trunc.cube
     u = np.zeros_like(anchors)
-    u[-1, tr.basis[(1, 0, 0, 0, 0)]] = 1.0  # line n_lines is the bare symbol uf
+    u[-1, cfg.trunc.basis[(1, 0, 0, 0, 0)]] = 1.0  # line n_lines is the bare symbol uf
     for n in range(cfg.n_lines - 1, 0, -1):
-        t = cfg.radius(n)
         un1 = u[n + 1]
-        cubic = tr.mul(tr.mul(un1, un1), un1)
-        reaction = cubic * -cfg.alpha + un1 * cfg.beta
-        u[n] = (
-            un1 * a[n - 1]
-            + reaction * (b[n - 1] * kap)
-            + c[n - 1]
-            + (d2 @ un1) * (b[n - 1] * cfg.d**2 / t**2)
-            + (anchors[n + 1] - anchors[n]) * (b[n - 1] * cfg.d / t)
-        )
+        u[n] = ops.A[n - 1] @ un1 + ops.cubic[n - 1] * cube(un1) + s[n - 1]
     return u
 
 
@@ -120,7 +134,7 @@ def symbolic_sweep(
     if len(anchors) != cfg.n_lines + 1:
         raise ValueError(f"need {cfg.n_lines + 1} anchor entries, got {len(anchors)}")
     a, b = ab_recursion(2.0 + cfg.prox_weight * cfg.d**2 / cfg.epsilon, cfg.n_lines - 1)
-    return a, b, _polys(cfg, _sweep_rows(cfg, a, _rows(cfg, anchors)))
+    return a, b, _polys(cfg, _sweep_rows(cfg, c_operator(a), _rows(cfg, anchors)))
 
 
 def symbolic_backward_pass(
@@ -133,15 +147,21 @@ def symbolic_backward_pass(
     radial first-derivative term uses the anchors of the previous outer
     iterate, not the lines being built.
     """
-    return _polys(cfg, _backward_rows(cfg, a, b, _rows(cfg, c), _rows(cfg, anchors)))
+    ops = _line_operators(cfg, a, b)
+    return _polys(cfg, _backward_rows(cfg, ops, _rows(cfg, c), _rows(cfg, anchors)))
 
 
 def symbolic_solve(cfg: PolarSymbolicConfig) -> list[BoundaryPolynomial]:
-    """Run exactly cfg.iters sweep+backward cycles from zero anchors; lines 0..n_lines."""
+    """Run exactly cfg.iters sweep+backward cycles from zero anchors; lines 0..n_lines.
+
+    The c operator and the line operators are built once, before the first
+    cycle.
+    """
     a, b = ab_recursion(2.0 + cfg.prox_weight * cfg.d**2 / cfg.epsilon, cfg.n_lines - 1)
+    c_op, ops = c_operator(a), _line_operators(cfg, a, b)
     u = np.zeros((cfg.n_lines + 1, len(cfg.trunc.basis)))
     for _ in range(cfg.iters):
-        u = _backward_rows(cfg, a, b, _sweep_rows(cfg, a, u), u)
+        u = _backward_rows(cfg, ops, _sweep_rows(cfg, c_op, u), u)
     return _polys(cfg, u)
 
 
@@ -159,10 +179,11 @@ def polar_numeric_solve(cfg: PolarSymbolicConfig, boundary: np.ndarray) -> np.nd
     mth = boundary.size
     h_th = 2.0 * np.pi / mth
     a, b = ab_recursion(2.0 + K * kap, m8 - 1)
+    c_op = c_operator(a)
     uo = np.zeros((m8 + 1, mth))
     u = np.zeros((m8 + 1, mth))
     for _ in range(cfg.iters):
-        c = c_recursion(a, K * uo + 1.0, kap)
+        c = c_op(K * uo + 1.0, kap)
         u = np.zeros((m8 + 1, mth))
         u[m8] = boundary
         for n in range(m8 - 1, 0, -1):

@@ -34,7 +34,7 @@ import numpy as np
 
 from .linebvp import backward_solve, factor_lines
 from .problem import FieldSolution, LineGrid, ProblemSpec, source_values
-from .sweep import SweepCoefficients, c_recursion, scalar_coefficients
+from .sweep import SweepCoefficients, c_operator, c_recursion, scalar_coefficients
 
 __all__ = [
     "SolveReport",
@@ -91,13 +91,13 @@ def proximal_iterate(
 ) -> SolveReport:
     """Run the outer proximal loop from a zero anchor.
 
-    a, b, f, the transverse steps and the line factors are computed once
-    per solve.  Every cycle runs the c-recursion on the corrected source of
-    the anchor (see the module docstring) and then the backward pass.  A
-    cycle is converged when the anchor update is at most ``tol`` and the FD
-    residual is at most K*tol; the residual is evaluated only once the
-    update test holds.  For K = 0 that bound is zero and cannot be met, so
-    the update test alone decides.
+    a, b, f, the transverse steps, the c operator and the line factors are
+    computed once per solve.  Every cycle applies the c operator to the
+    corrected source of the anchor (see the module docstring) and then runs
+    the backward pass.  A cycle is converged when the anchor update is at
+    most ``tol`` and the FD residual is at most K*tol; the residual is
+    evaluated only once the update test holds.  For K = 0 that bound is
+    zero and cannot be met, so the update test alone decides.
 
     ``fixed_iters`` forces exactly that many cycles (used to mirror a
     fixed-iteration reference schedule); ``converged`` then reports the
@@ -116,6 +116,7 @@ def proximal_iterate(
     K = spec.prox_weight
     kap = grid.d**2 / spec.epsilon
     a, b = scalar_coefficients(spec, grid)
+    c_op = c_operator(a)
     h = _transverse_steps(grid)
     f = source_values(spec, grid)
     factors = factor_lines(b, grid.d, h[1:-1], grid.m_nodes - 1)
@@ -129,7 +130,7 @@ def proximal_iterate(
     v = np.zeros((grid.n_lines + 1, grid.m_nodes + 1))
     for _ in range(fixed_iters or max_iter):
         R, E = _scheme_terms(spec, v, h)
-        c = c_recursion(a, K * v + f + R + E, kap)
+        c = c_op(K * v + f + R + E, kap)
         c -= (b * kap)[:, None] * (R[2:] + E[1:-1])
         coeffs = SweepCoefficients(a=a, b=b, c=c)
         values = np.zeros_like(v)

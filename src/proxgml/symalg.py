@@ -7,8 +7,9 @@ the caps, in sorted order (the constant first).  A polynomial is its
 coefficient vector over that basis; products and derivatives never form
 a monomial over a cap, which reproduces the series-truncation semantics
 of multiplying then cutting.  The default caps (3, 1, 1, 0, 0) give 16
-monomials.  Each spec builds its product table and derivative matrix on
-first use; the annulus solver applies them to coefficient rows directly.
+monomials.  Each spec builds its product table, its cube table and its
+derivative matrix on first use; the annulus solver applies them to
+coefficient rows directly.
 """
 
 from __future__ import annotations
@@ -74,6 +75,21 @@ class TruncationSpec:
         """Truncated product of two coefficient vectors."""
         i, j, k = self._products
         return np.bincount(k, weights=p[i] * q[j], minlength=len(self.basis))
+
+    @functools.cached_property
+    def _cubes(self) -> tuple[np.ndarray, ...]:
+        # (i, j, l, k): the monomials at positions i, j and l multiply to the
+        # one at k; the products (i, j -> m) joined with (m, l -> k), since a
+        # pair over the caps has no triple within them
+        i, j, m = self._products
+        ijlk = [(i[s], j[s], l, k) for m_ij, l, k in zip(*self._products)
+                for s in np.flatnonzero(m == m_ij)]
+        return tuple(np.array(col, dtype=np.intp) for col in zip(*ijlk))
+
+    def cube(self, p: np.ndarray) -> np.ndarray:
+        """Truncated p*p*p of a coefficient vector, equal to mul(mul(p, p), p)."""
+        i, j, l, k = self._cubes
+        return np.bincount(k, weights=p[i] * p[j] * p[l], minlength=len(self.basis))
 
     @functools.cached_property
     def diff_matrix(self) -> np.ndarray:

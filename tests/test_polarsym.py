@@ -11,6 +11,7 @@ from proxgml.polarsym import (
 )
 from proxgml.symalg import (
     BoundaryPolynomial,
+    TruncationSpec,
     poly_add,
     poly_const,
     poly_diff,
@@ -126,25 +127,19 @@ def _max_coeff_diff(ps, qs):
                for p, q in zip(ps, qs) for e in set(p.terms) | set(q.terms))
 
 
-def test_sweep_matches_polynomial_recursion():
-    cfg = PolarSymbolicConfig(epsilon=0.05, n_lines=10)
-    anchors = _random_anchors(cfg, 3)
-    a, _, c = symbolic_sweep(cfg, anchors)
+def _polynomial_c_recursion(cfg, a, anchors):
+    # the c-recursion spelled out with the public polynomial functions
     kap = cfg.d**2 / cfg.epsilon
     one = poly_const(1.0, cfg.trunc)
     ref = [poly_scale(poly_add(poly_scale(anchors[1], cfg.prox_weight), one), a[0] * kap)]
     for i in range(2, cfg.n_lines):
         ft = poly_scale(poly_add(poly_scale(anchors[i], cfg.prox_weight), one), kap)
         ref.append(poly_scale(poly_add(ref[-1], ft), a[i - 1]))
-    assert _max_coeff_diff(c, ref) <= 1e-15
+    return ref
 
 
-def test_backward_pass_matches_line_by_line_scheme():
+def _line_by_line_scheme(cfg, a, b, c, anchors):
     # the explicit scheme spelled out with the public polynomial functions
-    cfg = PolarSymbolicConfig(epsilon=0.05, n_lines=10, alpha=1.3, beta=0.7)
-    anchors = _random_anchors(cfg, 5)
-    a, b, c = symbolic_sweep(cfg, anchors)
-    got = symbolic_backward_pass(cfg, a, b, c, anchors)
     kap = cfg.d**2 / cfg.epsilon
     ref = [poly_zero(cfg.trunc)] * (cfg.n_lines + 1)
     ref[cfg.n_lines] = poly_symbol(0, cfg.trunc)
@@ -157,8 +152,55 @@ def test_backward_pass_matches_line_by_line_scheme():
         expr = poly_add(expr, poly_scale(poly_diff(poly_diff(un1)), b[n - 1] * cfg.d**2 / t**2))
         radial = poly_add(anchors[n + 1], poly_scale(anchors[n], -1.0))
         ref[n] = poly_add(expr, poly_scale(radial, b[n - 1] * cfg.d / t))
+    return ref
+
+
+def test_sweep_matches_polynomial_recursion():
+    cfg = PolarSymbolicConfig(epsilon=0.05, n_lines=10)
+    anchors = _random_anchors(cfg, 3)
+    a, _, c = symbolic_sweep(cfg, anchors)
+    assert _max_coeff_diff(c, _polynomial_c_recursion(cfg, a, anchors)) <= 1e-15
+
+
+def test_backward_pass_matches_line_by_line_scheme():
+    cfg = PolarSymbolicConfig(epsilon=0.05, n_lines=10, alpha=1.3, beta=0.7)
+    anchors = _random_anchors(cfg, 5)
+    a, b, c = symbolic_sweep(cfg, anchors)
+    got = symbolic_backward_pass(cfg, a, b, c, anchors)
+    ref = _line_by_line_scheme(cfg, a, b, c, anchors)
     assert len(got[1].terms) > 8  # the random anchors fill the basis
     assert _max_coeff_diff(got, ref) <= 1e-15
+
+
+def test_sweep_and_backward_pass_match_references_over_two_blocks():
+    # 39 coefficient rows: the c operator carries across a block boundary
+    cfg = PolarSymbolicConfig(epsilon=0.05, n_lines=40, alpha=1.3, beta=0.7)
+    anchors = _random_anchors(cfg, 6)
+    a, b, c = symbolic_sweep(cfg, anchors)
+    assert _max_coeff_diff(c, _polynomial_c_recursion(cfg, a, anchors)) <= 1e-15
+    got = symbolic_backward_pass(cfg, a, b, c, anchors)
+    assert _max_coeff_diff(got, _line_by_line_scheme(cfg, a, b, c, anchors)) <= 1e-15
+
+
+def test_solve_loop_does_no_per_row_work(monkeypatch):
+    # the row step applies operators built once per solve: no truncated
+    # product per row and no radius lookup per row
+    def forbidden(*args, **kwargs):
+        raise AssertionError("TruncationSpec.mul called in the annulus solve")
+
+    radius_calls = []
+    radius = PolarSymbolicConfig.radius
+
+    def counted(cfg, n):
+        radius_calls.append(n)
+        return radius(cfg, n)
+
+    monkeypatch.setattr(TruncationSpec, "mul", forbidden)
+    monkeypatch.setattr(PolarSymbolicConfig, "radius", counted)
+    cfg = PolarSymbolicConfig(epsilon=0.1, n_lines=20, iters=5)
+    lines = symbolic_solve(cfg)
+    assert len(lines) == cfg.n_lines + 1
+    assert len(radius_calls) <= cfg.n_lines
 
 
 def test_all_caps_respected_every_line(symbolic_lines_eps01):

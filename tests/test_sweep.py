@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from proxgml.problem import FieldSolution, build_cartesian_grid
-from proxgml.sweep import forward_sweep, scalar_coefficients
+from proxgml.sweep import ab_recursion, c_operator, c_recursion, forward_sweep, scalar_coefficients
 
 from conftest import UNIT_SQUARE, square_problem, ones_source
 
@@ -106,3 +106,32 @@ def test_dimension_mismatch_rejected():
     state = FieldSolution.zeros(other)
     with pytest.raises(ValueError):
         forward_sweep(spec, grid, state)
+
+
+def _loop_c_recursion(a, g, kap):
+    # the recursion c_n = a_n*(c_{n-1} + g_n*kap) one line at a time
+    c = np.empty((a.size, g.shape[1]))
+    c[0] = a[0] * g[1] * kap
+    for k in range(1, a.size):
+        c[k] = a[k] * (c[k - 1] + g[k + 1] * kap)
+    return c
+
+
+@pytest.mark.parametrize("q", [2.0, 2.05, 1e20])
+@pytest.mark.parametrize("size", [1, 31, 32, 33, 70])
+def test_blocked_c_recursion_matches_loop(size, q):
+    # 70 rows are blocks of 32, 32 and 6; q = 2 (K = 0) gives a_n = n/(n+1),
+    # so the carry between blocks dominates; q = 1e20 makes every product of
+    # more than 16 a's underflow to 0
+    a, _ = ab_recursion(q, size)
+    g = np.random.default_rng(size).uniform(0.5, 1.5, size=(size + 2, 5))
+    kap = 0.037
+    want = _loop_c_recursion(a, g, kap)
+    got = c_recursion(a, g, kap)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    op = c_operator(a)
+    np.testing.assert_array_equal(op(g, kap), got)
+    if q == 1e20 and size > 16:
+        assert op.blocks[0][-1, 0] == 0.0

@@ -231,3 +231,15 @@ def test_pickle_and_deepcopy_round_trip():
     p = poly_add(poly_mul(UF, UF2), poly_const(-0.5))
     for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
         assert q == p and not q.coeffs.flags.writeable
+
+
+@pytest.mark.parametrize("caps", [(3, 1, 1, 0, 0), (2, 1, 1, 0, 0), (2, 1, 1, 1, 1)])
+def test_cube_table_matches_repeated_product(caps):
+    spec = TruncationSpec(caps)
+    rng = np.random.default_rng(7 + sum(caps))
+    for _ in range(100):
+        p = rng.uniform(-2.0, 2.0, size=len(spec.basis))
+        want = spec.mul(spec.mul(p, p), p)
+        np.testing.assert_allclose(spec.cube(p), want, rtol=1e-14, atol=1e-14 * np.max(np.abs(want)))
+    if caps == (3, 1, 1, 0, 0):
+        assert len(spec._cubes[0]) == 320
