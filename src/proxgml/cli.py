@@ -191,9 +191,14 @@ def _run_polar_symbolic(args) -> int:
     return EXIT_OK
 
 
+def _oracle_solve(args, spec, grid):
+    """The oracle stops at --tol, and at 1e-10 at the loosest, in both modes."""
+    return newton_solve(spec, grid, tol=min(args.tol, 1e-10))
+
+
 def _run_oracle(args) -> int:
     spec, grid = _cartesian_setup(args)
-    report = newton_solve(spec, grid, tol=min(args.tol, 1e-10))
+    report = _oracle_solve(args, spec, grid)
     center = report.solution.values[grid.n_lines // 2, grid.m_nodes // 2]
     print(
         f"oracle: newton_iterations={report.iterations} "
@@ -208,7 +213,7 @@ def _run_compare(args) -> int:
     spec, grid = _cartesian_setup(args)
     gml = proximal_iterate(spec, grid, tol=args.tol, max_iter=args.max_iter,
                            fixed_iters=args.iters)
-    full = newton_solve(spec, grid)
+    full = _oracle_solve(args, spec, grid)
     sup, l2 = compare_fields(gml.solution, full.solution)
     print(
         f"compare: gml_iterations={gml.outer_iterations} converged={gml.converged} "

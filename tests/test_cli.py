@@ -128,6 +128,15 @@ def test_compare_mode_writes_report(tmp_path):
     assert report["newton_residual_sup"] <= 1e-10
 
 
+def test_compare_mode_oracle_honours_tol(tmp_path):
+    # the oracle in compare mode stops at --tol, as in oracle mode, so its
+    # own residual does not set sup_diff
+    out = tmp_path / "report.json"
+    rc = main(["--mode", "compare", "--N", "6", "--tol", "1e-12", "--out-report", str(out)])
+    assert rc == EXIT_OK
+    assert json.loads(out.read_text())["newton_residual_sup"] <= 1e-12
+
+
 def test_invalid_flags_exit_2():
     assert main(["--mode", "bogus"]) == EXIT_USAGE
     assert main(["--mode", "cartesian", "--eps", "-1"]) == EXIT_USAGE

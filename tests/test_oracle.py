@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from proxgml import oracle
 from proxgml.oracle import NewtonDivergenceError, _reduced_root, compare_fields, newton_solve
-from proxgml.problem import CartesianDomain, FieldSolution, build_cartesian_grid
+from proxgml.problem import CartesianDomain, FieldSolution, build_cartesian_grid, transverse_step
 from proxgml.proximal import residual_norm
 
 from conftest import UNIT_SQUARE, square_problem, zero_source
@@ -83,11 +84,12 @@ def test_sign_changing_source_converges(eps):
 
 @pytest.fixture
 def solve_counter(monkeypatch):
+    """Records the keyword arguments of every sparse solve the oracle makes."""
     calls = []
     spsolve = spla.spsolve
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(kwargs)
         return spsolve(*args, **kwargs)
 
     monkeypatch.setattr(oracle.spla, "spsolve", counted)
@@ -117,6 +119,32 @@ def test_step_limit_names_steps_taken(solve_counter):
     with pytest.raises(NewtonDivergenceError, match="no convergence after 2 Newton steps"):
         newton_solve(square_problem(0.1), grid, max_newton=2)
     assert len(solve_counter) == 2
+
+
+def test_every_solve_orders_for_the_symmetric_structure(solve_counter):
+    grid = build_cartesian_grid(UNIT_SQUARE, 20, 20)
+    newton_solve(square_problem(0.01, source=_x_minus_half), grid)
+    assert solve_counter
+    assert all(kwargs.get("permc_spec") == "MMD_AT_PLUS_A" for kwargs in solve_counter)
+
+
+@pytest.mark.parametrize("eps, beta, negative", [(0.001, 1.0, 6), (0.01, 30.0, 19)])
+def test_indefinite_jacobian_matches_dense_solve(monkeypatch, eps, beta, negative):
+    # the sparse LU must pivot as well as a dense LU where J has negative
+    # eigenvalues; f = x - 0.5 puts an interior layer across the root
+    grid = build_cartesian_grid(UNIT_SQUARE, 20, 20)
+    spec = square_problem(eps, beta=beta, source=_x_minus_half)
+    sparse = newton_solve(spec, grid)
+    u = sparse.solution.values[1:-1, 1:-1].ravel()
+    lap = oracle._laplacian(20, 20, grid.d, transverse_step(grid, 0))
+    J = -eps * lap + sp.diags(3.0 * u**2 - beta)
+    assert np.count_nonzero(np.linalg.eigvalsh(J.toarray()) < 0.0) == negative
+
+    monkeypatch.setattr(oracle.spla, "spsolve",
+                        lambda J, b, **kwargs: np.linalg.solve(J.toarray(), b))
+    dense = newton_solve(spec, grid)
+    assert sparse.iterations == dense.iterations
+    assert compare_fields(sparse.solution, dense.solution)[0] <= 1e-12
 
 
 @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (0.3, 2.0), (5.0, 0.01)])
