@@ -17,10 +17,11 @@ not depend on the anchors is built once per solve: the c operator
 the line operators A_n = (a_n + b_n*kap*beta)*I + (b_n*d^2/t_n^2)*D^2, the
 cubic weights -alpha*b_n*kap and the radial weights b_n*d/t_n.  A cycle
 forms s_n = c_n + (anchor_{n+1} - anchor_n)*b_n*d/t_n in one array
-expression, and each row step is
-u_n = A_n @ u_{n+1} - alpha*b_n*kap*cube(u_{n+1}) + s_n, with the cube from
-``TruncationSpec.cube``.  ``symbolic_sweep`` and ``symbolic_backward_pass``
-wrap the same kernels for lists of polynomials.  A numeric mirror of the
+expression, and each row step writes -alpha*b_n*kap*cube(u_{n+1}) +
+A_n @ u_{n+1} + s_n into row n in place, the cube (``TruncationSpec.cube``)
+being two products with the multiplication matrix of u_{n+1}.
+``symbolic_sweep`` and ``symbolic_backward_pass`` wrap the same kernels for
+lists of polynomials.  A numeric mirror of the
 scheme (periodic finite differences in the angle) shares a, b and the c
 operator but has its own backward pass, so cross-checking it against the
 polynomials still compares two implementations.
@@ -65,6 +66,8 @@ class PolarSymbolicConfig:
             raise ValueError("polar configuration parameters must be finite")
         if self.epsilon <= 0.0 or self.prox_weight < 0.0 or self.n_lines < 2 or self.iters < 1:
             raise ValueError("invalid polar configuration")
+        if not isinstance(self.trunc, TruncationSpec) or self.trunc.caps[0] < 1:
+            raise ValueError(f"trunc must be a TruncationSpec admitting uf, got {self.trunc!r}")
 
     @property
     def d(self) -> float:
@@ -116,9 +119,11 @@ def _backward_rows(cfg, ops: _LineOperators, c, anchors) -> np.ndarray:
     cube = cfg.trunc.cube
     u = np.zeros_like(anchors)
     u[-1, cfg.trunc.basis[(1, 0, 0, 0, 0)]] = 1.0  # line n_lines is the bare symbol uf
-    for n in range(cfg.n_lines - 1, 0, -1):
-        un1 = u[n + 1]
-        u[n] = ops.A[n - 1] @ un1 + ops.cubic[n - 1] * cube(un1) + s[n - 1]
+    for A, w, s_n, row, un1 in zip(ops.A[::-1], ops.cubic[::-1].tolist(), s[::-1],
+                                   u[-2:0:-1], u[:1:-1]):  # row n from row n+1, n = n_lines-1..1
+        np.multiply(cube(un1), w, out=row)
+        row += A.dot(un1)
+        row += s_n
     return u
 
 
@@ -180,11 +185,10 @@ def polar_numeric_solve(cfg: PolarSymbolicConfig, boundary: np.ndarray) -> np.nd
     h_th = 2.0 * np.pi / mth
     a, b = ab_recursion(2.0 + K * kap, m8 - 1)
     c_op = c_operator(a)
-    uo = np.zeros((m8 + 1, mth))
     u = np.zeros((m8 + 1, mth))
     for _ in range(cfg.iters):
-        c = c_op(K * uo + 1.0, kap)
-        u = np.zeros((m8 + 1, mth))
+        c = c_op(K * u + 1.0, kap)
+        uo, u = u, np.zeros((m8 + 1, mth))
         u[m8] = boundary
         for n in range(m8 - 1, 0, -1):
             t = cfg.radius(n)
@@ -197,7 +201,6 @@ def polar_numeric_solve(cfg: PolarSymbolicConfig, boundary: np.ndarray) -> np.nd
                 + b[n - 1] * cfg.d**2 * d2 / t**2
                 + b[n - 1] * cfg.d * (uo[n + 1] - uo[n]) / t
             )
-        uo = u.copy()
     return u
 
 
@@ -231,14 +234,9 @@ def cross_check_numeric(
         raise ValueError("boundary sample arrays must have matching shapes")
     if lines is None:
         lines = symbolic_solve(cfg)
-    m8 = cfg.n_lines
-    sym = np.array([[poly_eval(lines[n], x, 0.0, x2) for x, x2 in zip(g, g2)]
-                    for n in range(1, m8)])
-    num = polar_numeric_solve(cfg, g)[1:m8]
+    sym = np.array([[poly_eval(p, x, 0.0, x2) for x, x2 in zip(g, g2)]
+                    for p in lines[1:cfg.n_lines]])
+    num = polar_numeric_solve(cfg, g)[1:cfg.n_lines]
     per_line = np.max(np.abs(sym - num), axis=1)
-    return CrossCheckReport(
-        sup_diff=float(np.max(per_line)),
-        per_line_sup=per_line,
-        symbolic_values=sym,
-        numeric_values=num,
-    )
+    return CrossCheckReport(sup_diff=float(np.max(per_line)), per_line_sup=per_line,
+                            symbolic_values=sym, numeric_values=num)

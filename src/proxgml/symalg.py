@@ -7,9 +7,9 @@ the caps, in sorted order (the constant first).  A polynomial is its
 coefficient vector over that basis; products and derivatives never form
 a monomial over a cap, which reproduces the series-truncation semantics
 of multiplying then cutting.  The default caps (3, 1, 1, 0, 0) give 16
-monomials.  Each spec builds its product table, its cube table and its
-derivative matrix on first use; the annulus solver applies them to
-coefficient rows directly.
+monomials.  Each spec builds its product table and derivative matrix on
+first use; the cube is M(p) @ (M(p) @ p), with M(p) the matrix of q -> p*q
+scattered from the product table.  The annulus solver applies them to rows.
 """
 
 from __future__ import annotations
@@ -52,7 +52,8 @@ class TruncationSpec:
     caps: tuple[int, int, int, int, int] = (3, 1, 1, 0, 0)
 
     def __post_init__(self):
-        if len(self.caps) != NVARS or any(c < 0 for c in self.caps):
+        if len(self.caps) != NVARS or not all(isinstance(c, (int, np.integer)) and c >= 0
+                                              for c in self.caps):
             raise ValueError(f"caps must be {NVARS} non-negative integers, got {self.caps}")
 
     def admits(self, exponents: tuple[int, ...]) -> bool:
@@ -77,19 +78,20 @@ class TruncationSpec:
         return np.bincount(k, weights=p[i] * q[j], minlength=len(self.basis))
 
     @functools.cached_property
-    def _cubes(self) -> tuple[np.ndarray, ...]:
-        # (i, j, l, k): the monomials at positions i, j and l multiply to the
-        # one at k; the products (i, j -> m) joined with (m, l -> k), since a
-        # pair over the caps has no triple within them
-        i, j, m = self._products
-        ijlk = [(i[s], j[s], l, k) for m_ij, l, k in zip(*self._products)
-                for s in np.flatnonzero(m == m_ij)]
-        return tuple(np.array(col, dtype=np.intp) for col in zip(*ijlk))
+    def _mul_scatter(self) -> tuple[np.ndarray, np.ndarray]:
+        # M(p)[k, j] = p[i] for each product (i, j -> k), at flat position k*B + j
+        i, j, k = self._products
+        return i, k * len(self.basis) + j
+
+    def mul_matrix(self, p: np.ndarray) -> np.ndarray:
+        """The matrix M(p) of q -> mul(p, q)."""
+        i, kj = self._mul_scatter
+        return np.bincount(kj, weights=p[i], minlength=p.size**2).reshape(p.size, p.size)
 
     def cube(self, p: np.ndarray) -> np.ndarray:
-        """Truncated p*p*p of a coefficient vector, equal to mul(mul(p, p), p)."""
-        i, j, l, k = self._cubes
-        return np.bincount(k, weights=p[i] * p[j] * p[l], minlength=len(self.basis))
+        """Truncated p*p*p of a coefficient vector, M(p) applied twice to p."""
+        M = self.mul_matrix(p)
+        return M.dot(M.dot(p))
 
     @functools.cached_property
     def diff_matrix(self) -> np.ndarray:

@@ -50,6 +50,14 @@ def test_config_validation():
     assert cfg.radius(0) == 1.0 and cfg.radius(100) == 2.0
 
 
+def test_config_rejects_truncation_without_uf():
+    # the outer line is the bare symbol uf, so its exponent must be admitted
+    with pytest.raises(ValueError, match="TruncationSpec"):
+        PolarSymbolicConfig(epsilon=0.1, trunc=TruncationSpec((0, 1, 1, 0, 0)))
+    with pytest.raises(ValueError, match="TruncationSpec"):
+        PolarSymbolicConfig(epsilon=0.1, trunc=(3, 1, 1, 0, 0))
+
+
 def test_sweep_zero_anchors_constant_c():
     cfg = PolarSymbolicConfig(epsilon=0.1, n_lines=10)
     a, b, c = symbolic_sweep(cfg, zero_anchors(cfg))
@@ -162,24 +170,32 @@ def test_sweep_matches_polynomial_recursion():
     assert _max_coeff_diff(c, _polynomial_c_recursion(cfg, a, anchors)) <= 1e-15
 
 
+# bases of 16, 32 and 48 monomials
+ROW_STEP_CAPS = [(3, 1, 1, 0, 0), (3, 1, 1, 1, 0), (2, 1, 1, 1, 1)]
+
+
 def test_backward_pass_matches_line_by_line_scheme():
-    cfg = PolarSymbolicConfig(epsilon=0.05, n_lines=10, alpha=1.3, beta=0.7)
-    anchors = _random_anchors(cfg, 5)
-    a, b, c = symbolic_sweep(cfg, anchors)
-    got = symbolic_backward_pass(cfg, a, b, c, anchors)
-    ref = _line_by_line_scheme(cfg, a, b, c, anchors)
-    assert len(got[1].terms) > 8  # the random anchors fill the basis
-    assert _max_coeff_diff(got, ref) <= 1e-15
+    for caps in ROW_STEP_CAPS:
+        cfg = PolarSymbolicConfig(epsilon=0.05, n_lines=10, alpha=1.3, beta=0.7,
+                                  trunc=TruncationSpec(caps))
+        anchors = _random_anchors(cfg, 5)
+        a, b, c = symbolic_sweep(cfg, anchors)
+        got = symbolic_backward_pass(cfg, a, b, c, anchors)
+        ref = _line_by_line_scheme(cfg, a, b, c, anchors)
+        assert len(got[1].terms) > 8  # the random anchors fill the basis
+        assert _max_coeff_diff(got, ref) <= 1e-15, caps
 
 
 def test_sweep_and_backward_pass_match_references_over_two_blocks():
     # 39 coefficient rows: the c operator carries across a block boundary
-    cfg = PolarSymbolicConfig(epsilon=0.05, n_lines=40, alpha=1.3, beta=0.7)
-    anchors = _random_anchors(cfg, 6)
-    a, b, c = symbolic_sweep(cfg, anchors)
-    assert _max_coeff_diff(c, _polynomial_c_recursion(cfg, a, anchors)) <= 1e-15
-    got = symbolic_backward_pass(cfg, a, b, c, anchors)
-    assert _max_coeff_diff(got, _line_by_line_scheme(cfg, a, b, c, anchors)) <= 1e-15
+    for caps in ROW_STEP_CAPS:
+        cfg = PolarSymbolicConfig(epsilon=0.05, n_lines=40, alpha=1.3, beta=0.7,
+                                  trunc=TruncationSpec(caps))
+        anchors = _random_anchors(cfg, 6)
+        a, b, c = symbolic_sweep(cfg, anchors)
+        assert _max_coeff_diff(c, _polynomial_c_recursion(cfg, a, anchors)) <= 1e-15, caps
+        got = symbolic_backward_pass(cfg, a, b, c, anchors)
+        assert _max_coeff_diff(got, _line_by_line_scheme(cfg, a, b, c, anchors)) <= 1e-15, caps
 
 
 def test_solve_loop_does_no_per_row_work(monkeypatch):

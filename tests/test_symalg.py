@@ -92,6 +92,14 @@ def test_eval_rejects_live_high_derivatives():
         poly_eval(poly_const(1.0, spec), 0.0, 0.0, 0.0)
 
 
+def test_spec_rejects_bad_caps():
+    # a fractional cap would otherwise construct and fail later, inside basis
+    for caps in ((2.5, 1, 1, 0, 0), (3, 1, 1, 0), (3, -1, 1, 0, 0)):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            TruncationSpec(caps)
+    assert len(TruncationSpec((np.int64(3), 1, 1, 0, 0)).basis) == 16
+
+
 def test_trunc_spec_mismatch_rejected():
     other = poly_const(1.0, TruncationSpec((2, 1, 1, 0, 0)))
     with pytest.raises(ValueError):
@@ -241,5 +249,19 @@ def test_cube_table_matches_repeated_product(caps):
         p = rng.uniform(-2.0, 2.0, size=len(spec.basis))
         want = spec.mul(spec.mul(p, p), p)
         np.testing.assert_allclose(spec.cube(p), want, rtol=1e-14, atol=1e-14 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("caps", [(3, 1, 1, 0, 0), (2, 1, 1, 0, 0), (2, 1, 1, 1, 1)])
+def test_mul_matrix_matches_product_table(caps):
+    spec = TruncationSpec(caps)
+    rng = np.random.default_rng(11 + sum(caps))
+    for _ in range(100):
+        p, q = rng.uniform(-2.0, 2.0, size=(2, len(spec.basis)))
+        want = spec.mul(p, q)
+        np.testing.assert_allclose(spec.mul_matrix(p) @ q, want, rtol=1e-14,
+                                   atol=1e-14 * np.max(np.abs(want)))
+    # one scatter entry per product pair, at distinct positions of M(p)
+    i, kj = spec._mul_scatter
+    assert len(i) == len(kj) == len(np.unique(kj)) == len(spec._products[0])
     if caps == (3, 1, 1, 0, 0):
-        assert len(spec._cubes[0]) == 320
+        assert len(kj) == 90
