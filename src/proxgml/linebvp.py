@@ -10,11 +10,11 @@ definite, strictly diagonally dominant and an M-matrix.
 
 Its matrix depends only on (b_n, d, h_n), so it is the same in every outer
 cycle of a solve.  ``factor_lines`` computes the LDL^T factors of all lines
-once (LAPACK ``dpttrf``), and ``backward_solve`` runs a cycle's backward
-pass as one loop of ``dpttrs`` solves on those factors; this is the
-production path.  ``assemble_line_system``, ``thomas_solve`` and
-``solve_line`` solve one line from scratch with the Thomas algorithm and are
-kept as the reference the tests compare against.
+once (LAPACK ``dpttrf``).  ``backward_solve``, the production path, runs a
+cycle's backward pass on them: per line, two BLAS ``daxpy`` calls form the
+right-hand side in that line's row of c and ``dpttrs`` solves it in place.
+The Thomas solves (``assemble_line_system``, ``thomas_solve``,
+``solve_line``) are the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import daxpy
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .problem import LineGrid, ProblemSpec, transverse_step
@@ -173,25 +174,24 @@ def factor_lines(b: np.ndarray, d: float, h: np.ndarray, size: int) -> LineFacto
 
 
 def backward_solve(
-    factors: LineFactors,
-    coeffs: SweepCoefficients,
-    kap: float,
-    alpha: float,
-    beta: float,
-    values: np.ndarray,
+    factors: LineFactors, a: np.ndarray, b: np.ndarray, c: np.ndarray, kap: float,
+    spec: ProblemSpec, values: np.ndarray,
 ) -> None:
     """Fill rows L, L-1, ..., 1 of ``values`` from row L+1, in place.
 
     Line n solves the system of ``solve_line`` on its interior nodes,
     (I - b_n*d^2*D_yy) u_n = c_n + (a_n + b_n*kap*beta)*u_{n+1}
-    - (b_n*kap*alpha)*u_{n+1}^3, with the factors of ``factor_lines``.
-    The end columns of ``values`` are left as they are.
+    - (b_n*kap*alpha)*u_{n+1}^3, with the factors of ``factor_lines``, in
+    its row of c: a writable C-contiguous float64 c is that scratch buffer
+    and is overwritten, any other c is copied.  End columns of ``values`` stay.
     """
-    lin = (coeffs.a + coeffs.b * (kap * beta)).tolist()
-    cub = (coeffs.b * (kap * alpha)).tolist()
-    c = coeffs.c
-    diag, off = factors.diag, factors.off
-    for k in range(len(lin) - 1, -1, -1):
-        u = values[k + 2, 1:-1]
-        rhs = (lin[k] - cub[k] * (u * u)) * u + c[k, 1:-1]
-        values[k + 1, 1:-1] = dpttrs(diag[k], off[k], rhs, overwrite_b=1)[0]
+    lin = (a + b * (kap * spec.beta))[::-1].tolist()
+    cub = (b * (-kap * spec.alpha))[::-1].tolist()
+    # daxpy and dpttrs write through a read-only array and lose writes to a non-contiguous one
+    c = np.require(c, np.float64, "CW")
+    u = values[len(lin) + 1, 1:-1]
+    for y, d, e, lin_k, cub_k in zip(c[::-1, 1:-1], factors.diag[::-1], factors.off[::-1], lin, cub):
+        daxpy(u, y, y.size, lin_k)
+        daxpy(u * u * u, y, y.size, cub_k)
+        u = dpttrs(d, e, y, overwrite_b=1)[0]
+    values[1:len(lin) + 1, 1:-1] = c[:, 1:-1]

@@ -77,7 +77,7 @@ def backward_pass(
     values = np.zeros((N + 1, M + 1))
     values[N] = np.asarray(u_boundary_N, dtype=float)
     factors = factor_lines(coeffs.b, grid.d, _transverse_steps(grid)[1:-1], M - 1)
-    backward_solve(factors, coeffs, grid.d**2 / spec.epsilon, spec.alpha, spec.beta, values)
+    backward_solve(factors, coeffs.a, coeffs.b, coeffs.c, grid.d**2 / spec.epsilon, spec, values)
     return FieldSolution(values)
 
 
@@ -94,10 +94,10 @@ def proximal_iterate(
     a, b, f, the transverse steps, the c operator and the line factors are
     computed once per solve.  Every cycle applies the c operator to the
     corrected source of the anchor (see the module docstring) and then runs
-    the backward pass.  A cycle is converged when the anchor update is at
-    most ``tol`` and the FD residual is at most K*tol; the residual is
-    evaluated only once the update test holds.  For K = 0 that bound is
-    zero and cannot be met, so the update test alone decides.
+    the backward pass in the c operator's output.  A cycle is converged when
+    the anchor update is at most ``tol`` and the FD residual is at most
+    K*tol; the residual is evaluated only once the update test holds, and
+    the report reuses it.  For K = 0 the update test alone decides.
 
     ``fixed_iters`` forces exactly that many cycles (used to mirror a
     fixed-iteration reference schedule); ``converged`` then reports the
@@ -120,7 +120,6 @@ def proximal_iterate(
     h = _transverse_steps(grid)
     f = source_values(spec, grid)
     factors = factor_lines(b, grid.d, h[1:-1], grid.m_nodes - 1)
-    residual_bound = K * tol
 
     def residual_sup(v: np.ndarray) -> float:
         return float(np.max(np.abs(_fd_residual(spec, grid, v, f, h))))
@@ -128,18 +127,18 @@ def proximal_iterate(
     updates = []
     stop_reason = "max_iter" if fixed_iters is None else "fixed_iters"
     v = np.zeros((grid.n_lines + 1, grid.m_nodes + 1))
+    values = np.zeros_like(v)  # the two fields swap roles every cycle; their edges stay 0
     for _ in range(fixed_iters or max_iter):
         R, E = _scheme_terms(spec, v, h)
         c = c_op(K * v + f + R + E, kap)
         c -= (b * kap)[:, None] * (R[2:] + E[1:-1])
-        coeffs = SweepCoefficients(a=a, b=b, c=c)
-        values = np.zeros_like(v)
-        backward_solve(factors, coeffs, kap, spec.alpha, spec.beta, values)
+        backward_solve(factors, a, b, c, kap, spec, values)
         diff = float(np.max(np.abs(values - v)))
         updates.append(diff)
-        v = values
+        v, values = values, v
         # a non-finite update fails this test too, so the flag is False on that stop
-        converged = diff <= tol and (residual_bound == 0.0 or residual_sup(v) <= residual_bound)
+        residual = residual_sup(v) if diff <= tol and K > 0.0 else None
+        converged = diff <= tol and (residual is None or residual <= K * tol)
         if not math.isfinite(diff):
             stop_reason = "non-finite"
             break
@@ -151,8 +150,8 @@ def proximal_iterate(
         solution=u,
         outer_iterations=len(updates),
         anchor_update_norm=updates[-1],
-        residual_sup=residual_sup(v),
-        error_estimates=error_estimate(coeffs, u, spec, grid),
+        residual_sup=residual_sup(v) if residual is None else residual,
+        error_estimates=error_estimate(a, b, u, spec, grid),
         converged=converged,
         update_history=np.array(updates),
         stop_reason=stop_reason,
@@ -174,7 +173,7 @@ def _scheme_terms(
     stencil, and E is zero on the end columns.  This is the one place the
     scheme's reaction and transverse terms are formed.
     """
-    R = -spec.alpha * v**3 + spec.beta * v
+    R = (spec.beta - spec.alpha * v * v) * v
     E = np.zeros_like(v)
     E[:, 1:-1] = spec.epsilon * ((v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / h[:, None] ** 2)
     return R, E
@@ -203,7 +202,7 @@ def residual_norm(spec: ProblemSpec, grid: LineGrid, u: FieldSolution) -> float:
 
 
 def error_estimate(
-    coeffs: SweepCoefficients, u: FieldSolution, spec: ProblemSpec, grid: LineGrid
+    a: np.ndarray, b: np.ndarray, u: FieldSolution, spec: ProblemSpec, grid: LineGrid
 ) -> np.ndarray:
     """Per-line sup|G_n| of the lagged-sum defect at ``u``.
 
@@ -220,5 +219,5 @@ def error_estimate(
     R, E = _scheme_terms(spec, u.values, _transverse_steps(grid))
     T = (grid.d**2 / spec.epsilon) * (R + E)[:, 1:-1]
     g = T[:-1] - T[1:]  # row n is T(u_n) - T(u_{n+1}); row 0 is not read
-    g[1:] *= (coeffs.b / coeffs.a)[:, None]
-    return np.max(np.abs(c_recursion(coeffs.a, g, 1.0)), axis=1)
+    g[1:] *= (b / a)[:, None]
+    return np.max(np.abs(c_recursion(a, g, 1.0)), axis=1)

@@ -55,6 +55,7 @@ class TruncationSpec:
         if len(self.caps) != NVARS or not all(isinstance(c, (int, np.integer)) and c >= 0
                                               for c in self.caps):
             raise ValueError(f"caps must be {NVARS} non-negative integers, got {self.caps}")
+        object.__setattr__(self, "caps", tuple(int(c) for c in self.caps))
 
     def admits(self, exponents: tuple[int, ...]) -> bool:
         return all(e <= c for e, c in zip(exponents, self.caps))

@@ -10,7 +10,7 @@ from proxgml.linebvp import (
     thomas_solve,
 )
 from proxgml.problem import CartesianDomain, FieldSolution, ProblemSpec, build_cartesian_grid
-from proxgml.proximal import backward_pass, proximal_iterate
+from proxgml.proximal import _transverse_steps, backward_pass, proximal_iterate
 from proxgml.sweep import SweepCoefficients, forward_sweep
 
 from conftest import UNIT_SQUARE, square_problem
@@ -169,24 +169,72 @@ def test_linear_chain_when_nonlinearity_off():
 CURVED = CartesianDomain(a=0.0, b=1.0, y1=lambda x: 0.0, y2=lambda x: 1.0 + 0.5 * x)
 
 
-@pytest.mark.parametrize("N, M", [(12, 12), (5, 2)])
-def test_factored_backward_pass_matches_thomas_chain(N, M):
-    # h_n changes from line to line; M = 2 leaves one interior node per line
-    spec = ProblemSpec(epsilon=0.07, alpha=2.0, beta=0.5,
-                       source=lambda x, y: np.cos(3.0 * x) * np.sin(np.pi * y),
-                       prox_weight=11.0, domain=CURVED)
-    grid = build_cartesian_grid(CURVED, N, M)
-    rng = np.random.default_rng(21)
-    anchor = np.zeros((N + 1, M + 1))
-    anchor[1:-1, 1:-1] = rng.uniform(-1.5, 1.5, size=(N - 1, M - 1))
-    coeffs = forward_sweep(spec, grid, FieldSolution(anchor))
-    got = backward_pass(coeffs, spec, grid, np.zeros(M + 1))
-
+def _thomas_chain(coeffs, spec, grid, u_boundary_N):
+    N, M = grid.n_lines, grid.m_nodes
     ref = np.zeros((N + 1, M + 1))
+    ref[N] = u_boundary_N
     for n in range(N - 1, 0, -1):
         ref[n] = solve_line(n, coeffs, ref[n + 1], spec, grid)
+    return ref
+
+
+def _random_anchor_problem(N, M, domain, seed=21):
+    spec = ProblemSpec(epsilon=0.07, alpha=2.0, beta=0.5,
+                       source=lambda x, y: np.cos(3.0 * x) * np.sin(np.pi * y),
+                       prox_weight=11.0, domain=domain)
+    grid = build_cartesian_grid(domain, N, M)
+    rng = np.random.default_rng(seed)
+    anchor = np.zeros((N + 1, M + 1))
+    anchor[1:-1, 1:-1] = rng.uniform(-1.5, 1.5, size=(N - 1, M - 1))
+    return spec, grid, forward_sweep(spec, grid, FieldSolution(anchor))
+
+
+@pytest.mark.parametrize("N, M, domain", [
+    pytest.param(12, 12, CURVED, id="12-12"),
+    pytest.param(5, 2, CURVED, id="5-2"),
+    pytest.param(100, 100, UNIT_SQUARE, id="100-100"),
+])
+def test_factored_backward_pass_matches_thomas_chain(N, M, domain):
+    # h_n changes from line to line on CURVED; M = 2 leaves one interior node per line
+    spec, grid, coeffs = _random_anchor_problem(N, M, domain)
+    got = backward_pass(coeffs, spec, grid, np.zeros(M + 1))
+    ref = _thomas_chain(coeffs, spec, grid, np.zeros(M + 1))
     assert np.max(np.abs(ref)) > 0.1
     np.testing.assert_allclose(got.values, ref, rtol=0, atol=1e-13)
+
+
+def test_backward_pass_leaves_read_only_coefficients_unchanged():
+    # the line solves write into their right-hand sides; the read-only c of
+    # a SweepCoefficients must never be that buffer
+    spec, grid, coeffs = _random_anchor_problem(12, 12, CURVED)
+    before = coeffs.c.tobytes()
+    got = backward_pass(coeffs, spec, grid, np.zeros(13))
+    assert not coeffs.c.flags.writeable and coeffs.c.tobytes() == before
+    values = np.zeros_like(got.values)
+    factors = factor_lines(coeffs.b, grid.d, _transverse_steps(grid)[1:-1], 11)
+    linebvp.backward_solve(factors, coeffs.a, coeffs.b, coeffs.c, grid.d**2 / spec.epsilon, spec,
+                           values)
+    assert coeffs.c.tobytes() == before
+    np.testing.assert_array_equal(values, got.values)
+
+
+def test_backward_solve_on_non_contiguous_arrays():
+    # daxpy and dpttrs silently work on a copy of a non-contiguous array, so
+    # such a values or c is copied and must still give the Thomas-chain answer
+    N, M = 9, 7
+    spec, grid, coeffs = _random_anchor_problem(N, M, CURVED, seed=5)
+    boundary = np.sin(np.pi * np.arange(M + 1) / M)
+    ref = _thomas_chain(coeffs, spec, grid, boundary)
+    factors = factor_lines(coeffs.b, grid.d, _transverse_steps(grid)[1:-1], M - 1)
+    kap = grid.d**2 / spec.epsilon
+    fortran_c = np.asfortranarray(coeffs.c)
+    strided_c = np.zeros((N - 1, 2 * (M + 1)))[:, ::2]
+    strided_c[...] = coeffs.c
+    for c in (fortran_c, strided_c, np.array(coeffs.c)):
+        values = np.zeros((M + 1, N + 1)).T  # Fortran-ordered
+        values[N] = boundary
+        linebvp.backward_solve(factors, coeffs.a, coeffs.b, c, kap, spec, values)
+        np.testing.assert_allclose(values, ref, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("b, h", [

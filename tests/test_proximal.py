@@ -86,6 +86,16 @@ def test_determinism_bit_identical(run_eps01_n20):
     assert report.residual_sup == again.residual_sup
 
 
+@pytest.mark.parametrize("kwargs", [{}, {"max_iter": 5}, {"fixed_iters": 320}])
+def test_reported_residual_is_that_of_the_returned_field(kwargs):
+    # the stop test's residual is reused for the report; it must be the
+    # returned field's, on every kind of stop
+    spec = square_problem(0.1)
+    grid = build_cartesian_grid(UNIT_SQUARE, 10, 10)
+    report = proximal_iterate(spec, grid, **kwargs)
+    assert report.residual_sup == residual_norm(spec, grid, report.solution)
+
+
 def test_updates_eventually_decreasing(run_eps01_n20):
     _, _, report = run_eps01_n20
     tail = report.update_history[-10:]
@@ -154,7 +164,7 @@ def test_error_estimate_zero_solution():
     spec = square_problem(0.1)
     grid = build_cartesian_grid(UNIT_SQUARE, 8, 8)
     coeffs = forward_sweep(spec, grid, FieldSolution.zeros(grid))
-    E = error_estimate(coeffs, FieldSolution.zeros(grid), spec, grid)
+    E = error_estimate(coeffs.a, coeffs.b, FieldSolution.zeros(grid), spec, grid)
     np.testing.assert_array_equal(E, 0.0)
 
 
@@ -165,7 +175,7 @@ def test_error_estimate_line_independent_solution():
     profile = np.sin(np.pi * grid.reference_nodes)
     values = np.tile(profile, (9, 1))
     coeffs = forward_sweep(spec, grid, FieldSolution.zeros(grid))
-    E = error_estimate(coeffs, FieldSolution(values), spec, grid)
+    E = error_estimate(coeffs.a, coeffs.b, FieldSolution(values), spec, grid)
     assert np.max(np.abs(E)) < 1e-15
 
 
@@ -194,7 +204,7 @@ def test_error_estimate_matches_line_by_line_recursion(K):
     rng = np.random.default_rng(21)
     u = FieldSolution(rng.normal(size=(13, 10)))
     coeffs = forward_sweep(spec, grid, FieldSolution.zeros(grid))
-    got = error_estimate(coeffs, u, spec, grid)
+    got = error_estimate(coeffs.a, coeffs.b, u, spec, grid)
     want = _lag_defect_loop(coeffs, u.values, spec, grid)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 

@@ -100,6 +100,19 @@ def test_spec_rejects_bad_caps():
     assert len(TruncationSpec((np.int64(3), 1, 1, 0, 0)).basis) == 16
 
 
+def test_spec_caps_are_normalised_to_a_tuple_of_ints():
+    # a list or numpy-integer spec is the same spec as the plain tuple one
+    listed = TruncationSpec([3, 1, 1, 0, 0])
+    numpy_ints = TruncationSpec(tuple(np.int64(c) for c in (3, 1, 1, 0, 0)))
+    for spec in (listed, numpy_ints):
+        assert spec == DEFAULT_TRUNCATION
+        assert hash(spec) == hash(DEFAULT_TRUNCATION)
+        assert type(spec.caps) is tuple and all(type(c) is int for c in spec.caps)
+    assert hash(poly_const(1.0, listed)) == hash(poly_const(1.0, DEFAULT_TRUNCATION))
+    total = poly_add(poly_const(1.0, listed), poly_const(2.0, DEFAULT_TRUNCATION))
+    assert total == poly_const(3.0)
+
+
 def test_trunc_spec_mismatch_rejected():
     other = poly_const(1.0, TruncationSpec((2, 1, 1, 0, 0)))
     with pytest.raises(ValueError):
