@@ -6,17 +6,11 @@ from .problem import (
     LineGrid,
     FieldSolution,
     build_cartesian_grid,
-    transverse_step,
+    transverse_steps,
 )
 from .sweep import SweepCoefficients, forward_sweep
-from .linebvp import TridiagonalSystem, assemble_line_system, thomas_solve, solve_line
-from .proximal import (
-    SolveReport,
-    backward_pass,
-    proximal_iterate,
-    residual_norm,
-    error_estimate,
-)
+from .linebvp import TridiagonalSystem, assemble_line_system, thomas_solve
+from .proximal import SolveReport, backward_pass, proximal_iterate, residual_norm
 from .symalg import (
     TruncationSpec,
     DEFAULT_TRUNCATION,
@@ -28,12 +22,20 @@ from .symalg import (
 )
 from .polarsym import (
     PolarSymbolicConfig,
-    symbolic_sweep,
-    symbolic_backward_pass,
     symbolic_solve,
     polar_numeric_solve,
     cross_check_numeric,
 )
 from .oracle import NewtonReport, newton_solve, compare_fields
+
+__all__ = [
+    "CartesianDomain", "ProblemSpec", "LineGrid", "FieldSolution", "build_cartesian_grid",
+    "transverse_steps", "SweepCoefficients", "forward_sweep", "TridiagonalSystem",
+    "assemble_line_system", "thomas_solve", "SolveReport", "backward_pass", "proximal_iterate",
+    "residual_norm", "TruncationSpec", "DEFAULT_TRUNCATION", "BoundaryPolynomial", "poly_add",
+    "poly_mul", "poly_diff", "poly_eval", "PolarSymbolicConfig", "symbolic_solve",
+    "polar_numeric_solve", "cross_check_numeric", "NewtonReport", "newton_solve",
+    "compare_fields",
+]
 
 __version__ = "0.1.0"

@@ -31,6 +31,9 @@ from .problem import (
 from .proximal import proximal_iterate
 from .symalg import format_terms, to_json_dict
 
+__all__ = ["EXIT_OK", "EXIT_USAGE", "EXIT_NO_CONVERGENCE", "EXIT_IO", "main", "parse_source",
+           "write_field_csv"]
+
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
@@ -47,27 +50,31 @@ def parse_source(text: str):
     """Build f(x, y) from 'const:<v>' or a small arithmetic expression.
 
     Expressions may use x, y, pi, + - * / ** and sin/cos/exp.  Numbers are
-    floats, so no expression can build a huge integer.  An evaluation that
-    overflows or gives a complex or non-finite value raises ValueError.
+    floats, so no expression can build a huge integer.  An expression
+    nested too deeply to parse or compile, or an evaluation that overflows
+    or gives a complex or non-finite value, raises ValueError.
     """
     if text.startswith("const:"):
         v = float(text[len("const:"):])
         return lambda x, y: np.full_like(np.asarray(y, dtype=float), v)
-    tree = ast.parse(text, mode="eval")
-    for node in ast.walk(tree):
-        if not isinstance(node, _ALLOWED_NODES):
-            raise ValueError(f"unsupported element in source expression: {ast.dump(node)}")
-        if isinstance(node, ast.Constant):
-            # floats keep every power O(1): an int tower like 9**9**9 would not
-            if type(node.value) not in (int, float):
-                raise ValueError(f"unsupported constant {node.value!r} in source expression")
-            node.value = float(node.value)
-        if isinstance(node, ast.Name) and node.id not in ("x", "y", "pi", "sin", "cos", "exp"):
-            raise ValueError(f"unknown name {node.id!r} in source expression")
-        if isinstance(node, ast.Call):
-            if not (isinstance(node.func, ast.Name) and node.func.id in _ALLOWED_CALLS):
-                raise ValueError("only sin, cos, exp calls are allowed")
-    code = compile(tree, "<source>", "eval")
+    try:
+        tree = ast.parse(text, mode="eval")
+        for node in ast.walk(tree):
+            if not isinstance(node, _ALLOWED_NODES):
+                raise ValueError(f"unsupported element in source expression: {ast.dump(node)}")
+            if isinstance(node, ast.Constant):
+                # floats keep every power O(1): an int tower like 9**9**9 would not
+                if type(node.value) not in (int, float):
+                    raise ValueError(f"unsupported constant {node.value!r} in source expression")
+                node.value = float(node.value)
+            if isinstance(node, ast.Name) and node.id not in ("x", "y", "pi", "sin", "cos", "exp"):
+                raise ValueError(f"unknown name {node.id!r} in source expression")
+            if isinstance(node, ast.Call):
+                if not (isinstance(node.func, ast.Name) and node.func.id in _ALLOWED_CALLS):
+                    raise ValueError("only sin, cos, exp calls are allowed")
+        code = compile(tree, "<source>", "eval")
+    except RecursionError:
+        raise ValueError("source expression is nested too deeply") from None
     env = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "pi": math.pi}
 
     def f(x, y):
@@ -91,13 +98,6 @@ def write_field_csv(path: str, grid, field: FieldSolution):
             y = line_ordinates(grid, n)
             for j in range(grid.m_nodes + 1):
                 fh.write(f"{x:.17g},{y[j]:.17g},{field.values[n, j]:.17g}\n")
-
-
-def read_field_csv(path: str, grid) -> FieldSolution:
-    """Reload a field written by write_field_csv onto the same grid."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    u = data[:, 2].reshape(grid.n_lines + 1, grid.m_nodes + 1)
-    return FieldSolution(u)
 
 
 def _build_parser() -> argparse.ArgumentParser:

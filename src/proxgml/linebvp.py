@@ -13,8 +13,8 @@ cycle of a solve.  ``factor_lines`` computes the LDL^T factors of all lines
 once (LAPACK ``dpttrf``).  ``backward_solve``, the production path, runs a
 cycle's backward pass on them: per line, two BLAS ``daxpy`` calls form the
 right-hand side in that line's row of c and ``dpttrs`` solves it in place.
-The Thomas solves (``assemble_line_system``, ``thomas_solve``,
-``solve_line``) are the reference the tests compare against.
+The Thomas solve (``assemble_line_system``, ``thomas_solve``) is the
+reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -25,14 +25,12 @@ import numpy as np
 from scipy.linalg.blas import daxpy
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .problem import LineGrid, ProblemSpec, transverse_step
-from .sweep import SweepCoefficients
+from .problem import ProblemSpec
 
 __all__ = [
     "TridiagonalSystem",
     "assemble_line_system",
     "thomas_solve",
-    "solve_line",
     "LineFactors",
     "factor_lines",
     "backward_solve",
@@ -80,7 +78,7 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
     """Forward elimination + back substitution on the tridiagonal system."""
     m = sys.diag.size
     # plain python floats in the sequential loops; ~3x faster than ndarray
-    # scalar indexing, which matters in the outer proximal iteration
+    # scalar indexing
     sub = sys.sub.tolist()
     diag = sys.diag.tolist()
     sup = sys.sup.tolist()
@@ -103,33 +101,6 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
     for j in range(m - 2, -1, -1):
         x[j] = dp[j] - cp[j] * x[j + 1]
     return np.array(x)
-
-
-def solve_line(
-    n: int,
-    coeffs: SweepCoefficients,
-    u_next: np.ndarray,
-    spec: ProblemSpec,
-    grid: LineGrid,
-) -> np.ndarray:
-    """Solve line n given the already-computed line n+1.
-
-    The cubic and linear reaction terms are lagged at line n+1, so the
-    solve is linear; the unknown line contributes only its own transverse
-    second derivative.  Returns the full M+1 node values with zero ends.
-    """
-    a_n = coeffs.a[n - 1]
-    b_n = coeffs.b[n - 1]
-    kap = grid.d**2 / spec.epsilon
-    rhs_full = (
-        a_n * u_next
-        + b_n * (-spec.alpha * u_next**3 + spec.beta * u_next) * kap
-        + coeffs.c[n - 1]
-    )
-    sys = assemble_line_system(b_n, grid.d, transverse_step(grid, n), rhs_full[1:-1])
-    out = np.zeros(grid.m_nodes + 1)
-    out[1:-1] = thomas_solve(sys)
-    return out
 
 
 @dataclass(frozen=True)
@@ -179,8 +150,8 @@ def backward_solve(
 ) -> None:
     """Fill rows L, L-1, ..., 1 of ``values`` from row L+1, in place.
 
-    Line n solves the system of ``solve_line`` on its interior nodes,
-    (I - b_n*d^2*D_yy) u_n = c_n + (a_n + b_n*kap*beta)*u_{n+1}
+    Line n solves, on its interior nodes and with the reaction lagged at
+    line n+1, (I - b_n*d^2*D_yy) u_n = c_n + (a_n + b_n*kap*beta)*u_{n+1}
     - (b_n*kap*alpha)*u_{n+1}^3, with the factors of ``factor_lines``, in
     its row of c: a writable C-contiguous float64 c is that scratch buffer
     and is overwritten, any other c is copied.  End columns of ``values`` stay.

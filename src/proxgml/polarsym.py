@@ -19,12 +19,10 @@ cubic weights -alpha*b_n*kap and the radial weights b_n*d/t_n.  A cycle
 forms s_n = c_n + (anchor_{n+1} - anchor_n)*b_n*d/t_n in one array
 expression, and each row step writes -alpha*b_n*kap*cube(u_{n+1}) +
 A_n @ u_{n+1} + s_n into row n in place, the cube (``TruncationSpec.cube``)
-being two products with the multiplication matrix of u_{n+1}.
-``symbolic_sweep`` and ``symbolic_backward_pass`` wrap the same kernels for
-lists of polynomials.  A numeric mirror of the
-scheme (periodic finite differences in the angle) shares a, b and the c
-operator but has its own backward pass, so cross-checking it against the
-polynomials still compares two implementations.
+being two products with the multiplication matrix of u_{n+1}.  A numeric
+mirror of the scheme (periodic finite differences in the angle) shares a,
+b and the c operator but has its own backward pass, so cross-checking it
+against the polynomials still compares two implementations.
 """
 
 from __future__ import annotations
@@ -40,8 +38,6 @@ from .symalg import DEFAULT_TRUNCATION, BoundaryPolynomial, TruncationSpec, poly
 __all__ = [
     "PolarSymbolicConfig",
     "CrossCheckReport",
-    "symbolic_sweep",
-    "symbolic_backward_pass",
     "symbolic_solve",
     "polar_numeric_solve",
     "cross_check_numeric",
@@ -76,16 +72,6 @@ class PolarSymbolicConfig:
     def radius(self, n: int) -> float:
         """t_n = 1 + n*d, in [1, 2]."""
         return 1.0 + n * self.d
-
-
-def _rows(cfg: PolarSymbolicConfig, polys: list[BoundaryPolynomial]) -> np.ndarray:
-    if any(p.trunc != cfg.trunc for p in polys):
-        raise ValueError(f"polynomials must use the configured truncation {cfg.trunc}")
-    return np.array([p.coeffs for p in polys])
-
-
-def _polys(cfg: PolarSymbolicConfig, rows: np.ndarray) -> list[BoundaryPolynomial]:
-    return [BoundaryPolynomial.from_coeffs(row, cfg.trunc) for row in rows]
 
 
 def _sweep_rows(cfg: PolarSymbolicConfig, c_op: COperator, anchors: np.ndarray) -> np.ndarray:
@@ -127,35 +113,6 @@ def _backward_rows(cfg, ops: _LineOperators, c, anchors) -> np.ndarray:
     return u
 
 
-def symbolic_sweep(
-    cfg: PolarSymbolicConfig, anchors: list[BoundaryPolynomial]
-) -> tuple[np.ndarray, np.ndarray, list[BoundaryPolynomial]]:
-    """Sweep coefficients with polynomial anchors; f is the constant 1.
-
-    ``anchors`` is indexed by line number 0..n_lines (entry 0 unused, the
-    inner boundary is fixed at zero).  Returns scalar arrays a, b (entry k
-    for line k+1) and the list of polynomials c (same indexing).
-    """
-    if len(anchors) != cfg.n_lines + 1:
-        raise ValueError(f"need {cfg.n_lines + 1} anchor entries, got {len(anchors)}")
-    a, b = ab_recursion(2.0 + cfg.prox_weight * cfg.d**2 / cfg.epsilon, cfg.n_lines - 1)
-    return a, b, _polys(cfg, _sweep_rows(cfg, c_operator(a), _rows(cfg, anchors)))
-
-
-def symbolic_backward_pass(
-    cfg: PolarSymbolicConfig, a: np.ndarray, b: np.ndarray,
-    c: list[BoundaryPolynomial], anchors: list[BoundaryPolynomial],
-) -> list[BoundaryPolynomial]:
-    """Explicit backward pass; returns lines indexed 0..n_lines.
-
-    Line n_lines is the bare symbol uf, line 0 the zero polynomial.  The
-    radial first-derivative term uses the anchors of the previous outer
-    iterate, not the lines being built.
-    """
-    ops = _line_operators(cfg, a, b)
-    return _polys(cfg, _backward_rows(cfg, ops, _rows(cfg, c), _rows(cfg, anchors)))
-
-
 def symbolic_solve(cfg: PolarSymbolicConfig) -> list[BoundaryPolynomial]:
     """Run exactly cfg.iters sweep+backward cycles from zero anchors; lines 0..n_lines.
 
@@ -167,7 +124,15 @@ def symbolic_solve(cfg: PolarSymbolicConfig) -> list[BoundaryPolynomial]:
     u = np.zeros((cfg.n_lines + 1, len(cfg.trunc.basis)))
     for _ in range(cfg.iters):
         u = _backward_rows(cfg, ops, _sweep_rows(cfg, c_op, u), u)
-    return _polys(cfg, u)
+    return [BoundaryPolynomial.from_coeffs(row, cfg.trunc) for row in u]
+
+
+def _samples(name: str, values: np.ndarray) -> np.ndarray:
+    """``values`` as a float array; rejects an empty, non-1-D or non-finite one."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be a non-empty 1-D array of finite samples")
+    return arr
 
 
 def polar_numeric_solve(cfg: PolarSymbolicConfig, boundary: np.ndarray) -> np.ndarray:
@@ -176,11 +141,12 @@ def polar_numeric_solve(cfg: PolarSymbolicConfig, boundary: np.ndarray) -> np.nd
     ``boundary`` samples the outer-circle data at uniformly spaced angles;
     the angular second derivative is the periodic 3-point stencil on those
     nodes.  Returns the (n_lines+1, m_theta) field with line 0 zero.
+    Raises ValueError on empty or non-finite samples.
     """
     m8 = cfg.n_lines
     K = cfg.prox_weight
     kap = cfg.d**2 / cfg.epsilon
-    boundary = np.asarray(boundary, dtype=float)
+    boundary = _samples("boundary", boundary)
     mth = boundary.size
     h_th = 2.0 * np.pi / mth
     a, b = ab_recursion(2.0 + K * kap, m8 - 1)
@@ -226,10 +192,11 @@ def cross_check_numeric(
     ``boundary_second_derivative`` holds the exact d^2/dtheta^2 of the
     boundary function at the same angles (the polynomials consume uf''
     symbolically; the first derivative never survives the caps in the
-    final expressions, so it is evaluated at 0).
+    final expressions, so it is evaluated at 0).  Raises ValueError on
+    empty or non-finite samples.
     """
-    g = np.asarray(boundary_samples, dtype=float)
-    g2 = np.asarray(boundary_second_derivative, dtype=float)
+    g = _samples("boundary_samples", boundary_samples)
+    g2 = _samples("boundary_second_derivative", boundary_second_derivative)
     if g.shape != g2.shape:
         raise ValueError("boundary sample arrays must have matching shapes")
     if lines is None:

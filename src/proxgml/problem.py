@@ -27,7 +27,7 @@ __all__ = [
     "LineGrid",
     "FieldSolution",
     "build_cartesian_grid",
-    "transverse_step",
+    "transverse_steps",
     "line_ordinates",
     "source_values",
 ]
@@ -122,9 +122,9 @@ def build_cartesian_grid(domain: CartesianDomain, N: int, M: int) -> LineGrid:
     )
 
 
-def transverse_step(grid: LineGrid, n: int) -> float:
-    """Physical transverse step h_n = (y2(x_n) - y1(x_n)) / M on line n."""
-    lo, hi = grid.per_line_range[n]
+def transverse_steps(grid: LineGrid) -> np.ndarray:
+    """Physical transverse step h_n = (y2(x_n) - y1(x_n)) / M of every line n = 0..N."""
+    lo, hi = grid.per_line_range.T
     return (hi - lo) / grid.m_nodes
 
 

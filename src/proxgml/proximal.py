@@ -3,8 +3,8 @@
 The FD system is -eps*D_xx u - (R(u) + E(u) + f) = 0 on interior nodes,
 with R(u) = -alpha*u^3 + beta*u and E(u) = eps*D_yy u (3-point stencil on
 each line's step h_n).  ``_scheme_terms`` is the one definition of R and
-E: the outer cycle, the FD residual and ``error_estimate`` take them from
-it, so a change to the scheme is made in one place.
+E: the outer cycle and the FD residual take them from it, so a change to
+the scheme is made in one place.
 
 The backward pass replaces the sum that exact elimination carries,
 w_n = a_n*(w_{n-1} + T(u_n)) with T = kap*(R + E) and kap = d^2/eps, by
@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linebvp import backward_solve, factor_lines
-from .problem import FieldSolution, LineGrid, ProblemSpec, source_values
-from .sweep import SweepCoefficients, c_operator, c_recursion, scalar_coefficients
+from .problem import FieldSolution, LineGrid, ProblemSpec, source_values, transverse_steps
+from .sweep import SweepCoefficients, c_operator, scalar_coefficients
 
 __all__ = [
     "SolveReport",
@@ -42,19 +42,17 @@ __all__ = [
     "proximal_iterate",
     "residual_field",
     "residual_norm",
-    "error_estimate",
 ]
 
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of a proximal run plus a-posteriori diagnostics."""
+    """Outcome of a proximal run and how it stopped."""
 
     solution: FieldSolution
     outer_iterations: int
     anchor_update_norm: float
     residual_sup: float
-    error_estimates: np.ndarray  # per-line sup|G_n|, n = 1..N-1 (see error_estimate)
     converged: bool
     update_history: np.ndarray  # sup-norm anchor update of every iteration
     stop_reason: str  # "converged", "max_iter", "non-finite" or "fixed_iters"
@@ -76,7 +74,7 @@ def backward_pass(
     N, M = grid.n_lines, grid.m_nodes
     values = np.zeros((N + 1, M + 1))
     values[N] = np.asarray(u_boundary_N, dtype=float)
-    factors = factor_lines(coeffs.b, grid.d, _transverse_steps(grid)[1:-1], M - 1)
+    factors = factor_lines(coeffs.b, grid.d, transverse_steps(grid)[1:-1], M - 1)
     backward_solve(factors, coeffs.a, coeffs.b, coeffs.c, grid.d**2 / spec.epsilon, spec, values)
     return FieldSolution(values)
 
@@ -117,7 +115,7 @@ def proximal_iterate(
     kap = grid.d**2 / spec.epsilon
     a, b = scalar_coefficients(spec, grid)
     c_op = c_operator(a)
-    h = _transverse_steps(grid)
+    h = transverse_steps(grid)
     f = source_values(spec, grid)
     factors = factor_lines(b, grid.d, h[1:-1], grid.m_nodes - 1)
 
@@ -145,23 +143,15 @@ def proximal_iterate(
         if converged and fixed_iters is None:
             stop_reason = "converged"
             break
-    u = FieldSolution(v)
     return SolveReport(
-        solution=u,
+        solution=FieldSolution(v),
         outer_iterations=len(updates),
         anchor_update_norm=updates[-1],
         residual_sup=residual_sup(v) if residual is None else residual,
-        error_estimates=error_estimate(a, b, u, spec, grid),
         converged=converged,
         update_history=np.array(updates),
         stop_reason=stop_reason,
     )
-
-
-def _transverse_steps(grid: LineGrid) -> np.ndarray:
-    """Physical transverse step h_n of every line n = 0..N (see ``transverse_step``)."""
-    lo, hi = grid.per_line_range.T
-    return (hi - lo) / grid.m_nodes
 
 
 def _scheme_terms(
@@ -193,31 +183,10 @@ def residual_field(spec: ProblemSpec, grid: LineGrid, u: FieldSolution) -> np.nd
     This is the defect of the original finite-difference system (no
     proximal terms): -eps*(D_xx + D_yy)u + alpha*u^3 - beta*u - f.
     """
-    return _fd_residual(spec, grid, u.values, source_values(spec, grid), _transverse_steps(grid))
+    return _fd_residual(spec, grid, u.values, source_values(spec, grid), transverse_steps(grid))
 
 
 def residual_norm(spec: ProblemSpec, grid: LineGrid, u: FieldSolution) -> float:
     """Sup-norm of the unregularized residual over interior nodes."""
     return float(np.max(np.abs(residual_field(spec, grid, u))))
 
-
-def error_estimate(
-    a: np.ndarray, b: np.ndarray, u: FieldSolution, spec: ProblemSpec, grid: LineGrid
-) -> np.ndarray:
-    """Per-line sup|G_n| of the lagged-sum defect at ``u``.
-
-    G_n = a_n*G_{n-1} + b_n*(T(u_n) - T(u_{n+1})) with G_0 = 0 and
-    T = kap*(R + E) from ``_scheme_terms``, evaluated on interior
-    transverse nodes.  Since G_n = a_n*(G_{n-1} + (b_n/a_n)*dT_n), this is
-    ``c_recursion`` on the source (b_n/a_n)*dT_n.  It is the part of the
-    sum w_n that the backward pass drops when it lags T at line n+1.
-    ``proximal_iterate`` adds it back (with the transverse shift) in every
-    cycle, so at a converged field it gives the size of the term the loop
-    adds back, not an error left in the returned field.  It shrinks with a
-    and b as K grows.
-    """
-    R, E = _scheme_terms(spec, u.values, _transverse_steps(grid))
-    T = (grid.d**2 / spec.epsilon) * (R + E)[:, 1:-1]
-    g = T[:-1] - T[1:]  # row n is T(u_n) - T(u_{n+1}); row 0 is not read
-    g[1:] *= (b / a)[:, None]
-    return np.max(np.abs(c_recursion(a, g, 1.0)), axis=1)

@@ -20,8 +20,8 @@ same in one call, but its work grows as N^2 per source column, against
 32*N for the blocks, and it loses to the row loop from about N = 400 on.
 Products that underflow to 0 are harmless.
 
-``ab_recursion`` and the c operator (``c_recursion`` runs one) are the
-only copies of these recursions in the package: the Cartesian outer loop
+``ab_recursion`` and the c operator are the only copies of these
+recursions in the package: the Cartesian outer loop
 applies the operator to a source that also carries its defect correction
 (see ``proximal``), and the annulus solvers take a and b from
 ``ab_recursion`` and c from the operator.
@@ -40,7 +40,6 @@ __all__ = [
     "SweepCoefficients",
     "ab_recursion",
     "c_operator",
-    "c_recursion",
     "forward_sweep",
     "scalar_coefficients",
 ]
@@ -93,7 +92,11 @@ class COperator:
     blocks: tuple[np.ndarray, ...]
 
     def __call__(self, g: np.ndarray, kap: float) -> np.ndarray:
-        """c_n for n = 1..size from the line sources g (as ``c_recursion``)."""
+        """c_n for n = 1..size from the line sources g.
+
+        ``g`` is indexed by line number: row n is the source on line n, and
+        only rows 1..size are read.  Returns shape (size, g.shape[1]).
+        """
         c = np.empty((sum(len(L) for L in self.blocks), g.shape[1]))
         start = 0
         for L in self.blocks:
@@ -121,17 +124,6 @@ def c_operator(a: np.ndarray) -> COperator:
     return COperator(blocks=(*L[:-1], L[-1, :last, :last].copy()))
 
 
-def c_recursion(a: np.ndarray, g: np.ndarray, kap: float) -> np.ndarray:
-    """c_n for n = 1..len(a) from the line sources g.
-
-    ``g`` is indexed by line number: row n is the source on line n, and
-    only rows 1..len(a) are read.  Returns shape (len(a), g.shape[1]).
-    Builds the operator for one call; a solve builds it once with
-    ``c_operator`` and applies it every cycle.
-    """
-    return c_operator(a)(g, kap)
-
-
 def scalar_coefficients(spec: ProblemSpec, grid: LineGrid) -> tuple[np.ndarray, np.ndarray]:
     """The anchor-independent a_n and b_n for n = 1..N-1."""
     q = 2.0 + spec.prox_weight * grid.d**2 / spec.epsilon
@@ -144,4 +136,4 @@ def forward_sweep(spec: ProblemSpec, grid: LineGrid, anchor: FieldSolution) -> S
         raise ValueError("anchor shape does not match grid")
     a, b = scalar_coefficients(spec, grid)
     g = spec.prox_weight * anchor.values + source_values(spec, grid)
-    return SweepCoefficients(a=a, b=b, c=c_recursion(a, g, grid.d**2 / spec.epsilon))
+    return SweepCoefficients(a=a, b=b, c=c_operator(a)(g, grid.d**2 / spec.epsilon))

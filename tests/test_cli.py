@@ -16,13 +16,18 @@ from proxgml.cli import (
     EXIT_USAGE,
     main,
     parse_source,
-    read_field_csv,
     write_field_csv,
 )
-from proxgml.problem import build_cartesian_grid
+from proxgml.problem import FieldSolution, build_cartesian_grid
 from proxgml.proximal import proximal_iterate, residual_norm
 
 from conftest import UNIT_SQUARE, square_problem
+
+
+def read_field_csv(path, grid):
+    """Reload a field written by write_field_csv onto the same grid."""
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    return FieldSolution(data[:, 2].reshape(grid.n_lines + 1, grid.m_nodes + 1))
 
 
 def test_parse_source_const():
@@ -70,6 +75,16 @@ def test_power_tower_source_exits_2_promptly():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("terms", [1000, 5000])
+def test_deeply_nested_source_is_rejected(terms, capsys):
+    # 1,000 terms exhaust the recursion limit in compile, 5,000 already in ast.parse
+    expr = "x+" * terms + "1"
+    with pytest.raises(ValueError, match="nested too deeply"):
+        parse_source(expr)
+    assert main(["--mode", "cartesian", "--N", "4", "--f", expr]) == EXIT_USAGE
+    assert "nested too deeply" in capsys.readouterr().err
+
+
 def test_cartesian_mode_and_csv_round_trip(tmp_path, capsys):
     out = tmp_path / "field.csv"
     rc = main(["--mode", "cartesian", "--eps", "0.1", "--K", "50", "--N", "12",
@@ -89,7 +104,6 @@ def test_cartesian_mode_and_csv_round_trip(tmp_path, capsys):
 def test_write_read_full_precision(tmp_path):
     grid = build_cartesian_grid(UNIT_SQUARE, 5, 5)
     rng = np.random.default_rng(12)
-    from proxgml.problem import FieldSolution
     vals = rng.normal(size=(6, 6))
     path = tmp_path / "f.csv"
     write_field_csv(str(path), grid, FieldSolution(vals))

@@ -6,11 +6,16 @@ from proxgml.linebvp import (
     TridiagonalSystem,
     assemble_line_system,
     factor_lines,
-    solve_line,
     thomas_solve,
 )
-from proxgml.problem import CartesianDomain, FieldSolution, ProblemSpec, build_cartesian_grid
-from proxgml.proximal import _transverse_steps, backward_pass, proximal_iterate
+from proxgml.problem import (
+    CartesianDomain,
+    FieldSolution,
+    ProblemSpec,
+    build_cartesian_grid,
+    transverse_steps,
+)
+from proxgml.proximal import backward_pass, proximal_iterate
 from proxgml.sweep import SweepCoefficients, forward_sweep
 
 from conftest import UNIT_SQUARE, square_problem
@@ -123,6 +128,27 @@ def test_zero_pivot_guard():
         thomas_solve(sys)
 
 
+def solve_line(n, coeffs, u_next, spec, grid):
+    """Thomas reference for line n given the already-computed line n+1.
+
+    The cubic and linear reaction terms are lagged at line n+1, so the
+    solve is linear; the unknown line contributes only its own transverse
+    second derivative.  Returns the full M+1 node values with zero ends.
+    """
+    a_n = coeffs.a[n - 1]
+    b_n = coeffs.b[n - 1]
+    kap = grid.d**2 / spec.epsilon
+    rhs_full = (
+        a_n * u_next
+        + b_n * (-spec.alpha * u_next**3 + spec.beta * u_next) * kap
+        + coeffs.c[n - 1]
+    )
+    sys = assemble_line_system(b_n, grid.d, transverse_steps(grid)[n], rhs_full[1:-1])
+    out = np.zeros(grid.m_nodes + 1)
+    out[1:-1] = thomas_solve(sys)
+    return out
+
+
 def _coeffs_for(grid, spec, c_value=0.0):
     N, M = grid.n_lines, grid.m_nodes
     from proxgml.sweep import scalar_coefficients
@@ -211,7 +237,7 @@ def test_backward_pass_leaves_read_only_coefficients_unchanged():
     got = backward_pass(coeffs, spec, grid, np.zeros(13))
     assert not coeffs.c.flags.writeable and coeffs.c.tobytes() == before
     values = np.zeros_like(got.values)
-    factors = factor_lines(coeffs.b, grid.d, _transverse_steps(grid)[1:-1], 11)
+    factors = factor_lines(coeffs.b, grid.d, transverse_steps(grid)[1:-1], 11)
     linebvp.backward_solve(factors, coeffs.a, coeffs.b, coeffs.c, grid.d**2 / spec.epsilon, spec,
                            values)
     assert coeffs.c.tobytes() == before
@@ -225,7 +251,7 @@ def test_backward_solve_on_non_contiguous_arrays():
     spec, grid, coeffs = _random_anchor_problem(N, M, CURVED, seed=5)
     boundary = np.sin(np.pi * np.arange(M + 1) / M)
     ref = _thomas_chain(coeffs, spec, grid, boundary)
-    factors = factor_lines(coeffs.b, grid.d, _transverse_steps(grid)[1:-1], M - 1)
+    factors = factor_lines(coeffs.b, grid.d, transverse_steps(grid)[1:-1], M - 1)
     kap = grid.d**2 / spec.epsilon
     fortran_c = np.asfortranarray(coeffs.c)
     strided_c = np.zeros((N - 1, 2 * (M + 1)))[:, ::2]
@@ -255,8 +281,7 @@ def test_solve_loop_builds_no_line_system(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("per-line reference code called in the solve loop")
 
-    for name in ("assemble_line_system", "thomas_solve", "solve_line", "TridiagonalSystem",
-                 "transverse_step"):
+    for name in ("assemble_line_system", "thomas_solve", "TridiagonalSystem"):
         monkeypatch.setattr(linebvp, name, forbidden)
     report = proximal_iterate(square_problem(0.1), build_cartesian_grid(UNIT_SQUARE, 8, 8),
                               fixed_iters=3)

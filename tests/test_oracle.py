@@ -5,7 +5,7 @@ import scipy.sparse.linalg as spla
 
 from proxgml import oracle
 from proxgml.oracle import NewtonDivergenceError, _reduced_root, compare_fields, newton_solve
-from proxgml.problem import CartesianDomain, FieldSolution, build_cartesian_grid, transverse_step
+from proxgml.problem import CartesianDomain, FieldSolution, build_cartesian_grid, transverse_steps
 from proxgml.proximal import residual_norm
 
 from conftest import UNIT_SQUARE, square_problem, zero_source
@@ -136,7 +136,7 @@ def test_indefinite_jacobian_matches_dense_solve(monkeypatch, eps, beta, negativ
     spec = square_problem(eps, beta=beta, source=_x_minus_half)
     sparse = newton_solve(spec, grid)
     u = sparse.solution.values[1:-1, 1:-1].ravel()
-    lap = oracle._laplacian(20, 20, grid.d, transverse_step(grid, 0))
+    lap = oracle._laplacian(20, 20, grid.d, transverse_steps(grid)[0])
     J = -eps * lap + sp.diags(3.0 * u**2 - beta)
     assert np.count_nonzero(np.linalg.eigvalsh(J.toarray()) < 0.0) == negative
 

@@ -3,12 +3,14 @@ import pytest
 
 from proxgml.polarsym import (
     PolarSymbolicConfig,
+    _backward_rows,
+    _line_operators,
+    _sweep_rows,
     cross_check_numeric,
     polar_numeric_solve,
-    symbolic_backward_pass,
     symbolic_solve,
-    symbolic_sweep,
 )
+from proxgml.sweep import ab_recursion, c_operator
 from proxgml.symalg import (
     BoundaryPolynomial,
     TruncationSpec,
@@ -28,6 +30,30 @@ LIN = (1, 0, 0, 0, 0)
 
 def zero_anchors(cfg):
     return [poly_zero(cfg.trunc)] * (cfg.n_lines + 1)
+
+
+def _rows(polys):
+    return np.array([p.coeffs for p in polys])
+
+
+def _polys(cfg, rows):
+    return [BoundaryPolynomial.from_coeffs(row, cfg.trunc) for row in rows]
+
+
+def symbolic_sweep(cfg, anchors):
+    """The solve's sweep on a list of polynomial anchors, lines 0..n_lines.
+
+    Returns scalar arrays a, b (entry k for line k+1) and the list of
+    polynomials c (same indexing); f is the constant 1.
+    """
+    a, b = ab_recursion(2.0 + cfg.prox_weight * cfg.d**2 / cfg.epsilon, cfg.n_lines - 1)
+    return a, b, _polys(cfg, _sweep_rows(cfg, c_operator(a), _rows(anchors)))
+
+
+def symbolic_backward_pass(cfg, a, b, c, anchors):
+    """The solve's explicit backward pass on polynomial lists; lines 0..n_lines."""
+    ops = _line_operators(cfg, a, b)
+    return _polys(cfg, _backward_rows(cfg, ops, _rows(c), _rows(anchors)))
 
 
 def test_config_validation():
@@ -285,3 +311,20 @@ def test_mid_annulus_plateau_small_epsilon():
     num = polar_numeric_solve(cfg, np.zeros(8))
     for n in (45, 50, 55, 60):
         assert num[n, 0] == pytest.approx(1.3247, abs=5e-3)
+
+
+BAD_SAMPLES = {"empty": [], "nan": [np.nan, 1.0, 2.0], "inf": [np.inf] * 4,
+               "two-dimensional": np.zeros((2, 4))}
+
+
+@pytest.mark.parametrize("samples", BAD_SAMPLES.values(), ids=BAD_SAMPLES.keys())
+def test_boundary_samples_must_be_finite_and_non_empty(samples):
+    cfg = PolarSymbolicConfig(epsilon=0.1, n_lines=4, iters=2)
+    samples = np.array(samples)
+    zeros = np.zeros_like(samples)
+    with pytest.raises(ValueError, match="boundary"):
+        polar_numeric_solve(cfg, samples)
+    with pytest.raises(ValueError, match="boundary"):
+        cross_check_numeric(cfg, samples, zeros)
+    with pytest.raises(ValueError, match="boundary"):
+        cross_check_numeric(cfg, zeros, samples)

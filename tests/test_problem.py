@@ -8,7 +8,7 @@ from proxgml.problem import (
     ProblemSpec,
     build_cartesian_grid,
     line_ordinates,
-    transverse_step,
+    transverse_steps,
 )
 from proxgml.proximal import proximal_iterate
 
@@ -59,13 +59,14 @@ def test_domain_invariants():
 
 def test_transverse_step():
     grid = build_cartesian_grid(UNIT_SQUARE, 10, 100)
-    assert transverse_step(grid, 3) == pytest.approx(0.01)
+    assert transverse_steps(grid).shape == (11,)
+    assert transverse_steps(grid)[3] == pytest.approx(0.01)
     dom = CartesianDomain(a=0.0, b=1.0, y1=lambda x: -1.0, y2=lambda x: 1.0)
     g2 = build_cartesian_grid(dom, 4, 4)
-    assert transverse_step(g2, 0) == pytest.approx(0.5)
+    assert transverse_steps(g2)[0] == pytest.approx(0.5)
     g3 = build_cartesian_grid(
         CartesianDomain(a=0.0, b=1.0, y1=lambda x: 0.0, y2=lambda x: 1.5), 4, 3)
-    assert transverse_step(g3, 1) == pytest.approx(0.5)
+    assert transverse_steps(g3)[1] == pytest.approx(0.5)
 
 
 def test_grid_determinism_bit_identical():
@@ -85,7 +86,7 @@ def test_reference_mapping_affine_and_onto():
         lo, hi = grid.per_line_range[n]
         assert y[0] == pytest.approx(lo)
         assert y[-1] == pytest.approx(hi)
-        np.testing.assert_allclose(np.diff(y), transverse_step(grid, n), rtol=1e-12)
+        np.testing.assert_allclose(np.diff(y), transverse_steps(grid)[n], rtol=1e-12)
 
 
 def test_field_zeros_shape():

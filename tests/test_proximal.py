@@ -8,11 +8,9 @@ from proxgml.problem import (
     FieldSolution,
     ProblemSpec,
     build_cartesian_grid,
-    transverse_step,
 )
 from proxgml.proximal import (
     backward_pass,
-    error_estimate,
     proximal_iterate,
     residual_field,
     residual_norm,
@@ -160,55 +158,6 @@ def test_residual_constant_root_interior():
     assert np.max(np.abs(field[1:-1, 1:-1])) < 1e-12
 
 
-def test_error_estimate_zero_solution():
-    spec = square_problem(0.1)
-    grid = build_cartesian_grid(UNIT_SQUARE, 8, 8)
-    coeffs = forward_sweep(spec, grid, FieldSolution.zeros(grid))
-    E = error_estimate(coeffs.a, coeffs.b, FieldSolution.zeros(grid), spec, grid)
-    np.testing.assert_array_equal(E, 0.0)
-
-
-def test_error_estimate_line_independent_solution():
-    # all lines equal makes every T(u_n) - T(u_{n+1}) vanish
-    spec = square_problem(0.1)
-    grid = build_cartesian_grid(UNIT_SQUARE, 8, 8)
-    profile = np.sin(np.pi * grid.reference_nodes)
-    values = np.tile(profile, (9, 1))
-    coeffs = forward_sweep(spec, grid, FieldSolution.zeros(grid))
-    E = error_estimate(coeffs.a, coeffs.b, FieldSolution(values), spec, grid)
-    assert np.max(np.abs(E)) < 1e-15
-
-
-def _lag_defect_loop(coeffs, v, spec, grid):
-    # G_n = a_n*G_{n-1} + b_n*(T(u_n) - T(u_{n+1})), written out line by line
-    kap = grid.d**2 / spec.epsilon
-    T = []
-    for n in range(grid.n_lines + 1):
-        u = v[n]
-        d_yy = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / transverse_step(grid, n) ** 2
-        mid = u[1:-1]
-        T.append((-spec.alpha * mid**3 + spec.beta * mid) * kap + d_yy * grid.d**2)
-    G = np.zeros(grid.m_nodes - 1)
-    out = []
-    for n in range(1, grid.n_lines):
-        G = coeffs.a[n - 1] * G + coeffs.b[n - 1] * (T[n] - T[n + 1])
-        out.append(np.max(np.abs(G)))
-    return np.array(out)
-
-
-@pytest.mark.parametrize("K", [50.0, 0.0])
-def test_error_estimate_matches_line_by_line_recursion(K):
-    spec = ProblemSpec(epsilon=0.05, alpha=2.0, beta=0.5, source=ones_source,
-                       prox_weight=K, domain=CURVED)
-    grid = build_cartesian_grid(CURVED, 12, 9)
-    rng = np.random.default_rng(21)
-    u = FieldSolution(rng.normal(size=(13, 10)))
-    coeffs = forward_sweep(spec, grid, FieldSolution.zeros(grid))
-    got = error_estimate(coeffs.a, coeffs.b, u, spec, grid)
-    want = _lag_defect_loop(coeffs, u.values, spec, grid)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-
 def test_fixed_iters_sets_converged_by_the_same_test():
     spec = square_problem(0.1)
     grid = build_cartesian_grid(UNIT_SQUARE, 10, 10)
@@ -235,16 +184,6 @@ def test_fixed_iters_flag_checks_the_residual(square_grid_20):
     early = proximal_iterate(spec, square_grid_20, tol=1e-8, fixed_iters=first_small)
     assert early.anchor_update_norm <= 1e-8
     assert not early.converged
-
-
-def test_error_estimate_shrinks_with_larger_weight():
-    grid = build_cartesian_grid(UNIT_SQUARE, 40, 40)
-    sup = {}
-    for K in (50.0, 500.0):
-        report = proximal_iterate(square_problem(0.1, K=K), grid, max_iter=20000)
-        assert report.converged
-        sup[K] = float(np.max(report.error_estimates))
-    assert sup[500.0] < sup[50.0]
 
 
 def test_fixed_point_consistency_bound(square_grid_20):

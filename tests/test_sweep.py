@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from proxgml.problem import FieldSolution, build_cartesian_grid
-from proxgml.sweep import ab_recursion, c_operator, c_recursion, forward_sweep, scalar_coefficients
+from proxgml.sweep import ab_recursion, c_operator, forward_sweep, scalar_coefficients
 
 from conftest import UNIT_SQUARE, square_problem, ones_source
 
@@ -127,11 +127,12 @@ def test_blocked_c_recursion_matches_loop(size, q):
     g = np.random.default_rng(size).uniform(0.5, 1.5, size=(size + 2, 5))
     kap = 0.037
     want = _loop_c_recursion(a, g, kap)
-    got = c_recursion(a, g, kap)
+    op = c_operator(a)
+    got = op(g, kap)
     assert got.shape == want.shape
     np.testing.assert_array_equal(got[0], want[0])
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
-    op = c_operator(a)
+    # the operator keeps no state between calls
     np.testing.assert_array_equal(op(g, kap), got)
     if q == 1e20 and size > 16:
         assert op.blocks[0][-1, 0] == 0.0
