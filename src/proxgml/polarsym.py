@@ -10,16 +10,20 @@ n+1 and the radial first derivative uses the previous outer iterate's
 anchors, so no per-line solve is needed.  Every product is truncated to
 the configured caps as it is formed.
 
-The solve keeps all lines as one (n_lines+1, B) array of coefficient rows
+The solve keeps all lines in one work buffer, allocated once per solve:
+row n is [u_n | 0 | cube(u_n) | 1], with u_n the coefficient row of line n
 over the truncation basis (see ``symalg``).  Everything linear that does
-not depend on the anchors is built once per solve: the c operator
-(``sweep.c_operator``, applied to those rows coefficient by coefficient),
-the line operators A_n = (a_n + b_n*kap*beta)*I + (b_n*d^2/t_n^2)*D^2, the
-cubic weights -alpha*b_n*kap and the radial weights b_n*d/t_n.  A cycle
-forms s_n = c_n + (anchor_{n+1} - anchor_n)*b_n*d/t_n in one array
-expression, and each row step writes -alpha*b_n*kap*cube(u_{n+1}) +
-A_n @ u_{n+1} + s_n into row n in place, the cube (``TruncationSpec.cube``)
-being two products with the multiplication matrix of u_{n+1}.  A numeric
+not depend on the anchors is also built once per solve: the c operator
+(``sweep.c_operator``, applied to the u columns coefficient by
+coefficient), the radial weights b_n*d/t_n, and the augmented line
+operators G_n = [A_n | 0 | -alpha*b_n*kap*I | s_n] with
+A_n = (a_n + b_n*kap*beta)*I + (b_n*d^2/t_n^2)*D^2.  A cycle writes
+s_n = c_n + (anchor_{n+1} - anchor_n)*b_n*d/t_n into the last column of
+every G_n in one array assignment.  A row step is then four native calls
+on views built once: gather M(u_{n+1}) from row n+1
+(``TruncationSpec.mul_gather``), two products with it that write
+cube(u_{n+1}) into that row's cube slot, and u_n = G_n @ row n+1.  The
+returned polynomials share one compact copy of the u columns.  A numeric
 mirror of the scheme (periodic finite differences in the angle) shares a,
 b and the c operator but has its own backward pass, so cross-checking it
 against the polynomials still compares two implementations.
@@ -81,50 +85,67 @@ def _sweep_rows(cfg: PolarSymbolicConfig, c_op: COperator, anchors: np.ndarray) 
     return c_op(g, cfg.d**2 / cfg.epsilon)
 
 
-@dataclass(frozen=True)
-class _LineOperators:
-    """The anchor-independent parts of the backward pass; entry k for line k+1."""
+class _BackwardPass:
+    """The explicit backward pass on memory that each solve allocates once.
 
-    A: np.ndarray  # (n_lines-1, B, B): (a + b*kap*beta)*I + (b*d^2/t^2)*D^2
-    cubic: np.ndarray  # -alpha*b*kap
-    radial: np.ndarray  # b*d/t
+    Row n of the work buffer z is [u_n | 0 | cube(u_n) | 1] and the
+    line operator G_n = [A_n | 0 | cubic_n*I | s_n], with
+    A_n = (a_n + b_n*kap*beta)*I + (b_n*d^2/t_n^2)*D^2 and
+    cubic_n = -alpha*b_n*kap, so u_n = G_n @ z_{n+1}.  Only the s column of
+    G changes between cycles; the zero slot and the unit column are never
+    written, and a row's cube slot is written just before G reads it.
+    """
 
+    def __init__(self, cfg: PolarSymbolicConfig, a: np.ndarray, b: np.ndarray):
+        trunc = cfg.trunc
+        B = len(trunc.basis)
+        kap = cfg.d**2 / cfg.epsilon
+        d2 = trunc.diff_matrix @ trunc.diff_matrix
+        t = cfg.radius(np.arange(1, cfg.n_lines))
+        eye = np.eye(B)
+        self.G = np.zeros((cfg.n_lines - 1, B, 2 * B + 2))  # entry k for line k+1
+        self.G[:, :, :B] = ((a + b * kap * cfg.beta)[:, None, None] * eye
+                            + (b * cfg.d**2 / t**2)[:, None, None] * d2)
+        self.G[:, :, B + 1:-1] = (-cfg.alpha * b * kap)[:, None, None] * eye
+        self.radial = b * cfg.d / t
+        z = np.zeros((cfg.n_lines + 1, 2 * B + 2))
+        z[:, -1] = 1.0
+        self.u = z[:, :B]  # the anchors, then the lines; row n is line n
+        self.uf = np.zeros(B)  # line n_lines is the bare symbol uf
+        self.uf[trunc.basis[(1, 0, 0, 0, 0)]] = 1.0
+        self.gather = trunc.mul_gather
+        self.M = np.empty((B, B))
+        self.sq = np.empty(B)
+        # row n from row n+1, n = n_lines-1..1; bound once, not per cycle
+        u = self.u
+        self.steps = [(G_n.dot, z1, z1.take, u1, cube1, u_n) for G_n, z1, u1, cube1, u_n
+                      in zip(self.G[::-1], z[:1:-1], u[:1:-1], z[:1:-1, B + 1:-1], u[-2:0:-1])]
 
-def _line_operators(cfg: PolarSymbolicConfig, a: np.ndarray, b: np.ndarray) -> _LineOperators:
-    kap = cfg.d**2 / cfg.epsilon
-    d2 = cfg.trunc.diff_matrix @ cfg.trunc.diff_matrix
-    t = cfg.radius(np.arange(1, cfg.n_lines))
-    A = ((a + b * kap * cfg.beta)[:, None, None] * np.eye(len(d2))
-         + (b * cfg.d**2 / t**2)[:, None, None] * d2)
-    return _LineOperators(A=A, cubic=-cfg.alpha * b * kap, radial=b * cfg.d / t)
-
-
-def _backward_rows(cfg, ops: _LineOperators, c, anchors) -> np.ndarray:
-    """Explicit backward pass on coefficient rows; row n is line n."""
-    s = c + (anchors[2:] - anchors[1:-1]) * ops.radial[:, None]
-    cube = cfg.trunc.cube
-    u = np.zeros_like(anchors)
-    u[-1, cfg.trunc.basis[(1, 0, 0, 0, 0)]] = 1.0  # line n_lines is the bare symbol uf
-    for A, w, s_n, row, un1 in zip(ops.A[::-1], ops.cubic[::-1].tolist(), s[::-1],
-                                   u[-2:0:-1], u[:1:-1]):  # row n from row n+1, n = n_lines-1..1
-        np.multiply(cube(un1), w, out=row)
-        row += A.dot(un1)
-        row += s_n
-    return u
+    def __call__(self, c: np.ndarray) -> None:
+        """One cycle: s_n from c and the anchors in ``u``, then lines n_lines-1..1 in place."""
+        u = self.u
+        self.G[:, :, -1] = c + (u[2:] - u[1:-1]) * self.radial[:, None]
+        u[-1] = self.uf
+        gather, M_flat, M_dot, sq = self.gather, self.M.reshape(-1), self.M.dot, self.sq
+        for G_dot, z1, take, u1, cube1, u_n in self.steps:
+            take(gather, out=M_flat, mode="clip")  # M(u_{n+1})
+            M_dot(u1, out=sq)
+            M_dot(sq, out=cube1)
+            G_dot(z1, out=u_n)
 
 
 def symbolic_solve(cfg: PolarSymbolicConfig) -> list[BoundaryPolynomial]:
     """Run exactly cfg.iters sweep+backward cycles from zero anchors; lines 0..n_lines.
 
-    The c operator and the line operators are built once, before the first
-    cycle.
+    The c operator, the line operators and the work buffer are built once,
+    before the first cycle.  The polynomials share one compact copy of the
+    solved rows.
     """
     a, b = ab_recursion(2.0 + cfg.prox_weight * cfg.d**2 / cfg.epsilon, cfg.n_lines - 1)
-    c_op, ops = c_operator(a), _line_operators(cfg, a, b)
-    u = np.zeros((cfg.n_lines + 1, len(cfg.trunc.basis)))
+    c_op, backward = c_operator(a), _BackwardPass(cfg, a, b)
     for _ in range(cfg.iters):
-        u = _backward_rows(cfg, ops, _sweep_rows(cfg, c_op, u), u)
-    return [BoundaryPolynomial.from_coeffs(row, cfg.trunc) for row in u]
+        backward(_sweep_rows(cfg, c_op, backward.u))
+    return [BoundaryPolynomial.from_coeffs(row, cfg.trunc) for row in backward.u.copy()]
 
 
 def _samples(name: str, values: np.ndarray) -> np.ndarray:
@@ -193,7 +214,8 @@ def cross_check_numeric(
     boundary function at the same angles (the polynomials consume uf''
     symbolically; the first derivative never survives the caps in the
     final expressions, so it is evaluated at 0).  Raises ValueError on
-    empty or non-finite samples.
+    empty or non-finite samples, and on ``lines`` that are not n_lines+1
+    polynomials over cfg.trunc.
     """
     g = _samples("boundary_samples", boundary_samples)
     g2 = _samples("boundary_second_derivative", boundary_second_derivative)
@@ -201,6 +223,8 @@ def cross_check_numeric(
         raise ValueError("boundary sample arrays must have matching shapes")
     if lines is None:
         lines = symbolic_solve(cfg)
+    elif len(lines) != cfg.n_lines + 1 or any(p.trunc != cfg.trunc for p in lines):
+        raise ValueError(f"lines must be {cfg.n_lines + 1} polynomials over {cfg.trunc}")
     sym = np.array([[poly_eval(p, x, 0.0, x2) for x, x2 in zip(g, g2)]
                     for p in lines[1:cfg.n_lines]])
     num = polar_numeric_solve(cfg, g)[1:cfg.n_lines]

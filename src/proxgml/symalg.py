@@ -8,8 +8,10 @@ coefficient vector over that basis; products and derivatives never form
 a monomial over a cap, which reproduces the series-truncation semantics
 of multiplying then cutting.  The default caps (3, 1, 1, 0, 0) give 16
 monomials.  Each spec builds its product table and derivative matrix on
-first use; the cube is M(p) @ (M(p) @ p), with M(p) the matrix of q -> p*q
-scattered from the product table.  The annulus solver applies them to rows.
+first use.  M(p), the matrix of q -> p*q, is one gather from [p, 0] through
+``mul_gather`` (each entry is one coefficient of p or zero), and the cube
+is M(p) @ (M(p) @ p).  The annulus solver runs the same gather and the two
+products on its own buffers, one row at a time.
 """
 
 from __future__ import annotations
@@ -84,10 +86,24 @@ class TruncationSpec:
         i, j, k = self._products
         return i, k * len(self.basis) + j
 
+    @functools.cached_property
+    def mul_gather(self) -> np.ndarray:
+        """Positions into [p, 0] that gather the B*B entries of M(p), row by row.
+
+        Every flat position of ``_mul_scatter`` is distinct, so M(p) needs no
+        summation: each entry is one coefficient of p or the trailing zero.
+        """
+        i, kj = self._mul_scatter
+        B = len(self.basis)
+        gather = np.full(B * B, B, dtype=np.intp)
+        gather[kj] = i
+        gather.setflags(write=False)
+        return gather
+
     def mul_matrix(self, p: np.ndarray) -> np.ndarray:
         """The matrix M(p) of q -> mul(p, q)."""
-        i, kj = self._mul_scatter
-        return np.bincount(kj, weights=p[i], minlength=p.size**2).reshape(p.size, p.size)
+        B = len(self.basis)
+        return np.append(p, 0.0)[self.mul_gather].reshape(B, B)
 
     def cube(self, p: np.ndarray) -> np.ndarray:
         """Truncated p*p*p of a coefficient vector, M(p) applied twice to p."""

@@ -3,8 +3,7 @@ import pytest
 
 from proxgml.polarsym import (
     PolarSymbolicConfig,
-    _backward_rows,
-    _line_operators,
+    _BackwardPass,
     _sweep_rows,
     cross_check_numeric,
     polar_numeric_solve,
@@ -52,8 +51,10 @@ def symbolic_sweep(cfg, anchors):
 
 def symbolic_backward_pass(cfg, a, b, c, anchors):
     """The solve's explicit backward pass on polynomial lists; lines 0..n_lines."""
-    ops = _line_operators(cfg, a, b)
-    return _polys(cfg, _backward_rows(cfg, ops, _rows(c), _rows(anchors)))
+    backward = _BackwardPass(cfg, a, b)
+    backward.u[1:] = _rows(anchors[1:])  # line 0 is the inner circle, u = 0
+    backward(_rows(c))
+    return _polys(cfg, backward.u.copy())
 
 
 def test_config_validation():
@@ -224,11 +225,27 @@ def test_sweep_and_backward_pass_match_references_over_two_blocks():
         assert _max_coeff_diff(got, _line_by_line_scheme(cfg, a, b, c, anchors)) <= 1e-15, caps
 
 
+def test_solve_cycles_match_polynomial_references():
+    # the solve reuses one work buffer across cycles: no cycle may see the
+    # boundary row, zero slot, unit column or cube slots of the one before
+    for caps in ROW_STEP_CAPS:
+        cfg = PolarSymbolicConfig(epsilon=0.05, n_lines=12, iters=4, alpha=1.3, beta=0.7,
+                                  trunc=TruncationSpec(caps))
+        a, b = ab_recursion(2.0 + cfg.prox_weight * cfg.d**2 / cfg.epsilon, cfg.n_lines - 1)
+        ref = zero_anchors(cfg)
+        for _ in range(cfg.iters):
+            ref = _line_by_line_scheme(cfg, a, b, _polynomial_c_recursion(cfg, a, ref), ref)
+        assert _max_coeff_diff(symbolic_solve(cfg), ref) <= 1e-14, caps
+
+
 def test_solve_loop_does_no_per_row_work(monkeypatch):
-    # the row step applies operators built once per solve: no truncated
-    # product per row and no radius lookup per row
-    def forbidden(*args, **kwargs):
-        raise AssertionError("TruncationSpec.mul called in the annulus solve")
+    # the row step applies operators built once per solve on buffers the
+    # solve owns: no truncated product, multiplication matrix or cube call
+    # per row and no radius lookup per row
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"TruncationSpec.{name} called in the annulus solve")
+        return call
 
     radius_calls = []
     radius = PolarSymbolicConfig.radius
@@ -237,7 +254,8 @@ def test_solve_loop_does_no_per_row_work(monkeypatch):
         radius_calls.append(n)
         return radius(cfg, n)
 
-    monkeypatch.setattr(TruncationSpec, "mul", forbidden)
+    for name in ("mul", "mul_matrix", "cube"):
+        monkeypatch.setattr(TruncationSpec, name, forbidden(name))
     monkeypatch.setattr(PolarSymbolicConfig, "radius", counted)
     cfg = PolarSymbolicConfig(epsilon=0.1, n_lines=20, iters=5)
     lines = symbolic_solve(cfg)
@@ -311,6 +329,19 @@ def test_mid_annulus_plateau_small_epsilon():
     num = polar_numeric_solve(cfg, np.zeros(8))
     for n in (45, 50, 55, 60):
         assert num[n, 0] == pytest.approx(1.3247, abs=5e-3)
+
+
+def test_cross_check_rejects_lines_of_another_configuration():
+    cfg = PolarSymbolicConfig(epsilon=0.1, n_lines=20, iters=5)
+    z = np.zeros(8)
+    longer = symbolic_solve(PolarSymbolicConfig(epsilon=0.1, n_lines=40, iters=5))
+    with pytest.raises(ValueError, match="21 polynomials"):
+        cross_check_numeric(cfg, z, z, longer)
+    other = PolarSymbolicConfig(epsilon=0.1, n_lines=20, iters=5,
+                                trunc=TruncationSpec((3, 1, 1, 1, 0)))
+    with pytest.raises(ValueError, match="21 polynomials"):
+        cross_check_numeric(cfg, z, z, symbolic_solve(other))
+    assert cross_check_numeric(cfg, z, z, symbolic_solve(cfg)).sup_diff <= 2e-2
 
 
 BAD_SAMPLES = {"empty": [], "nan": [np.nan, 1.0, 2.0], "inf": [np.inf] * 4,
