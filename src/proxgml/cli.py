@@ -5,6 +5,7 @@ Modes:
   polar-symbolic  annulus symbolic solve, line polynomials as JSON
   oracle          full-grid damped-Newton solve, field CSV out
   compare         cartesian solve vs oracle on the same grid, JSON report
+                  (a NaN or infinite number in it is written as null)
 
 Exit codes: 0 success, 2 invalid flags, 3 solver non-convergence, 4 I/O.
 """
@@ -209,6 +210,11 @@ def _run_oracle(args) -> int:
     return EXIT_OK
 
 
+def _json_float(x: float) -> float | None:
+    """x, or None (JSON null) when it is NaN or infinite, which JSON cannot hold."""
+    return x if math.isfinite(x) else None
+
+
 def _run_compare(args) -> int:
     spec, grid = _cartesian_setup(args)
     gml = proximal_iterate(spec, grid, tol=args.tol, max_iter=args.max_iter,
@@ -222,17 +228,17 @@ def _run_compare(args) -> int:
     )
     if args.out_report:
         payload = {
-            "sup_diff": sup,
-            "l2_diff": l2,
+            "sup_diff": _json_float(sup),
+            "l2_diff": _json_float(l2),
             "gml_iterations": gml.outer_iterations,
             "gml_converged": gml.converged,
             "gml_stop_reason": gml.stop_reason,
-            "gml_residual_sup": gml.residual_sup,
+            "gml_residual_sup": _json_float(gml.residual_sup),
             "newton_iterations": full.iterations,
-            "newton_residual_sup": full.residual_sup,
+            "newton_residual_sup": _json_float(full.residual_sup),
         }
         with open(args.out_report, "w") as fh:
-            json.dump(payload, fh, indent=1)
+            json.dump(payload, fh, indent=1, allow_nan=False)
     return _proximal_exit_code(args, gml)
 
 

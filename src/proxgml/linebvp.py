@@ -10,11 +10,13 @@ definite, strictly diagonally dominant and an M-matrix.
 
 Its matrix depends only on (b_n, d, h_n), so it is the same in every outer
 cycle of a solve.  ``factor_lines`` computes the LDL^T factors of all lines
-once (LAPACK ``dpttrf``).  ``backward_solve``, the production path, runs a
-cycle's backward pass on them: per line, two BLAS ``daxpy`` calls form the
-right-hand side in that line's row of c and ``dpttrs`` solves it in place.
-The Thomas solve (``assemble_line_system``, ``thomas_solve``) is the
-reference the tests compare against.
+once (LAPACK ``dpttrf``); a solve builds one ``BackwardPass`` on them, with
+its c buffer, a cube scratch row and each line's bound step.  A cycle
+writes c into the buffer and runs the pass: per line, two BLAS ``daxpy``
+calls form the right-hand side in that line's row of c and ``dpttrs``
+solves it in place.  ``backward_solve`` runs a one-shot pass.  The Thomas
+solve (``assemble_line_system``, ``thomas_solve``) is the reference the
+tests compare against.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
     "thomas_solve",
     "LineFactors",
     "factor_lines",
+    "BackwardPass",
     "backward_solve",
 ]
 
@@ -144,25 +147,49 @@ def factor_lines(b: np.ndarray, d: float, h: np.ndarray, size: int) -> LineFacto
     return LineFactors(diag=out_d, off=out_e)
 
 
+class BackwardPass:
+    """The backward pass on buffers that a solve allocates once.
+
+    Line n solves (I - b_n*d^2*D_yy) u_n = c_n + (a_n + b_n*kap*beta)*u_{n+1}
+    - (b_n*kap*alpha)*u_{n+1}^3, the reaction lagged at line n+1, in row
+    n-1 of the C-contiguous ``c``; ``boundary`` is the interior of line
+    L+1 (zeros unless set).  Each line's rows, factors and weights are
+    bound once, in ``steps``.
+    """
+
+    def __init__(self, factors: LineFactors, a: np.ndarray, b: np.ndarray, kap: float,
+                 spec: ProblemSpec, width: int):
+        self.c = np.zeros((a.size, width))
+        self.boundary = np.zeros(width - 2)
+        self.cube = np.empty(width - 2)
+        lin = (a + b * (kap * spec.beta)).tolist()
+        cub = (b * (-kap * spec.alpha)).tolist()
+        rows = [*self.c[:, 1:-1], self.boundary]
+        self.steps = [(rows[k], rows[k + 1], factors.diag[k], factors.off[k], lin[k], cub[k])
+                      for k in range(a.size - 1, -1, -1)]
+
+    def __call__(self, values: np.ndarray) -> None:
+        """Solve lines L..1 in ``c`` and copy them into rows 1..L of ``values``."""
+        t, m = self.cube, self.cube.size
+        for y, u, d, e, lin, cub in self.steps:
+            daxpy(u, y, m, lin)
+            np.multiply(u, u, t)
+            np.multiply(t, u, t)
+            daxpy(t, y, m, cub)
+            dpttrs(d, e, y, overwrite_b=1)
+        values[1:len(self.c) + 1, 1:-1] = self.c[:, 1:-1]
+
+
 def backward_solve(
     factors: LineFactors, a: np.ndarray, b: np.ndarray, c: np.ndarray, kap: float,
     spec: ProblemSpec, values: np.ndarray,
 ) -> None:
     """Fill rows L, L-1, ..., 1 of ``values`` from row L+1, in place.
 
-    Line n solves, on its interior nodes and with the reaction lagged at
-    line n+1, (I - b_n*d^2*D_yy) u_n = c_n + (a_n + b_n*kap*beta)*u_{n+1}
-    - (b_n*kap*alpha)*u_{n+1}^3, with the factors of ``factor_lines``, in
-    its row of c: a writable C-contiguous float64 c is that scratch buffer
-    and is overwritten, any other c is copied.  End columns of ``values`` stay.
+    Runs a one-shot ``BackwardPass`` on copies of c and row L+1, so c is
+    never written and any layout of c or ``values`` works; end columns stay.
     """
-    lin = (a + b * (kap * spec.beta))[::-1].tolist()
-    cub = (b * (-kap * spec.alpha))[::-1].tolist()
-    # daxpy and dpttrs write through a read-only array and lose writes to a non-contiguous one
-    c = np.require(c, np.float64, "CW")
-    u = values[len(lin) + 1, 1:-1]
-    for y, d, e, lin_k, cub_k in zip(c[::-1, 1:-1], factors.diag[::-1], factors.off[::-1], lin, cub):
-        daxpy(u, y, y.size, lin_k)
-        daxpy(u * u * u, y, y.size, cub_k)
-        u = dpttrs(d, e, y, overwrite_b=1)[0]
-    values[1:len(lin) + 1, 1:-1] = c[:, 1:-1]
+    run = BackwardPass(factors, a, b, kap, spec, values.shape[1])
+    run.c[...] = c
+    run.boundary[...] = values[a.size + 1, 1:-1]
+    run(values)

@@ -133,10 +133,20 @@ def newton_solve(
 
 
 def compare_fields(u1: FieldSolution, u2: FieldSolution) -> tuple[float, float]:
-    """(sup, rms) difference over interior nodes; grids must match."""
+    """(sup, rms) difference over interior nodes; grids must match.
+
+    Both read NaN when either field holds a NaN or an infinity, and inf
+    when the difference of two finite fields overflows.  The rms is formed
+    from the difference scaled by its sup, so squaring never overflows.
+    """
     if u1.values.shape != u2.values.shape:
         raise ValueError("field shapes differ")
-    diff = u1.values[1:-1, 1:-1] - u2.values[1:-1, 1:-1]
+    a, b = u1.values[1:-1, 1:-1], u2.values[1:-1, 1:-1]
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        return math.nan, math.nan
+    with np.errstate(over="ignore"):
+        diff = a - b
     sup = float(np.max(np.abs(diff)))
-    l2 = float(np.sqrt(np.mean(diff**2)))
-    return sup, l2
+    if not 0.0 < sup < math.inf:
+        return sup, sup
+    return sup, sup * float(np.sqrt(np.mean((diff / sup) ** 2)))

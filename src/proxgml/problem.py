@@ -43,6 +43,10 @@ class CartesianDomain:
     y2: Callable[[float], float]
 
     def __post_init__(self):
+        # catches a non-finite a or b, and a width b - a that overflows (as
+        # Python floats, which overflow to inf without a numpy warning)
+        if not math.isfinite(float(self.b) - float(self.a)):
+            raise ValueError(f"need finite a, b and b - a, got a={self.a}, b={self.b}")
         if not self.b > self.a:
             raise ValueError(f"need b > a, got a={self.a}, b={self.b}")
 
@@ -95,8 +99,13 @@ class LineGrid:
 def build_cartesian_grid(domain: CartesianDomain, N: int, M: int) -> LineGrid:
     """Partition [a, b] into N equal sub-intervals and each line into M.
 
-    Rejects degenerate strips: every line must have y2(x_n) > y1(x_n).
+    N and M must be integers (not bool).  Rejects degenerate strips: every
+    line must have finite y1(x_n) < y2(x_n).
     """
+    for name, k in (("N", N), ("M", M)):
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {k!r}")
+    N, M = int(N), int(M)
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
     if M < 2:
@@ -105,12 +114,12 @@ def build_cartesian_grid(domain: CartesianDomain, N: int, M: int) -> LineGrid:
     abscissae = domain.a + d * np.arange(N + 1)
     lo = np.array([float(domain.y1(x)) for x in abscissae])
     hi = np.array([float(domain.y2(x)) for x in abscissae])
-    bad = np.nonzero(hi <= lo)[0]
+    bad = np.nonzero(~(np.isfinite(lo) & np.isfinite(hi) & (hi > lo)))[0]
     if bad.size:
         n = int(bad[0])
         raise ValueError(
             f"degenerate strip width at line {n} (x={abscissae[n]}): "
-            f"y2={hi[n]} <= y1={lo[n]}"
+            f"need finite y1 < y2, got y1={lo[n]}, y2={hi[n]}"
         )
     return LineGrid(
         n_lines=N,

@@ -18,11 +18,11 @@ term vanishes, so the first cycle is a plain ``forward_sweep`` +
 ``backward_pass``.
 
 The line systems depend only on (b_n, d, h_n), so a solve factors them
-once (``linebvp.factor_lines``) and every backward pass, in the loop and
-in ``backward_pass``, is the same ``linebvp.backward_solve`` on those
-factors.  A cycle is converged when the update is at most ``tol`` and
-the FD residual is at most K*tol; ``SolveReport.stop_reason`` says why
-the loop stopped.
+once (``linebvp.factor_lines``) and builds one ``linebvp.BackwardPass``,
+into whose c buffer every cycle writes; ``backward_pass`` runs a one-shot
+pass.  A cycle is converged when the update is at most ``tol`` and the FD
+residual is at most K*tol; ``SolveReport.stop_reason`` says why the loop
+stopped.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linebvp import backward_solve, factor_lines
+from .linebvp import BackwardPass, backward_solve, factor_lines
 from .problem import FieldSolution, LineGrid, ProblemSpec, source_values, transverse_steps
 from .sweep import SweepCoefficients, c_operator, scalar_coefficients
 
@@ -67,7 +67,7 @@ def backward_pass(
     """Solve lines N-1, N-2, ..., 1 and assemble the field.
 
     Factors the line systems for this one pass; ``proximal_iterate`` runs
-    the same ``backward_solve`` on factors it makes once per solve.
+    the same ``BackwardPass`` on factors it makes once per solve.
     ``u_boundary_N`` is the Dirichlet data on the last line (all zeros for
     the homogeneous problem).
     """
@@ -89,13 +89,13 @@ def proximal_iterate(
 ) -> SolveReport:
     """Run the outer proximal loop from a zero anchor.
 
-    a, b, f, the transverse steps, the c operator and the line factors are
-    computed once per solve.  Every cycle applies the c operator to the
-    corrected source of the anchor (see the module docstring) and then runs
-    the backward pass in the c operator's output.  A cycle is converged when
-    the anchor update is at most ``tol`` and the FD residual is at most
-    K*tol; the residual is evaluated only once the update test holds, and
-    the report reuses it.  For K = 0 the update test alone decides.
+    a, b, f, the transverse steps, the c operator, the line factors and the
+    backward pass are built once per solve.  Every cycle applies the c
+    operator to the corrected source of the anchor (see the module
+    docstring) in the pass's c buffer and runs the pass.  A cycle is
+    converged when the update is at most ``tol`` and the FD residual is at
+    most K*tol; the residual is evaluated only once the update test holds,
+    and the report reuses it.  For K = 0 the update test alone decides.
 
     ``fixed_iters`` forces exactly that many cycles (used to mirror a
     fixed-iteration reference schedule); ``converged`` then reports the
@@ -118,6 +118,8 @@ def proximal_iterate(
     h = transverse_steps(grid)
     f = source_values(spec, grid)
     factors = factor_lines(b, grid.d, h[1:-1], grid.m_nodes - 1)
+    backward = BackwardPass(factors, a, b, kap, spec, grid.m_nodes + 1)
+    b_kap = (b * kap)[:, None]
 
     def residual_sup(v: np.ndarray) -> float:
         return float(np.max(np.abs(_fd_residual(spec, grid, v, f, h))))
@@ -128,9 +130,9 @@ def proximal_iterate(
     values = np.zeros_like(v)  # the two fields swap roles every cycle; their edges stay 0
     for _ in range(fixed_iters or max_iter):
         R, E = _scheme_terms(spec, v, h)
-        c = c_op(K * v + f + R + E, kap)
-        c -= (b * kap)[:, None] * (R[2:] + E[1:-1])
-        backward_solve(factors, a, b, c, kap, spec, values)
+        c = c_op(K * v + f + R + E, kap, out=backward.c)
+        c -= b_kap * (R[2:] + E[1:-1])
+        backward(values)
         diff = float(np.max(np.abs(values - v)))
         updates.append(diff)
         v, values = values, v

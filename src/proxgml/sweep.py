@@ -91,13 +91,14 @@ class COperator:
 
     blocks: tuple[np.ndarray, ...]
 
-    def __call__(self, g: np.ndarray, kap: float) -> np.ndarray:
+    def __call__(self, g: np.ndarray, kap: float, out: np.ndarray | None = None) -> np.ndarray:
         """c_n for n = 1..size from the line sources g.
 
         ``g`` is indexed by line number: row n is the source on line n, and
-        only rows 1..size are read.  Returns shape (size, g.shape[1]).
+        only rows 1..size are read.  Returns shape (size, g.shape[1]), in
+        ``out`` when it is given.
         """
-        c = np.empty((sum(len(L) for L in self.blocks), g.shape[1]))
+        c = np.empty((sum(len(L) for L in self.blocks), g.shape[1])) if out is None else out
         start = 0
         for L in self.blocks:
             stop = start + len(L)

@@ -131,12 +131,19 @@ def test_oracle_mode(tmp_path, capsys):
     assert "oracle:" in capsys.readouterr().out
 
 
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def test_compare_mode_writes_report(tmp_path):
     out = tmp_path / "report.json"
     rc = main(["--mode", "compare", "--eps", "0.1", "--N", "10", "--M", "10",
                "--out-report", str(out)])
     assert rc == EXIT_OK
-    report = json.loads(out.read_text())
+    report = _strict_json(out.read_text())
     assert report["gml_converged"] is True
     assert report["sup_diff"] >= 0.0
     assert report["newton_residual_sup"] <= 1e-10
@@ -149,6 +156,19 @@ def test_compare_mode_oracle_honours_tol(tmp_path):
     rc = main(["--mode", "compare", "--N", "6", "--tol", "1e-12", "--out-report", str(out)])
     assert rc == EXIT_OK
     assert json.loads(out.read_text())["newton_residual_sup"] <= 1e-12
+
+
+def test_compare_report_is_strict_json_on_non_finite_stop(tmp_path):
+    # f = 300 drives the line solve to a non-finite update; the report's
+    # NaN numbers are written as null, not as the bare NaN that JSON lacks
+    out = tmp_path / "report.json"
+    rc = main(["--mode", "compare", "--N", "6", "--f", "300", "--out-report", str(out)])
+    assert rc == EXIT_NO_CONVERGENCE
+    report = _strict_json(out.read_text())
+    assert report["gml_stop_reason"] == "non-finite"
+    assert report["sup_diff"] is None and report["l2_diff"] is None
+    assert report["gml_residual_sup"] is None
+    assert 0.0 <= report["newton_residual_sup"] <= 1e-10 * 300
 
 
 def test_invalid_flags_exit_2():

@@ -13,10 +13,12 @@ from proxgml.problem import (
     FieldSolution,
     ProblemSpec,
     build_cartesian_grid,
+    source_values,
     transverse_steps,
 )
-from proxgml.proximal import backward_pass, proximal_iterate
-from proxgml.sweep import SweepCoefficients, forward_sweep
+import proxgml.proximal as proximal
+from proxgml.proximal import _scheme_terms, backward_pass, proximal_iterate
+from proxgml.sweep import SweepCoefficients, c_operator, forward_sweep, scalar_coefficients
 
 from conftest import UNIT_SQUARE, square_problem
 
@@ -151,8 +153,6 @@ def solve_line(n, coeffs, u_next, spec, grid):
 
 def _coeffs_for(grid, spec, c_value=0.0):
     N, M = grid.n_lines, grid.m_nodes
-    from proxgml.sweep import scalar_coefficients
-
     a, b = scalar_coefficients(spec, grid)
     c = np.full((N - 1, M + 1), c_value)
     return SweepCoefficients(a=a, b=b, c=c)
@@ -286,3 +286,52 @@ def test_solve_loop_builds_no_line_system(monkeypatch):
     report = proximal_iterate(square_problem(0.1), build_cartesian_grid(UNIT_SQUARE, 8, 8),
                               fixed_iters=3)
     assert report.outer_iterations == 3
+
+
+def test_solve_builds_factors_and_pass_once(monkeypatch):
+    # everything that depends only on the solve is built before the first
+    # cycle; no cycle goes through the one-shot backward_solve
+    calls = {"factor_lines": 0, "BackwardPass": 0, "backward_solve": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(proximal, name, counted(name, getattr(proximal, name)))
+    report = proximal_iterate(square_problem(0.1), build_cartesian_grid(UNIT_SQUARE, 8, 8),
+                              fixed_iters=20)
+    assert report.outer_iterations == 20
+    assert calls == {"factor_lines": 1, "BackwardPass": 1, "backward_solve": 0}
+
+
+@pytest.mark.parametrize("N, M, domain", [
+    pytest.param(10, 10, UNIT_SQUARE, id="square-10-10"),
+    pytest.param(6, 2, UNIT_SQUARE, id="square-6-2"),
+    pytest.param(9, 7, CURVED, id="curved-9-7"),
+    pytest.param(5, 2, CURVED, id="curved-5-2"),
+])
+def test_solve_cycles_match_fresh_backward_passes(N, M, domain):
+    # the solve reuses its c buffer, cube row and bound steps in every
+    # cycle; a loop that builds everything afresh each cycle must give the
+    # same bits, or state leaks from one cycle into the next
+    spec, grid, _ = _random_anchor_problem(N, M, domain)
+    report = proximal_iterate(spec, grid, fixed_iters=5)
+    K, kap = spec.prox_weight, grid.d**2 / spec.epsilon
+    h = transverse_steps(grid)
+    f = source_values(spec, grid)
+    v = np.zeros((N + 1, M + 1))
+    updates = []
+    for _ in range(5):
+        a, b = scalar_coefficients(spec, grid)
+        R, E = _scheme_terms(spec, v, h)
+        c = c_operator(a)(K * v + f + R + E, kap)
+        c -= (b * kap)[:, None] * (R[2:] + E[1:-1])
+        new = backward_pass(SweepCoefficients(a=a, b=b, c=c), spec, grid, np.zeros(M + 1)).values
+        updates.append(float(np.max(np.abs(new - v))))
+        v = new
+    assert np.max(np.abs(v)) > 0.01
+    np.testing.assert_array_equal(report.solution.values, v)
+    np.testing.assert_array_equal(report.update_history, updates)

@@ -198,6 +198,30 @@ def test_compare_fields_metrics():
     assert 0.0 < l2 < 0.5
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_compare_fields_non_finite_field_reads_nan(bad):
+    # a solve that stopped on a non-finite update hands over such a field
+    grid = build_cartesian_grid(UNIT_SQUARE, 6, 6)
+    broken = np.full((7, 7), 1e300)
+    broken[2, 4] = bad
+    for pair in ((broken, np.zeros((7, 7))), (np.zeros((7, 7)), broken)):
+        sup, l2 = compare_fields(*(FieldSolution(v.copy()) for v in pair))
+        assert np.isnan(sup) and np.isnan(l2)
+
+
+def test_compare_fields_huge_fields_without_overflow():
+    # squaring a difference of 1e300 overflows; the rms is scaled first
+    grid = build_cartesian_grid(UNIT_SQUARE, 6, 6)
+    u = FieldSolution.zeros(grid)
+    huge = np.zeros((7, 7))
+    huge[1:-1, 1:-1] = 1e300
+    sup, l2 = compare_fields(u, FieldSolution(huge))
+    assert sup == 1e300 and l2 == pytest.approx(1e300, rel=1e-15)
+    # opposite signs: the difference itself overflows and reads inf
+    sup, l2 = compare_fields(FieldSolution(1.5e8 * huge), FieldSolution(-1.5e8 * huge))
+    assert sup == l2 == np.inf
+
+
 def test_compare_fields_shape_mismatch():
     g1 = build_cartesian_grid(UNIT_SQUARE, 6, 6)
     g2 = build_cartesian_grid(UNIT_SQUARE, 7, 6)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,39 @@ def test_rejects_degenerate_width():
     pinched = CartesianDomain(a=0.0, b=1.0, y1=lambda x: 0.0, y2=lambda x: 1.0 - x)
     with pytest.raises(ValueError, match="degenerate"):
         build_cartesian_grid(pinched, 4, 4)
+
+
+@pytest.mark.parametrize("a, b", [
+    (0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan), (-1e308, 1e308),
+    (np.float64(-1e308), np.float64(1e308)), (0.0, np.float64(np.inf)),
+])
+def test_domain_rejects_non_finite_ends(a, b):
+    with pytest.raises(ValueError, match="finite"):
+        CartesianDomain(a=a, b=b, y1=lambda x: 0.0, y2=lambda x: 1.0)
+
+
+@pytest.mark.parametrize("y1, y2", [
+    (0.0, math.nan), (0.0, math.inf), (math.nan, 1.0), (-math.inf, 1.0),
+])
+def test_rejects_non_finite_strip_bounds(y1, y2):
+    # hi <= lo is False for NaN, so a NaN bound once passed the width test
+    dom = CartesianDomain(a=0.0, b=1.0, y1=lambda x: y1, y2=lambda x: y2)
+    with pytest.raises(ValueError, match="degenerate"):
+        build_cartesian_grid(dom, 4, 4)
+
+
+@pytest.mark.parametrize("N, M", [
+    (4.5, 4), (4, 4.0), (True, 4), (4, True), ("4", 4), (np.float64(4), 4),
+])
+def test_rejects_non_integer_counts(N, M):
+    with pytest.raises(ValueError, match="integer"):
+        build_cartesian_grid(UNIT_SQUARE, N, M)
+
+
+def test_accepts_numpy_integer_counts():
+    grid = build_cartesian_grid(UNIT_SQUARE, np.int64(4), np.int32(3))
+    assert (grid.n_lines, grid.m_nodes) == (4, 3)
+    assert type(grid.n_lines) is int and type(grid.m_nodes) is int
 
 
 def test_domain_invariants():
