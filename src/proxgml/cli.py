@@ -7,7 +7,8 @@ Modes:
   compare         cartesian solve vs oracle on the same grid, JSON report
                   (a NaN or infinite number in it is written as null)
 
-Exit codes: 0 success, 2 invalid flags, 3 solver non-convergence, 4 I/O.
+Exit codes: 0 success, 2 invalid flags, 3 solver non-convergence or a
+non-finite result, 4 I/O.
 """
 
 from __future__ import annotations
@@ -166,11 +167,15 @@ def _run_polar_symbolic(args) -> int:
         iters=args.iters if args.iters is not None else 149,
     )
     lines = symbolic_solve(cfg)
+    finite = all(np.all(np.isfinite(line.coeffs)) for line in lines)
     mid = cfg.n_lines // 2
     print(
         f"polar-symbolic: lines={cfg.n_lines - 1} iters={cfg.iters} "
+        f"stop={'fixed_iters' if finite else 'non-finite'} "
         f"mid-line constant={lines[mid].coefficient((0, 0, 0, 0, 0)):.5f}"
     )
+    if not finite:
+        return EXIT_NO_CONVERGENCE
     if args.out_expr:
         payload = {
             "epsilon": cfg.epsilon,
@@ -203,6 +208,7 @@ def _run_oracle(args) -> int:
     center = report.solution.values[grid.n_lines // 2, grid.m_nodes // 2]
     print(
         f"oracle: newton_iterations={report.iterations} "
+        f"coarse_iterations={report.coarse_iterations} "
         f"residual={report.residual_sup:.3e} center={center:.6g}"
     )
     if args.out_field:
@@ -235,6 +241,7 @@ def _run_compare(args) -> int:
             "gml_stop_reason": gml.stop_reason,
             "gml_residual_sup": _json_float(gml.residual_sup),
             "newton_iterations": full.iterations,
+            "newton_coarse_iterations": full.coarse_iterations,
             "newton_residual_sup": _json_float(full.residual_sup),
         }
         with open(args.out_report, "w") as fh:

@@ -134,12 +134,14 @@ class _BackwardPass:
             G_dot(z1, out=u_n)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def symbolic_solve(cfg: PolarSymbolicConfig) -> list[BoundaryPolynomial]:
     """Run exactly cfg.iters sweep+backward cycles from zero anchors; lines 0..n_lines.
 
     The c operator, the line operators and the work buffer are built once,
     before the first cycle.  The polynomials share one compact copy of the
-    solved rows.
+    solved rows.  A diverging solve raises no warning: its coefficients
+    overflow to inf or NaN and are returned as they are.
     """
     a, b = ab_recursion(2.0 + cfg.prox_weight * cfg.d**2 / cfg.epsilon, cfg.n_lines - 1)
     c_op, backward = c_operator(a), _BackwardPass(cfg, a, b)

@@ -135,7 +135,8 @@ class BoundaryPolynomial:
     """Truncated real polynomial in the boundary symbols.
 
     Built from a term map {exponent tuple: coefficient}, dropping monomials
-    over the caps and coefficients below 1e-300 in magnitude; stored as the
+    over the caps and coefficients below 1e-300 in magnitude (a NaN or
+    infinite coefficient is kept, so a diverged solve shows); stored as the
     read-only vector ``coeffs`` over ``trunc.basis``.  Equality is
     structural on the term map.  Instances are immutable; arithmetic goes
     through the module-level functions (also available as operators).
@@ -147,7 +148,7 @@ class BoundaryPolynomial:
         coeffs = np.zeros(len(trunc.basis))
         for e, c in (terms or {}).items():
             k = trunc.basis.get(tuple(e))
-            if k is not None and abs(c) >= _DROP_BELOW:
+            if k is not None and not abs(c) < _DROP_BELOW:  # keeps NaN and inf
                 coeffs[k] = c
         self._set(coeffs, trunc)
 
@@ -173,7 +174,8 @@ class BoundaryPolynomial:
     @property
     def terms(self) -> dict:
         """{exponent tuple: coefficient} of the stored monomials, in basis order."""
-        return {e: c for e, c in zip(self.trunc.basis, self.coeffs.tolist()) if abs(c) >= _DROP_BELOW}
+        return {e: c for e, c in zip(self.trunc.basis, self.coeffs.tolist())
+                if not abs(c) < _DROP_BELOW}
 
     def __eq__(self, other):
         return (isinstance(other, BoundaryPolynomial) and self.trunc == other.trunc

@@ -125,10 +125,29 @@ def test_polar_symbolic_mode(tmp_path, capsys):
     assert exps == sorted(exps)
 
 
+def test_polar_symbolic_non_finite_exits_3_without_export(tmp_path, capsys):
+    out = tmp_path / "lines.json"
+    rc = main(["--mode", "polar-symbolic", "--N", "10", "--iters", "20", "--eps", "1e-4",
+               "--K", "0", "--out-expr", str(out)])
+    assert rc == EXIT_NO_CONVERGENCE
+    assert "stop=non-finite" in capsys.readouterr().out
+    assert not out.exists()
+
+
 def test_oracle_mode(tmp_path, capsys):
     rc = main(["--mode", "oracle", "--eps", "0.1", "--N", "10", "--M", "10"])
     assert rc == EXIT_OK
-    assert "oracle:" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "oracle:" in out
+    assert "coarse_iterations=0 " in out
+
+
+def test_oracle_mode_prints_coarse_iterations(capsys):
+    # N = M = 32 is solved on 16 lines first
+    rc = main(["--mode", "oracle", "--eps", "0.01", "--N", "32"])
+    assert rc == EXIT_OK
+    coarse = int(capsys.readouterr().out.split("coarse_iterations=")[1].split()[0])
+    assert coarse > 0
 
 
 def _strict_json(text):
@@ -147,6 +166,16 @@ def test_compare_mode_writes_report(tmp_path):
     assert report["gml_converged"] is True
     assert report["sup_diff"] >= 0.0
     assert report["newton_residual_sup"] <= 1e-10
+    assert report["newton_coarse_iterations"] == 0
+
+
+def test_compare_report_counts_coarse_newton_steps(tmp_path):
+    out = tmp_path / "report.json"
+    rc = main(["--mode", "compare", "--N", "32", "--out-report", str(out)])
+    assert rc == EXIT_OK
+    report = _strict_json(out.read_text())
+    assert report["newton_coarse_iterations"] > 0
+    assert report["sup_diff"] <= 1e-5
 
 
 def test_compare_mode_oracle_honours_tol(tmp_path):

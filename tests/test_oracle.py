@@ -227,3 +227,123 @@ def test_compare_fields_shape_mismatch():
     g2 = build_cartesian_grid(UNIT_SQUARE, 7, 6)
     with pytest.raises(ValueError):
         compare_fields(FieldSolution.zeros(g1), FieldSolution.zeros(g2))
+
+
+def _single_level(monkeypatch, spec, grid):
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "COARSE_MIN", 10**9)
+        return newton_solve(spec, grid)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.001])
+def test_sequenced_root_matches_single_level_solve(monkeypatch, eps):
+    grid = build_cartesian_grid(UNIT_SQUARE, 64, 64)
+    spec = square_problem(eps)
+    sequenced = newton_solve(spec, grid)
+    single = _single_level(monkeypatch, spec, grid)
+    assert single.coarse_iterations == 0
+    assert compare_fields(sequenced.solution, single.solution)[0] <= 1e-10
+    assert sequenced.coarse_iterations > 0
+    assert sequenced.iterations < single.iterations
+    assert sequenced.residual_sup <= 1e-10
+    assert len(sequenced.residual_history) == sequenced.iterations + 1
+
+
+def test_every_solve_is_counted_across_levels(solve_counter):
+    grid = build_cartesian_grid(UNIT_SQUARE, 32, 32)
+    report = newton_solve(square_problem(0.01, source=_x_minus_half), grid)
+    assert report.coarse_iterations > 0
+    assert report.iterations + report.coarse_iterations == len(solve_counter)
+    assert all(kwargs.get("permc_spec") == "MMD_AT_PLUS_A" for kwargs in solve_counter)
+
+
+def test_small_grids_solve_on_one_level(solve_counter):
+    grid = build_cartesian_grid(UNIT_SQUARE, 20, 20)
+    report = newton_solve(square_problem(0.01), grid)
+    assert report.coarse_iterations == 0
+    assert report.iterations == len(solve_counter)
+
+
+def _nodes(n):
+    return np.linspace(0.0, 1.0, n + 1)
+
+
+def test_prolongation_is_exact_for_bilinear_fields():
+    def u(x, y):
+        return 0.3 + 2.0 * x - 1.5 * y + 4.0 * x * y
+
+    coarse = u(*np.meshgrid(_nodes(5), _nodes(7), indexing="ij"))
+    fine = u(*np.meshgrid(_nodes(10), _nodes(14), indexing="ij"))
+    np.testing.assert_allclose(oracle._prolong(coarse), fine, rtol=0, atol=1e-14)
+
+
+def test_prolongation_is_exact_for_cubics_away_from_the_end_intervals():
+    def u(x, y):
+        return (x**3 - 2.0 * x**2 + x - 0.25) * (0.5 * y**3 + y**2 - 3.0 * y + 1.0)
+
+    n, m = 8, 6
+    coarse = u(*np.meshgrid(_nodes(n), _nodes(m), indexing="ij"))
+    fine = u(*np.meshgrid(_nodes(2 * n), _nodes(2 * m), indexing="ij"))
+    # the midpoints of the two end intervals of each axis are linear
+    inner = (slice(2, -2), slice(2, -2))
+    np.testing.assert_allclose(oracle._prolong(coarse)[inner], fine[inner], rtol=0, atol=1e-14)
+    assert np.max(np.abs(oracle._prolong(coarse) - fine)) > 1e-3
+
+
+def _forced_failures(monkeypatch, fail):
+    """Gives every run for which ``fail(unknowns, run index)`` holds a step limit of 1;
+    returns the (unknowns, start) of every run."""
+    runs = []
+    damped_newton = oracle._damped_newton
+
+    def patched(A, f, u, **kwargs):
+        if fail(A.shape[0], len(runs)):
+            kwargs["max_newton"] = 1
+        runs.append((A.shape[0], u.copy()))
+        return damped_newton(A, f, u, **kwargs)
+
+    monkeypatch.setattr(oracle, "_damped_newton", patched)
+    return runs
+
+
+def test_failed_coarse_level_hands_on_the_reduced_start(monkeypatch, solve_counter):
+    grid = build_cartesian_grid(UNIT_SQUARE, 32, 32)
+    spec = square_problem(0.01)
+    single = _single_level(monkeypatch, spec, grid)
+    solve_counter.clear()
+    runs = _forced_failures(monkeypatch, lambda unknowns, k: unknowns < 31 * 31)
+    report = newton_solve(spec, grid)
+    assert [unknowns for unknowns, _ in runs] == [15 * 15, 31 * 31]
+    f = np.ones(31 * 31)
+    np.testing.assert_array_equal(runs[1][1], _reduced_root(1.0, 1.0, f))
+    # from the reduced start the requested grid runs as it does on one level
+    assert report.coarse_iterations == 1
+    assert report.iterations == single.iterations == len(solve_counter) - 1
+    np.testing.assert_array_equal(report.residual_history, single.residual_history)
+    np.testing.assert_array_equal(report.solution.values, single.solution.values)
+
+
+def test_requested_grid_retries_from_the_reduced_start(monkeypatch, solve_counter):
+    grid = build_cartesian_grid(UNIT_SQUARE, 32, 32)
+    spec = square_problem(0.001, source=_x_minus_half)
+    single = _single_level(monkeypatch, spec, grid)
+    solve_counter.clear()
+    # the first run on the requested grid is the one from the prolonged start
+    runs = _forced_failures(monkeypatch, lambda unknowns, k: unknowns == 31 * 31 and k == 1)
+    report = newton_solve(spec, grid)
+    assert [unknowns for unknowns, _ in runs] == [15 * 15, 31 * 31, 31 * 31]
+    assert report.iterations == single.iterations
+    assert report.iterations + report.coarse_iterations == len(solve_counter)
+    np.testing.assert_array_equal(report.solution.values, single.solution.values)
+
+
+def test_indefinite_coarse_root_still_reaches_the_single_level_root(monkeypatch):
+    # beta = 30, eps = 0.001: the 32-line root does not resolve the interior
+    # layer, Newton from its prolongation stalls, and the 64-line grid
+    # converges from the reduced start instead
+    grid = build_cartesian_grid(UNIT_SQUARE, 64, 64)
+    spec = square_problem(0.001, beta=30.0, source=_x_minus_half)
+    report = newton_solve(spec, grid)
+    single = _single_level(monkeypatch, spec, grid)
+    assert report.iterations == single.iterations
+    np.testing.assert_array_equal(report.solution.values, single.solution.values)

@@ -359,3 +359,11 @@ def test_boundary_samples_must_be_finite_and_non_empty(samples):
         cross_check_numeric(cfg, samples, zeros)
     with pytest.raises(ValueError, match="boundary"):
         cross_check_numeric(cfg, zeros, samples)
+
+
+def test_diverging_solve_returns_non_finite_lines_without_warning():
+    # K = 0 at eps = 1e-4 overflows within 20 cycles; RuntimeWarning fails the suite
+    cfg = PolarSymbolicConfig(epsilon=1e-4, n_lines=10, prox_weight=0.0, iters=20)
+    lines = symbolic_solve(cfg)
+    assert not np.all(np.isfinite(lines[5].coeffs))
+    assert lines[5].terms

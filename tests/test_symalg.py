@@ -132,6 +132,19 @@ def test_canonical_drops_out_of_cap_terms():
     assert p.terms == {(1, 0, 0, 0, 0): 2.0}
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coefficients_are_kept(bad):
+    # a diverged solve must not read as the zero polynomial
+    p = BoundaryPolynomial({(0, 0, 0, 0, 0): bad, (1, 0, 0, 0, 0): 1e-310})
+    assert list(p.terms) == [(0, 0, 0, 0, 0)]
+    np.testing.assert_array_equal(p.coefficient((0, 0, 0, 0, 0)), bad)
+    assert to_json_dict(p)["terms"][0]["exp"] == [0, 0, 0, 0, 0]
+    assert format_terms(p) != "0"
+    coeffs = np.zeros(len(DEFAULT_TRUNCATION.basis))
+    coeffs[1] = bad
+    assert len(BoundaryPolynomial.from_coeffs(coeffs).terms) == 1
+
+
 def test_json_round_trip_sorted():
     p = poly_add(poly_add(poly_const(0.478), poly_scale(UF, 0.0122)),
                  poly_scale(UF2, 0.00069))
