@@ -41,7 +41,8 @@ EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_IO = 4
 
-_ALLOWED_CALLS = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
+# the functions a source expression may call, by name
+_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 _ALLOWED_NODES = (
     ast.Expression, ast.BinOp, ast.UnaryOp, ast.Add, ast.Sub, ast.Mult, ast.Div,
     ast.Pow, ast.USub, ast.UAdd, ast.Constant, ast.Name, ast.Call, ast.Load,
@@ -69,15 +70,15 @@ def parse_source(text: str):
                 if type(node.value) not in (int, float):
                     raise ValueError(f"unsupported constant {node.value!r} in source expression")
                 node.value = float(node.value)
-            if isinstance(node, ast.Name) and node.id not in ("x", "y", "pi", "sin", "cos", "exp"):
+            if isinstance(node, ast.Name) and node.id not in ("x", "y", "pi", *_FUNCTIONS):
                 raise ValueError(f"unknown name {node.id!r} in source expression")
             if isinstance(node, ast.Call):
-                if not (isinstance(node.func, ast.Name) and node.func.id in _ALLOWED_CALLS):
-                    raise ValueError("only sin, cos, exp calls are allowed")
+                if not (isinstance(node.func, ast.Name) and node.func.id in _FUNCTIONS):
+                    raise ValueError(f"only {', '.join(_FUNCTIONS)} calls are allowed")
         code = compile(tree, "<source>", "eval")
     except RecursionError:
         raise ValueError("source expression is nested too deeply") from None
-    env = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "pi": math.pi}
+    env = {**_FUNCTIONS, "pi": math.pi}
 
     def f(x, y):
         try:

@@ -9,14 +9,13 @@ physical step h.  The interior system is tridiagonal, symmetric positive
 definite, strictly diagonally dominant and an M-matrix.
 
 Its matrix depends only on (b_n, d, h_n), so it is the same in every outer
-cycle of a solve.  ``factor_lines`` computes the LDL^T factors of all lines
-once (LAPACK ``dpttrf``); a solve builds one ``BackwardPass`` on them, with
-its c buffer, a cube scratch row and each line's bound step.  A cycle
-writes c into the buffer and runs the pass: per line, two BLAS ``daxpy``
-calls form the right-hand side in that line's row of c and ``dpttrs``
-solves it in place.  ``backward_solve`` runs a one-shot pass.  The Thomas
-solve (``assemble_line_system``, ``thomas_solve``) is the reference the
-tests compare against.
+cycle of a solve.  A solve builds one ``BackwardPass``: its constructor
+computes the LDL^T factors of every line (LAPACK ``dpttrf``) and allocates
+the c buffer and a cube scratch row.  A cycle writes c into the buffer
+and runs the pass: per line, two BLAS ``daxpy`` calls form the right-hand
+side in that line's row of c and ``dpttrs`` solves it in place.  The
+Thomas solve (``assemble_line_system``, ``thomas_solve``) is the
+reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -27,16 +26,13 @@ import numpy as np
 from scipy.linalg.blas import daxpy
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .problem import ProblemSpec
+from .problem import LineGrid, ProblemSpec, transverse_steps
 
 __all__ = [
     "TridiagonalSystem",
     "assemble_line_system",
     "thomas_solve",
-    "LineFactors",
-    "factor_lines",
     "BackwardPass",
-    "backward_solve",
 ]
 
 
@@ -106,70 +102,49 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
     return np.array(x)
 
 
-@dataclass(frozen=True)
-class LineFactors:
-    """LDL^T factors of the interior systems of lines 1..L; row k is line k+1.
-
-    diag: shape (L, m), the diagonal of D.  off: shape (L, max(m-1, 1)),
-    the subdiagonal of the unit bidiagonal L (f2py wants one entry even
-    when m = 1, where LAPACK reads none).
-    """
-
-    diag: np.ndarray
-    off: np.ndarray
-
-
-def factor_lines(b: np.ndarray, d: float, h: np.ndarray, size: int) -> LineFactors:
-    """Factor the ``size``-unknown system of every line with ``dpttrf``.
-
-    Line k+1 has the matrix of ``assemble_line_system(b[k], d, h[k], .)``:
-    diagonal 1 + 2g/h^2 and off-diagonals -g/h^2 with g = b[k]*d^2.
-    """
-    b = np.asarray(b, dtype=float)
-    h = np.asarray(h, dtype=float)
-    if b.shape != h.shape or b.ndim != 1:
-        raise ValueError(f"need one b_n and one h_n per line, got shapes {b.shape}, {h.shape}")
-    if not np.all(h > 0.0):
-        raise ValueError(f"transverse steps must be positive, got min {np.min(h)}")
-    if not np.all(b > 0.0):
-        raise ValueError(f"b_n must be positive, got min {np.min(b)}")
-    g = b * d * d
-    off = -g / (h * h)
-    diag = 1.0 + 2.0 * g / (h * h)
-    out_d = np.empty((b.size, size))
-    out_e = np.zeros((b.size, max(size - 1, 1)))
-    for k in range(b.size):
-        dk, ek, info = dpttrf(np.full(size, diag[k]), np.full(out_e.shape[1], off[k]))
-        if info != 0:
-            raise ArithmeticError(f"line {k + 1} system is not positive definite (info={info})")
-        out_d[k] = dk
-        out_e[k] = ek
-    return LineFactors(diag=out_d, off=out_e)
-
-
 class BackwardPass:
-    """The backward pass on buffers that a solve allocates once.
+    """The backward pass of one solve, on line factors and buffers it makes once.
 
     Line n solves (I - b_n*d^2*D_yy) u_n = c_n + (a_n + b_n*kap*beta)*u_{n+1}
     - (b_n*kap*alpha)*u_{n+1}^3, the reaction lagged at line n+1, in row
-    n-1 of the C-contiguous ``c``; ``boundary`` is the interior of line
-    L+1 (zeros unless set).  Each line's rows, factors and weights are
-    bound once, in ``steps``.
+    n-1 of the C-contiguous ``c``; ``boundary`` is the interior of line N
+    (zeros unless set).  Line n has the matrix of
+    ``assemble_line_system(b_n, d, h_n, .)``, which the constructor factors
+    with ``dpttrf``; each line's rows, factors and weights are bound once,
+    in ``steps``.
     """
 
-    def __init__(self, factors: LineFactors, a: np.ndarray, b: np.ndarray, kap: float,
-                 spec: ProblemSpec, width: int):
-        self.c = np.zeros((a.size, width))
-        self.boundary = np.zeros(width - 2)
-        self.cube = np.empty(width - 2)
+    def __init__(self, a: np.ndarray, b: np.ndarray, spec: ProblemSpec, grid: LineGrid):
+        b = np.asarray(b, dtype=float)
+        h = transverse_steps(grid)[1:-1]
+        if b.shape != h.shape:
+            raise ValueError(f"need one b_n per line 1..{h.size}, got shape {b.shape}")
+        if not np.all(h > 0.0):
+            raise ValueError(f"transverse steps must be positive, got min {np.min(h)}")
+        if not np.all(b > 0.0):
+            raise ValueError(f"b_n must be positive, got min {np.min(b)}")
+        d, m = grid.d, grid.m_nodes - 1
+        g = b * d * d
+        off = -g / (h * h)
+        diag = 1.0 + 2.0 * g / (h * h)
+        kap = d**2 / spec.epsilon
+        self.c = np.zeros((b.size, grid.m_nodes + 1))
+        self.boundary = np.zeros(m)
+        self.cube = np.empty(m)
         lin = (a + b * (kap * spec.beta)).tolist()
         cub = (b * (-kap * spec.alpha)).tolist()
         rows = [*self.c[:, 1:-1], self.boundary]
-        self.steps = [(rows[k], rows[k + 1], factors.diag[k], factors.off[k], lin[k], cub[k])
-                      for k in range(a.size - 1, -1, -1)]
+        self.steps = []
+        for k in range(b.size - 1, -1, -1):
+            # f2py wants one off-diagonal entry even when m = 1, where LAPACK reads none
+            dk, ek, info = dpttrf(np.full(m, diag[k]), np.full(max(m - 1, 1), off[k]))
+            if info != 0:
+                raise ArithmeticError(
+                    f"line {k + 1} system is not positive definite (info={info})")
+            self.steps.append((rows[k], rows[k + 1], dk, ek, lin[k], cub[k]))
 
     def __call__(self, values: np.ndarray) -> None:
-        """Solve lines L..1 in ``c`` and copy them into rows 1..L of ``values``."""
+        """Solve lines N-1..1 in ``c`` and copy them into rows 1..N-1 of ``values``."""
         t, m = self.cube, self.cube.size
         for y, u, d, e, lin, cub in self.steps:
             daxpy(u, y, m, lin)
@@ -178,18 +153,3 @@ class BackwardPass:
             daxpy(t, y, m, cub)
             dpttrs(d, e, y, overwrite_b=1)
         values[1:len(self.c) + 1, 1:-1] = self.c[:, 1:-1]
-
-
-def backward_solve(
-    factors: LineFactors, a: np.ndarray, b: np.ndarray, c: np.ndarray, kap: float,
-    spec: ProblemSpec, values: np.ndarray,
-) -> None:
-    """Fill rows L, L-1, ..., 1 of ``values`` from row L+1, in place.
-
-    Runs a one-shot ``BackwardPass`` on copies of c and row L+1, so c is
-    never written and any layout of c or ``values`` works; end columns stay.
-    """
-    run = BackwardPass(factors, a, b, kap, spec, values.shape[1])
-    run.c[...] = c
-    run.boundary[...] = values[a.size + 1, 1:-1]
-    run(values)

@@ -35,7 +35,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .problem import FieldSolution, LineGrid, ProblemSpec, source_values, transverse_steps
+from .problem import (FieldSolution, LineGrid, ProblemSpec, integer_count, source_values,
+                      transverse_steps)
 
 __all__ = ["NewtonReport", "NewtonDivergenceError", "newton_solve", "compare_fields"]
 
@@ -172,7 +173,7 @@ def newton_solve(
     number of steps taken."""
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    if max_newton < 1:
+    if integer_count("max_newton", max_newton) < 1:
         raise ValueError(f"max_newton must be >= 1, got {max_newton}")
     N, M = grid.n_lines, grid.m_nodes
     h = _require_uniform_rectangle(grid)

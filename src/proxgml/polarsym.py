@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .problem import integer_count
 from .sweep import COperator, ab_recursion, c_operator
 from .symalg import DEFAULT_TRUNCATION, BoundaryPolynomial, TruncationSpec, poly_eval
 
@@ -61,6 +62,8 @@ class PolarSymbolicConfig:
     trunc: TruncationSpec = DEFAULT_TRUNCATION
 
     def __post_init__(self):
+        for name in ("n_lines", "iters"):
+            object.__setattr__(self, name, integer_count(name, getattr(self, name)))
         params = (self.epsilon, self.prox_weight, self.alpha, self.beta)
         if not all(math.isfinite(x) for x in params):
             raise ValueError("polar configuration parameters must be finite")
@@ -143,7 +146,7 @@ def symbolic_solve(cfg: PolarSymbolicConfig) -> list[BoundaryPolynomial]:
     solved rows.  A diverging solve raises no warning: its coefficients
     overflow to inf or NaN and are returned as they are.
     """
-    a, b = ab_recursion(2.0 + cfg.prox_weight * cfg.d**2 / cfg.epsilon, cfg.n_lines - 1)
+    a, b = ab_recursion(cfg.prox_weight, cfg.d, cfg.epsilon, cfg.n_lines - 1)
     c_op, backward = c_operator(a), _BackwardPass(cfg, a, b)
     for _ in range(cfg.iters):
         backward(_sweep_rows(cfg, c_op, backward.u))
@@ -172,7 +175,7 @@ def polar_numeric_solve(cfg: PolarSymbolicConfig, boundary: np.ndarray) -> np.nd
     boundary = _samples("boundary", boundary)
     mth = boundary.size
     h_th = 2.0 * np.pi / mth
-    a, b = ab_recursion(2.0 + K * kap, m8 - 1)
+    a, b = ab_recursion(K, cfg.d, cfg.epsilon, m8 - 1)
     c_op = c_operator(a)
     u = np.zeros((m8 + 1, mth))
     for _ in range(cfg.iters):

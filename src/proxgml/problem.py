@@ -27,6 +27,7 @@ __all__ = [
     "LineGrid",
     "FieldSolution",
     "build_cartesian_grid",
+    "integer_count",
     "transverse_steps",
     "line_ordinates",
     "source_values",
@@ -96,16 +97,20 @@ class LineGrid:
             arr.setflags(write=False)
 
 
+def integer_count(name: str, k) -> int:
+    """``k`` as an int; a bool or any non-integer raises ValueError naming ``name``."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {k!r}")
+    return int(k)
+
+
 def build_cartesian_grid(domain: CartesianDomain, N: int, M: int) -> LineGrid:
     """Partition [a, b] into N equal sub-intervals and each line into M.
 
     N and M must be integers (not bool).  Rejects degenerate strips: every
     line must have finite y1(x_n) < y2(x_n).
     """
-    for name, k in (("N", N), ("M", M)):
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {k!r}")
-    N, M = int(N), int(M)
+    N, M = integer_count("N", N), integer_count("M", M)
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
     if M < 2:

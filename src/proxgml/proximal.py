@@ -17,12 +17,11 @@ b_n*kap*[R(u0_{n+1}) + E(u0_n)].  At the zero anchor g = f and that lag
 term vanishes, so the first cycle is a plain ``forward_sweep`` +
 ``backward_pass``.
 
-The line systems depend only on (b_n, d, h_n), so a solve factors them
-once (``linebvp.factor_lines``) and builds one ``linebvp.BackwardPass``,
-into whose c buffer every cycle writes; ``backward_pass`` runs a one-shot
-pass.  A cycle is converged when the update is at most ``tol`` and the FD
-residual is at most K*tol; ``SolveReport.stop_reason`` says why the loop
-stopped.
+The line systems depend only on (b_n, d, h_n), so a solve builds one
+``linebvp.BackwardPass``, which factors them, and every cycle writes into
+its c buffer; ``backward_pass`` builds and runs a one-shot pass.  A cycle
+is converged when the update is at most ``tol`` and the FD residual is at
+most K*tol; ``SolveReport.stop_reason`` says why the loop stopped.
 """
 
 from __future__ import annotations
@@ -32,9 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linebvp import BackwardPass, backward_solve, factor_lines
-from .problem import FieldSolution, LineGrid, ProblemSpec, source_values, transverse_steps
-from .sweep import SweepCoefficients, c_operator, scalar_coefficients
+from .linebvp import BackwardPass
+from .problem import (FieldSolution, LineGrid, ProblemSpec, integer_count, source_values,
+                      transverse_steps)
+from .sweep import SweepCoefficients, ab_recursion, c_operator
 
 __all__ = [
     "SolveReport",
@@ -66,16 +66,19 @@ def backward_pass(
 ) -> FieldSolution:
     """Solve lines N-1, N-2, ..., 1 and assemble the field.
 
-    Factors the line systems for this one pass; ``proximal_iterate`` runs
-    the same ``BackwardPass`` on factors it makes once per solve.
-    ``u_boundary_N`` is the Dirichlet data on the last line (all zeros for
-    the homogeneous problem).
+    Builds a ``BackwardPass`` (which factors the line systems) for this one
+    pass, copies c into its buffer, so ``coeffs`` is never written, and
+    runs it; ``proximal_iterate`` builds one pass per solve and runs it in
+    every cycle.  ``u_boundary_N`` is the Dirichlet data on the last line
+    (all zeros for the homogeneous problem).
     """
     N, M = grid.n_lines, grid.m_nodes
     values = np.zeros((N + 1, M + 1))
     values[N] = np.asarray(u_boundary_N, dtype=float)
-    factors = factor_lines(coeffs.b, grid.d, transverse_steps(grid)[1:-1], M - 1)
-    backward_solve(factors, coeffs.a, coeffs.b, coeffs.c, grid.d**2 / spec.epsilon, spec, values)
+    run = BackwardPass(coeffs.a, coeffs.b, spec, grid)
+    run.c[...] = coeffs.c
+    run.boundary[...] = values[N, 1:-1]
+    run(values)
     return FieldSolution(values)
 
 
@@ -89,9 +92,9 @@ def proximal_iterate(
 ) -> SolveReport:
     """Run the outer proximal loop from a zero anchor.
 
-    a, b, f, the transverse steps, the c operator, the line factors and the
-    backward pass are built once per solve.  Every cycle applies the c
-    operator to the corrected source of the anchor (see the module
+    a, b, f, the transverse steps, the c operator and the backward pass
+    (with its line factors) are built once per solve.  Every cycle applies
+    the c operator to the corrected source of the anchor (see the module
     docstring) in the pass's c buffer and runs the pass.  A cycle is
     converged when the update is at most ``tol`` and the FD residual is at
     most K*tol; the residual is evaluated only once the update test holds,
@@ -107,18 +110,17 @@ def proximal_iterate(
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    if max_iter < 1:
+    if integer_count("max_iter", max_iter) < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if fixed_iters is not None and fixed_iters < 1:
+    if fixed_iters is not None and integer_count("fixed_iters", fixed_iters) < 1:
         raise ValueError(f"fixed_iters must be >= 1, got {fixed_iters}")
     K = spec.prox_weight
     kap = grid.d**2 / spec.epsilon
-    a, b = scalar_coefficients(spec, grid)
+    a, b = ab_recursion(K, grid.d, spec.epsilon, grid.n_lines - 1)
     c_op = c_operator(a)
     h = transverse_steps(grid)
     f = source_values(spec, grid)
-    factors = factor_lines(b, grid.d, h[1:-1], grid.m_nodes - 1)
-    backward = BackwardPass(factors, a, b, kap, spec, grid.m_nodes + 1)
+    backward = BackwardPass(a, b, spec, grid)
     b_kap = (b * kap)[:, None]
 
     def residual_sup(v: np.ndarray) -> float:

@@ -41,7 +41,6 @@ __all__ = [
     "ab_recursion",
     "c_operator",
     "forward_sweep",
-    "scalar_coefficients",
 ]
 
 
@@ -61,8 +60,12 @@ class SweepCoefficients:
             arr.setflags(write=False)
 
 
-def ab_recursion(q: float, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """a_n and b_n for n = 1..count with diagonal q; entry k for line k+1."""
+def ab_recursion(K: float, d: float, eps: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """a_n and b_n for n = 1..count; entry k for line k+1.
+
+    The diagonal q = 2 + K*d^2/eps is formed here and nowhere else.
+    """
+    q = 2.0 + K * d**2 / eps
     a = np.empty(count)
     b = np.empty(count)
     a[0] = 1.0 / q
@@ -125,16 +128,10 @@ def c_operator(a: np.ndarray) -> COperator:
     return COperator(blocks=(*L[:-1], L[-1, :last, :last].copy()))
 
 
-def scalar_coefficients(spec: ProblemSpec, grid: LineGrid) -> tuple[np.ndarray, np.ndarray]:
-    """The anchor-independent a_n and b_n for n = 1..N-1."""
-    q = 2.0 + spec.prox_weight * grid.d**2 / spec.epsilon
-    return ab_recursion(q, grid.n_lines - 1)
-
-
 def forward_sweep(spec: ProblemSpec, grid: LineGrid, anchor: FieldSolution) -> SweepCoefficients:
     """Compute all sweep coefficients for the anchor u0."""
     if anchor.values.shape != (grid.n_lines + 1, grid.m_nodes + 1):
         raise ValueError("anchor shape does not match grid")
-    a, b = scalar_coefficients(spec, grid)
+    a, b = ab_recursion(spec.prox_weight, grid.d, spec.epsilon, grid.n_lines - 1)
     g = spec.prox_weight * anchor.values + source_values(spec, grid)
     return SweepCoefficients(a=a, b=b, c=c_operator(a)(g, grid.d**2 / spec.epsilon))

@@ -9,9 +9,10 @@ a monomial over a cap, which reproduces the series-truncation semantics
 of multiplying then cutting.  The default caps (3, 1, 1, 0, 0) give 16
 monomials.  Each spec builds its product table and derivative matrix on
 first use.  M(p), the matrix of q -> p*q, is one gather from [p, 0] through
-``mul_gather`` (each entry is one coefficient of p or zero), and the cube
-is M(p) @ (M(p) @ p).  The annulus solver runs the same gather and the two
-products on its own buffers, one row at a time.
+``mul_gather`` (each entry is one coefficient of p or zero).  M(p) is the
+one definition of the product: ``poly_mul(p, q)`` is M(p) @ q, and the
+annulus solver runs the same gather on its own buffers, one row at a
+time, with the cube of a row u as M(u) @ (M(u) @ u).
 """
 
 from __future__ import annotations
@@ -59,9 +60,6 @@ class TruncationSpec:
             raise ValueError(f"caps must be {NVARS} non-negative integers, got {self.caps}")
         object.__setattr__(self, "caps", tuple(int(c) for c in self.caps))
 
-    def admits(self, exponents: tuple[int, ...]) -> bool:
-        return all(e <= c for e, c in zip(exponents, self.caps))
-
     @functools.cached_property
     def basis(self) -> dict:
         """Every monomial within the caps, in sorted order -> its coefficient position."""
@@ -75,40 +73,25 @@ class TruncationSpec:
                if (e := tuple(x + y for x, y in zip(e1, e2))) in self.basis]
         return tuple(np.array(col, dtype=np.intp) for col in zip(*ijk))
 
-    def mul(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """Truncated product of two coefficient vectors."""
-        i, j, k = self._products
-        return np.bincount(k, weights=p[i] * q[j], minlength=len(self.basis))
-
-    @functools.cached_property
-    def _mul_scatter(self) -> tuple[np.ndarray, np.ndarray]:
-        # M(p)[k, j] = p[i] for each product (i, j -> k), at flat position k*B + j
-        i, j, k = self._products
-        return i, k * len(self.basis) + j
-
     @functools.cached_property
     def mul_gather(self) -> np.ndarray:
         """Positions into [p, 0] that gather the B*B entries of M(p), row by row.
 
-        Every flat position of ``_mul_scatter`` is distinct, so M(p) needs no
+        M(p)[k, j] = p[i] for each product (i, j -> k).  Monomials k and j
+        fix i, so each (k, j) has at most one product and M(p) needs no
         summation: each entry is one coefficient of p or the trailing zero.
         """
-        i, kj = self._mul_scatter
+        i, j, k = self._products
         B = len(self.basis)
         gather = np.full(B * B, B, dtype=np.intp)
-        gather[kj] = i
+        gather[k * B + j] = i
         gather.setflags(write=False)
         return gather
 
     def mul_matrix(self, p: np.ndarray) -> np.ndarray:
-        """The matrix M(p) of q -> mul(p, q)."""
+        """The matrix M(p) of q -> p*q, truncated to the caps."""
         B = len(self.basis)
         return np.append(p, 0.0)[self.mul_gather].reshape(B, B)
-
-    def cube(self, p: np.ndarray) -> np.ndarray:
-        """Truncated p*p*p of a coefficient vector, M(p) applied twice to p."""
-        M = self.mul_matrix(p)
-        return M.dot(M.dot(p))
 
     @functools.cached_property
     def diff_matrix(self) -> np.ndarray:
@@ -139,7 +122,7 @@ class BoundaryPolynomial:
     infinite coefficient is kept, so a diverged solve shows); stored as the
     read-only vector ``coeffs`` over ``trunc.basis``.  Equality is
     structural on the term map.  Instances are immutable; arithmetic goes
-    through the module-level functions (also available as operators).
+    through the module-level functions.
     """
 
     __slots__ = ("coeffs", "trunc")
@@ -184,19 +167,6 @@ class BoundaryPolynomial:
     def __hash__(self):
         return hash((frozenset(self.terms.items()), self.trunc))
 
-    def __add__(self, other):
-        return poly_add(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, BoundaryPolynomial):
-            return poly_mul(self, other)
-        return poly_scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return poly_add(self, poly_scale(other, -1.0))
-
     def coefficient(self, exponents: tuple[int, ...]) -> float:
         return self.terms.get(tuple(exponents), 0.0)
 
@@ -235,7 +205,7 @@ def poly_scale(p: BoundaryPolynomial, s: float) -> BoundaryPolynomial:
 def poly_mul(p: BoundaryPolynomial, q: BoundaryPolynomial) -> BoundaryPolynomial:
     """Distributive product; monomials exceeding any cap are discarded."""
     _require_same_trunc(p, q)
-    return BoundaryPolynomial.from_coeffs(p.trunc.mul(p.coeffs, q.coeffs), p.trunc)
+    return BoundaryPolynomial.from_coeffs(p.trunc.mul_matrix(p.coeffs) @ q.coeffs, p.trunc)
 
 
 def poly_diff(p: BoundaryPolynomial) -> BoundaryPolynomial:

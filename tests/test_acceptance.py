@@ -12,7 +12,7 @@ from proxgml.oracle import compare_fields, newton_solve
 from proxgml.polarsym import cross_check_numeric, polar_numeric_solve
 from proxgml.problem import FieldSolution, build_cartesian_grid
 from proxgml.proximal import proximal_iterate
-from proxgml.sweep import forward_sweep, scalar_coefficients
+from proxgml.sweep import ab_recursion, forward_sweep
 from proxgml.symalg import (
     DEFAULT_TRUNCATION,
     BoundaryPolynomial,
@@ -224,7 +224,7 @@ def test_criterion_10_sweep_coefficient_properties():
         N = int(rng.integers(5, 150))
         spec = square_problem(eps, K=K)
         grid = build_cartesian_grid(UNIT_SQUARE, N, 3)
-        a, b = scalar_coefficients(spec, grid)
+        a, b = ab_recursion(K, grid.d, eps, N - 1)
         q = 2.0 + K * grid.d**2 / eps
         a_star = (q - np.sqrt(q * q - 4.0)) / 2.0
         diffs = np.diff(a)

@@ -5,12 +5,12 @@ import proxgml.linebvp as linebvp
 from proxgml.linebvp import (
     TridiagonalSystem,
     assemble_line_system,
-    factor_lines,
     thomas_solve,
 )
 from proxgml.problem import (
     CartesianDomain,
     FieldSolution,
+    LineGrid,
     ProblemSpec,
     build_cartesian_grid,
     source_values,
@@ -18,7 +18,7 @@ from proxgml.problem import (
 )
 import proxgml.proximal as proximal
 from proxgml.proximal import _scheme_terms, backward_pass, proximal_iterate
-from proxgml.sweep import SweepCoefficients, c_operator, forward_sweep, scalar_coefficients
+from proxgml.sweep import SweepCoefficients, ab_recursion, c_operator, forward_sweep
 
 from conftest import UNIT_SQUARE, square_problem
 
@@ -153,7 +153,7 @@ def solve_line(n, coeffs, u_next, spec, grid):
 
 def _coeffs_for(grid, spec, c_value=0.0):
     N, M = grid.n_lines, grid.m_nodes
-    a, b = scalar_coefficients(spec, grid)
+    a, b = ab_recursion(spec.prox_weight, grid.d, spec.epsilon, N - 1)
     c = np.full((N - 1, M + 1), c_value)
     return SweepCoefficients(a=a, b=b, c=c)
 
@@ -234,33 +234,24 @@ def test_backward_pass_leaves_read_only_coefficients_unchanged():
     # a SweepCoefficients must never be that buffer
     spec, grid, coeffs = _random_anchor_problem(12, 12, CURVED)
     before = coeffs.c.tobytes()
-    got = backward_pass(coeffs, spec, grid, np.zeros(13))
+    backward_pass(coeffs, spec, grid, np.zeros(13))
     assert not coeffs.c.flags.writeable and coeffs.c.tobytes() == before
-    values = np.zeros_like(got.values)
-    factors = factor_lines(coeffs.b, grid.d, transverse_steps(grid)[1:-1], 11)
-    linebvp.backward_solve(factors, coeffs.a, coeffs.b, coeffs.c, grid.d**2 / spec.epsilon, spec,
-                           values)
-    assert coeffs.c.tobytes() == before
-    np.testing.assert_array_equal(values, got.values)
 
 
 def test_backward_solve_on_non_contiguous_arrays():
     # daxpy and dpttrs silently work on a copy of a non-contiguous array, so
-    # such a values or c is copied and must still give the Thomas-chain answer
+    # the pass copies c into its own buffer and must still give the
+    # Thomas-chain answer for any layout of c
     N, M = 9, 7
     spec, grid, coeffs = _random_anchor_problem(N, M, CURVED, seed=5)
     boundary = np.sin(np.pi * np.arange(M + 1) / M)
     ref = _thomas_chain(coeffs, spec, grid, boundary)
-    factors = factor_lines(coeffs.b, grid.d, transverse_steps(grid)[1:-1], M - 1)
-    kap = grid.d**2 / spec.epsilon
     fortran_c = np.asfortranarray(coeffs.c)
     strided_c = np.zeros((N - 1, 2 * (M + 1)))[:, ::2]
     strided_c[...] = coeffs.c
     for c in (fortran_c, strided_c, np.array(coeffs.c)):
-        values = np.zeros((M + 1, N + 1)).T  # Fortran-ordered
-        values[N] = boundary
-        linebvp.backward_solve(factors, coeffs.a, coeffs.b, c, kap, spec, values)
-        np.testing.assert_allclose(values, ref, rtol=0, atol=1e-13)
+        got = backward_pass(SweepCoefficients(a=coeffs.a, b=coeffs.b, c=c), spec, grid, boundary)
+        np.testing.assert_allclose(got.values, ref, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("b, h", [
@@ -271,8 +262,15 @@ def test_backward_solve_on_non_contiguous_arrays():
     ([0.5, 0.5], [0.1, float("nan")]),
 ])
 def test_factor_lines_rejects_non_positive_inputs(b, h):
+    # lines 1 and 2 of a 3-line grid with M = 6 have steps h; a LineGrid
+    # built directly can carry any per-line range
+    M = 6
+    grid = LineGrid(n_lines=3, d=0.1, abscissae=np.arange(4) * 0.1, m_nodes=M,
+                    reference_nodes=np.arange(M + 1) / M,
+                    per_line_range=np.array([[0.0, 0.6], *([0.0, M * x] for x in h), [0.0, 0.6]]))
+    coeffs = SweepCoefficients(a=np.full(2, 0.4), b=np.array(b), c=np.zeros((2, M + 1)))
     with pytest.raises(ValueError):
-        factor_lines(np.array(b), 0.1, np.array(h), 5)
+        backward_pass(coeffs, square_problem(0.1), grid, np.zeros(M + 1))
 
 
 def test_solve_loop_builds_no_line_system(monkeypatch):
@@ -290,8 +288,8 @@ def test_solve_loop_builds_no_line_system(monkeypatch):
 
 def test_solve_builds_factors_and_pass_once(monkeypatch):
     # everything that depends only on the solve is built before the first
-    # cycle; no cycle goes through the one-shot backward_solve
-    calls = {"factor_lines": 0, "BackwardPass": 0, "backward_solve": 0}
+    # cycle: one pass, which factors each of the N-1 lines once
+    calls = {"BackwardPass": 0, "dpttrf": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -299,12 +297,12 @@ def test_solve_builds_factors_and_pass_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(proximal, name, counted(name, getattr(proximal, name)))
+    monkeypatch.setattr(proximal, "BackwardPass", counted("BackwardPass", proximal.BackwardPass))
+    monkeypatch.setattr(linebvp, "dpttrf", counted("dpttrf", linebvp.dpttrf))
     report = proximal_iterate(square_problem(0.1), build_cartesian_grid(UNIT_SQUARE, 8, 8),
                               fixed_iters=20)
     assert report.outer_iterations == 20
-    assert calls == {"factor_lines": 1, "BackwardPass": 1, "backward_solve": 0}
+    assert calls == {"BackwardPass": 1, "dpttrf": 7}
 
 
 @pytest.mark.parametrize("N, M, domain", [
@@ -325,7 +323,7 @@ def test_solve_cycles_match_fresh_backward_passes(N, M, domain):
     v = np.zeros((N + 1, M + 1))
     updates = []
     for _ in range(5):
-        a, b = scalar_coefficients(spec, grid)
+        a, b = ab_recursion(K, grid.d, spec.epsilon, N - 1)
         R, E = _scheme_terms(spec, v, h)
         c = c_operator(a)(K * v + f + R + E, kap)
         c -= (b * kap)[:, None] * (R[2:] + E[1:-1])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from proxgml.oracle import newton_solve
+from proxgml.polarsym import PolarSymbolicConfig
 from proxgml.problem import (
     CartesianDomain,
     FieldSolution,
@@ -14,7 +15,7 @@ from proxgml.problem import (
 )
 from proxgml.proximal import proximal_iterate
 
-from conftest import UNIT_SQUARE, ones_source
+from conftest import UNIT_SQUARE, ones_source, square_problem
 
 
 def test_grid_spacing_unit_interval():
@@ -73,6 +74,27 @@ def test_rejects_non_finite_strip_bounds(y1, y2):
 def test_rejects_non_integer_counts(N, M):
     with pytest.raises(ValueError, match="integer"):
         build_cartesian_grid(UNIT_SQUARE, N, M)
+
+
+_SMALL = build_cartesian_grid(UNIT_SQUARE, 4, 4)
+# every library count argument, each called with the count under test
+COUNT_ARGUMENTS = {
+    "n_lines": lambda k: PolarSymbolicConfig(epsilon=0.1, n_lines=k),
+    "iters": lambda k: PolarSymbolicConfig(epsilon=0.1, iters=k),
+    "max_iter": lambda k: proximal_iterate(square_problem(0.1), _SMALL, max_iter=k),
+    "fixed_iters": lambda k: proximal_iterate(square_problem(0.1), _SMALL, fixed_iters=k),
+    "max_newton": lambda k: newton_solve(square_problem(0.1), _SMALL, max_newton=k),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, True, np.float64(3), "3"],
+                         ids=["2.5", "3.0", "True", "float64", "str"])
+@pytest.mark.parametrize("name", COUNT_ARGUMENTS)
+def test_count_arguments_reject_bools_and_non_integers(name, value):
+    # a float count once raised TypeError from inside numpy, and True ran one cycle
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        COUNT_ARGUMENTS[name](value)
+    COUNT_ARGUMENTS[name](np.int64(50))
 
 
 def test_accepts_numpy_integer_counts():

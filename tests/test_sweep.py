@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from proxgml.problem import FieldSolution, build_cartesian_grid
-from proxgml.sweep import ab_recursion, c_operator, forward_sweep, scalar_coefficients
+from proxgml.sweep import ab_recursion, c_operator, forward_sweep
 
 from conftest import UNIT_SQUARE, square_problem, ones_source
 
@@ -62,7 +62,7 @@ def test_a_monotone_and_bounded_by_fixed_point():
         N = int(rng.integers(5, 120))
         spec = square_problem(eps, K=K)
         grid = build_cartesian_grid(UNIT_SQUARE, N, 3)
-        a, b = scalar_coefficients(spec, grid)
+        a, b = ab_recursion(K, grid.d, eps, N - 1)
         q = 2.0 + K * grid.d**2 / eps
         a_star = (q - np.sqrt(q * q - 4.0)) / 2.0
         # strictly increasing until the recursion saturates at its fixed
@@ -122,8 +122,8 @@ def _loop_c_recursion(a, g, kap):
 def test_blocked_c_recursion_matches_loop(size, q):
     # 70 rows are blocks of 32, 32 and 6; q = 2 (K = 0) gives a_n = n/(n+1),
     # so the carry between blocks dominates; q = 1e20 makes every product of
-    # more than 16 a's underflow to 0
-    a, _ = ab_recursion(q, size)
+    # more than 16 a's underflow to 0; q = 2 + K*d^2/eps with d = eps = 1
+    a, _ = ab_recursion(q - 2.0, 1.0, 1.0, size)
     g = np.random.default_rng(size).uniform(0.5, 1.5, size=(size + 2, 5))
     kap = 0.037
     want = _loop_c_recursion(a, g, kap)

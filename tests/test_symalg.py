@@ -219,7 +219,7 @@ def _brute_mul(p, q):
     for e1, c1 in p.terms.items():
         for e2, c2 in q.terms.items():
             e = tuple(x + y for x, y in zip(e1, e2))
-            if p.trunc.admits(e):
+            if e in p.trunc.basis:
                 out[e] = out.get(e, 0.0) + c1 * c2
     return out
 
@@ -229,7 +229,7 @@ def _brute_diff(p):
     for e, c in p.terms.items():
         for i in range(4):
             bumped = e[:i] + (e[i] - 1, e[i + 1] + 1) + e[i + 2:]
-            if e[i] > 0 and p.trunc.admits(bumped):
+            if e[i] > 0 and bumped in p.trunc.basis:
                 out[bumped] = out.get(bumped, 0.0) + c * e[i]
     return out
 
@@ -268,26 +268,20 @@ def test_pickle_and_deepcopy_round_trip():
 
 
 @pytest.mark.parametrize("caps", [(3, 1, 1, 0, 0), (2, 1, 1, 0, 0), (2, 1, 1, 1, 1)])
-def test_cube_table_matches_repeated_product(caps):
-    spec = TruncationSpec(caps)
-    rng = np.random.default_rng(7 + sum(caps))
-    for _ in range(100):
-        p = rng.uniform(-2.0, 2.0, size=len(spec.basis))
-        want = spec.mul(spec.mul(p, p), p)
-        np.testing.assert_allclose(spec.cube(p), want, rtol=1e-14, atol=1e-14 * np.max(np.abs(want)))
-
-
-@pytest.mark.parametrize("caps", [(3, 1, 1, 0, 0), (2, 1, 1, 0, 0), (2, 1, 1, 1, 1)])
 def test_mul_matrix_matches_product_table(caps):
     spec = TruncationSpec(caps)
     rng = np.random.default_rng(11 + sum(caps))
     for _ in range(100):
         p, q = rng.uniform(-2.0, 2.0, size=(2, len(spec.basis)))
-        want = spec.mul(p, q)
+        # the product table summed term by term
+        i, j, k = spec._products
+        want = np.bincount(k, weights=p[i] * q[j], minlength=len(spec.basis))
         np.testing.assert_allclose(spec.mul_matrix(p) @ q, want, rtol=1e-14,
                                    atol=1e-14 * np.max(np.abs(want)))
-    # one scatter entry per product pair, at distinct positions of M(p)
-    i, kj = spec._mul_scatter
-    assert len(i) == len(kj) == len(np.unique(kj)) == len(spec._products[0])
+    # one gathered entry of M(p) per product pair, each at its own position
+    i, j, k = spec._products
+    B = len(spec.basis)
+    assert len(np.unique(k * B + j)) == len(i)
+    assert np.count_nonzero(spec.mul_gather < B) == len(i)
     if caps == (3, 1, 1, 0, 0):
-        assert len(kj) == 90
+        assert len(i) == 90
