@@ -4,10 +4,13 @@ Assembles the complete nonlinear finite-difference system on the 2D grid
 (5-point Laplacian, steps d and h, scaled by -eps, plus the diagonal
 reaction alpha*u^3 - beta*u) and drives it to a root with damped Newton.
 Shares no code path with the line sweep, so agreement between the two is a
-meaningful check.  Each Newton step solves the Jacobian with a sparse LU
-ordered by minimum degree on A^T + A, which follows the symmetric 5-point
-structure: at N=M=100, eps=0.01 the factors hold 364,676 nonzeros, against
-666,448 under the default column ordering (COLAMD).
+meaningful check.  Each grid level builds its operator A = -eps * Laplacian
+once, as CSC arrays by index arithmetic with every diagonal entry stored, and
+each Newton run copies it into the Jacobian J once; a step then writes only
+J's diagonal, A's diagonal + 3*alpha*u^2 - beta.  Each Newton step solves J
+with a sparse LU ordered by minimum degree on A^T + A, which follows the
+symmetric 5-point structure: at N=M=100, eps=0.01 the factors hold 364,676
+nonzeros, against 666,448 under the default column ordering (COLAMD).
 
 Newton is sequenced over coarser grids (nested iteration): while N and M are
 both even and the halved grid keeps at least ``COARSE_MIN`` intervals each
@@ -20,9 +23,13 @@ from zero unless alpha, beta > 0; each finer level starts from the coarser
 root, prolonged by 4-point cubic midpoint interpolation along each axis
 (``_prolong``).  A coarse level that fails hands the next level the reduced
 start instead, and the requested grid, should it fail from the prolonged
-start, runs again from the reduced start.  The coarse levels resolve the
-boundary layers that the reduced start ignores at a fraction of the cost,
-and the requested grid then needs two or three steps instead of five.
+start, runs again from the reduced start.  A run from a prolonged start
+whose sup residual after ``STALL_STEPS`` steps is above half its starting
+residual has stalled outside the basin (an indefinite problem whose coarse
+root misses an interior layer) and ends as failed in the same way.  The
+coarse levels resolve the boundary layers that the reduced start ignores at
+a fraction of the cost, and the requested grid then needs two or three steps
+instead of five.
 """
 
 from __future__ import annotations
@@ -45,6 +52,9 @@ PERMC_SPEC = "MMD_AT_PLUS_A"
 # grid sequencing halves N and M while both are even and the halved grid keeps
 # at least this many intervals each way
 COARSE_MIN = 16
+# a run from a prolonged start whose sup residual after this many Newton steps
+# is above half its starting residual ends as failed (stalled)
+STALL_STEPS = 3
 
 
 class NewtonDivergenceError(RuntimeError):
@@ -71,13 +81,21 @@ def _require_uniform_rectangle(grid: LineGrid) -> float:
 
 
 def _laplacian(N: int, M: int, d: float, h: float) -> sp.csc_matrix:
-    # interior unknowns, line-major flattening: index = (n-1)*(M-1) + (j-1)
+    # interior unknowns, line-major flattening: index k = (n-1)*(M-1) + (j-1);
+    # column k holds rows k-(M-1), k-1, k, k+1, k+(M-1) where they exist, in
+    # ascending order, and always its diagonal
     nx, ny = N - 1, M - 1
-    ex = np.ones(nx)
-    ey = np.ones(ny)
-    Lx = sp.diags([ex[:-1], -2.0 * ex, ex[:-1]], [-1, 0, 1]) / d**2
-    Ly = sp.diags([ey[:-1], -2.0 * ey, ey[:-1]], [-1, 0, 1]) / h**2
-    return (sp.kron(Lx, sp.eye(ny)) + sp.kron(sp.eye(nx), Ly)).tocsc()
+    k = np.arange(nx * ny)
+    i, j = np.divmod(k, ny)
+    offsets = np.array([-ny, -1, 0, 1, ny])
+    present = np.stack([i > 0, j > 0, np.ones_like(i, dtype=bool), j < ny - 1, i < nx - 1],
+                       axis=1)
+    wx, wy = 1.0 / d**2, 1.0 / h**2
+    values = np.array([wx, wy, -2.0 / d**2 + -2.0 / h**2, wy, wx])
+    indptr = np.concatenate([[0], np.cumsum(present.sum(axis=1))])
+    return sp.csc_matrix(
+        (np.broadcast_to(values, present.shape)[present], (k[:, None] + offsets)[present], indptr),
+        shape=(k.size, k.size))
 
 
 def _reduced_root(alpha: float, beta: float, f: np.ndarray) -> np.ndarray:
@@ -115,13 +133,18 @@ class _Run:
     failure: str | None
 
 
-def _damped_newton(A, f, u, *, alpha, beta, threshold, max_newton) -> _Run:
+def _damped_newton(A, f, u, *, alpha, beta, threshold, max_newton, stall_steps=None) -> _Run:
     """Newton on A u + alpha u^3 - beta u = f from u, one sparse solve per step,
-    until the sup residual is at most threshold."""
+    until the sup residual is at most threshold.  A must store its whole diagonal:
+    J is A's copy, and a step writes only J's diagonal.  With ``stall_steps`` the
+    run fails once its sup residual after that many steps is above half its first."""
 
     def F(v):
         return A @ v + alpha * v**3 - beta * v - f
 
+    J = A.copy()
+    diag = np.flatnonzero(J.indices == np.repeat(np.arange(J.shape[1]), np.diff(J.indptr)))
+    a_diag = A.data[diag]
     res_hist = []
     step_hist = []
     Fu = F(u)
@@ -131,8 +154,12 @@ def _damped_newton(A, f, u, *, alpha, beta, threshold, max_newton) -> _Run:
         if sup <= threshold:
             return _Run(u, np.array(res_hist), np.array(step_hist), it, None)
         if it == max_newton:
+            failure, solves = "no convergence", it
             break
-        J = (A + sp.diags(3.0 * alpha * u**2 - beta)).tocsc()
+        if it == stall_steps and sup > 0.5 * res_hist[0]:
+            failure, solves = "stalled", it
+            break
+        J.data[diag] = a_diag + (3.0 * alpha * u**2 - beta)
         delta = spla.spsolve(J, -Fu, permc_spec=PERMC_SPEC)
         # halving line search on the euclidean residual norm; the accepted
         # trial's residual is the next step's F(u)
@@ -145,13 +172,11 @@ def _damped_newton(A, f, u, *, alpha, beta, threshold, max_newton) -> _Run:
                 break
             t *= 0.5
         else:
-            break  # no decrease along the Newton direction
+            # no decrease along the Newton direction
+            failure, solves = "line search failed", it + 1
+            break
         u, Fu = trial, F_trial
         step_hist.append(float(np.max(np.abs(t * delta))))
-    if it == max_newton:
-        failure, solves = "no convergence", it
-    else:
-        failure, solves = "line search failed", it + 1
     return _Run(u, np.array(res_hist), np.array(step_hist), solves,
                 f"{failure} after {it} Newton steps (residual {sup:.3e})")
 
@@ -193,7 +218,7 @@ def newton_solve(
                          threshold=threshold, max_newton=max_newton)
         run = None
         if prolonged is not None:
-            run = newton(prolonged[1:-1, 1:-1].ravel())
+            run = newton(prolonged[1:-1, 1:-1].ravel(), stall_steps=STALL_STEPS)
             if run.failure is not None and stride == 1:
                 # the requested grid runs again from the default start, so the
                 # sequenced oracle converges wherever the single-grid one does

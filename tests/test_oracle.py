@@ -337,13 +337,119 @@ def test_requested_grid_retries_from_the_reduced_start(monkeypatch, solve_counte
     np.testing.assert_array_equal(report.solution.values, single.solution.values)
 
 
-def test_indefinite_coarse_root_still_reaches_the_single_level_root(monkeypatch):
-    # beta = 30, eps = 0.001: the 32-line root does not resolve the interior
-    # layer, Newton from its prolongation stalls, and the 64-line grid
-    # converges from the reduced start instead
+def test_indefinite_coarse_root_still_reaches_the_single_level_root(monkeypatch, solve_counter):
+    # beta = 30, eps = 0.001: without the stall stop the 32-line root, which
+    # does not resolve the interior layer, is prolonged and Newton stalls on
+    # 64 lines (3 + 8 + 50 + 5 steps); with it the 32-line run from the
+    # prolonged start is stopped and the 64-line grid starts from the reduced root
+    runs = []
+    damped_newton = oracle._damped_newton
+
+    def recorded(A, f, u, **kwargs):
+        run = damped_newton(A, f, u, **kwargs)
+        runs.append((A.shape[0], kwargs.get("stall_steps"), run))
+        return run
+
     grid = build_cartesian_grid(UNIT_SQUARE, 64, 64)
     spec = square_problem(0.001, beta=30.0, source=_x_minus_half)
-    report = newton_solve(spec, grid)
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_damped_newton", recorded)
+        report = newton_solve(spec, grid)
+    assert report.iterations + report.coarse_iterations == len(solve_counter) < 20
+    assert [(unknowns, stall) for unknowns, stall, _ in runs] == [
+        (15 * 15, None), (31 * 31, oracle.STALL_STEPS), (63 * 63, None)]
+    stalled = runs[1][2]
+    assert stalled.solves == oracle.STALL_STEPS
+    assert stalled.failure.startswith(f"stalled after {oracle.STALL_STEPS} Newton steps")
+    assert stalled.residual_history[-1] > 0.5 * stalled.residual_history[0]
     single = _single_level(monkeypatch, spec, grid)
     assert report.iterations == single.iterations
+    assert compare_fields(report.solution, single.solution)[0] <= 1e-10
     np.testing.assert_array_equal(report.solution.values, single.solution.values)
+
+
+def _kron_laplacian(N, M, d, h):
+    nx, ny = N - 1, M - 1
+    ex, ey = np.ones(nx), np.ones(ny)
+    Lx = sp.diags([ex[:-1], -2.0 * ex, ex[:-1]], [-1, 0, 1]) / d**2
+    Ly = sp.diags([ey[:-1], -2.0 * ey, ey[:-1]], [-1, 0, 1]) / h**2
+    L = (sp.kron(Lx, sp.eye(ny)) + sp.kron(sp.eye(nx), Ly)).tocsc()
+    # kron takes a block format for small dense factors, which stores zeros
+    L.eliminate_zeros()
+    return L
+
+
+@pytest.mark.parametrize("N, M", [(2, 2), (2, 5), (3, 3), (20, 8), (25, 25)])
+def test_laplacian_matches_kron_reference(N, M):
+    d, h = 0.7 / N, 1.3 / M
+    lap = oracle._laplacian(N, M, d, h)
+    ref = _kron_laplacian(N, M, d, h)
+    assert isinstance(lap, sp.csc_matrix) and lap.shape == ref.shape
+    assert lap.has_canonical_format
+    np.testing.assert_array_equal(lap.indptr, ref.indptr)
+    np.testing.assert_array_equal(lap.indices, ref.indices)
+    assert lap.data.tobytes() == ref.data.tobytes()
+    rows, cols = lap.nonzero()
+    assert np.count_nonzero(rows == cols) == (N - 1) * (M - 1)
+
+
+def _per_step_assembly(A, f, u, *, alpha, beta, threshold, max_newton, stall_steps=None):
+    """The oracle's Newton with J assembled afresh on every step."""
+
+    def F(v):
+        return A @ v + alpha * v**3 - beta * v - f
+
+    res_hist, step_hist = [], []
+    Fu = F(u)
+    for it in range(max_newton + 1):
+        sup = float(np.max(np.abs(Fu))) if Fu.size else 0.0
+        res_hist.append(sup)
+        if sup <= threshold:
+            return oracle._Run(u, np.array(res_hist), np.array(step_hist), it, None)
+        if it == max_newton or (it == stall_steps and sup > 0.5 * res_hist[0]):
+            break
+        J = (A + sp.diags(3.0 * alpha * u**2 - beta)).tocsc()
+        delta = spla.spsolve(J, -Fu, permc_spec=oracle.PERMC_SPEC)
+        base = np.linalg.norm(Fu)
+        t = 1.0
+        while t > 1e-10:
+            trial = u + t * delta
+            F_trial = F(trial)
+            if np.linalg.norm(F_trial) < base:
+                break
+            t *= 0.5
+        else:
+            return oracle._Run(u, np.array(res_hist), np.array(step_hist), it + 1, "line search")
+        u, Fu = trial, F_trial
+        step_hist.append(float(np.max(np.abs(t * delta))))
+    return oracle._Run(u, np.array(res_hist), np.array(step_hist), it, "no convergence")
+
+
+@pytest.mark.parametrize("eps, beta, source", [
+    (0.1, 1.0, None), (0.01, 1.0, None), (0.001, 1.0, None),
+    (0.01, 30.0, _x_minus_half),  # J indefinite
+])
+def test_diagonal_update_matches_per_step_assembly(monkeypatch, eps, beta, source):
+    grid = build_cartesian_grid(UNIT_SQUARE, 32, 32)
+    spec = square_problem(eps, beta=beta, **({"source": source} if source else {}))
+    report = newton_solve(spec, grid)
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_damped_newton", _per_step_assembly)
+        ref = newton_solve(spec, grid)
+    assert report.coarse_iterations > 0
+    assert (report.iterations, report.coarse_iterations) == (ref.iterations, ref.coarse_iterations)
+    np.testing.assert_array_equal(report.solution.values, ref.solution.values)
+    np.testing.assert_array_equal(report.residual_history, ref.residual_history)
+    np.testing.assert_array_equal(report.step_norms, ref.step_norms)
+
+
+def test_operator_is_built_without_kron_or_diags(monkeypatch, solve_counter):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle assembled a sparse matrix per step")
+
+    monkeypatch.setattr(sp, "kron", forbidden)
+    monkeypatch.setattr(sp, "diags", forbidden)
+    grid = build_cartesian_grid(UNIT_SQUARE, 32, 32)
+    report = newton_solve(square_problem(0.01), grid)
+    assert report.coarse_iterations > 0
+    assert report.iterations + report.coarse_iterations == len(solve_counter)
