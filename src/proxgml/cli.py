@@ -7,8 +7,9 @@ Modes:
   compare         cartesian solve vs oracle on the same grid, JSON report
                   (a NaN or infinite number in it is written as null)
 
-Exit codes: 0 success, 2 invalid flags, 3 solver non-convergence or a
-non-finite result, 4 I/O.
+Each mode writes one kind of file; an output flag that it does not write
+is an invalid flag.  Exit codes: 0 success, 2 invalid flags, 3 solver
+non-convergence or a non-finite result, 4 I/O.
 """
 
 from __future__ import annotations
@@ -113,15 +114,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.1, help="diffusion coefficient")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--K", type=float, default=50.0, help="proximal weight")
+    p.add_argument("--K", type=float, default=None, help="proximal weight (default: 50, "
+                   f"or the schedule's {PolarSymbolicConfig.prox_weight:g} on the annulus)")
     p.add_argument("--N", type=int, default=100, help="number of line intervals")
     p.add_argument("--M", type=int, default=None,
                    help="transverse intervals per line (default: N)")
     p.add_argument("--f", default="const:1", help="source term, const:<v> or expression in x,y")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iter", type=int, default=5000)
-    p.add_argument("--iters", type=int, default=None,
-                   help="run exactly this many outer iterations (no convergence test)")
+    p.add_argument("--iters", type=int, default=None, help="run exactly this many outer "
+                   f"iterations, no convergence test (annulus default {PolarSymbolicConfig.iters})")
     p.add_argument("--out-field", default=None, help="field CSV path")
     p.add_argument("--out-expr", default=None, help="line-polynomial JSON path")
     p.add_argument("--out-report", default=None, help="comparison report JSON path")
@@ -132,7 +134,8 @@ def _cartesian_setup(args):
     domain = CartesianDomain(a=0.0, b=1.0, y1=lambda x: 0.0, y2=lambda x: 1.0)
     spec = ProblemSpec(
         epsilon=args.eps, alpha=args.alpha, beta=args.beta,
-        source=parse_source(args.f), prox_weight=args.K, domain=domain,
+        source=parse_source(args.f), domain=domain,
+        prox_weight=args.K if args.K is not None else 50.0,  # no library type holds it
     )
     M = args.M if args.M is not None else args.N
     return spec, build_cartesian_grid(domain, args.N, M)
@@ -162,11 +165,10 @@ def _proximal_exit_code(args, report) -> int:
 
 
 def _run_polar_symbolic(args) -> int:
-    cfg = PolarSymbolicConfig(
-        epsilon=args.eps, n_lines=args.N, prox_weight=args.K,
-        alpha=args.alpha, beta=args.beta,
-        iters=args.iters if args.iters is not None else 149,
-    )
+    given = {name: v for name, v in (("prox_weight", args.K), ("iters", args.iters))
+             if v is not None}
+    cfg = PolarSymbolicConfig(epsilon=args.eps, n_lines=args.N, alpha=args.alpha,
+                              beta=args.beta, **given)
     lines = symbolic_solve(cfg)
     finite = all(np.all(np.isfinite(line.coeffs)) for line in lines)
     mid = cfg.n_lines // 2
@@ -250,27 +252,26 @@ def _run_compare(args) -> int:
     return _proximal_exit_code(args, gml)
 
 
+# each mode's runner and the one output flag it writes
 _RUNNERS = {
-    "cartesian": _run_cartesian,
-    "polar-symbolic": _run_polar_symbolic,
-    "oracle": _run_oracle,
-    "compare": _run_compare,
+    "cartesian": (_run_cartesian, "out_field"),
+    "polar-symbolic": (_run_polar_symbolic, "out_expr"),
+    "oracle": (_run_oracle, "out_field"),
+    "compare": (_run_compare, "out_report"),
 }
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        spec_checks = (args.eps > 0, args.K >= 0, args.N >= 2, args.tol > 0)
-        if not all(spec_checks):
-            parser.print_usage(sys.stderr)
-            print("proxgml: invalid numeric parameters", file=sys.stderr)
-            return EXIT_USAGE
-        return _RUNNERS[args.mode](args)
+        run, output = _RUNNERS[args.mode]
+        for flag in ("out_field", "out_expr", "out_report"):
+            if flag != output and getattr(args, flag) is not None:
+                raise ValueError(f"--{flag.replace('_', '-')} is not written by --mode {args.mode}")
+        return run(args)
     except (ValueError, SyntaxError) as exc:
         print(f"proxgml: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -42,8 +42,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .problem import (FieldSolution, LineGrid, ProblemSpec, integer_count, source_values,
-                      transverse_steps)
+from .problem import (FieldSolution, LineGrid, ProblemSpec, check_tolerance, integer_count,
+                      source_values, transverse_steps)
 
 __all__ = ["NewtonReport", "NewtonDivergenceError", "newton_solve", "compare_fields"]
 
@@ -196,10 +196,8 @@ def newton_solve(
     ``residual_sup`` is the absolute residual.  A failed line search or the
     step limit on the requested grid raises NewtonDivergenceError with the
     number of steps taken."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-    if integer_count("max_newton", max_newton) < 1:
-        raise ValueError(f"max_newton must be >= 1, got {max_newton}")
+    check_tolerance(tol)
+    integer_count("max_newton", max_newton, 1)
     N, M = grid.n_lines, grid.m_nodes
     h = _require_uniform_rectangle(grid)
     f_nodes = source_values(spec, grid)

@@ -31,12 +31,11 @@ against the polynomials still compares two implementations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import integer_count
+from .problem import check_coefficients, integer_count
 from .sweep import COperator, ab_recursion, c_operator
 from .symalg import DEFAULT_TRUNCATION, BoundaryPolynomial, TruncationSpec, poly_eval
 
@@ -51,7 +50,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PolarSymbolicConfig:
-    """Annulus run configuration; defaults reproduce the reference schedule."""
+    """Annulus run configuration; defaults reproduce the reference schedule.
+
+    The coefficients obey ``problem.check_coefficients``, as in a
+    ``ProblemSpec``; n_lines >= 2 and iters >= 1 are ``integer_count``s."""
 
     epsilon: float
     n_lines: int = 100
@@ -62,13 +64,9 @@ class PolarSymbolicConfig:
     trunc: TruncationSpec = DEFAULT_TRUNCATION
 
     def __post_init__(self):
-        for name in ("n_lines", "iters"):
-            object.__setattr__(self, name, integer_count(name, getattr(self, name)))
-        params = (self.epsilon, self.prox_weight, self.alpha, self.beta)
-        if not all(math.isfinite(x) for x in params):
-            raise ValueError("polar configuration parameters must be finite")
-        if self.epsilon <= 0.0 or self.prox_weight < 0.0 or self.n_lines < 2 or self.iters < 1:
-            raise ValueError("invalid polar configuration")
+        for name, minimum in (("n_lines", 2), ("iters", 1)):
+            object.__setattr__(self, name, integer_count(name, getattr(self, name), minimum))
+        check_coefficients(self)
         if not isinstance(self.trunc, TruncationSpec) or self.trunc.caps[0] < 1:
             raise ValueError(f"trunc must be a TruncationSpec admitting uf, got {self.trunc!r}")
 

@@ -27,6 +27,7 @@ __all__ = [
     "LineGrid",
     "FieldSolution",
     "build_cartesian_grid",
+    "check_coefficients", "check_tolerance",
     "integer_count",
     "transverse_steps",
     "line_ordinates",
@@ -57,7 +58,7 @@ class ProblemSpec:
     """Semilinear problem -eps*Lap(u) + alpha*u^3 - beta*u = f with weight K.
 
     ``prox_weight`` is the proximal constant K; K = 0 degrades to the
-    unregularized sweep.
+    unregularized sweep.  Coefficients: finite, eps > 0, K >= 0 (``check_coefficients``).
     """
 
     epsilon: float
@@ -68,13 +69,7 @@ class ProblemSpec:
     domain: CartesianDomain
 
     def __post_init__(self):
-        for name in ("epsilon", "alpha", "beta", "prox_weight"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.prox_weight < 0.0:
-            raise ValueError(f"prox_weight must be >= 0, got {self.prox_weight}")
+        check_coefficients(self)
 
 
 @dataclass(frozen=True)
@@ -97,24 +92,40 @@ class LineGrid:
             arr.setflags(write=False)
 
 
-def integer_count(name: str, k) -> int:
-    """``k`` as an int; a bool or any non-integer raises ValueError naming ``name``."""
+def check_coefficients(run) -> None:
+    """Finite eps, alpha, beta and K with eps > 0, K >= 0; a ValueError names the field."""
+    for name in ("epsilon", "alpha", "beta", "prox_weight"):
+        if not math.isfinite(getattr(run, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(run, name)}")
+    if not run.epsilon > 0.0:
+        raise ValueError(f"epsilon must be positive, got {run.epsilon}")
+    if run.prox_weight < 0.0:
+        raise ValueError(f"prox_weight must be >= 0, got {run.prox_weight}")
+
+
+def check_tolerance(tol) -> None:
+    """A stopping tolerance must be finite and positive."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+
+
+def integer_count(name: str, k, minimum: int) -> int:
+    """``k`` as an int, the rule of every library count: a bool, any
+    non-integer or a value below ``minimum`` raises ValueError naming ``name``."""
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {k!r}")
+    if k < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {k}")
     return int(k)
 
 
 def build_cartesian_grid(domain: CartesianDomain, N: int, M: int) -> LineGrid:
     """Partition [a, b] into N equal sub-intervals and each line into M.
 
-    N and M must be integers (not bool).  Rejects degenerate strips: every
-    line must have finite y1(x_n) < y2(x_n).
+    N and M are counts of at least 2 (see ``integer_count``).  Rejects
+    degenerate strips: every line must have finite y1(x_n) < y2(x_n).
     """
-    N, M = integer_count("N", N), integer_count("M", M)
-    if N < 2:
-        raise ValueError(f"need N >= 2, got {N}")
-    if M < 2:
-        raise ValueError(f"need M >= 2, got {M}")
+    N, M = integer_count("N", N, 2), integer_count("M", M, 2)
     d = (domain.b - domain.a) / N
     abscissae = domain.a + d * np.arange(N + 1)
     lo = np.array([float(domain.y1(x)) for x in abscissae])

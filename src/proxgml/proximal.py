@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linebvp import BackwardPass
-from .problem import (FieldSolution, LineGrid, ProblemSpec, integer_count, source_values,
-                      transverse_steps)
+from .problem import (FieldSolution, LineGrid, ProblemSpec, check_tolerance, integer_count,
+                      source_values, transverse_steps)
 from .sweep import SweepCoefficients, ab_recursion, c_operator
 
 __all__ = [
@@ -108,12 +108,10 @@ def proximal_iterate(
     overflow and invalid-value warnings are off during the solve, as that
     stop reports them.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-    if integer_count("max_iter", max_iter) < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if fixed_iters is not None and integer_count("fixed_iters", fixed_iters) < 1:
-        raise ValueError(f"fixed_iters must be >= 1, got {fixed_iters}")
+    check_tolerance(tol)
+    integer_count("max_iter", max_iter, 1)
+    if fixed_iters is not None:
+        integer_count("fixed_iters", fixed_iters, 1)
     K = spec.prox_weight
     kap = grid.d**2 / spec.epsilon
     a, b = ab_recursion(K, grid.d, spec.epsilon, grid.n_lines - 1)

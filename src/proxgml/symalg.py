@@ -114,15 +114,22 @@ class TruncationSpec:
 DEFAULT_TRUNCATION = TruncationSpec()
 
 
+def _is_exponent(e) -> bool:
+    """A tuple of NVARS non-negative integers; a bool is not an integer here."""
+    return isinstance(e, tuple) and len(e) == NVARS and all(
+        isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 0 for x in e)
+
+
 class BoundaryPolynomial:
     """Truncated real polynomial in the boundary symbols.
 
-    Built from a term map {exponent tuple: coefficient}, dropping monomials
-    over the caps and coefficients below 1e-300 in magnitude (a NaN or
-    infinite coefficient is kept, so a diverged solve shows); stored as the
-    read-only vector ``coeffs`` over ``trunc.basis``.  Equality is
-    structural on the term map.  Instances are immutable; arithmetic goes
-    through the module-level functions.
+    Built from a term map {exponent tuple: coefficient}; a key that is not
+    a tuple of five non-negative integers (bools excluded) raises
+    ValueError.  Monomials over the caps and coefficients below 1e-300 in
+    magnitude are dropped (a NaN or infinite coefficient is kept, so a
+    diverged solve shows); stored as the read-only vector ``coeffs`` over
+    ``trunc.basis``.  Equality is structural on the term map.  Instances
+    are immutable; arithmetic goes through the module-level functions.
     """
 
     __slots__ = ("coeffs", "trunc")
@@ -130,7 +137,9 @@ class BoundaryPolynomial:
     def __init__(self, terms: dict | None = None, trunc: TruncationSpec = DEFAULT_TRUNCATION):
         coeffs = np.zeros(len(trunc.basis))
         for e, c in (terms or {}).items():
-            k = trunc.basis.get(tuple(e))
+            if not _is_exponent(e):
+                raise ValueError(f"exponent must be {NVARS} non-negative integers, got {e!r}")
+            k = trunc.basis.get(e)
             if k is not None and not abs(c) < _DROP_BELOW:  # keeps NaN and inf
                 coeffs[k] = c
         self._set(coeffs, trunc)
@@ -226,7 +235,11 @@ def to_json_dict(p: BoundaryPolynomial) -> dict:
 
 
 def from_json_dict(data: dict, trunc: TruncationSpec = DEFAULT_TRUNCATION) -> BoundaryPolynomial:
+    """Inverse of ``to_json_dict``; a repeated exponent raises ValueError."""
     terms = {tuple(t["exp"]): float(t["coeff"]) for t in data["terms"]}
+    if len(terms) != len(data["terms"]):
+        # a later term would overwrite an equal key, e.g. [0, 0, False, 0, 0] after [0, 0, 0, 0, 0]
+        raise ValueError("an exponent is repeated in the terms list")
     return BoundaryPolynomial(terms, trunc)
 
 

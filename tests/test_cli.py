@@ -20,8 +20,10 @@ from proxgml.cli import (
 )
 from proxgml.problem import FieldSolution, build_cartesian_grid
 from proxgml.proximal import proximal_iterate, residual_norm
+from proxgml.symalg import from_json_dict
 
 from conftest import UNIT_SQUARE, square_problem
+from test_acceptance import CONST, REFERENCE_CONSTANTS
 
 
 def read_field_csv(path, grid):
@@ -113,16 +115,34 @@ def test_write_read_full_precision(tmp_path):
 
 def test_polar_symbolic_mode(tmp_path, capsys):
     out = tmp_path / "lines.json"
-    rc = main(["--mode", "polar-symbolic", "--eps", "0.1", "--K", "10",
+    rc = main(["--mode", "polar-symbolic", "--eps", "0.1", "--K", "50",
                "--N", "20", "--iters", "30", "--out-expr", str(out)])
     assert rc == EXIT_OK
     payload = json.loads(out.read_text())
+    assert (payload["prox_weight"], payload["iters"]) == (50.0, 30)
     assert len(payload["lines"]) == 19
     entry = payload["lines"][0]
     assert entry["line"] == 1
     assert "terms" in entry and "text" in entry
     exps = [tuple(t["exp"]) for t in entry["terms"]]
     assert exps == sorted(exps)
+
+
+@pytest.mark.parametrize("eps, fixture", [("0.1", "symbolic_lines_eps01"),
+                                          ("0.01", "symbolic_lines_eps001")])
+def test_polar_symbolic_defaults_run_the_reference_schedule(tmp_path, capsys, request, eps,
+                                                            fixture):
+    # the command-line run once used the rectangle's K = 50 and missed the
+    # reference constants by up to 4.3e-2
+    out = tmp_path / "lines.json"
+    assert main(["--mode", "polar-symbolic", "--eps", eps, "--out-expr", str(out)]) == EXIT_OK
+    payload = json.loads(out.read_text())
+    assert (payload["prox_weight"], payload["iters"]) == (10.0, 149)
+    _, lines = request.getfixturevalue(fixture)
+    exported = {entry["line"]: from_json_dict(entry) for entry in payload["lines"]}
+    assert all(exported[n] == lines[n] for n in exported)
+    for n, target in REFERENCE_CONSTANTS[float(eps)].items():
+        assert abs(exported[n].coefficient(CONST) - target) <= 2e-3, (n, target)
 
 
 def test_polar_symbolic_non_finite_exits_3_without_export(tmp_path, capsys):
@@ -210,6 +230,21 @@ def test_invalid_flags_exit_2():
             assert main(["--mode", mode, "--N", "6", "--f", source]) == EXIT_USAGE
     for mode in ("cartesian", "compare"):
         assert main(["--mode", mode, "--N", "6", "--iters", "0"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--mode", "compare", "--N", "4", "--out-field", "u.csv"], "--out-field"),
+    (["--mode", "cartesian", "--N", "4", "--out-report", "r.json"], "--out-report"),
+    (["--mode", "oracle", "--N", "4", "--out-expr", "e.json"], "--out-expr"),
+    (["--mode", "polar-symbolic", "--N", "4", "--iters", "3", "--out-field", "u.csv"],
+     "--out-field"),
+], ids=["compare", "cartesian", "oracle", "polar-symbolic"])
+def test_output_flag_the_mode_does_not_write_exits_2(tmp_path, monkeypatch, capsys, argv, flag):
+    # each of these once exited 0 and wrote no file
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_USAGE
+    assert f"{flag} is not written by --mode {argv[1]}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_non_convergence_exit_3():

@@ -87,6 +87,10 @@ COUNT_ARGUMENTS = {
 }
 
 
+# the least legal value of each count
+COUNT_MINIMUM = {"n_lines": 2, "iters": 1, "max_iter": 1, "fixed_iters": 1, "max_newton": 1}
+
+
 @pytest.mark.parametrize("value", [2.5, 3.0, True, np.float64(3), "3"],
                          ids=["2.5", "3.0", "True", "float64", "str"])
 @pytest.mark.parametrize("name", COUNT_ARGUMENTS)
@@ -95,6 +99,13 @@ def test_count_arguments_reject_bools_and_non_integers(name, value):
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         COUNT_ARGUMENTS[name](value)
     COUNT_ARGUMENTS[name](np.int64(50))
+
+
+@pytest.mark.parametrize("name", COUNT_ARGUMENTS)
+def test_count_arguments_reject_values_below_their_minimum(name):
+    for value in (COUNT_MINIMUM[name] - 1, np.int64(-50)):
+        with pytest.raises(ValueError, match=f"{name} must be >= {COUNT_MINIMUM[name]}, got"):
+            COUNT_ARGUMENTS[name](value)
 
 
 def test_accepts_numpy_integer_counts():
@@ -160,6 +171,9 @@ def test_spec_rejects_non_finite(field, bad):
     params[field] = bad
     with pytest.raises(ValueError, match=field):
         ProblemSpec(source=ones_source, domain=UNIT_SQUARE, **params)
+    # the annulus configuration holds the same coefficients under the same rule
+    with pytest.raises(ValueError, match=field):
+        PolarSymbolicConfig(**params)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

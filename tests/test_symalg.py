@@ -132,6 +132,19 @@ def test_canonical_drops_out_of_cap_terms():
     assert p.terms == {(1, 0, 0, 0, 0): 2.0}
 
 
+@pytest.mark.parametrize("exp", [
+    (1, 0, 0), (0, 0, 0, 0, 0, 0), (1.5, 0, 0, 0, 0), (1.0, 0, 0, 0, 0), (-1, 0, 0, 0, 0),
+    (True, 0, 0, 0, 0), (0, 0, False, 0, 0),
+], ids=["short", "long", "fractional", "float", "negative", "bool", "bool-inner"])
+def test_malformed_exponents_are_rejected(exp):
+    # they were once dropped as if over the caps, so a wrong-length term read as zero
+    with pytest.raises(ValueError, match="exponent must be 5 non-negative integers"):
+        BoundaryPolynomial({exp: 2.0})
+    with pytest.raises(ValueError, match="exponent must be 5 non-negative integers"):
+        from_json_dict({"terms": [{"exp": [0, 1, 0, 0, 0], "coeff": 1.0},
+                                  {"exp": list(exp), "coeff": 2.0}]})
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_coefficients_are_kept(bad):
     # a diverged solve must not read as the zero polynomial
@@ -143,6 +156,15 @@ def test_non_finite_coefficients_are_kept(bad):
     coeffs = np.zeros(len(DEFAULT_TRUNCATION.basis))
     coeffs[1] = bad
     assert len(BoundaryPolynomial.from_coeffs(coeffs).terms) == 1
+
+
+@pytest.mark.parametrize("repeat", [[0, 1, 0, 0, 0], [0, True, 0, 0, 0], [0, 1.0, 0, 0, 0]],
+                         ids=["equal", "bool", "float"])
+def test_json_rejects_a_repeated_exponent(repeat):
+    # the second term once replaced the first in silence
+    with pytest.raises(ValueError, match="repeated"):
+        from_json_dict({"terms": [{"exp": [0, 1, 0, 0, 0], "coeff": 1.0},
+                                  {"exp": repeat, "coeff": 2.0}]})
 
 
 def test_json_round_trip_sorted():
