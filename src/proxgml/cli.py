@@ -7,9 +7,10 @@ Modes:
   compare         cartesian solve vs oracle on the same grid, JSON report
                   (a NaN or infinite number in it is written as null)
 
-Each mode writes one kind of file; an output flag that it does not write
-is an invalid flag.  Exit codes: 0 success, 2 invalid flags, 3 solver
-non-convergence or a non-finite result, 4 I/O.
+Each mode reads some of the flags and writes one kind of file; a flag
+that it does not read, output flags included, is an invalid flag.  Exit
+codes: 0 success, 2 invalid flags, 3 solver non-convergence or a
+non-finite result, 4 I/O.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ EXIT_IO = 4
 
 # the functions a source expression may call, by name
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
+# the CLI's own values of flags that a mode reads but was not given
+_DEFAULTS = {"f": "const:1", "tol": 1e-8, "max_iter": 5000}
 _ALLOWED_NODES = (
     ast.Expression, ast.BinOp, ast.UnaryOp, ast.Add, ast.Sub, ast.Mult, ast.Div,
     ast.Pow, ast.USub, ast.UAdd, ast.Constant, ast.Name, ast.Call, ast.Load,
@@ -119,9 +122,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=100, help="number of line intervals")
     p.add_argument("--M", type=int, default=None,
                    help="transverse intervals per line (default: N)")
-    p.add_argument("--f", default="const:1", help="source term, const:<v> or expression in x,y")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=5000)
+    p.add_argument("--f", default=None, help="source term, const:<v> or expression in x,y "
+                   f"(default {_DEFAULTS['f']})")
+    p.add_argument("--tol", type=float, default=None, help=f"default {_DEFAULTS['tol']:g}")
+    p.add_argument("--max-iter", type=int, default=None, help=f"default {_DEFAULTS['max_iter']}")
     p.add_argument("--iters", type=int, default=None, help="run exactly this many outer "
                    f"iterations, no convergence test (annulus default {PolarSymbolicConfig.iters})")
     p.add_argument("--out-field", default=None, help="field CSV path")
@@ -252,12 +256,19 @@ def _run_compare(args) -> int:
     return _proximal_exit_code(args, gml)
 
 
-# each mode's runner and the one output flag it writes
 _RUNNERS = {
-    "cartesian": (_run_cartesian, "out_field"),
-    "polar-symbolic": (_run_polar_symbolic, "out_expr"),
-    "oracle": (_run_oracle, "out_field"),
-    "compare": (_run_compare, "out_report"),
+    "cartesian": _run_cartesian,
+    "polar-symbolic": _run_polar_symbolic,
+    "oracle": _run_oracle,
+    "compare": _run_compare,
+}
+# the flags each mode reads beyond --eps, --alpha, --beta and --N, which every
+# mode reads; these default to None, so a given flag can be told from an absent one
+_READS = {
+    "cartesian": {"K", "M", "f", "tol", "max_iter", "iters", "out_field"},
+    "polar-symbolic": {"K", "iters", "out_expr"},
+    "oracle": {"M", "f", "tol", "out_field"},
+    "compare": {"K", "M", "f", "tol", "max_iter", "iters", "out_report"},
 }
 
 
@@ -267,11 +278,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        run, output = _RUNNERS[args.mode]
-        for flag in ("out_field", "out_expr", "out_report"):
-            if flag != output and getattr(args, flag) is not None:
-                raise ValueError(f"--{flag.replace('_', '-')} is not written by --mode {args.mode}")
-        return run(args)
+        unread = set().union(*_READS.values()) - _READS[args.mode]
+        for flag, value in vars(args).items():  # in the parser's order
+            if flag in unread and value is not None:
+                verb = "written" if flag.startswith("out_") else "read"
+                raise ValueError(f"--{flag.replace('_', '-')} is not {verb} by --mode {args.mode}")
+        for flag, value in _DEFAULTS.items():
+            if getattr(args, flag) is None:
+                setattr(args, flag, value)
+        return _RUNNERS[args.mode](args)
     except (ValueError, SyntaxError) as exc:
         print(f"proxgml: {exc}", file=sys.stderr)
         return EXIT_USAGE

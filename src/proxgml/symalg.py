@@ -48,6 +48,12 @@ _NAMES = ("uf", "uf'", "uf''", "uf'''", "uf''''")
 _DROP_BELOW = 1e-300
 
 
+def _is_exponent(e) -> bool:
+    """A tuple of NVARS non-negative integers; a bool is not an integer here."""
+    return isinstance(e, tuple) and len(e) == NVARS and all(
+        isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 0 for x in e)
+
+
 @dataclass(frozen=True)
 class TruncationSpec:
     """Per-variable maximum exponents, and the dense basis they define."""
@@ -55,8 +61,8 @@ class TruncationSpec:
     caps: tuple[int, int, int, int, int] = (3, 1, 1, 0, 0)
 
     def __post_init__(self):
-        if len(self.caps) != NVARS or not all(isinstance(c, (int, np.integer)) and c >= 0
-                                              for c in self.caps):
+        # caps follow the exponent rule, so a bool cap is rejected too
+        if not _is_exponent(tuple(self.caps)):
             raise ValueError(f"caps must be {NVARS} non-negative integers, got {self.caps}")
         object.__setattr__(self, "caps", tuple(int(c) for c in self.caps))
 
@@ -112,12 +118,6 @@ class TruncationSpec:
 
 
 DEFAULT_TRUNCATION = TruncationSpec()
-
-
-def _is_exponent(e) -> bool:
-    """A tuple of NVARS non-negative integers; a bool is not an integer here."""
-    return isinstance(e, tuple) and len(e) == NVARS and all(
-        isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 0 for x in e)
 
 
 class BoundaryPolynomial:

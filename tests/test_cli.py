@@ -247,6 +247,21 @@ def test_output_flag_the_mode_does_not_write_exits_2(tmp_path, monkeypatch, caps
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("mode, flag, value", [
+    ("oracle", "--iters", "0"),
+    ("oracle", "--max-iter", "-5"),
+    ("oracle", "--K", "50"),
+    ("polar-symbolic", "--f", "x*y"),
+    ("polar-symbolic", "--M", "3"),
+    ("polar-symbolic", "--tol", "-1"),
+    ("polar-symbolic", "--max-iter", "5000"),
+])
+def test_flag_the_mode_does_not_read_exits_2(capsys, mode, flag, value):
+    # each of these once exited 0, the flag ignored, also with a value no solver accepts
+    assert main(["--mode", mode, "--N", "4", flag, value]) == EXIT_USAGE
+    assert f"{flag} is not read by --mode {mode}" in capsys.readouterr().err
+
+
 def test_non_convergence_exit_3():
     rc = main(["--mode", "cartesian", "--eps", "0.1", "--N", "10", "--M", "10",
                "--tol", "1e-14", "--max-iter", "2"])
@@ -285,6 +300,13 @@ def test_fixed_iters_override_exits_ok():
 _FUZZ_NUMBERS = ["0", "-1", "1e-300", "1e308", "nan", "inf", "-inf", "0.5"]
 # weighted towards 0.5 so that about a tenth of the examples reach a solver
 _FUZZ_NUMBER = st.one_of(st.just("0.5"), st.sampled_from(_FUZZ_NUMBERS))
+# the flags beyond --mode, --N, --eps, --alpha and --beta that each mode reads
+_FUZZ_READS = {
+    "cartesian": {"K", "M", "f", "tol", "max-iter", "iters"},
+    "polar-symbolic": {"K", "iters"},
+    "oracle": {"M", "f", "tol"},
+    "compare": {"K", "M", "f", "tol", "max-iter", "iters"},
+}
 _FUZZ_SOURCES = ["const:1", "const:-2", "const:nan", "(-1)**0.5", "1/(x-0.5)",
                  "exp(50*x)", "x - 0.5", "sin(pi*x)*sin(pi*y)", "3**50", "y**0.5", "nope("]
 
@@ -302,11 +324,12 @@ _FUZZ_SOURCES = ["const:1", "const:-2", "const:nan", "(-1)**0.5", "1/(x-0.5)",
     source=st.sampled_from(_FUZZ_SOURCES),
 )
 def test_fuzzed_flags_exit_with_documented_codes(mode, n, m, max_iter, iters, numbers, source):
-    # sizes stay tiny so every example runs in milliseconds
-    argv = [f"--mode={mode}", f"--N={n}", f"--M={m}", f"--max-iter={max_iter}",
-            f"--f={source}"] + [f"--{k}={v}" for k, v in numbers.items()]
-    if iters is not None:
-        argv.append(f"--iters={iters}")
+    # sizes stay tiny so every example runs in milliseconds; only the flags
+    # the mode reads are passed, since any other one exits 2 before a solve
+    drawn = {"M": m, "max-iter": max_iter, "f": source, "iters": iters, **numbers}
+    argv = [f"--mode={mode}", f"--N={n}"] + [
+        f"--{k}={v}" for k, v in drawn.items()
+        if v is not None and (k in ("eps", "alpha", "beta") or k in _FUZZ_READS[mode])]
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore")  # e.g. a singular Jacobian at alpha = beta = 0
         rc = main(argv)

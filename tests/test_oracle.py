@@ -235,7 +235,7 @@ def _single_level(monkeypatch, spec, grid):
         return newton_solve(spec, grid)
 
 
-@pytest.mark.parametrize("eps", [0.1, 0.001])
+@pytest.mark.parametrize("eps", [0.1, 0.01, 0.001])
 def test_sequenced_root_matches_single_level_solve(monkeypatch, eps):
     grid = build_cartesian_grid(UNIT_SQUARE, 64, 64)
     spec = square_problem(eps)
@@ -247,6 +247,37 @@ def test_sequenced_root_matches_single_level_solve(monkeypatch, eps):
     assert sequenced.iterations < single.iterations
     assert sequenced.residual_sup <= 1e-10
     assert len(sequenced.residual_history) == sequenced.iterations + 1
+
+
+@pytest.mark.parametrize("N, f_value, beta, eps, tol, requested_runs", [
+    (64, 1.0, 1.0, 0.01, 1e-10, 1),
+    (64, 20.0, 1.0, 0.001, 1e-9, 1),
+    # the 100-line run from the prolonged root stalls and runs again from the reduced root
+    (100, 1.0, 30.0, 0.001, 1e-10, 2),
+])
+def test_coarse_levels_stop_at_the_coarse_threshold(monkeypatch, N, f_value, beta, eps, tol,
+                                                    requested_runs):
+    thresholds = []
+    damped_newton = oracle._damped_newton
+
+    def recorded(A, f, u, **kwargs):
+        thresholds.append((A.shape[0], kwargs["threshold"]))
+        return damped_newton(A, f, u, **kwargs)
+
+    monkeypatch.setattr(oracle, "_damped_newton", recorded)
+    spec = square_problem(eps, beta=beta,
+                          source=lambda x, y: np.full_like(np.asarray(y, dtype=float), f_value))
+    report = newton_solve(spec, build_cartesian_grid(UNIT_SQUARE, N, N), tol=tol)
+    scale = max(1.0, f_value)
+    requested = (N - 1) ** 2
+    assert [unknowns for unknowns, _ in thresholds].count(requested) == requested_runs
+    assert len(thresholds) > requested_runs
+    for unknowns, threshold in thresholds:
+        if unknowns == requested:
+            assert threshold == tol * scale
+        else:
+            assert threshold == max(tol * scale, oracle.COARSE_TOL * scale)
+    assert report.residual_sup <= tol * scale
 
 
 def test_every_solve_is_counted_across_levels(solve_counter):

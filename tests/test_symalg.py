@@ -93,8 +93,10 @@ def test_eval_rejects_live_high_derivatives():
 
 
 def test_spec_rejects_bad_caps():
-    # a fractional cap would otherwise construct and fail later, inside basis
-    for caps in ((2.5, 1, 1, 0, 0), (3, 1, 1, 0), (3, -1, 1, 0, 0)):
+    # a fractional cap would otherwise construct and fail later, inside basis;
+    # a bool is not a count here, as for every other count and exponent
+    for caps in ((2.5, 1, 1, 0, 0), (3, 1, 1, 0), (3, -1, 1, 0, 0), (True, 1, 1, 0, 0),
+                 (3, 1, 1, False, 0), (3, 1, 1, 0, np.bool_(True))):
         with pytest.raises(ValueError, match="non-negative integers"):
             TruncationSpec(caps)
     assert len(TruncationSpec((np.int64(3), 1, 1, 0, 0)).basis) == 16
