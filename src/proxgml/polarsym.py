@@ -12,20 +12,22 @@ the configured caps as it is formed.
 
 The solve keeps all lines in one work buffer, allocated once per solve:
 row n is [u_n | 0 | cube(u_n) | 1], with u_n the coefficient row of line n
-over the truncation basis (see ``symalg``).  Everything linear that does
-not depend on the anchors is also built once per solve: the c operator
-(``sweep.c_operator``, applied to the u columns coefficient by
-coefficient), the radial weights b_n*d/t_n, and the augmented line
-operators G_n = [A_n | 0 | -alpha*b_n*kap*I | s_n] with
-A_n = (a_n + b_n*kap*beta)*I + (b_n*d^2/t_n^2)*D^2.  A cycle writes
-s_n = c_n + (anchor_{n+1} - anchor_n)*b_n*d/t_n into the last column of
-every G_n in one array assignment.  A row step is then four native calls
-on views built once: gather M(u_{n+1}) from row n+1
-(``TruncationSpec.mul_gather``), two products with it that write
-cube(u_{n+1}) into that row's cube slot, and u_n = G_n @ row n+1.  The
-returned polynomials share one compact copy of the u columns.  A numeric
-mirror of the scheme (periodic finite differences in the angle) shares a,
-b and the c operator but has its own backward pass, so cross-checking it
+over the truncation basis (see ``symalg``).  Everything linear is also
+built once per solve: the augmented line operators
+G_n = [A_n | 0 | -alpha*b_n*kap*I | s_n] with
+A_n = (a_n + b_n*kap*beta)*I + (b_n*d^2/t_n^2)*D^2, and the line sources
+s_n = c_n + (anchor_{n+1} - anchor_n)*b_n*d/t_n as an affine map of the
+anchor rows, S @ u + s0.  S is K times the c operator (``sweep.c_operator``)
+applied to the identity plus the radial weights, and s0 the c operator
+applied to f = 1, so the c operator runs twice per solve, not per cycle.
+A cycle writes S @ u + s0 into the last column of every G_n (one matmul
+and one add).  A row step is then four native calls on views built once:
+gather M(u_{n+1}) from row n+1 (``TruncationSpec.mul_gather``), two
+products with it that write cube(u_{n+1}) into that row's cube slot, and
+u_n = G_n @ row n+1.  The returned polynomials share one compact copy of
+the u columns.  A numeric mirror of the scheme (periodic finite
+differences in the angle) shares a, b and the c operator, which it
+applies every cycle, but has its own backward pass, so cross-checking it
 against the polynomials still compares two implementations.
 """
 
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .problem import check_coefficients, integer_count
-from .sweep import COperator, ab_recursion, c_operator
+from .sweep import ab_recursion, c_operator
 from .symalg import DEFAULT_TRUNCATION, BoundaryPolynomial, TruncationSpec, poly_eval
 
 __all__ = [
@@ -79,15 +81,8 @@ class PolarSymbolicConfig:
         return 1.0 + n * self.d
 
 
-def _sweep_rows(cfg: PolarSymbolicConfig, c_op: COperator, anchors: np.ndarray) -> np.ndarray:
-    """c for lines 1..n_lines-1 (row k for line k+1) from anchor rows 0..n_lines."""
-    g = cfg.prox_weight * anchors
-    g[:, 0] += 1.0  # f = 1 on the constant monomial, basis[0]
-    return c_op(g, cfg.d**2 / cfg.epsilon)
-
-
 class _BackwardPass:
-    """The explicit backward pass on memory that each solve allocates once.
+    """One annulus cycle on memory and operators that each solve builds once.
 
     Row n of the work buffer z is [u_n | 0 | cube(u_n) | 1] and the
     line operator G_n = [A_n | 0 | cubic_n*I | s_n], with
@@ -95,6 +90,16 @@ class _BackwardPass:
     cubic_n = -alpha*b_n*kap, so u_n = G_n @ z_{n+1}.  Only the s column of
     G changes between cycles; the zero slot and the unit column are never
     written, and a row's cube slot is written just before G reads it.
+
+    The line sources s_n = c_n + (b_n*d/t_n)*(anchor_{n+1} - anchor_n) are
+    affine in the anchor rows u, so a cycle forms them all as S @ u + s0.
+    S is dense, (n_lines-1) x (n_lines+1): K times the c operator applied to
+    the identity, plus the radial weights +-b_n*d/t_n in columns n+1 and n
+    of row n; s0 is the c operator applied to f = 1 on the constant
+    monomial.  The product costs O(n_lines^2 * B) per cycle and S takes
+    8*n_lines^2 bytes (80 KB at 100 lines, 8 MB at 1,000).  Against the
+    blocked c operator, a cycle is about 12% faster at 100 lines and 8% at
+    200, within a few percent at 400 and 12-25% slower at 800.
     """
 
     def __init__(self, cfg: PolarSymbolicConfig, a: np.ndarray, b: np.ndarray):
@@ -108,7 +113,14 @@ class _BackwardPass:
         self.G[:, :, :B] = ((a + b * kap * cfg.beta)[:, None, None] * eye
                             + (b * cfg.d**2 / t**2)[:, None, None] * d2)
         self.G[:, :, B + 1:-1] = (-cfg.alpha * b * kap)[:, None, None] * eye
-        self.radial = b * cfg.d / t
+        c_op = c_operator(a)
+        self.S = cfg.prox_weight * c_op(np.eye(cfg.n_lines + 1), kap)
+        k, radial = np.arange(cfg.n_lines - 1), b * cfg.d / t  # row k is line k+1
+        self.S[k, k + 2] += radial
+        self.S[k, k + 1] -= radial
+        unit = np.zeros((cfg.n_lines + 1, B))
+        unit[:, 0] = 1.0  # f = 1 on the constant monomial, basis[0]
+        self.s0 = c_op(unit, kap)
         z = np.zeros((cfg.n_lines + 1, 2 * B + 2))
         z[:, -1] = 1.0
         self.u = z[:, :B]  # the anchors, then the lines; row n is line n
@@ -122,11 +134,11 @@ class _BackwardPass:
         self.steps = [(G_n.dot, z1, z1.take, u1, cube1, u_n) for G_n, z1, u1, cube1, u_n
                       in zip(self.G[::-1], z[:1:-1], u[:1:-1], z[:1:-1, B + 1:-1], u[-2:0:-1])]
 
-    def __call__(self, c: np.ndarray) -> None:
-        """One cycle: s_n from c and the anchors in ``u``, then lines n_lines-1..1 in place."""
+    def __call__(self) -> None:
+        """One cycle: s_n from the anchors in ``u``, then lines n_lines-1..1 in place."""
         u = self.u
-        self.G[:, :, -1] = c + (u[2:] - u[1:-1]) * self.radial[:, None]
-        u[-1] = self.uf
+        self.G[:, :, -1] = self.S @ u + self.s0
+        u[-1] = self.uf  # after the sources, so the first cycle's anchors are all zero
         gather, M_flat, M_dot, sq = self.gather, self.M.reshape(-1), self.M.dot, self.sq
         for G_dot, z1, take, u1, cube1, u_n in self.steps:
             take(gather, out=M_flat, mode="clip")  # M(u_{n+1})
@@ -139,15 +151,17 @@ class _BackwardPass:
 def symbolic_solve(cfg: PolarSymbolicConfig) -> list[BoundaryPolynomial]:
     """Run exactly cfg.iters sweep+backward cycles from zero anchors; lines 0..n_lines.
 
-    The c operator, the line operators and the work buffer are built once,
-    before the first cycle.  The polynomials share one compact copy of the
-    solved rows.  A diverging solve raises no warning: its coefficients
-    overflow to inf or NaN and are returned as they are.
+    The source map (S, s0), the line operators and the work buffer are
+    built once, before the first cycle, and the c operator is applied only
+    while building them; each cycle is then one pass (see ``_BackwardPass``).
+    The polynomials share one compact copy of the solved rows.  A diverging
+    solve raises no warning: its coefficients overflow to inf or NaN and are
+    returned as they are.
     """
     a, b = ab_recursion(cfg.prox_weight, cfg.d, cfg.epsilon, cfg.n_lines - 1)
-    c_op, backward = c_operator(a), _BackwardPass(cfg, a, b)
+    backward = _BackwardPass(cfg, a, b)
     for _ in range(cfg.iters):
-        backward(_sweep_rows(cfg, c_op, backward.u))
+        backward()
     return [BoundaryPolynomial.from_coeffs(row, cfg.trunc) for row in backward.u.copy()]
 
 

@@ -18,6 +18,9 @@ L_b[i, j] = a_j*...*a_i.  A cycle then costs one matmul per block instead
 of a Python step per line.  One dense (N-1)^2 product matrix would do the
 same in one call, but its work grows as N^2 per source column, against
 32*N for the blocks, and it loses to the row loop from about N = 400 on.
+The annulus solve still uses one (``polarsym._BackwardPass``): it builds
+its line sources, radial term included, from a dense map applied to only
+16 columns per cycle, which beats the blocks up to about 400 lines.
 Products that underflow to 0 are harmless.
 
 ``ab_recursion`` and the c operator are the only copies of these

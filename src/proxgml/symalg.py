@@ -7,9 +7,10 @@ the caps, in sorted order (the constant first).  A polynomial is its
 coefficient vector over that basis; products and derivatives never form
 a monomial over a cap, which reproduces the series-truncation semantics
 of multiplying then cutting.  The default caps (3, 1, 1, 0, 0) give 16
-monomials.  Each spec builds its product table and derivative matrix on
-first use.  M(p), the matrix of q -> p*q, is one gather from [p, 0] through
-``mul_gather`` (each entry is one coefficient of p or zero).  M(p) is the
+monomials.  Each spec builds its product table, its derivative matrix
+and the text of each monomial (for ``format_terms``) on first use.  M(p),
+the matrix of q -> p*q, is one gather from [p, 0] through ``mul_gather``
+(each entry is one coefficient of p or zero).  M(p) is the
 one definition of the product: ``poly_mul(p, q)`` is M(p) @ q, and the
 annulus solver runs the same gather on its own buffers, one row at a
 time, with the cube of a row u as M(u) @ (M(u) @ u).
@@ -115,6 +116,12 @@ class TruncationSpec:
                     D[self.basis[bumped], k] += e[i]
         D.setflags(write=False)
         return D
+
+    @functools.cached_property
+    def monomial_text(self) -> tuple[str, ...]:
+        """Each basis monomial as ``format_terms`` writes it ("uf^2*uf''"; "" for the constant)."""
+        return tuple("*".join(name if k == 1 else f"{name}^{k}" for name, k in zip(_NAMES, e) if k)
+                     for e in self.basis)
 
 
 DEFAULT_TRUNCATION = TruncationSpec()
@@ -243,15 +250,13 @@ def from_json_dict(data: dict, trunc: TruncationSpec = DEFAULT_TRUNCATION) -> Bo
     return BoundaryPolynomial(terms, trunc)
 
 
-def _monomial_text(e: tuple[int, ...]) -> str:
-    return "*".join(name if k == 1 else f"{name}^{k}" for name, k in zip(_NAMES, e) if k)
-
-
 def format_terms(p: BoundaryPolynomial, fmt: str = "%.6g") -> str:
     """Human-readable rendering, constant first then by exponent order."""
     pieces = []
-    for e, c in p.terms.items():
-        text = " ".join(filter(None, (fmt % c, _monomial_text(e))))
+    for monomial, c in zip(p.trunc.monomial_text, p.coeffs.tolist()):
+        if abs(c) < _DROP_BELOW:
+            continue
+        text = " ".join(filter(None, (fmt % c, monomial)))
         if pieces:
             text = "- " + text[1:] if text.startswith("-") else "+ " + text
         pieces.append(text)

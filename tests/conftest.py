@@ -7,6 +7,9 @@ from proxgml.proximal import proximal_iterate
 
 UNIT_SQUARE = CartesianDomain(a=0.0, b=1.0, y1=lambda x: 0.0, y2=lambda x: 1.0)
 
+# truncation caps with bases of 16, 32 and 48 monomials
+ROW_STEP_CAPS = [(3, 1, 1, 0, 0), (3, 1, 1, 1, 0), (2, 1, 1, 1, 1)]
+
 
 def ones_source(x, y):
     return np.ones_like(np.asarray(y, dtype=float))

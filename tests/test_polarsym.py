@@ -1,15 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from conftest import ROW_STEP_CAPS
 from proxgml.polarsym import (
     PolarSymbolicConfig,
     _BackwardPass,
-    _sweep_rows,
     cross_check_numeric,
     polar_numeric_solve,
     symbolic_solve,
 )
-from proxgml.sweep import ab_recursion, c_operator
+from proxgml.sweep import COperator, ab_recursion, c_operator
 from proxgml.symalg import (
     BoundaryPolynomial,
     TruncationSpec,
@@ -46,14 +48,19 @@ def symbolic_sweep(cfg, anchors):
     polynomials c (same indexing); f is the constant 1.
     """
     a, b = ab_recursion(cfg.prox_weight, cfg.d, cfg.epsilon, cfg.n_lines - 1)
-    return a, b, _polys(cfg, _sweep_rows(cfg, c_operator(a), _rows(anchors)))
+    g = cfg.prox_weight * _rows(anchors)
+    g[:, 0] += 1.0  # f = 1 on the constant monomial
+    return a, b, _polys(cfg, c_operator(a)(g, cfg.d**2 / cfg.epsilon))
 
 
-def symbolic_backward_pass(cfg, a, b, c, anchors):
-    """The solve's explicit backward pass on polynomial lists; lines 0..n_lines."""
+def symbolic_backward_pass(cfg, a, b, anchors):
+    """One cycle of the solve from polynomial anchors; lines 0..n_lines.
+
+    The pass forms c from the anchors itself, so it takes no c.
+    """
     backward = _BackwardPass(cfg, a, b)
     backward.u[1:] = _rows(anchors[1:])  # line 0 is the inner circle, u = 0
-    backward(_rows(c))
+    backward()
     return _polys(cfg, backward.u.copy())
 
 
@@ -117,7 +124,7 @@ def test_backward_pass_first_step_hand_unrolled():
     cfg = PolarSymbolicConfig(epsilon=0.1)
     anchors = zero_anchors(cfg)
     a, b, c = symbolic_sweep(cfg, anchors)
-    u = symbolic_backward_pass(cfg, a, b, c, anchors)
+    u = symbolic_backward_pass(cfg, a, b, anchors)
     m8 = cfg.n_lines
     n = m8 - 1
     kap = cfg.d**2 / cfg.epsilon
@@ -134,12 +141,13 @@ def test_backward_pass_first_step_hand_unrolled():
 
 
 def test_backward_pass_radial_term_uses_anchors():
-    cfg = PolarSymbolicConfig(epsilon=0.1, n_lines=4)
+    # K = 0 makes c anchor-independent, so only the radial term sees the anchor
+    cfg = PolarSymbolicConfig(epsilon=0.1, n_lines=4, prox_weight=0.0)
     anchors = zero_anchors(cfg)
     anchors[3] = poly_const(1.0, cfg.trunc)
-    a, b, c = symbolic_sweep(cfg, zero_anchors(cfg))
-    base = symbolic_backward_pass(cfg, a, b, c, zero_anchors(cfg))
-    with_anchor = symbolic_backward_pass(cfg, a, b, c, anchors)
+    a, b, _ = symbolic_sweep(cfg, zero_anchors(cfg))
+    base = symbolic_backward_pass(cfg, a, b, zero_anchors(cfg))
+    with_anchor = symbolic_backward_pass(cfg, a, b, anchors)
     # line 3 gains +b_3*d*(0-1)/t_3, line 2 gains +b_2*d*(1-0)/t_2 plus the
     # propagated change through u_3
     n = 3
@@ -197,17 +205,13 @@ def test_sweep_matches_polynomial_recursion():
     assert _max_coeff_diff(c, _polynomial_c_recursion(cfg, a, anchors)) <= 1e-15
 
 
-# bases of 16, 32 and 48 monomials
-ROW_STEP_CAPS = [(3, 1, 1, 0, 0), (3, 1, 1, 1, 0), (2, 1, 1, 1, 1)]
-
-
 def test_backward_pass_matches_line_by_line_scheme():
     for caps in ROW_STEP_CAPS:
         cfg = PolarSymbolicConfig(epsilon=0.05, n_lines=10, alpha=1.3, beta=0.7,
                                   trunc=TruncationSpec(caps))
         anchors = _random_anchors(cfg, 5)
         a, b, c = symbolic_sweep(cfg, anchors)
-        got = symbolic_backward_pass(cfg, a, b, c, anchors)
+        got = symbolic_backward_pass(cfg, a, b, anchors)
         ref = _line_by_line_scheme(cfg, a, b, c, anchors)
         assert len(got[1].terms) > 8  # the random anchors fill the basis
         assert _max_coeff_diff(got, ref) <= 1e-15, caps
@@ -221,21 +225,52 @@ def test_sweep_and_backward_pass_match_references_over_two_blocks():
         anchors = _random_anchors(cfg, 6)
         a, b, c = symbolic_sweep(cfg, anchors)
         assert _max_coeff_diff(c, _polynomial_c_recursion(cfg, a, anchors)) <= 1e-15, caps
-        got = symbolic_backward_pass(cfg, a, b, c, anchors)
+        got = symbolic_backward_pass(cfg, a, b, anchors)
         assert _max_coeff_diff(got, _line_by_line_scheme(cfg, a, b, c, anchors)) <= 1e-15, caps
+
+
+def test_source_map_matches_c_recursion_and_radial_term():
+    # 39 source rows over two c-operator blocks; S @ rows + s0 is the c
+    # recursion plus (b_n*d/t_n)*(anchor_{n+1} - anchor_n)
+    for caps in ROW_STEP_CAPS:
+        cfg = PolarSymbolicConfig(epsilon=0.05, n_lines=40, trunc=TruncationSpec(caps))
+        anchors = _random_anchors(cfg, 8)
+        a, b = ab_recursion(cfg.prox_weight, cfg.d, cfg.epsilon, cfg.n_lines - 1)
+        backward = _BackwardPass(cfg, a, b)
+        got = _polys(cfg, backward.S @ _rows(anchors) + backward.s0)
+        ref = [poly_add(c_n, poly_scale(poly_add(anchors[n + 1], poly_scale(anchors[n], -1.0)),
+                                        b[n - 1] * cfg.d / cfg.radius(n)))
+               for n, c_n in enumerate(_polynomial_c_recursion(cfg, a, anchors), start=1)]
+        assert _max_coeff_diff(got, ref) <= 1e-15, caps
+
+
+@pytest.mark.parametrize("iters", [1, 5])
+def test_solve_applies_the_c_operator_only_while_building(monkeypatch, iters):
+    # once for the source map S and once for s0, whatever the cycle count
+    calls = []
+    call = COperator.__call__
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return call(self, *args, **kwargs)
+
+    monkeypatch.setattr(COperator, "__call__", counted)
+    symbolic_solve(PolarSymbolicConfig(epsilon=0.1, n_lines=20, iters=iters))
+    assert len(calls) == 2
 
 
 def test_solve_cycles_match_polynomial_references():
     # the solve reuses one work buffer across cycles: no cycle may see the
-    # boundary row, zero slot, unit column or cube slots of the one before
-    for caps in ROW_STEP_CAPS:
-        cfg = PolarSymbolicConfig(epsilon=0.05, n_lines=12, iters=4, alpha=1.3, beta=0.7,
+    # boundary row, zero slot, unit column or cube slots of the one before;
+    # at 2 and 3 lines the radial entries of S sit at the matrix edge
+    for n_lines, caps in itertools.product((2, 3, 12), ROW_STEP_CAPS):
+        cfg = PolarSymbolicConfig(epsilon=0.05, n_lines=n_lines, iters=4, alpha=1.3, beta=0.7,
                                   trunc=TruncationSpec(caps))
         a, b = ab_recursion(cfg.prox_weight, cfg.d, cfg.epsilon, cfg.n_lines - 1)
         ref = zero_anchors(cfg)
         for _ in range(cfg.iters):
             ref = _line_by_line_scheme(cfg, a, b, _polynomial_c_recursion(cfg, a, ref), ref)
-        assert _max_coeff_diff(symbolic_solve(cfg), ref) <= 1e-14, caps
+        assert _max_coeff_diff(symbolic_solve(cfg), ref) <= 1e-14, (n_lines, caps)
 
 
 def test_solve_loop_does_no_per_row_work(monkeypatch):
@@ -283,8 +318,8 @@ def test_reference_line_constants_eps_001(symbolic_lines_eps001):
 
 def test_extra_cycle_is_a_contraction(symbolic_lines_eps001):
     cfg, lines = symbolic_lines_eps001
-    a, b, c = symbolic_sweep(cfg, lines)
-    again = symbolic_backward_pass(cfg, a, b, c, lines)
+    a, b, _ = symbolic_sweep(cfg, lines)
+    again = symbolic_backward_pass(cfg, a, b, lines)
     worst = 0.0
     for p, q in zip(lines[1:-1], again[1:-1]):
         keys = set(p.terms) | set(q.terms)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import ROW_STEP_CAPS
 from proxgml.symalg import (
     DEFAULT_TRUNCATION,
     BoundaryPolynomial,
@@ -184,6 +185,34 @@ def test_format_terms_readable():
     assert text.startswith("0.5")
     assert "uf^2*uf''" in text
     assert format_terms(poly_zero()) == "0"
+
+
+def _format_terms_per_term(p, fmt="%.6g"):
+    # format_terms with each monomial's text built again for every term
+    names = ("uf", "uf'", "uf''", "uf'''", "uf''''")
+    pieces = []
+    for e, c in p.terms.items():
+        monomial = "*".join(name if k == 1 else f"{name}^{k}" for name, k in zip(names, e) if k)
+        text = " ".join(filter(None, (fmt % c, monomial)))
+        if pieces:
+            text = "- " + text[1:] if text.startswith("-") else "+ " + text
+        pieces.append(text)
+    return " ".join(pieces) or "0"
+
+
+@pytest.mark.parametrize("caps", ROW_STEP_CAPS)
+def test_format_terms_matches_per_term_reference(caps):
+    spec = TruncationSpec(caps)
+    rng = np.random.default_rng(sum(caps))
+    # zeros, values dropped below 1e-300, tiny kept ones, negatives and NaN
+    special = np.array([0.0, -0.0, 5e-324, -1e-301, 2e-300, -3e-17, math.nan, -math.inf])
+    for _ in range(200):
+        coeffs = rng.uniform(-3.0, 3.0, len(spec.basis))
+        picks = rng.random(len(spec.basis)) < 0.4
+        coeffs[picks] = rng.choice(special, int(picks.sum()))
+        p = BoundaryPolynomial.from_coeffs(coeffs, spec)
+        for fmt in ("%.6g", "%.17g"):
+            assert format_terms(p, fmt) == _format_terms_per_term(p, fmt)
 
 
 # -- ring properties ----------------------------------------------------------
