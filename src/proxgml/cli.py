@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from .oracle import NewtonDivergenceError, compare_fields, newton_solve
-from .polarsym import PolarSymbolicConfig, symbolic_solve
+from .polarsym import PolarSymbolicConfig, polar_iterate
 from .problem import (
     CartesianDomain,
     FieldSolution,
@@ -126,8 +126,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    f"(default {_DEFAULTS['f']})")
     p.add_argument("--tol", type=float, default=None, help=f"default {_DEFAULTS['tol']:g}")
     p.add_argument("--max-iter", type=int, default=None, help=f"default {_DEFAULTS['max_iter']}")
-    p.add_argument("--iters", type=int, default=None, help="run exactly this many outer "
-                   f"iterations, no convergence test (annulus default {PolarSymbolicConfig.iters})")
+    p.add_argument("--iters", type=int, default=None, help="run this many outer iterations, "
+                   "no convergence test; a non-finite update still stops the run early "
+                   f"(annulus default {PolarSymbolicConfig.iters})")
     p.add_argument("--out-field", default=None, help="field CSV path")
     p.add_argument("--out-expr", default=None, help="line-polynomial JSON path")
     p.add_argument("--out-report", default=None, help="comparison report JSON path")
@@ -158,14 +159,12 @@ def _run_cartesian(args) -> int:
     )
     if args.out_field:
         write_field_csv(args.out_field, grid, report.solution)
-    return _proximal_exit_code(args, report)
+    return _exit_code(report.stop_reason)
 
 
-def _proximal_exit_code(args, report) -> int:
-    """Exit 3 on a non-finite stop, or when a tolerance run did not converge."""
-    if report.stop_reason == "non-finite" or (args.iters is None and not report.converged):
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+def _exit_code(stop_reason: str) -> int:
+    """Exit 3 when a run stopped on a non-finite update or at max_iter, else 0."""
+    return EXIT_NO_CONVERGENCE if stop_reason in ("non-finite", "max_iter") else EXIT_OK
 
 
 def _run_polar_symbolic(args) -> int:
@@ -173,17 +172,16 @@ def _run_polar_symbolic(args) -> int:
              if v is not None}
     cfg = PolarSymbolicConfig(epsilon=args.eps, n_lines=args.N, alpha=args.alpha,
                               beta=args.beta, **given)
-    lines = symbolic_solve(cfg)
-    finite = all(np.all(np.isfinite(line.coeffs)) for line in lines)
+    report = polar_iterate(cfg)
+    lines = report.lines
     mid = cfg.n_lines // 2
     print(
-        f"polar-symbolic: lines={cfg.n_lines - 1} iters={cfg.iters} "
-        f"stop={'fixed_iters' if finite else 'non-finite'} "
+        f"polar-symbolic: lines={cfg.n_lines - 1} iters={len(report.update_history)} "
+        f"stop={report.stop_reason} update={report.update_history[-1]:.3e} "
         f"mid-line constant={lines[mid].coefficient((0, 0, 0, 0, 0)):.5f}"
     )
-    if not finite:
-        return EXIT_NO_CONVERGENCE
-    if args.out_expr:
+    rc = _exit_code(report.stop_reason)
+    if args.out_expr and rc == EXIT_OK:
         payload = {
             "epsilon": cfg.epsilon,
             "prox_weight": cfg.prox_weight,
@@ -201,7 +199,7 @@ def _run_polar_symbolic(args) -> int:
         }
         with open(args.out_expr, "w") as fh:
             json.dump(payload, fh, indent=1)
-    return EXIT_OK
+    return rc
 
 
 def _oracle_solve(args, spec, grid):
@@ -253,7 +251,7 @@ def _run_compare(args) -> int:
         }
         with open(args.out_report, "w") as fh:
             json.dump(payload, fh, indent=1, allow_nan=False)
-    return _proximal_exit_code(args, gml)
+    return _exit_code(gml.stop_reason)
 
 
 _RUNNERS = {

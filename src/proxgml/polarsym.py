@@ -25,10 +25,12 @@ and one add).  A row step is then four native calls on views built once:
 gather M(u_{n+1}) from row n+1 (``TruncationSpec.mul_gather``), two
 products with it that write cube(u_{n+1}) into that row's cube slot, and
 u_n = G_n @ row n+1.  The returned polynomials share one compact copy of
-the u columns.  A numeric mirror of the scheme (periodic finite
+the u columns; ``polar_iterate`` runs the cycles through
+``sweep.outer_loop``.  A numeric mirror of the scheme (periodic finite
 differences in the angle) shares a, b and the c operator, which it
-applies every cycle, but has its own backward pass, so cross-checking it
-against the polynomials still compares two implementations.
+applies every cycle, but has its own backward pass, loop and output
+check, so cross-checking it against the polynomials still compares two
+implementations.
 """
 
 from __future__ import annotations
@@ -38,12 +40,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .problem import check_coefficients, integer_count
-from .sweep import ab_recursion, c_operator
+from .sweep import ab_recursion, c_operator, outer_loop
 from .symalg import DEFAULT_TRUNCATION, BoundaryPolynomial, TruncationSpec, poly_eval
 
 __all__ = [
     "PolarSymbolicConfig",
     "CrossCheckReport",
+    "PolarReport",
+    "polar_iterate",
     "symbolic_solve",
     "polar_numeric_solve",
     "cross_check_numeric",
@@ -129,14 +133,16 @@ class _BackwardPass:
         self.gather = trunc.mul_gather
         self.M = np.empty((B, B))
         self.sq = np.empty(B)
+        self.change = np.empty((cfg.n_lines - 1, B))  # the update of lines 1..n_lines-1
         # row n from row n+1, n = n_lines-1..1; bound once, not per cycle
         u = self.u
         self.steps = [(G_n.dot, z1, z1.take, u1, cube1, u_n) for G_n, z1, u1, cube1, u_n
                       in zip(self.G[::-1], z[:1:-1], u[:1:-1], z[:1:-1, B + 1:-1], u[-2:0:-1])]
 
-    def __call__(self) -> None:
-        """One cycle: s_n from the anchors in ``u``, then lines n_lines-1..1 in place."""
-        u = self.u
+    def __call__(self) -> float:
+        """One cycle: s_n from the anchors ``u``, lines n_lines-1..1 in place; their sup update."""
+        u, change = self.u, self.change
+        np.copyto(change, u[1:-1])
         self.G[:, :, -1] = self.S @ u + self.s0
         u[-1] = self.uf  # after the sources, so the first cycle's anchors are all zero
         gather, M_flat, M_dot, sq = self.gather, self.M.reshape(-1), self.M.dot, self.sq
@@ -145,24 +151,39 @@ class _BackwardPass:
             M_dot(u1, out=sq)
             M_dot(sq, out=cube1)
             G_dot(z1, out=u_n)
+        np.subtract(u[1:-1], change, out=change)
+        return float(np.abs(change, out=change).max())
+
+
+@dataclass(frozen=True)
+class PolarReport:
+    """Outcome of an annulus run and how it stopped."""
+
+    lines: list[BoundaryPolynomial]  # lines 0..n_lines
+    update_history: np.ndarray  # sup-norm change of the coefficient rows in every cycle
+    stop_reason: str  # "fixed_iters" or "non-finite"
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def symbolic_solve(cfg: PolarSymbolicConfig) -> list[BoundaryPolynomial]:
-    """Run exactly cfg.iters sweep+backward cycles from zero anchors; lines 0..n_lines.
+def polar_iterate(cfg: PolarSymbolicConfig) -> PolarReport:
+    """Run cfg.iters cycles from zero anchors through ``sweep.outer_loop``; lines 0..n_lines.
 
-    The source map (S, s0), the line operators and the work buffer are
-    built once, before the first cycle, and the c operator is applied only
-    while building them; each cycle is then one pass (see ``_BackwardPass``).
-    The polynomials share one compact copy of the solved rows.  A diverging
-    solve raises no warning: its coefficients overflow to inf or NaN and are
-    returned as they are.
+    Each cycle is one ``_BackwardPass`` on operators built before the first.
+    The schedule is fixed, so only an update that is not finite ends it
+    early, with that cycle's lines: a diverging solve raises no warning and
+    returns inf or NaN coefficients.  The polynomials share one compact
+    copy of the solved rows.
     """
     a, b = ab_recursion(cfg.prox_weight, cfg.d, cfg.epsilon, cfg.n_lines - 1)
     backward = _BackwardPass(cfg, a, b)
-    for _ in range(cfg.iters):
-        backward()
-    return [BoundaryPolynomial.from_coeffs(row, cfg.trunc) for row in backward.u.copy()]
+    updates, stop_reason = outer_loop(backward, cfg.iters)
+    lines = [BoundaryPolynomial.from_coeffs(row, cfg.trunc) for row in backward.u.copy()]
+    return PolarReport(lines=lines, update_history=updates, stop_reason=stop_reason)
+
+
+def symbolic_solve(cfg: PolarSymbolicConfig) -> list[BoundaryPolynomial]:
+    """The lines 0..n_lines of ``polar_iterate(cfg)``."""
+    return polar_iterate(cfg).lines
 
 
 def _samples(name: str, values: np.ndarray) -> np.ndarray:
@@ -173,13 +194,20 @@ def _samples(name: str, values: np.ndarray) -> np.ndarray:
     return arr
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def polar_numeric_solve(cfg: PolarSymbolicConfig, boundary: np.ndarray) -> np.ndarray:
     """Numeric mirror of the explicit annulus scheme.
 
     ``boundary`` samples the outer-circle data at uniformly spaced angles;
     the angular second derivative is the periodic 3-point stencil on those
     nodes.  Returns the (n_lines+1, m_theta) field with line 0 zero.
-    Raises ValueError on empty or non-finite samples.
+    Raises ValueError on empty or non-finite samples, and ArithmeticError,
+    with no warning, on a field that is not finite.  The explicit stencil
+    limits the angle count: a pass scales the highest angular mode by
+    prod_n |a_n + b_n*kap*beta - 4*b_n*d^2/(t_n*h)^2|, h = 2*pi/m_theta,
+    and roundoff in it overflows once that is large.  At eps 0.1, 128
+    angles run at 20 lines (160 do not) and 224 at 100 lines (256 do not);
+    at eps 0.01 and 100 lines, 384 run (512 do not).
     """
     m8 = cfg.n_lines
     K = cfg.prox_weight
@@ -205,6 +233,8 @@ def polar_numeric_solve(cfg: PolarSymbolicConfig, boundary: np.ndarray) -> np.nd
                 + b[n - 1] * cfg.d**2 * d2 / t**2
                 + b[n - 1] * cfg.d * (uo[n + 1] - uo[n]) / t
             )
+    if not np.all(np.isfinite(u)):
+        raise ArithmeticError(f"numeric twin not finite with {mth} angles; use fewer angles")
     return u
 
 

@@ -20,13 +20,13 @@ term vanishes, so the first cycle is a plain ``forward_sweep`` +
 The line systems depend only on (b_n, d, h_n), so a solve builds one
 ``linebvp.BackwardPass``, which factors them, and every cycle writes into
 its c buffer; ``backward_pass`` builds and runs a one-shot pass.  A cycle
-is converged when the update is at most ``tol`` and the FD residual is at
-most K*tol; ``SolveReport.stop_reason`` says why the loop stopped.
+is converged when the update is at most ``tol`` and, for K > 0, the FD
+residual is at most K*tol.  ``sweep.outer_loop`` runs the cycles, stops
+them and names the stop (``SolveReport.stop_reason``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +34,7 @@ import numpy as np
 from .linebvp import BackwardPass
 from .problem import (FieldSolution, LineGrid, ProblemSpec, check_tolerance, integer_count,
                       source_values, transverse_steps)
-from .sweep import SweepCoefficients, ab_recursion, c_operator
+from .sweep import SweepCoefficients, ab_recursion, c_operator, outer_loop
 
 __all__ = [
     "SolveReport",
@@ -93,20 +93,13 @@ def proximal_iterate(
     """Run the outer proximal loop from a zero anchor.
 
     a, b, f, the transverse steps, the c operator and the backward pass
-    (with its line factors) are built once per solve.  Every cycle applies
-    the c operator to the corrected source of the anchor (see the module
-    docstring) in the pass's c buffer and runs the pass.  A cycle is
-    converged when the update is at most ``tol`` and the FD residual is at
-    most K*tol; the residual is evaluated only once the update test holds,
-    and the report reuses it.  For K = 0 the update test alone decides.
-
-    ``fixed_iters`` forces exactly that many cycles (used to mirror a
-    fixed-iteration reference schedule); ``converged`` then reports the
-    same test for the last cycle.  Non-convergence within ``max_iter`` is
-    reported, not raised.  A cycle whose update is not finite ends the run
-    unconverged at once, with ``stop_reason`` "non-finite"; numpy's
-    overflow and invalid-value warnings are off during the solve, as that
-    stop reports them.
+    (with its line factors) are built once per solve; a cycle writes the
+    corrected c into the pass's buffer and runs the pass.  The FD residual
+    is evaluated only once the update test holds, and the report reuses it.
+    ``fixed_iters`` forces that many cycles, to mirror a fixed reference
+    schedule; ``converged`` then reports the test once, for the last cycle.
+    Non-convergence is reported, not raised; numpy's overflow and
+    invalid-value warnings are off, as the "non-finite" stop reports them.
     """
     check_tolerance(tol)
     integer_count("max_iter", max_iter, 1)
@@ -120,38 +113,39 @@ def proximal_iterate(
     f = source_values(spec, grid)
     backward = BackwardPass(a, b, spec, grid)
     b_kap = (b * kap)[:, None]
-
-    def residual_sup(v: np.ndarray) -> float:
-        return float(np.max(np.abs(_fd_residual(spec, grid, v, f, h))))
-
-    updates = []
-    stop_reason = "max_iter" if fixed_iters is None else "fixed_iters"
     v = np.zeros((grid.n_lines + 1, grid.m_nodes + 1))
     values = np.zeros_like(v)  # the two fields swap roles every cycle; their edges stay 0
-    for _ in range(fixed_iters or max_iter):
+    residual = None
+
+    def cycle() -> float:
+        nonlocal v, values
         R, E = _scheme_terms(spec, v, h)
         c = c_op(K * v + f + R + E, kap, out=backward.c)
         c -= b_kap * (R[2:] + E[1:-1])
         backward(values)
-        diff = float(np.max(np.abs(values - v)))
-        updates.append(diff)
         v, values = values, v
-        # a non-finite update fails this test too, so the flag is False on that stop
-        residual = residual_sup(v) if diff <= tol and K > 0.0 else None
-        converged = diff <= tol and (residual is None or residual <= K * tol)
-        if not math.isfinite(diff):
-            stop_reason = "non-finite"
-            break
-        if converged and fixed_iters is None:
-            stop_reason = "converged"
-            break
+        return float(np.max(np.abs(v - values)))
+
+    def residual_sup() -> float:
+        return float(np.max(np.abs(_fd_residual(spec, grid, v, f, h))))
+
+    def converged(update: float) -> bool:
+        nonlocal residual
+        residual = residual_sup() if update <= tol and K > 0.0 else None
+        return update <= tol and (residual is None or residual <= K * tol)
+
+    updates, stop_reason = outer_loop(cycle, fixed_iters or max_iter,
+                                      None if fixed_iters else converged)
+    last = float(updates[-1])
+    # test the last update again: a fixed schedule or a non-finite stop never did
+    done = stop_reason == "converged" or converged(last)
     return SolveReport(
         solution=FieldSolution(v),
         outer_iterations=len(updates),
-        anchor_update_norm=updates[-1],
-        residual_sup=residual_sup(v) if residual is None else residual,
-        converged=converged,
-        update_history=np.array(updates),
+        anchor_update_norm=last,
+        residual_sup=residual_sup() if residual is None else residual,
+        converged=done,
+        update_history=updates,
         stop_reason=stop_reason,
     )
 

@@ -28,10 +28,14 @@ recursions in the package: the Cartesian outer loop
 applies the operator to a source that also carries its defect correction
 (see ``proximal``), and the annulus solvers take a and b from
 ``ab_recursion`` and c from the operator.
+
+``outer_loop`` runs the outer cycles of both geometries: it is the one
+place that records the updates, stops a run and names why it stopped.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +48,7 @@ __all__ = [
     "ab_recursion",
     "c_operator",
     "forward_sweep",
+    "outer_loop",
 ]
 
 
@@ -138,3 +143,21 @@ def forward_sweep(spec: ProblemSpec, grid: LineGrid, anchor: FieldSolution) -> S
     a, b = ab_recursion(spec.prox_weight, grid.d, spec.epsilon, grid.n_lines - 1)
     g = spec.prox_weight * anchor.values + source_values(spec, grid)
     return SweepCoefficients(a=a, b=b, c=c_operator(a)(g, grid.d**2 / spec.epsilon))
+
+
+def outer_loop(cycle, cap: int, converged=None) -> tuple[np.ndarray, str]:
+    """Run ``cycle()``, which returns its sup-norm update, at most ``cap`` times.
+
+    Returns the updates and the stop: "non-finite" at the first update that
+    is not finite, "converged" at the first that ``converged(update)``
+    accepts, else "max_iter" after ``cap`` cycles, or "fixed_iters" when no
+    test was given, a fixed schedule that never consults one.
+    """
+    updates = []
+    for _ in range(cap):
+        updates.append(cycle())
+        if not math.isfinite(updates[-1]):
+            return np.array(updates), "non-finite"
+        if converged is not None and converged(updates[-1]):
+            return np.array(updates), "converged"
+    return np.array(updates), "fixed_iters" if converged is None else "max_iter"

@@ -145,6 +145,13 @@ def test_polar_symbolic_defaults_run_the_reference_schedule(tmp_path, capsys, re
         assert abs(exported[n].coefficient(CONST) - target) <= 2e-3, (n, target)
 
 
+def test_polar_symbolic_prints_the_stop_and_last_update(capsys):
+    assert main(["--mode", "polar-symbolic", "--eps", "0.1"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "iters=149 stop=fixed_iters" in out
+    assert float(out.split("update=")[1].split()[0]) <= 1e-13
+
+
 def test_polar_symbolic_non_finite_exits_3_without_export(tmp_path, capsys):
     out = tmp_path / "lines.json"
     rc = main(["--mode", "polar-symbolic", "--N", "10", "--iters", "20", "--eps", "1e-4",

@@ -8,6 +8,7 @@ from proxgml.polarsym import (
     PolarSymbolicConfig,
     _BackwardPass,
     cross_check_numeric,
+    polar_iterate,
     polar_numeric_solve,
     symbolic_solve,
 )
@@ -356,6 +357,20 @@ def test_cross_check_sine_boundary(symbolic_lines_eps01):
     assert report.sup_diff <= 3e-2
 
 
+@pytest.mark.parametrize("m_theta, finite", [(128, True), (256, False)])
+def test_numeric_twin_raises_past_its_angle_limit(m_theta, finite):
+    # the explicit angular stencil amplifies the highest angular mode as
+    # the angular step shrinks; past the limit the twin once returned a
+    # non-finite field with RuntimeWarnings, and the cross-check NaN
+    cfg = PolarSymbolicConfig(epsilon=0.1, n_lines=20)
+    th = np.linspace(0.0, 2.0 * np.pi, m_theta, endpoint=False)
+    if finite:
+        assert np.all(np.isfinite(polar_numeric_solve(cfg, 0.1 * np.sin(th))))
+    else:
+        with pytest.raises(ArithmeticError, match=f"{m_theta} angles"):
+            polar_numeric_solve(cfg, 0.1 * np.sin(th))
+
+
 def test_mid_annulus_plateau_small_epsilon():
     cfg = PolarSymbolicConfig(epsilon=0.01)
     num = polar_numeric_solve(cfg, np.zeros(8))
@@ -399,3 +414,21 @@ def test_diverging_solve_returns_non_finite_lines_without_warning():
     lines = symbolic_solve(cfg)
     assert not np.all(np.isfinite(lines[5].coeffs))
     assert lines[5].terms
+
+
+def test_reference_schedule_reports_its_fixed_point(symbolic_lines_eps01):
+    # the paper's 149 cycles at eps 0.1 reach an update of 1e-8 at cycle 94
+    cfg, lines = symbolic_lines_eps01
+    report = polar_iterate(cfg)
+    assert report.stop_reason == "fixed_iters"
+    assert len(report.update_history) == 149
+    assert report.update_history[-1] <= 1e-13
+    assert int(np.argmax(report.update_history <= 1e-8)) + 1 == 94
+    assert all(np.array_equal(p.coeffs, q.coeffs) for p, q in zip(report.lines, lines))
+
+
+def test_diverging_solve_stops_at_the_first_non_finite_cycle():
+    report = polar_iterate(PolarSymbolicConfig(epsilon=1e-4, n_lines=10, prox_weight=0.0,
+                                               iters=20))
+    assert report.stop_reason == "non-finite"
+    assert len(report.update_history) == 1

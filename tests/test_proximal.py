@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from proxgml import proximal
 from proxgml.cli import parse_source
 from proxgml.linebvp import assemble_line_system, thomas_solve
 from proxgml.problem import (
@@ -172,6 +173,25 @@ def test_fixed_iters_sets_converged_by_the_same_test():
     assert past_k.converged
     assert past_k.outer_iterations == k + 5
     assert past_k.stop_reason == "fixed_iters"
+
+
+def test_fixed_iters_tests_only_the_last_cycle(monkeypatch):
+    # past convergence every update passes, yet the FD residual is formed
+    # once, for the last cycle, and reported
+    spec = square_problem(0.1)
+    grid = build_cartesian_grid(UNIT_SQUARE, 10, 10)
+    calls = []
+    residual = proximal._fd_residual
+
+    def counted(*args):
+        calls.append(1)
+        return residual(*args)
+
+    monkeypatch.setattr(proximal, "_fd_residual", counted)
+    report = proximal_iterate(spec, grid, tol=1e-8, fixed_iters=325)
+    assert report.converged and report.stop_reason == "fixed_iters"
+    assert len(calls) == 1
+    assert report.residual_sup == residual_norm(spec, grid, report.solution)
 
 
 def test_fixed_iters_flag_checks_the_residual(square_grid_20):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from proxgml.problem import FieldSolution, build_cartesian_grid
-from proxgml.sweep import ab_recursion, c_operator, forward_sweep
+from proxgml.sweep import ab_recursion, c_operator, forward_sweep, outer_loop
 
 from conftest import UNIT_SQUARE, square_problem, ones_source
 
@@ -136,3 +136,45 @@ def test_blocked_c_recursion_matches_loop(size, q):
     np.testing.assert_array_equal(op(g, kap), got)
     if q == 1e20 and size > 16:
         assert op.blocks[0][-1, 0] == 0.0
+
+
+def _scripted(updates):
+    """A cycle that returns the given updates in order."""
+    return iter(updates).__next__
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("converged", [None, lambda update: False])
+def test_outer_loop_stops_at_the_first_non_finite_update(bad, converged):
+    history, stop = outer_loop(_scripted([0.5, 0.25, bad, 0.1, 0.0]), 5, converged)
+    assert stop == "non-finite"
+    np.testing.assert_array_equal(history, [0.5, 0.25, bad])
+
+
+def test_outer_loop_stops_at_the_first_passing_update():
+    judged = []
+
+    def converged(update):
+        judged.append(update)
+        return update <= 0.1
+
+    history, stop = outer_loop(_scripted([0.5, 0.1, 0.05]), 10, converged)
+    assert stop == "converged"
+    np.testing.assert_array_equal(history, [0.5, 0.1])
+    assert judged == [0.5, 0.1]
+
+
+def test_outer_loop_stops_at_the_cap():
+    updates = [0.5, 0.4, 0.3, 0.2]
+    history, stop = outer_loop(_scripted(updates), 3, lambda update: False)
+    assert stop == "max_iter"
+    np.testing.assert_array_equal(history, updates[:3])
+    history, stop = outer_loop(_scripted(updates), 3)
+    assert stop == "fixed_iters"
+    np.testing.assert_array_equal(history, updates[:3])
+
+
+def test_fixed_schedule_runs_past_updates_that_would_pass():
+    # without a test every cycle runs, however small its update
+    history, stop = outer_loop(_scripted([0.0] * 4), 4)
+    assert (stop, len(history)) == ("fixed_iters", 4)
