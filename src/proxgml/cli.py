@@ -126,9 +126,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    f"(default {_DEFAULTS['f']})")
     p.add_argument("--tol", type=float, default=None, help=f"default {_DEFAULTS['tol']:g}")
     p.add_argument("--max-iter", type=int, default=None, help=f"default {_DEFAULTS['max_iter']}")
-    p.add_argument("--iters", type=int, default=None, help="run this many outer iterations, "
-                   "no convergence test; a non-finite update still stops the run early "
-                   f"(annulus default {PolarSymbolicConfig.iters})")
+    p.add_argument("--iters", type=int, default=None, help="annulus: run this many outer "
+                   "iterations, no convergence test; a non-finite update still stops the run "
+                   f"early (default {PolarSymbolicConfig.iters})")
     p.add_argument("--out-field", default=None, help="field CSV path")
     p.add_argument("--out-expr", default=None, help="line-polynomial JSON path")
     p.add_argument("--out-report", default=None, help="comparison report JSON path")
@@ -148,8 +148,7 @@ def _cartesian_setup(args):
 
 def _run_cartesian(args) -> int:
     spec, grid = _cartesian_setup(args)
-    report = proximal_iterate(spec, grid, tol=args.tol, max_iter=args.max_iter,
-                              fixed_iters=args.iters)
+    report = proximal_iterate(spec, grid, tol=args.tol, max_iter=args.max_iter)
     center = report.solution.values[grid.n_lines // 2, grid.m_nodes // 2]
     print(
         f"cartesian: iterations={report.outer_iterations} "
@@ -157,7 +156,7 @@ def _run_cartesian(args) -> int:
         f"update={report.anchor_update_norm:.3e} "
         f"residual={report.residual_sup:.3e} center={center:.6g}"
     )
-    if args.out_field:
+    if args.out_field and report.stop_reason != "non-finite":
         write_field_csv(args.out_field, grid, report.solution)
     return _exit_code(report.stop_reason)
 
@@ -228,8 +227,7 @@ def _json_float(x: float) -> float | None:
 
 def _run_compare(args) -> int:
     spec, grid = _cartesian_setup(args)
-    gml = proximal_iterate(spec, grid, tol=args.tol, max_iter=args.max_iter,
-                           fixed_iters=args.iters)
+    gml = proximal_iterate(spec, grid, tol=args.tol, max_iter=args.max_iter)
     full = _oracle_solve(args, spec, grid)
     sup, l2 = compare_fields(gml.solution, full.solution)
     print(
@@ -263,10 +261,10 @@ _RUNNERS = {
 # the flags each mode reads beyond --eps, --alpha, --beta and --N, which every
 # mode reads; these default to None, so a given flag can be told from an absent one
 _READS = {
-    "cartesian": {"K", "M", "f", "tol", "max_iter", "iters", "out_field"},
+    "cartesian": {"K", "M", "f", "tol", "max_iter", "out_field"},
     "polar-symbolic": {"K", "iters", "out_expr"},
     "oracle": {"M", "f", "tol", "out_field"},
-    "compare": {"K", "M", "f", "tol", "max_iter", "iters", "out_report"},
+    "compare": {"K", "M", "f", "tol", "max_iter", "out_report"},
 }
 
 

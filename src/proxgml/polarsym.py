@@ -217,22 +217,24 @@ def polar_numeric_solve(cfg: PolarSymbolicConfig, boundary: np.ndarray) -> np.nd
     h_th = 2.0 * np.pi / mth
     a, b = ab_recursion(K, cfg.d, cfg.epsilon, m8 - 1)
     c_op = c_operator(a)
-    u = np.zeros((m8 + 1, mth))
+    nxt, prv = np.roll(np.arange(mth), -1), np.roll(np.arange(mth), 1)  # periodic neighbours
+    # the anchors u and the field being solved swap every cycle; line 0 of both stays zero
+    u, new = np.zeros((m8 + 1, mth)), np.zeros((m8 + 1, mth))
     for _ in range(cfg.iters):
         c = c_op(K * u + 1.0, kap)
-        uo, u = u, np.zeros((m8 + 1, mth))
-        u[m8] = boundary
+        new[m8] = boundary
         for n in range(m8 - 1, 0, -1):
             t = cfg.radius(n)
-            un1 = u[n + 1]
-            d2 = (np.roll(un1, -1) - 2.0 * un1 + np.roll(un1, 1)) / h_th**2
-            u[n] = (
+            un1 = new[n + 1]
+            d2 = (un1[nxt] - 2.0 * un1 + un1[prv]) / h_th**2
+            new[n] = (
                 a[n - 1] * un1
                 + b[n - 1] * (-cfg.alpha * un1**3 + cfg.beta * un1) * kap
                 + c[n - 1]
                 + b[n - 1] * cfg.d**2 * d2 / t**2
-                + b[n - 1] * cfg.d * (uo[n + 1] - uo[n]) / t
+                + b[n - 1] * cfg.d * (u[n + 1] - u[n]) / t
             )
+        u, new = new, u
     if not np.all(np.isfinite(u)):
         raise ArithmeticError(f"numeric twin not finite with {mth} angles; use fewer angles")
     return u

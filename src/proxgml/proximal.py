@@ -55,7 +55,7 @@ class SolveReport:
     residual_sup: float
     converged: bool
     update_history: np.ndarray  # sup-norm anchor update of every iteration
-    stop_reason: str  # "converged", "max_iter", "non-finite" or "fixed_iters"
+    stop_reason: str  # "converged", "max_iter" or "non-finite"
 
 
 def backward_pass(
@@ -88,23 +88,19 @@ def proximal_iterate(
     grid: LineGrid,
     tol: float = 1e-8,
     max_iter: int = 5000,
-    fixed_iters: int | None = None,
 ) -> SolveReport:
-    """Run the outer proximal loop from a zero anchor.
+    """Run the outer proximal loop from a zero anchor, at most ``max_iter`` cycles.
 
     a, b, f, the transverse steps, the c operator and the backward pass
     (with its line factors) are built once per solve; a cycle writes the
     corrected c into the pass's buffer and runs the pass.  The FD residual
-    is evaluated only once the update test holds, and the report reuses it.
-    ``fixed_iters`` forces that many cycles, to mirror a fixed reference
-    schedule; ``converged`` then reports the test once, for the last cycle.
-    Non-convergence is reported, not raised; numpy's overflow and
-    invalid-value warnings are off, as the "non-finite" stop reports them.
+    is evaluated only once the update test holds, and the report reuses the
+    last cycle's; a field's residual is formed once.  Non-convergence is
+    reported, not raised; numpy's overflow and invalid-value warnings are
+    off, as the "non-finite" stop reports them.
     """
     check_tolerance(tol)
     integer_count("max_iter", max_iter, 1)
-    if fixed_iters is not None:
-        integer_count("fixed_iters", fixed_iters, 1)
     K = spec.prox_weight
     kap = grid.d**2 / spec.epsilon
     a, b = ab_recursion(K, grid.d, spec.epsilon, grid.n_lines - 1)
@@ -134,17 +130,15 @@ def proximal_iterate(
         residual = residual_sup() if update <= tol and K > 0.0 else None
         return update <= tol and (residual is None or residual <= K * tol)
 
-    updates, stop_reason = outer_loop(cycle, fixed_iters or max_iter,
-                                      None if fixed_iters else converged)
-    last = float(updates[-1])
-    # test the last update again: a fixed schedule or a non-finite stop never did
-    done = stop_reason == "converged" or converged(last)
+    updates, stop_reason = outer_loop(cycle, max_iter, converged)
+    if stop_reason == "non-finite":  # that cycle was never tested
+        residual = None
     return SolveReport(
         solution=FieldSolution(v),
         outer_iterations=len(updates),
-        anchor_update_norm=last,
+        anchor_update_norm=float(updates[-1]),
         residual_sup=residual_sup() if residual is None else residual,
-        converged=done,
+        converged=stop_reason == "converged",
         update_history=updates,
         stop_reason=stop_reason,
     )

@@ -255,6 +255,8 @@ def test_output_flag_the_mode_does_not_write_exits_2(tmp_path, monkeypatch, caps
 
 
 @pytest.mark.parametrize("mode, flag, value", [
+    ("cartesian", "--iters", "3"),
+    ("compare", "--iters", "3"),
     ("oracle", "--iters", "0"),
     ("oracle", "--max-iter", "-5"),
     ("oracle", "--K", "50"),
@@ -275,7 +277,7 @@ def test_non_convergence_exit_3():
     assert rc == EXIT_NO_CONVERGENCE
 
 
-@pytest.mark.parametrize("extra", [[], ["--iters", "50"]])
+@pytest.mark.parametrize("extra", [[], ["--max-iter", "50"]])
 def test_non_finite_update_exits_3_at_once(capsys, extra):
     rc = main(["--mode", "cartesian", "--N", "6", "--f", "3**50"] + extra)
     assert rc == EXIT_NO_CONVERGENCE
@@ -283,6 +285,22 @@ def test_non_finite_update_exits_3_at_once(capsys, extra):
     assert "stop=non-finite" in out
     iterations = int(out.split("iterations=")[1].split()[0])
     assert iterations <= 2
+
+
+@pytest.mark.parametrize("argv, stop, written", [
+    (["--f", "3**50"], "non-finite", False),
+    (["--tol", "1e-14", "--max-iter", "2"], "max_iter", True),
+], ids=["non-finite", "max_iter"])
+def test_cartesian_field_is_written_unless_non_finite(tmp_path, capsys, argv, stop, written):
+    # the non-finite stop once wrote 49 rows, 10 of them nan; a capped run's field is finite
+    out = tmp_path / "u.csv"
+    rc = main(["--mode", "cartesian", "--N", "6", "--out-field", str(out)] + argv)
+    assert rc == EXIT_NO_CONVERGENCE
+    assert f"stop={stop}" in capsys.readouterr().out
+    assert out.exists() == written
+    if written:
+        grid = build_cartesian_grid(UNIT_SQUARE, 6, 6)
+        assert np.all(np.isfinite(read_field_csv(str(out), grid).values))
 
 
 def test_diverged_center_is_printed_short(capsys):
@@ -298,21 +316,15 @@ def test_io_error_exit_4(tmp_path):
     assert rc == EXIT_IO
 
 
-def test_fixed_iters_override_exits_ok():
-    rc = main(["--mode", "cartesian", "--eps", "0.1", "--N", "10", "--M", "10",
-               "--iters", "3"])
-    assert rc == EXIT_OK
-
-
 _FUZZ_NUMBERS = ["0", "-1", "1e-300", "1e308", "nan", "inf", "-inf", "0.5"]
 # weighted towards 0.5 so that about a tenth of the examples reach a solver
 _FUZZ_NUMBER = st.one_of(st.just("0.5"), st.sampled_from(_FUZZ_NUMBERS))
 # the flags beyond --mode, --N, --eps, --alpha and --beta that each mode reads
 _FUZZ_READS = {
-    "cartesian": {"K", "M", "f", "tol", "max-iter", "iters"},
+    "cartesian": {"K", "M", "f", "tol", "max-iter"},
     "polar-symbolic": {"K", "iters"},
     "oracle": {"M", "f", "tol"},
-    "compare": {"K", "M", "f", "tol", "max-iter", "iters"},
+    "compare": {"K", "M", "f", "tol", "max-iter"},
 }
 _FUZZ_SOURCES = ["const:1", "const:-2", "const:nan", "(-1)**0.5", "1/(x-0.5)",
                  "exp(50*x)", "x - 0.5", "sin(pi*x)*sin(pi*y)", "3**50", "y**0.5", "nope("]

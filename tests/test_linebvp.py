@@ -282,7 +282,7 @@ def test_solve_loop_builds_no_line_system(monkeypatch):
     for name in ("assemble_line_system", "thomas_solve", "TridiagonalSystem"):
         monkeypatch.setattr(linebvp, name, forbidden)
     report = proximal_iterate(square_problem(0.1), build_cartesian_grid(UNIT_SQUARE, 8, 8),
-                              fixed_iters=3)
+                              max_iter=3)
     assert report.outer_iterations == 3
 
 
@@ -300,7 +300,7 @@ def test_solve_builds_factors_and_pass_once(monkeypatch):
     monkeypatch.setattr(proximal, "BackwardPass", counted("BackwardPass", proximal.BackwardPass))
     monkeypatch.setattr(linebvp, "dpttrf", counted("dpttrf", linebvp.dpttrf))
     report = proximal_iterate(square_problem(0.1), build_cartesian_grid(UNIT_SQUARE, 8, 8),
-                              fixed_iters=20)
+                              max_iter=20)
     assert report.outer_iterations == 20
     assert calls == {"BackwardPass": 1, "dpttrf": 7}
 
@@ -316,7 +316,7 @@ def test_solve_cycles_match_fresh_backward_passes(N, M, domain):
     # cycle; a loop that builds everything afresh each cycle must give the
     # same bits, or state leaks from one cycle into the next
     spec, grid, _ = _random_anchor_problem(N, M, domain)
-    report = proximal_iterate(spec, grid, fixed_iters=5)
+    report = proximal_iterate(spec, grid, max_iter=5)
     K, kap = spec.prox_weight, grid.d**2 / spec.epsilon
     h = transverse_steps(grid)
     f = source_values(spec, grid)

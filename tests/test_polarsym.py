@@ -371,6 +371,29 @@ def test_numeric_twin_raises_past_its_angle_limit(m_theta, finite):
             polar_numeric_solve(cfg, 0.1 * np.sin(th))
 
 
+@pytest.mark.parametrize("eps, m_theta", [(0.1, 8), (0.01, 16)])
+def test_numeric_twin_matches_a_fresh_field_per_cycle(eps, m_theta):
+    # the twin swaps two fields and indexes the periodic neighbours; a loop
+    # that builds a fresh field per cycle and rolls each line must give the
+    # same bits, or a stale line leaks from one cycle into the next
+    cfg = PolarSymbolicConfig(epsilon=eps, n_lines=12, iters=6, alpha=1.3, beta=0.7)
+    g = 0.1 * np.sin(np.linspace(0.0, 2.0 * np.pi, m_theta, endpoint=False)) + 0.05
+    a, b = ab_recursion(cfg.prox_weight, cfg.d, cfg.epsilon, cfg.n_lines - 1)
+    kap, h2 = cfg.d**2 / cfg.epsilon, (2.0 * np.pi / m_theta) ** 2
+    u = np.zeros((cfg.n_lines + 1, m_theta))
+    for _ in range(cfg.iters):
+        c = c_operator(a)(cfg.prox_weight * u + 1.0, kap)
+        uo, u = u, np.zeros_like(u)
+        u[-1] = g
+        for n in range(cfg.n_lines - 1, 0, -1):
+            t, un1 = cfg.radius(n), u[n + 1]
+            d2 = (np.roll(un1, -1) - 2.0 * un1 + np.roll(un1, 1)) / h2
+            u[n] = (a[n - 1] * un1 + b[n - 1] * (-cfg.alpha * un1**3 + cfg.beta * un1) * kap
+                    + c[n - 1] + b[n - 1] * cfg.d**2 * d2 / t**2
+                    + b[n - 1] * cfg.d * (uo[n + 1] - uo[n]) / t)
+    np.testing.assert_array_equal(polar_numeric_solve(cfg, g), u)
+
+
 def test_mid_annulus_plateau_small_epsilon():
     cfg = PolarSymbolicConfig(epsilon=0.01)
     num = polar_numeric_solve(cfg, np.zeros(8))

@@ -85,10 +85,11 @@ def test_determinism_bit_identical(run_eps01_n20):
     assert report.residual_sup == again.residual_sup
 
 
-@pytest.mark.parametrize("kwargs", [{}, {"max_iter": 5}, {"fixed_iters": 320}])
+@pytest.mark.parametrize("kwargs", [{}, {"max_iter": 5}, {"max_iter": 314}])
 def test_reported_residual_is_that_of_the_returned_field(kwargs):
     # the stop test's residual is reused for the report; it must be the
-    # returned field's, on every kind of stop
+    # returned field's, on every kind of stop (314 is the cycle before
+    # the converged one)
     spec = square_problem(0.1)
     grid = build_cartesian_grid(UNIT_SQUARE, 10, 10)
     report = proximal_iterate(spec, grid, **kwargs)
@@ -117,26 +118,17 @@ def test_non_convergence_reported_not_raised():
     assert report.stop_reason == "max_iter"
 
 
-@pytest.mark.parametrize("fixed_iters", [None, 50])
-def test_non_finite_update_stops_at_once(fixed_iters):
-    # a finite source of 7.2e23 overflows the cubic term in the first cycle
+@pytest.mark.parametrize("max_iter", [None, 50])
+def test_non_finite_update_stops_at_once(max_iter):
+    # a finite source of 7.2e23 overflows the cubic term in the first cycle;
+    # None runs at the default cap
     spec = square_problem(0.1, source=parse_source("3**50"))
     grid = build_cartesian_grid(UNIT_SQUARE, 6, 6)
-    report = proximal_iterate(spec, grid, fixed_iters=fixed_iters)
+    report = proximal_iterate(spec, grid, **({} if max_iter is None else {"max_iter": max_iter}))
     assert report.stop_reason == "non-finite"
     assert not report.converged
     assert report.outer_iterations <= 2
     assert not np.isfinite(report.anchor_update_norm)
-
-
-def test_fixed_iteration_override():
-    spec = square_problem(0.1)
-    grid = build_cartesian_grid(UNIT_SQUARE, 10, 10)
-    r5 = proximal_iterate(spec, grid, fixed_iters=5)
-    assert r5.outer_iterations == 5
-    assert r5.stop_reason == "fixed_iters"
-    r5b = proximal_iterate(spec, grid, tol=1e-30, max_iter=5)
-    np.testing.assert_array_equal(r5.solution.values, r5b.solution.values)
 
 
 def test_residual_zero_field_zero_source():
@@ -160,26 +152,42 @@ def test_residual_constant_root_interior():
 
 
 def test_fixed_iters_sets_converged_by_the_same_test():
+    # a run capped at max_iter = k reports the convergence test of its last cycle
     spec = square_problem(0.1)
     grid = build_cartesian_grid(UNIT_SQUARE, 10, 10)
     reference = proximal_iterate(spec, grid, tol=1e-8)
     k = reference.outer_iterations
     assert k == 315
-    at_k = proximal_iterate(spec, grid, tol=1e-8, fixed_iters=k)
-    assert at_k.converged
+    at_k = proximal_iterate(spec, grid, tol=1e-8, max_iter=k)
+    assert at_k.converged and at_k.stop_reason == "converged"
     assert np.array_equal(at_k.solution.values, reference.solution.values)
-    assert not proximal_iterate(spec, grid, tol=1e-8, fixed_iters=k - 1).converged
-    past_k = proximal_iterate(spec, grid, tol=1e-8, fixed_iters=k + 5)
-    assert past_k.converged
-    assert past_k.outer_iterations == k + 5
-    assert past_k.stop_reason == "fixed_iters"
+    before = proximal_iterate(spec, grid, tol=1e-8, max_iter=k - 1)
+    assert not before.converged and before.stop_reason == "max_iter"
 
 
-def test_fixed_iters_tests_only_the_last_cycle(monkeypatch):
-    # past convergence every update passes, yet the FD residual is formed
-    # once, for the last cycle, and reported
-    spec = square_problem(0.1)
-    grid = build_cartesian_grid(UNIT_SQUARE, 10, 10)
+def test_fixed_iters_flag_checks_the_residual(square_grid_20):
+    # capped at the first cycle whose update is below tol, the FD residual
+    # is still above K*tol, so that cycle is not converged
+    spec = square_problem(0.01, source=parse_source("sin(pi*x)*sin(pi*y)"))
+    report = proximal_iterate(spec, square_grid_20, tol=1e-8)
+    first_small = int(np.argmax(report.update_history <= 1e-8)) + 1
+    assert first_small < report.outer_iterations
+    early = proximal_iterate(spec, square_grid_20, tol=1e-8, max_iter=first_small)
+    assert early.anchor_update_norm <= 1e-8
+    assert not early.converged and early.stop_reason == "max_iter"
+
+
+@pytest.mark.parametrize("source, max_iter, stop", [
+    ("sin(pi*x)*sin(pi*y)", 5000, "converged"),
+    ("sin(pi*x)*sin(pi*y)", 439, "max_iter"),
+    ("sin(pi*x)*sin(pi*y)", 20, "max_iter"),
+    ("3**50", 5000, "non-finite"),
+], ids=["converged", "max_iter-first-small-update", "max_iter-untested", "non-finite"])
+def test_fd_residual_formed_once_per_field(monkeypatch, square_grid_20, source, max_iter, stop):
+    # the stop test forms the residual of each cycle whose update is at most
+    # tol, and the report reuses the last cycle's; max_iter = 439 stops at the
+    # first such cycle, whose residual was once formed twice
+    spec = square_problem(0.01, source=parse_source(source))
     calls = []
     residual = proximal._fd_residual
 
@@ -188,22 +196,16 @@ def test_fixed_iters_tests_only_the_last_cycle(monkeypatch):
         return residual(*args)
 
     monkeypatch.setattr(proximal, "_fd_residual", counted)
-    report = proximal_iterate(spec, grid, tol=1e-8, fixed_iters=325)
-    assert report.converged and report.stop_reason == "fixed_iters"
-    assert len(calls) == 1
-    assert report.residual_sup == residual_norm(spec, grid, report.solution)
-
-
-def test_fixed_iters_flag_checks_the_residual(square_grid_20):
-    # stopped at the first cycle whose update is below tol, the FD residual
-    # is still above K*tol, so that cycle is not converged
-    spec = square_problem(0.01, source=parse_source("sin(pi*x)*sin(pi*y)"))
-    report = proximal_iterate(spec, square_grid_20, tol=1e-8)
-    first_small = int(np.argmax(report.update_history <= 1e-8)) + 1
-    assert first_small < report.outer_iterations
-    early = proximal_iterate(spec, square_grid_20, tol=1e-8, fixed_iters=first_small)
-    assert early.anchor_update_norm <= 1e-8
-    assert not early.converged
+    report = proximal_iterate(spec, square_grid_20, tol=1e-8, max_iter=max_iter)
+    assert report.stop_reason == stop
+    assert report.converged == (stop == "converged")
+    tested = int(np.sum(report.update_history <= 1e-8))
+    # a last field that no cycle tested gets its residual formed once, for the report
+    assert len(calls) == max(tested, 1)
+    monkeypatch.undo()
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = residual_norm(spec, square_grid_20, report.solution)
+    assert np.array_equal(report.residual_sup, expected, equal_nan=True)
 
 
 def test_fixed_point_consistency_bound(square_grid_20):
@@ -255,14 +257,6 @@ def test_tol_must_be_finite_and_positive(tol):
         proximal_iterate(spec, grid, tol=tol, max_iter=200)
 
 
-@pytest.mark.parametrize("fixed_iters", [0, -3])
-def test_fixed_iters_must_be_positive(fixed_iters):
-    spec = square_problem(0.1)
-    grid = build_cartesian_grid(UNIT_SQUARE, 6, 6)
-    with pytest.raises(ValueError, match="fixed_iters"):
-        proximal_iterate(spec, grid, fixed_iters=fixed_iters)
-
-
 def test_source_sampled_once_per_solve():
     calls = []
 
@@ -272,7 +266,7 @@ def test_source_sampled_once_per_solve():
 
     spec = square_problem(0.1, source=counting_source)
     grid = build_cartesian_grid(UNIT_SQUARE, 10, 10)
-    report = proximal_iterate(spec, grid, fixed_iters=20)
+    report = proximal_iterate(spec, grid, max_iter=20)
     assert report.outer_iterations == 20
     assert len(calls) == grid.n_lines + 1
 
@@ -291,7 +285,7 @@ def test_first_cycle_is_plain_sweep():
     # at the zero anchor the corrected source is f and the lag term is zero
     spec = curved_problem(0.05, source=parse_source("sin(pi*x)*sin(pi*y)"))
     grid = build_cartesian_grid(CURVED, 12, 9)
-    report = proximal_iterate(spec, grid, fixed_iters=1)
+    report = proximal_iterate(spec, grid, max_iter=1)
     coeffs = forward_sweep(spec, grid, FieldSolution.zeros(grid))
     plain = backward_pass(coeffs, spec, grid, np.zeros(grid.m_nodes + 1))
     assert np.array_equal(report.solution.values, plain.values)
