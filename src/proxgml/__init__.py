@@ -8,7 +8,6 @@ from .problem import (
     build_cartesian_grid,
     transverse_steps,
 )
-from .sweep import SweepCoefficients, forward_sweep
 from .linebvp import TridiagonalSystem, assemble_line_system, thomas_solve
 from .proximal import SolveReport, backward_pass, proximal_iterate, residual_norm
 from .symalg import (
@@ -30,11 +29,10 @@ from .oracle import NewtonReport, newton_solve, compare_fields
 
 __all__ = [
     "CartesianDomain", "ProblemSpec", "LineGrid", "FieldSolution", "build_cartesian_grid",
-    "transverse_steps", "SweepCoefficients", "forward_sweep", "TridiagonalSystem",
-    "assemble_line_system", "thomas_solve", "SolveReport", "backward_pass", "proximal_iterate",
-    "residual_norm", "TruncationSpec", "DEFAULT_TRUNCATION", "BoundaryPolynomial", "poly_add",
-    "poly_mul", "poly_diff", "poly_eval", "PolarSymbolicConfig", "symbolic_solve",
-    "polar_numeric_solve", "cross_check_numeric", "NewtonReport", "newton_solve",
+    "transverse_steps", "TridiagonalSystem", "assemble_line_system", "thomas_solve", "SolveReport",
+    "backward_pass", "proximal_iterate", "residual_norm", "TruncationSpec", "DEFAULT_TRUNCATION",
+    "BoundaryPolynomial", "poly_add", "poly_mul", "poly_diff", "poly_eval", "PolarSymbolicConfig",
+    "symbolic_solve", "polar_numeric_solve", "cross_check_numeric", "NewtonReport", "newton_solve",
     "compare_fields",
 ]
 

@@ -115,10 +115,11 @@ class BackwardPass:
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, spec: ProblemSpec, grid: LineGrid):
-        b = np.asarray(b, dtype=float)
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
         h = transverse_steps(grid)[1:-1]
-        if b.shape != h.shape:
-            raise ValueError(f"need one b_n per line 1..{h.size}, got shape {b.shape}")
+        if a.shape != h.shape or b.shape != h.shape:
+            raise ValueError(f"need one a_n and b_n per line 1..{h.size}, "
+                             f"got shapes {a.shape} and {b.shape}")
         if not np.all(h > 0.0):
             raise ValueError(f"transverse steps must be positive, got min {np.min(h)}")
         if not np.all(b > 0.0):

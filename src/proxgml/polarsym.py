@@ -262,8 +262,10 @@ def cross_check_numeric(
     ``boundary_second_derivative`` holds the exact d^2/dtheta^2 of the
     boundary function at the same angles (the polynomials consume uf''
     symbolically; the first derivative never survives the caps in the
-    final expressions, so it is evaluated at 0).  Raises ValueError on
-    empty or non-finite samples, and on ``lines`` that are not n_lines+1
+    final expressions, so it is evaluated at 0).  ``lines`` must come from
+    ``cfg``: only their count and truncation are checked, so lines solved
+    with another eps are compared as if they were cfg's.  Raises ValueError
+    on empty or non-finite samples, and on ``lines`` that are not n_lines+1
     polynomials over cfg.trunc.
     """
     g = _samples("boundary_samples", boundary_samples)

@@ -14,14 +14,13 @@ the pass is the exact elimination of the FD system and the fixed point
 solves it.  w obeys the same recursion as c, so the corrected c is one
 c-recursion on g = K*u0 + f + R(u0) + E(u0), minus
 b_n*kap*[R(u0_{n+1}) + E(u0_n)].  At the zero anchor g = f and that lag
-term vanishes, so the first cycle is a plain ``forward_sweep`` +
-``backward_pass``.
+term vanishes, so the first cycle is ``backward_pass`` on the c of f.
 
 The line systems depend only on (b_n, d, h_n), so a solve builds one
 ``linebvp.BackwardPass``, which factors them, and every cycle writes into
-its c buffer; ``backward_pass`` builds and runs a one-shot pass.  A cycle
-is converged when the update is at most ``tol`` and, for K > 0, the FD
-residual is at most K*tol.  ``sweep.outer_loop`` runs the cycles, stops
+its c buffer; ``backward_pass`` builds and runs a one-shot pass on a
+given c.  A cycle is converged when the update is at most ``tol`` and,
+for K > 0, the FD residual is at most K*tol.  ``sweep.outer_loop`` runs the cycles, stops
 them and names the stop (``SolveReport.stop_reason``).
 """
 
@@ -34,7 +33,7 @@ import numpy as np
 from .linebvp import BackwardPass
 from .problem import (FieldSolution, LineGrid, ProblemSpec, check_tolerance, integer_count,
                       source_values, transverse_steps)
-from .sweep import SweepCoefficients, ab_recursion, c_operator, outer_loop
+from .sweep import ab_recursion, c_operator, outer_loop
 
 __all__ = [
     "SolveReport",
@@ -59,24 +58,28 @@ class SolveReport:
 
 
 def backward_pass(
-    coeffs: SweepCoefficients,
     spec: ProblemSpec,
     grid: LineGrid,
+    c: np.ndarray,
     u_boundary_N: np.ndarray,
 ) -> FieldSolution:
-    """Solve lines N-1, N-2, ..., 1 and assemble the field.
+    """Solve lines N-1, N-2, ..., 1 on the sweep coefficients c and assemble the field.
 
-    Builds a ``BackwardPass`` (which factors the line systems) for this one
-    pass, copies c into its buffer, so ``coeffs`` is never written, and
-    runs it; ``proximal_iterate`` builds one pass per solve and runs it in
-    every cycle.  ``u_boundary_N`` is the Dirichlet data on the last line
-    (all zeros for the homogeneous problem).
+    ``c`` has one row per line 1..N-1 and one column per transverse node;
+    a and b come from ``ab_recursion`` for ``spec`` and ``grid``.  Builds a
+    ``BackwardPass`` (which factors the line systems) for this one pass,
+    copies c into its buffer, so the caller's c is never written, and runs
+    it; ``proximal_iterate`` builds one pass per solve and runs it in every
+    cycle.  ``u_boundary_N`` is the Dirichlet data on the last line (all
+    zeros for the homogeneous problem).
     """
     N, M = grid.n_lines, grid.m_nodes
+    if np.shape(c) != (N - 1, M + 1):
+        raise ValueError(f"c must have shape {(N - 1, M + 1)}, got {np.shape(c)}")
     values = np.zeros((N + 1, M + 1))
     values[N] = np.asarray(u_boundary_N, dtype=float)
-    run = BackwardPass(coeffs.a, coeffs.b, spec, grid)
-    run.c[...] = coeffs.c
+    run = BackwardPass(*ab_recursion(spec.prox_weight, grid.d, spec.epsilon, N - 1), spec, grid)
+    run.c[...] = c
     run.boundary[...] = values[N, 1:-1]
     run(values)
     return FieldSolution(values)

@@ -6,9 +6,9 @@ With q = 2 + K*d^2/eps and kap = d^2/eps the recursion is
     b_1 = a_1,            b_n = a_n*(b_{n-1} + 1),
     c_1 = a_1*g_1*kap,    c_n = a_n*(c_{n-1} + g_n*kap),
 
-where g_n is the line source.  For a plain sweep g = K*u0 + f combines
-the proximal anchor with f.  a and b depend only on (N, d, eps, K), so a
-solve computes them once; only c changes with the anchor.
+where g_n is the line source (see ``proximal`` for the Cartesian one).
+a and b depend only on (N, d, eps, K), so a solve computes them once;
+only c changes with the anchor.
 
 c is linear in g, so ``c_operator(a)`` builds it as a map once per solve.
 The lines are split into blocks of ``C_BLOCK`` rows; within a block,
@@ -40,32 +40,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import FieldSolution, LineGrid, ProblemSpec, source_values
-
 __all__ = [
     "COperator",
-    "SweepCoefficients",
     "ab_recursion",
     "c_operator",
-    "forward_sweep",
     "outer_loop",
 ]
-
-
-@dataclass(frozen=True)
-class SweepCoefficients:
-    """Sweep coefficients for lines 1..N-1; entry k belongs to line k+1.
-
-    a, b: shape (N-1,).  c: shape (N-1, M+1), one value per transverse node.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-
-    def __post_init__(self):
-        for arr in (self.a, self.b, self.c):
-            arr.setflags(write=False)
 
 
 def ab_recursion(K: float, d: float, eps: float, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -134,15 +114,6 @@ def c_operator(a: np.ndarray) -> COperator:
         L[:, i, i] = padded[:, i]
     last = a.size - (n_blocks - 1) * C_BLOCK
     return COperator(blocks=(*L[:-1], L[-1, :last, :last].copy()))
-
-
-def forward_sweep(spec: ProblemSpec, grid: LineGrid, anchor: FieldSolution) -> SweepCoefficients:
-    """Compute all sweep coefficients for the anchor u0."""
-    if anchor.values.shape != (grid.n_lines + 1, grid.m_nodes + 1):
-        raise ValueError("anchor shape does not match grid")
-    a, b = ab_recursion(spec.prox_weight, grid.d, spec.epsilon, grid.n_lines - 1)
-    g = spec.prox_weight * anchor.values + source_values(spec, grid)
-    return SweepCoefficients(a=a, b=b, c=c_operator(a)(g, grid.d**2 / spec.epsilon))
 
 
 def outer_loop(cycle, cap: int, converged=None) -> tuple[np.ndarray, str]:

@@ -3,13 +3,13 @@ import pytest
 
 import proxgml.linebvp as linebvp
 from proxgml.linebvp import (
+    BackwardPass,
     TridiagonalSystem,
     assemble_line_system,
     thomas_solve,
 )
 from proxgml.problem import (
     CartesianDomain,
-    FieldSolution,
     LineGrid,
     ProblemSpec,
     build_cartesian_grid,
@@ -18,7 +18,7 @@ from proxgml.problem import (
 )
 import proxgml.proximal as proximal
 from proxgml.proximal import _scheme_terms, backward_pass, proximal_iterate
-from proxgml.sweep import SweepCoefficients, ab_recursion, c_operator, forward_sweep
+from proxgml.sweep import ab_recursion, c_operator
 
 from conftest import UNIT_SQUARE, square_problem
 
@@ -137,13 +137,14 @@ def solve_line(n, coeffs, u_next, spec, grid):
     solve is linear; the unknown line contributes only its own transverse
     second derivative.  Returns the full M+1 node values with zero ends.
     """
-    a_n = coeffs.a[n - 1]
-    b_n = coeffs.b[n - 1]
+    a, b, c = coeffs
+    a_n = a[n - 1]
+    b_n = b[n - 1]
     kap = grid.d**2 / spec.epsilon
     rhs_full = (
         a_n * u_next
         + b_n * (-spec.alpha * u_next**3 + spec.beta * u_next) * kap
-        + coeffs.c[n - 1]
+        + c[n - 1]
     )
     sys = assemble_line_system(b_n, grid.d, transverse_steps(grid)[n], rhs_full[1:-1])
     out = np.zeros(grid.m_nodes + 1)
@@ -154,8 +155,7 @@ def solve_line(n, coeffs, u_next, spec, grid):
 def _coeffs_for(grid, spec, c_value=0.0):
     N, M = grid.n_lines, grid.m_nodes
     a, b = ab_recursion(spec.prox_weight, grid.d, spec.epsilon, N - 1)
-    c = np.full((N - 1, M + 1), c_value)
-    return SweepCoefficients(a=a, b=b, c=c)
+    return a, b, np.full((N - 1, M + 1), c_value)
 
 
 def test_solve_line_zero_inputs():
@@ -173,7 +173,8 @@ def test_terminal_line_reduces_to_c_only():
     coeffs = _coeffs_for(grid, spec, c_value=0.37)
     n = grid.n_lines - 1
     got = solve_line(n, coeffs, np.zeros(13), spec, grid)
-    sys = assemble_line_system(coeffs.b[n - 1], grid.d, 1.0 / 12, np.full(11, 0.37))
+    b = coeffs[1]
+    sys = assemble_line_system(b[n - 1], grid.d, 1.0 / 12, np.full(11, 0.37))
     np.testing.assert_array_equal(got[1:-1], thomas_solve(sys))
     assert got[0] == got[-1] == 0.0
 
@@ -187,8 +188,9 @@ def test_linear_chain_when_nonlinearity_off():
     u_next[1:-1] = rng.normal(size=9)
     n = 2
     got = solve_line(n, coeffs, u_next, spec, grid)
-    rhs = coeffs.a[n - 1] * u_next + coeffs.c[n - 1]
-    sys = assemble_line_system(coeffs.b[n - 1], grid.d, 0.1, rhs[1:-1])
+    a, b, c = coeffs
+    rhs = a[n - 1] * u_next + c[n - 1]
+    sys = assemble_line_system(b[n - 1], grid.d, 0.1, rhs[1:-1])
     np.testing.assert_allclose(got[1:-1], thomas_solve(sys), atol=0)
 
 
@@ -204,15 +206,16 @@ def _thomas_chain(coeffs, spec, grid, u_boundary_N):
     return ref
 
 
-def _random_anchor_problem(N, M, domain, seed=21):
+def _random_problem(N, M, domain, seed=21):
+    # a, b of the spec and the c of its source plus noise
     spec = ProblemSpec(epsilon=0.07, alpha=2.0, beta=0.5,
                        source=lambda x, y: np.cos(3.0 * x) * np.sin(np.pi * y),
                        prox_weight=11.0, domain=domain)
     grid = build_cartesian_grid(domain, N, M)
-    rng = np.random.default_rng(seed)
-    anchor = np.zeros((N + 1, M + 1))
-    anchor[1:-1, 1:-1] = rng.uniform(-1.5, 1.5, size=(N - 1, M - 1))
-    return spec, grid, forward_sweep(spec, grid, FieldSolution(anchor))
+    a, b = ab_recursion(spec.prox_weight, grid.d, spec.epsilon, N - 1)
+    noise = np.random.default_rng(seed).uniform(-15.0, 15.0, (N + 1, M + 1))
+    g = source_values(spec, grid) + noise
+    return spec, grid, (a, b, c_operator(a)(g, grid.d**2 / spec.epsilon))
 
 
 @pytest.mark.parametrize("N, M, domain", [
@@ -222,20 +225,23 @@ def _random_anchor_problem(N, M, domain, seed=21):
 ])
 def test_factored_backward_pass_matches_thomas_chain(N, M, domain):
     # h_n changes from line to line on CURVED; M = 2 leaves one interior node per line
-    spec, grid, coeffs = _random_anchor_problem(N, M, domain)
-    got = backward_pass(coeffs, spec, grid, np.zeros(M + 1))
+    spec, grid, coeffs = _random_problem(N, M, domain)
+    got = backward_pass(spec, grid, coeffs[2], np.zeros(M + 1))
     ref = _thomas_chain(coeffs, spec, grid, np.zeros(M + 1))
     assert np.max(np.abs(ref)) > 0.1
     np.testing.assert_allclose(got.values, ref, rtol=0, atol=1e-13)
 
 
 def test_backward_pass_leaves_read_only_coefficients_unchanged():
-    # the line solves write into their right-hand sides; the read-only c of
-    # a SweepCoefficients must never be that buffer
-    spec, grid, coeffs = _random_anchor_problem(12, 12, CURVED)
-    before = coeffs.c.tobytes()
-    backward_pass(coeffs, spec, grid, np.zeros(13))
-    assert not coeffs.c.flags.writeable and coeffs.c.tobytes() == before
+    # the line solves write into their right-hand sides; the caller's c,
+    # writeable or not, must never be that buffer
+    spec, grid, (_, _, c) = _random_problem(12, 12, CURVED)
+    before = c.tobytes()
+    backward_pass(spec, grid, c, np.zeros(13))
+    assert c.tobytes() == before
+    c.setflags(write=False)
+    backward_pass(spec, grid, c, np.zeros(13))
+    assert c.tobytes() == before
 
 
 def test_backward_solve_on_non_contiguous_arrays():
@@ -243,15 +249,35 @@ def test_backward_solve_on_non_contiguous_arrays():
     # the pass copies c into its own buffer and must still give the
     # Thomas-chain answer for any layout of c
     N, M = 9, 7
-    spec, grid, coeffs = _random_anchor_problem(N, M, CURVED, seed=5)
+    spec, grid, coeffs = _random_problem(N, M, CURVED, seed=5)
     boundary = np.sin(np.pi * np.arange(M + 1) / M)
     ref = _thomas_chain(coeffs, spec, grid, boundary)
-    fortran_c = np.asfortranarray(coeffs.c)
+    fortran_c = np.asfortranarray(coeffs[2])
     strided_c = np.zeros((N - 1, 2 * (M + 1)))[:, ::2]
-    strided_c[...] = coeffs.c
-    for c in (fortran_c, strided_c, np.array(coeffs.c)):
-        got = backward_pass(SweepCoefficients(a=coeffs.a, b=coeffs.b, c=c), spec, grid, boundary)
+    strided_c[...] = coeffs[2]
+    for c in (fortran_c, strided_c, np.array(coeffs[2])):
+        got = backward_pass(spec, grid, c, boundary)
         np.testing.assert_allclose(got.values, ref, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (5,), (5, 1), ()], ids=str)
+def test_backward_pass_rejects_misshaped_c(shape):
+    # at N = 6, M = 4 the pass needs one c row of M+1 values per line 1..5;
+    # numpy would broadcast any of these shapes over every line
+    grid = build_cartesian_grid(UNIT_SQUARE, 6, 4)
+    with pytest.raises(ValueError, match="shape"):
+        backward_pass(square_problem(0.1), grid, np.ones(shape), np.zeros(5))
+
+
+@pytest.mark.parametrize("a", [np.full(1, 0.4), 0.4, np.full(4, 0.4), np.full((5, 1), 0.4)],
+                         ids=["1", "scalar", "4", "5x1"])
+def test_pass_rejects_an_a_that_is_not_one_per_line(a):
+    # lines 1..5 of N = 6 each need their own a_n, as they need their own b_n
+    spec = square_problem(0.1)
+    grid = build_cartesian_grid(UNIT_SQUARE, 6, 4)
+    b = ab_recursion(spec.prox_weight, grid.d, spec.epsilon, 5)[1]
+    with pytest.raises(ValueError, match="one a_n and b_n per line"):
+        BackwardPass(a, b, spec, grid)
 
 
 @pytest.mark.parametrize("b, h", [
@@ -268,9 +294,8 @@ def test_factor_lines_rejects_non_positive_inputs(b, h):
     grid = LineGrid(n_lines=3, d=0.1, abscissae=np.arange(4) * 0.1, m_nodes=M,
                     reference_nodes=np.arange(M + 1) / M,
                     per_line_range=np.array([[0.0, 0.6], *([0.0, M * x] for x in h), [0.0, 0.6]]))
-    coeffs = SweepCoefficients(a=np.full(2, 0.4), b=np.array(b), c=np.zeros((2, M + 1)))
     with pytest.raises(ValueError):
-        backward_pass(coeffs, square_problem(0.1), grid, np.zeros(M + 1))
+        BackwardPass(np.full(2, 0.4), np.array(b), square_problem(0.1), grid)
 
 
 def test_solve_loop_builds_no_line_system(monkeypatch):
@@ -315,7 +340,7 @@ def test_solve_cycles_match_fresh_backward_passes(N, M, domain):
     # the solve reuses its c buffer, cube row and bound steps in every
     # cycle; a loop that builds everything afresh each cycle must give the
     # same bits, or state leaks from one cycle into the next
-    spec, grid, _ = _random_anchor_problem(N, M, domain)
+    spec, grid, _ = _random_problem(N, M, domain)
     report = proximal_iterate(spec, grid, max_iter=5)
     K, kap = spec.prox_weight, grid.d**2 / spec.epsilon
     h = transverse_steps(grid)
@@ -327,7 +352,7 @@ def test_solve_cycles_match_fresh_backward_passes(N, M, domain):
         R, E = _scheme_terms(spec, v, h)
         c = c_operator(a)(K * v + f + R + E, kap)
         c -= (b * kap)[:, None] * (R[2:] + E[1:-1])
-        new = backward_pass(SweepCoefficients(a=a, b=b, c=c), spec, grid, np.zeros(M + 1)).values
+        new = backward_pass(spec, grid, c, np.zeros(M + 1)).values
         updates.append(float(np.max(np.abs(new - v))))
         v = new
     assert np.max(np.abs(v)) > 0.01

@@ -9,6 +9,7 @@ from proxgml.problem import (
     FieldSolution,
     ProblemSpec,
     build_cartesian_grid,
+    source_values,
 )
 from proxgml.proximal import (
     backward_pass,
@@ -16,7 +17,7 @@ from proxgml.proximal import (
     residual_field,
     residual_norm,
 )
-from proxgml.sweep import forward_sweep
+from proxgml.sweep import ab_recursion, c_operator
 
 from conftest import UNIT_SQUARE, ones_source, square_problem, zero_source
 
@@ -34,8 +35,7 @@ def test_homogeneous_problem_is_fixed_at_zero():
 def test_backward_pass_zero_coefficients():
     spec = square_problem(0.1, source=zero_source)
     grid = build_cartesian_grid(UNIT_SQUARE, 8, 6)
-    coeffs = forward_sweep(spec, grid, FieldSolution.zeros(grid))
-    u = backward_pass(coeffs, spec, grid, np.zeros(7))
+    u = backward_pass(spec, grid, np.zeros((7, 7)), np.zeros(7))
     np.testing.assert_array_equal(u.values, 0.0)
 
 
@@ -43,8 +43,7 @@ def test_first_pass_interior_positive():
     # f = 1 > 0 and the M-matrix line solves keep every interior value positive
     spec = square_problem(0.1)
     grid = build_cartesian_grid(UNIT_SQUARE, 20, 20)
-    coeffs = forward_sweep(spec, grid, FieldSolution.zeros(grid))
-    u = backward_pass(coeffs, spec, grid, np.zeros(21))
+    u = proximal_iterate(spec, grid, max_iter=1).solution
     assert np.min(u.values[1:-1, 1:-1]) > 0.0
 
 
@@ -52,23 +51,21 @@ def test_backward_pass_matches_hand_unrolled_chain():
     # N = 3: two interior lines; unroll the recursion with explicit solves
     spec = square_problem(0.07, K=11.0, alpha=2.0, beta=0.5)
     grid = build_cartesian_grid(UNIT_SQUARE, 3, 6)
-    rng = np.random.default_rng(8)
-    anchor = np.zeros((4, 7))
-    anchor[1:-1, 1:-1] = rng.normal(size=(2, 5))
-    coeffs = forward_sweep(spec, grid, FieldSolution(anchor))
-    got = backward_pass(coeffs, spec, grid, np.zeros(7))
+    a, b = ab_recursion(spec.prox_weight, grid.d, spec.epsilon, 2)
+    c = np.random.default_rng(8).normal(size=(2, 7))
+    got = backward_pass(spec, grid, c, np.zeros(7))
 
     kap = grid.d**2 / spec.epsilon
     h = 1.0 / 6
     # line 2: u_3 = 0, rhs = c_2
-    sys2 = assemble_line_system(coeffs.b[1], grid.d, h, coeffs.c[1][1:-1])
+    sys2 = assemble_line_system(b[1], grid.d, h, c[1][1:-1])
     u2 = np.zeros(7)
     u2[1:-1] = thomas_solve(sys2)
     # line 1: rhs = a_1 u_2 + b_1 (-alpha u_2^3 + beta u_2) kap + c_1
-    rhs1 = (coeffs.a[0] * u2
-            + coeffs.b[0] * (-spec.alpha * u2**3 + spec.beta * u2) * kap
-            + coeffs.c[0])
-    sys1 = assemble_line_system(coeffs.b[0], grid.d, h, rhs1[1:-1])
+    rhs1 = (a[0] * u2
+            + b[0] * (-spec.alpha * u2**3 + spec.beta * u2) * kap
+            + c[0])
+    sys1 = assemble_line_system(b[0], grid.d, h, rhs1[1:-1])
     u1 = np.zeros(7)
     u1[1:-1] = thomas_solve(sys1)
 
@@ -286,6 +283,7 @@ def test_first_cycle_is_plain_sweep():
     spec = curved_problem(0.05, source=parse_source("sin(pi*x)*sin(pi*y)"))
     grid = build_cartesian_grid(CURVED, 12, 9)
     report = proximal_iterate(spec, grid, max_iter=1)
-    coeffs = forward_sweep(spec, grid, FieldSolution.zeros(grid))
-    plain = backward_pass(coeffs, spec, grid, np.zeros(grid.m_nodes + 1))
+    a, _ = ab_recursion(spec.prox_weight, grid.d, spec.epsilon, grid.n_lines - 1)
+    c = c_operator(a)(source_values(spec, grid), grid.d**2 / spec.epsilon)
+    plain = backward_pass(spec, grid, c, np.zeros(grid.m_nodes + 1))
     assert np.array_equal(report.solution.values, plain.values)

@@ -1,56 +1,54 @@
 import numpy as np
 import pytest
 
-from proxgml.problem import FieldSolution, build_cartesian_grid
-from proxgml.sweep import ab_recursion, c_operator, forward_sweep, outer_loop
+from proxgml.problem import build_cartesian_grid
+from proxgml.sweep import ab_recursion, c_operator, outer_loop
 
 from conftest import UNIT_SQUARE, square_problem, ones_source
 
 
 def test_a1_b1_unregularized():
-    spec = square_problem(0.1, K=0.0)
     grid = build_cartesian_grid(UNIT_SQUARE, 10, 4)
-    coeffs = forward_sweep(spec, grid, FieldSolution.zeros(grid))
-    assert coeffs.a[0] == pytest.approx(0.5, abs=0)
-    assert coeffs.b[0] == pytest.approx(0.5, abs=0)
+    a, b = ab_recursion(0.0, grid.d, 0.1, grid.n_lines - 1)
+    assert a[0] == pytest.approx(0.5, abs=0)
+    assert b[0] == pytest.approx(0.5, abs=0)
 
 
 def test_a1_reference_parameters():
     # K*d^2/eps = 50*1e-4/0.1 = 0.05, so a_1 = 1/2.05
-    spec = square_problem(0.1, K=50.0)
     grid = build_cartesian_grid(UNIT_SQUARE, 100, 4)
-    coeffs = forward_sweep(spec, grid, FieldSolution.zeros(grid))
-    assert coeffs.a[0] == pytest.approx(1.0 / 2.05, rel=1e-15)
-    assert coeffs.a[0] == pytest.approx(0.487805, abs=5e-7)
+    a, _ = ab_recursion(50.0, grid.d, 0.1, grid.n_lines - 1)
+    assert a[0] == pytest.approx(1.0 / 2.05, rel=1e-15)
+    assert a[0] == pytest.approx(0.487805, abs=5e-7)
 
 
 def test_c1_zero_anchor_unit_source():
-    spec = square_problem(0.1, K=50.0)
+    # at the zero anchor the line source is f = 1
     grid = build_cartesian_grid(UNIT_SQUARE, 100, 4)
-    coeffs = forward_sweep(spec, grid, FieldSolution.zeros(grid))
-    np.testing.assert_allclose(coeffs.c[0], (1.0 / 2.05) * 0.001, rtol=1e-14)
+    a, _ = ab_recursion(50.0, grid.d, 0.1, grid.n_lines - 1)
+    c = c_operator(a)(np.ones((101, 5)), grid.d**2 / 0.1)
+    np.testing.assert_allclose(c[0], (1.0 / 2.05) * 0.001, rtol=1e-14)
 
 
 def test_full_recursion_against_direct_evaluation():
-    spec = square_problem(0.05, K=7.0)
+    eps, K = 0.05, 7.0
     grid = build_cartesian_grid(UNIT_SQUARE, 6, 3)
-    rng = np.random.default_rng(3)
-    anchor = np.zeros((7, 4))
-    anchor[1:-1, 1:-1] = rng.normal(size=(5, 2))
-    coeffs = forward_sweep(spec, grid, FieldSolution(anchor))
-    q = 2.0 + 7.0 * grid.d**2 / 0.05
-    kap = grid.d**2 / 0.05
+    g = np.random.default_rng(3).normal(size=(7, 4))
+    a, b = ab_recursion(K, grid.d, eps, grid.n_lines - 1)
+    q = 2.0 + K * grid.d**2 / eps
+    kap = grid.d**2 / eps
+    c = c_operator(a)(g, kap)
     a_prev, b_prev = 1.0 / q, 1.0 / q
-    c_prev = a_prev * (7.0 * anchor[1] + 1.0) * kap
-    assert coeffs.a[0] == a_prev and coeffs.b[0] == b_prev
-    np.testing.assert_array_equal(coeffs.c[0], c_prev)
+    c_prev = a_prev * g[1] * kap
+    assert a[0] == a_prev and b[0] == b_prev
+    np.testing.assert_array_equal(c[0], c_prev)
     for n in range(2, 6):
         a_n = 1.0 / (q - a_prev)
         b_n = a_n * (b_prev + 1.0)
-        c_n = a_n * (c_prev + (7.0 * anchor[n] + 1.0) * kap)
-        assert coeffs.a[n - 1] == pytest.approx(a_n, rel=1e-15)
-        assert coeffs.b[n - 1] == pytest.approx(b_n, rel=1e-15)
-        np.testing.assert_allclose(coeffs.c[n - 1], c_n, rtol=1e-14)
+        c_n = a_n * (c_prev + g[n] * kap)
+        assert a[n - 1] == pytest.approx(a_n, rel=1e-15)
+        assert b[n - 1] == pytest.approx(b_n, rel=1e-15)
+        np.testing.assert_allclose(c[n - 1], c_n, rtol=1e-14)
         a_prev, b_prev, c_prev = a_n, b_n, c_n
 
 
@@ -72,40 +70,6 @@ def test_a_monotone_and_bounded_by_fixed_point():
         assert np.all(a < a_star + 1e-12)
         assert np.all(a > 0.0) and np.all(a < 1.0)
         assert np.all(b > 0.0) and np.all(np.isfinite(b))
-
-
-def test_a_b_anchor_independent_bit_exact():
-    spec = square_problem(0.1, K=50.0)
-    grid = build_cartesian_grid(UNIT_SQUARE, 12, 5)
-    rng = np.random.default_rng(0)
-    anchor = np.zeros((13, 6))
-    anchor[1:-1, 1:-1] = rng.normal(size=(11, 4))
-    c0 = forward_sweep(spec, grid, FieldSolution.zeros(grid))
-    c1 = forward_sweep(spec, grid, FieldSolution(anchor))
-    assert np.array_equal(c0.a, c1.a)
-    assert np.array_equal(c0.b, c1.b)
-
-
-def test_anchor_times_zero_weight_equals_zero_anchor():
-    # K multiplies the anchor inside c: zero anchor with any K matches
-    # arbitrary anchor with K = 0
-    grid = build_cartesian_grid(UNIT_SQUARE, 8, 4)
-    rng = np.random.default_rng(5)
-    anchor = np.zeros((9, 5))
-    anchor[1:-1, 1:-1] = rng.normal(size=(7, 3))
-    c_k0 = forward_sweep(square_problem(0.1, K=0.0), grid,
-                         FieldSolution(anchor))
-    c_zero = forward_sweep(square_problem(0.1, K=0.0), grid, FieldSolution.zeros(grid))
-    assert np.array_equal(c_k0.c, c_zero.c)
-
-
-def test_dimension_mismatch_rejected():
-    spec = square_problem(0.1)
-    grid = build_cartesian_grid(UNIT_SQUARE, 8, 4)
-    other = build_cartesian_grid(UNIT_SQUARE, 9, 4)
-    state = FieldSolution.zeros(other)
-    with pytest.raises(ValueError):
-        forward_sweep(spec, grid, state)
 
 
 def _loop_c_recursion(a, g, kap):
