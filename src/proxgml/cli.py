@@ -30,6 +30,7 @@ from .problem import (
     FieldSolution,
     ProblemSpec,
     build_cartesian_grid,
+    check_tolerance,
     line_ordinates,
 )
 from .proximal import proximal_iterate
@@ -98,13 +99,11 @@ def parse_source(text: str):
 
 
 def write_field_csv(path: str, grid, field: FieldSolution):
-    with open(path, "w") as fh:
-        fh.write("x,y,u\n")
-        for n in range(grid.n_lines + 1):
-            x = grid.abscissae[n]
-            y = line_ordinates(grid, n)
-            for j in range(grid.m_nodes + 1):
-                fh.write(f"{x:.17g},{y[j]:.17g},{field.values[n, j]:.17g}\n")
+    """One "x,y,u" row per node, line by line, every value to 17 significant digits."""
+    x = np.repeat(grid.abscissae, grid.m_nodes + 1)
+    y = np.concatenate([line_ordinates(grid, n) for n in range(grid.n_lines + 1)])
+    np.savetxt(path, np.column_stack([x, y, field.values.ravel()]), fmt="%.17g",
+               delimiter=",", header="x,y,u", comments="")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -203,6 +202,7 @@ def _run_polar_symbolic(args) -> int:
 
 def _oracle_solve(args, spec, grid):
     """The oracle stops at --tol, and at 1e-10 at the loosest, in both modes."""
+    check_tolerance(args.tol)
     return newton_solve(spec, grid, tol=min(args.tol, 1e-10))
 
 

@@ -11,11 +11,12 @@ definite, strictly diagonally dominant and an M-matrix.
 Its matrix depends only on (b_n, d, h_n), so it is the same in every outer
 cycle of a solve.  A solve builds one ``BackwardPass``: its constructor
 computes the LDL^T factors of every line (LAPACK ``dpttrf``) and allocates
-the c buffer and a cube scratch row.  A cycle writes c into the buffer
-and runs the pass: per line, two BLAS ``daxpy`` calls form the right-hand
-side in that line's row of c and ``dpttrs`` solves it in place.  The
-Thomas solve (``assemble_line_system``, ``thomas_solve``) is the
-reference the tests compare against.
+the solve's field, whose rows 1..N-1 are the c buffer and row N the
+boundary line.  A cycle writes c into the buffer and runs the pass: per
+line, two BLAS ``daxpy`` calls form the right-hand side in that line's row
+and ``dpttrs`` solves it in place, so nothing is copied out.  The field's
+end columns are the Dirichlet zeros, so c must be 0 there.  The Thomas
+solve (``assemble_line_system``, ``thomas_solve``) is the reference.
 """
 
 from __future__ import annotations
@@ -103,15 +104,15 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
 
 
 class BackwardPass:
-    """The backward pass of one solve, on line factors and buffers it makes once.
+    """The backward pass of one solve, on line factors and a field it makes once.
 
-    Line n solves (I - b_n*d^2*D_yy) u_n = c_n + (a_n + b_n*kap*beta)*u_{n+1}
-    - (b_n*kap*alpha)*u_{n+1}^3, the reaction lagged at line n+1, in row
-    n-1 of the C-contiguous ``c``; ``boundary`` is the interior of line N
-    (zeros unless set).  Line n has the matrix of
-    ``assemble_line_system(b_n, d, h_n, .)``, which the constructor factors
-    with ``dpttrf``; each line's rows, factors and weights are bound once,
-    in ``steps``.
+    ``u`` is the solve's (N+1) x (M+1) field, ``c`` its rows 1..N-1 and row
+    N the boundary line (zeros unless set).  Line n solves, in place on the
+    interior of row n, (I - b_n*d^2*D_yy) u_n = c_n + (a_n + b_n*kap*beta)
+    *u_{n+1} - (b_n*kap*alpha)*u_{n+1}^3, the reaction lagged at line n+1.
+    Line n has the matrix of ``assemble_line_system(b_n, d, h_n, .)``,
+    which the constructor factors with ``dpttrf``; each line's rows,
+    factors and weights are bound once, in ``steps``.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, spec: ProblemSpec, grid: LineGrid):
@@ -129,12 +130,12 @@ class BackwardPass:
         off = -g / (h * h)
         diag = 1.0 + 2.0 * g / (h * h)
         kap = d**2 / spec.epsilon
-        self.c = np.zeros((b.size, grid.m_nodes + 1))
-        self.boundary = np.zeros(m)
+        self.u = np.zeros((grid.n_lines + 1, grid.m_nodes + 1))
+        self.c = self.u[1:-1]
         self.cube = np.empty(m)
         lin = (a + b * (kap * spec.beta)).tolist()
         cub = (b * (-kap * spec.alpha)).tolist()
-        rows = [*self.c[:, 1:-1], self.boundary]
+        rows = self.u[:, 1:-1]
         self.steps = []
         for k in range(b.size - 1, -1, -1):
             # f2py wants one off-diagonal entry even when m = 1, where LAPACK reads none
@@ -142,10 +143,10 @@ class BackwardPass:
             if info != 0:
                 raise ArithmeticError(
                     f"line {k + 1} system is not positive definite (info={info})")
-            self.steps.append((rows[k], rows[k + 1], dk, ek, lin[k], cub[k]))
+            self.steps.append((rows[k + 1], rows[k + 2], dk, ek, lin[k], cub[k]))
 
-    def __call__(self, values: np.ndarray) -> None:
-        """Solve lines N-1..1 in ``c`` and copy them into rows 1..N-1 of ``values``."""
+    def __call__(self) -> None:
+        """Solve lines N-1..1 in place, each on its row of c and the line above."""
         t, m = self.cube, self.cube.size
         for y, u, d, e, lin, cub in self.steps:
             daxpy(u, y, m, lin)
@@ -153,4 +154,3 @@ class BackwardPass:
             np.multiply(t, u, t)
             daxpy(t, y, m, cub)
             dpttrs(d, e, y, overwrite_b=1)
-        values[1:len(self.c) + 1, 1:-1] = self.c[:, 1:-1]

@@ -133,16 +133,14 @@ class _BackwardPass:
         self.gather = trunc.mul_gather
         self.M = np.empty((B, B))
         self.sq = np.empty(B)
-        self.change = np.empty((cfg.n_lines - 1, B))  # the update of lines 1..n_lines-1
         # row n from row n+1, n = n_lines-1..1; bound once, not per cycle
         u = self.u
         self.steps = [(G_n.dot, z1, z1.take, u1, cube1, u_n) for G_n, z1, u1, cube1, u_n
                       in zip(self.G[::-1], z[:1:-1], u[:1:-1], z[:1:-1, B + 1:-1], u[-2:0:-1])]
 
-    def __call__(self) -> float:
-        """One cycle: s_n from the anchors ``u``, lines n_lines-1..1 in place; their sup update."""
-        u, change = self.u, self.change
-        np.copyto(change, u[1:-1])
+    def __call__(self) -> None:
+        """One cycle: s_n from the anchors ``u``, then lines n_lines-1..1 in place."""
+        u = self.u
         self.G[:, :, -1] = self.S @ u + self.s0
         u[-1] = self.uf  # after the sources, so the first cycle's anchors are all zero
         gather, M_flat, M_dot, sq = self.gather, self.M.reshape(-1), self.M.dot, self.sq
@@ -151,8 +149,6 @@ class _BackwardPass:
             M_dot(u1, out=sq)
             M_dot(sq, out=cube1)
             G_dot(z1, out=u_n)
-        np.subtract(u[1:-1], change, out=change)
-        return float(np.abs(change, out=change).max())
 
 
 @dataclass(frozen=True)
@@ -176,7 +172,7 @@ def polar_iterate(cfg: PolarSymbolicConfig) -> PolarReport:
     """
     a, b = ab_recursion(cfg.prox_weight, cfg.d, cfg.epsilon, cfg.n_lines - 1)
     backward = _BackwardPass(cfg, a, b)
-    updates, stop_reason = outer_loop(backward, cfg.iters)
+    updates, stop_reason = outer_loop(backward, backward.u[1:-1], cfg.iters)
     lines = [BoundaryPolynomial.from_coeffs(row, cfg.trunc) for row in backward.u.copy()]
     return PolarReport(lines=lines, update_history=updates, stop_reason=stop_reason)
 

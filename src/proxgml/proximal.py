@@ -17,11 +17,12 @@ b_n*kap*[R(u0_{n+1}) + E(u0_n)].  At the zero anchor g = f and that lag
 term vanishes, so the first cycle is ``backward_pass`` on the c of f.
 
 The line systems depend only on (b_n, d, h_n), so a solve builds one
-``linebvp.BackwardPass``, which factors them, and every cycle writes into
-its c buffer; ``backward_pass`` builds and runs a one-shot pass on a
-given c.  A cycle is converged when the update is at most ``tol`` and,
-for K > 0, the FD residual is at most K*tol.  ``sweep.outer_loop`` runs the cycles, stops
-them and names the stop (``SolveReport.stop_reason``).
+``linebvp.BackwardPass``, which factors them and holds the solve's one
+field: a cycle writes c, formed from the field, into its c rows, which the
+pass solves in place; ``backward_pass`` runs a one-shot pass on a given c.
+A cycle is converged when the update is at most ``tol`` and, for K > 0,
+the FD residual is at most K*tol.  ``sweep.outer_loop`` runs the cycles,
+forms their updates, stops them and names the stop (``stop_reason``).
 """
 
 from __future__ import annotations
@@ -65,24 +66,21 @@ def backward_pass(
 ) -> FieldSolution:
     """Solve lines N-1, N-2, ..., 1 on the sweep coefficients c and assemble the field.
 
-    ``c`` has one row per line 1..N-1 and one column per transverse node;
-    a and b come from ``ab_recursion`` for ``spec`` and ``grid``.  Builds a
-    ``BackwardPass`` (which factors the line systems) for this one pass,
-    copies c into its buffer, so the caller's c is never written, and runs
-    it; ``proximal_iterate`` builds one pass per solve and runs it in every
-    cycle.  ``u_boundary_N`` is the Dirichlet data on the last line (all
-    zeros for the homogeneous problem).
+    ``c`` has one row per line 1..N-1 and one column per transverse node,
+    of which only the interior ones are read; a and b come from
+    ``ab_recursion`` for ``spec`` and ``grid``.  Writes c and
+    ``u_boundary_N``, the Dirichlet data on line N (all zeros for the
+    homogeneous problem), into the field of a fresh ``BackwardPass`` and
+    runs it, so the caller's c is never written.
     """
     N, M = grid.n_lines, grid.m_nodes
     if np.shape(c) != (N - 1, M + 1):
         raise ValueError(f"c must have shape {(N - 1, M + 1)}, got {np.shape(c)}")
-    values = np.zeros((N + 1, M + 1))
-    values[N] = np.asarray(u_boundary_N, dtype=float)
     run = BackwardPass(*ab_recursion(spec.prox_weight, grid.d, spec.epsilon, N - 1), spec, grid)
-    run.c[...] = c
-    run.boundary[...] = values[N, 1:-1]
-    run(values)
-    return FieldSolution(values)
+    run.c[:, 1:-1] = np.asarray(c)[:, 1:-1]
+    run.u[N] = u_boundary_N
+    run()
+    return FieldSolution(run.u)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -95,8 +93,8 @@ def proximal_iterate(
     """Run the outer proximal loop from a zero anchor, at most ``max_iter`` cycles.
 
     a, b, f, the transverse steps, the c operator and the backward pass
-    (with its line factors) are built once per solve; a cycle writes the
-    corrected c into the pass's buffer and runs the pass.  The FD residual
+    (line factors and field) are built once per solve; a cycle writes the
+    corrected c into the field and runs the pass.  The FD residual
     is evaluated only once the update test holds, and the report reuses the
     last cycle's; a field's residual is formed once.  Non-convergence is
     reported, not raised; numpy's overflow and invalid-value warnings are
@@ -110,20 +108,17 @@ def proximal_iterate(
     c_op = c_operator(a)
     h = transverse_steps(grid)
     f = source_values(spec, grid)
+    f[:, [0, -1]] = 0.0  # read only inside; zero, so c keeps the field's Dirichlet columns 0
     backward = BackwardPass(a, b, spec, grid)
+    v = backward.u  # the anchor, which each cycle overwrites with the new field
     b_kap = (b * kap)[:, None]
-    v = np.zeros((grid.n_lines + 1, grid.m_nodes + 1))
-    values = np.zeros_like(v)  # the two fields swap roles every cycle; their edges stay 0
     residual = None
 
-    def cycle() -> float:
-        nonlocal v, values
+    def cycle() -> None:
         R, E = _scheme_terms(spec, v, h)
         c = c_op(K * v + f + R + E, kap, out=backward.c)
         c -= b_kap * (R[2:] + E[1:-1])
-        backward(values)
-        v, values = values, v
-        return float(np.max(np.abs(v - values)))
+        backward()
 
     def residual_sup() -> float:
         return float(np.max(np.abs(_fd_residual(spec, grid, v, f, h))))
@@ -133,7 +128,7 @@ def proximal_iterate(
         residual = residual_sup() if update <= tol and K > 0.0 else None
         return update <= tol and (residual is None or residual <= K * tol)
 
-    updates, stop_reason = outer_loop(cycle, max_iter, converged)
+    updates, stop_reason = outer_loop(cycle, v, max_iter, converged)
     if stop_reason == "non-finite":  # that cycle was never tested
         residual = None
     return SolveReport(

@@ -17,7 +17,9 @@ before), with the lower-triangular product matrix
 L_b[i, j] = a_j*...*a_i.  A cycle then costs one matmul per block instead
 of a Python step per line.  One dense (N-1)^2 product matrix would do the
 same in one call, but its work grows as N^2 per source column, against
-32*N for the blocks, and it loses to the row loop from about N = 400 on.
+32*N for the blocks: on one thread of an Intel Xeon a call on N+1 source
+columns takes 41 us dense against 44 us blocked at N = M = 100, 320 against
+159 us at 200 and 2.78 against 0.51 ms at 400.
 The annulus solve still uses one (``polarsym._BackwardPass``): it builds
 its line sources, radial term included, from a dense map applied to only
 16 columns per cycle, which beats the blocks up to about 400 lines.
@@ -29,8 +31,9 @@ applies the operator to a source that also carries its defect correction
 (see ``proximal``), and the annulus solvers take a and b from
 ``ab_recursion`` and c from the operator.
 
-``outer_loop`` runs the outer cycles of both geometries: it is the one
-place that records the updates, stops a run and names why it stopped.
+``outer_loop`` runs the outer cycles of both geometries, which advance an
+iterate in place: it is the one place that forms and records the updates,
+stops a run and names why it stopped.
 """
 
 from __future__ import annotations
@@ -116,17 +119,22 @@ def c_operator(a: np.ndarray) -> COperator:
     return COperator(blocks=(*L[:-1], L[-1, :last, :last].copy()))
 
 
-def outer_loop(cycle, cap: int, converged=None) -> tuple[np.ndarray, str]:
-    """Run ``cycle()``, which returns its sup-norm update, at most ``cap`` times.
+def outer_loop(cycle, state: np.ndarray, cap: int, converged=None) -> tuple[np.ndarray, str]:
+    """Run ``cycle()``, which advances ``state`` in place, at most ``cap`` times.
 
+    A cycle's update is the sup-norm change of ``state``, formed in a copy.
     Returns the updates and the stop: "non-finite" at the first update that
     is not finite, "converged" at the first that ``converged(update)``
     accepts, else "max_iter" after ``cap`` cycles, or "fixed_iters" when no
     test was given, a fixed schedule that never consults one.
     """
+    change = np.empty_like(state)
     updates = []
     for _ in range(cap):
-        updates.append(cycle())
+        np.copyto(change, state)
+        cycle()
+        np.subtract(state, change, out=change)
+        updates.append(float(np.abs(change, out=change).max()))
         if not math.isfinite(updates[-1]):
             return np.array(updates), "non-finite"
         if converged is not None and converged(updates[-1]):

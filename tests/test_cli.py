@@ -113,6 +113,22 @@ def test_write_read_full_precision(tmp_path):
     np.testing.assert_array_equal(back.values, vals)
 
 
+def test_field_csv_bytes(tmp_path):
+    # a header, then one row per node, line by line, at 17 significant digits
+    grid = build_cartesian_grid(UNIT_SQUARE, 2, 2)
+    vals = np.zeros((3, 3))
+    vals[1] = [-0.0, 1 / 3, 1e-300]
+    vals[2, 1] = -2.5
+    path = tmp_path / "f.csv"
+    write_field_csv(str(path), grid, FieldSolution(vals))
+    assert path.read_bytes() == (
+        b"x,y,u\n"
+        b"0,0,0\n0,0.5,0\n0,1,0\n"
+        b"0.5,0,-0\n0.5,0.5,0.33333333333333331\n0.5,1,1e-300\n"
+        b"1,0,0\n1,0.5,-2.5\n1,1,0\n"
+    )
+
+
 def test_polar_symbolic_mode(tmp_path, capsys):
     out = tmp_path / "lines.json"
     rc = main(["--mode", "polar-symbolic", "--eps", "0.1", "--K", "50",
@@ -212,6 +228,13 @@ def test_compare_mode_oracle_honours_tol(tmp_path):
     rc = main(["--mode", "compare", "--N", "6", "--tol", "1e-12", "--out-report", str(out)])
     assert rc == EXIT_OK
     assert json.loads(out.read_text())["newton_residual_sup"] <= 1e-12
+
+
+def test_oracle_mode_rejects_a_tolerance_that_is_not_finite(capsys):
+    # the oracle caps --tol at 1e-10, but checks the given value first, as
+    # the line solve does
+    assert main(["--mode", "oracle", "--N", "8", "--tol", "inf"]) == EXIT_USAGE
+    assert "tol" in capsys.readouterr().err
 
 
 def test_compare_report_is_strict_json_on_non_finite_stop(tmp_path):

@@ -103,14 +103,24 @@ def test_blocked_c_recursion_matches_loop(size, q):
 
 
 def _scripted(updates):
-    """A cycle that returns the given updates in order."""
-    return iter(updates).__next__
+    """A cycle and the zero state it advances: cycle k sets entry k to updates[k].
+
+    Every other entry is unchanged, so the sup change of cycle k is updates[k].
+    """
+    state = np.zeros(len(updates))
+    steps = enumerate(updates)
+
+    def cycle():
+        k, update = next(steps)
+        state[k] = update
+
+    return cycle, state
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("converged", [None, lambda update: False])
 def test_outer_loop_stops_at_the_first_non_finite_update(bad, converged):
-    history, stop = outer_loop(_scripted([0.5, 0.25, bad, 0.1, 0.0]), 5, converged)
+    history, stop = outer_loop(*_scripted([0.5, 0.25, bad, 0.1, 0.0]), 5, converged)
     assert stop == "non-finite"
     np.testing.assert_array_equal(history, [0.5, 0.25, bad])
 
@@ -122,7 +132,7 @@ def test_outer_loop_stops_at_the_first_passing_update():
         judged.append(update)
         return update <= 0.1
 
-    history, stop = outer_loop(_scripted([0.5, 0.1, 0.05]), 10, converged)
+    history, stop = outer_loop(*_scripted([0.5, 0.1, 0.05]), 10, converged)
     assert stop == "converged"
     np.testing.assert_array_equal(history, [0.5, 0.1])
     assert judged == [0.5, 0.1]
@@ -130,15 +140,48 @@ def test_outer_loop_stops_at_the_first_passing_update():
 
 def test_outer_loop_stops_at_the_cap():
     updates = [0.5, 0.4, 0.3, 0.2]
-    history, stop = outer_loop(_scripted(updates), 3, lambda update: False)
+    history, stop = outer_loop(*_scripted(updates), 3, lambda update: False)
     assert stop == "max_iter"
     np.testing.assert_array_equal(history, updates[:3])
-    history, stop = outer_loop(_scripted(updates), 3)
+    history, stop = outer_loop(*_scripted(updates), 3)
     assert stop == "fixed_iters"
     np.testing.assert_array_equal(history, updates[:3])
 
 
 def test_fixed_schedule_runs_past_updates_that_would_pass():
     # without a test every cycle runs, however small its update
-    history, stop = outer_loop(_scripted([0.0] * 4), 4)
+    history, stop = outer_loop(*_scripted([0.0] * 4), 4)
     assert (stop, len(history)) == ("fixed_iters", 4)
+
+
+@pytest.mark.parametrize("cap, converged, stop, cycles", [
+    (6, lambda update: False, "non-finite", 3),
+    (6, lambda update: update <= 0.25, "converged", 2),
+    (2, lambda update: False, "max_iter", 2),
+    (2, None, "fixed_iters", 2),
+])
+def test_outer_loop_leaves_the_last_cycles_values_in_the_state(cap, converged, stop, cycles):
+    # the driver forms the update in its own buffer, never in the state
+    updates = [0.5, 0.25, np.nan, 0.1, 0.0, 0.0]
+    cycle, state = _scripted(updates)
+    history, got = outer_loop(cycle, state, cap, converged)
+    assert (got, len(history)) == (stop, cycles)
+    np.testing.assert_array_equal(state, updates[:cycles] + [0.0] * (len(updates) - cycles))
+
+
+def test_outer_loop_update_is_the_sup_change_of_the_state():
+    # a 3 x 4 state set to each of these fields in turn; the largest change of
+    # the second cycle is a decrease, so the update takes absolute values
+    fields = np.random.default_rng(4).uniform(-1.0, 1.0, (4, 3, 4))
+    fields[2, 1, 2] = fields[1, 1, 2] - 5.0
+    state = fields[0].copy()
+    steps = iter(fields[1:])
+
+    def cycle():
+        state[...] = next(steps)
+
+    history, stop = outer_loop(cycle, state, 3)
+    assert stop == "fixed_iters"
+    assert history[1] == pytest.approx(5.0)
+    np.testing.assert_array_equal(history, np.abs(np.diff(fields, axis=0)).max(axis=(1, 2)))
+    np.testing.assert_array_equal(state, fields[-1])
