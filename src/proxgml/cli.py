@@ -57,16 +57,18 @@ _ALLOWED_NODES = (
 def parse_source(text: str):
     """Build f(x, y) from 'const:<v>' or a small arithmetic expression.
 
-    Expressions may use x, y, pi, + - * / ** and sin/cos/exp.  Numbers are
-    floats, so no expression can build a huge integer.  An expression
-    nested too deeply to parse or compile, or an evaluation that overflows
-    or gives a complex or non-finite value, raises ValueError.
+    Expressions may use x, y, pi, + - * / ** and sin/cos/exp, each function
+    called on exactly one argument.  Numbers are floats, so no expression
+    can build a huge integer.  An expression nested too deeply to parse or
+    compile, or an evaluation that overflows or gives a complex or
+    non-finite value, raises ValueError.
     """
     if text.startswith("const:"):
         v = float(text[len("const:"):])
         return lambda x, y: np.full_like(np.asarray(y, dtype=float), v)
     try:
         tree = ast.parse(text, mode="eval")
+        callees = set()  # ast.walk visits a call before the name it calls
         for node in ast.walk(tree):
             if not isinstance(node, _ALLOWED_NODES):
                 raise ValueError(f"unsupported element in source expression: {ast.dump(node)}")
@@ -75,11 +77,14 @@ def parse_source(text: str):
                 if type(node.value) not in (int, float):
                     raise ValueError(f"unsupported constant {node.value!r} in source expression")
                 node.value = float(node.value)
-            if isinstance(node, ast.Name) and node.id not in ("x", "y", "pi", *_FUNCTIONS):
-                raise ValueError(f"unknown name {node.id!r} in source expression")
+            if (isinstance(node, ast.Name) and node.id not in ("x", "y", "pi")
+                    and node not in callees):
+                raise ValueError(f"name {node.id!r} is not x, y, pi or a called function")
             if isinstance(node, ast.Call):
-                if not (isinstance(node.func, ast.Name) and node.func.id in _FUNCTIONS):
-                    raise ValueError(f"only {', '.join(_FUNCTIONS)} calls are allowed")
+                if not (isinstance(node.func, ast.Name) and node.func.id in _FUNCTIONS
+                        and len(node.args) == 1):
+                    raise ValueError(f"only one-argument {', '.join(_FUNCTIONS)} calls are allowed")
+                callees.add(node.func)
         code = compile(tree, "<source>", "eval")
     except RecursionError:
         raise ValueError("source expression is nested too deeply") from None

@@ -19,7 +19,9 @@ A_n = (a_n + b_n*kap*beta)*I + (b_n*d^2/t_n^2)*D^2, and the line sources
 s_n = c_n + (anchor_{n+1} - anchor_n)*b_n*d/t_n as an affine map of the
 anchor rows, S @ u + s0.  S is K times the c operator (``sweep.c_operator``)
 applied to the identity plus the radial weights, and s0 the c operator
-applied to f = 1, so the c operator runs twice per solve, not per cycle.
+applied to f = 1, so the c operator runs twice per solve, not per cycle:
+its (n_lines-1)^2 matrix costs O(n_lines^3) on the identity, once, and a
+cycle's S @ u costs O(n_lines^2) per basis monomial.
 A cycle writes S @ u + s0 into the last column of every G_n (one matmul
 and one add).  A row step is then four native calls on views built once:
 gather M(u_{n+1}) from row n+1 (``TruncationSpec.mul_gather``), two
@@ -101,9 +103,7 @@ class _BackwardPass:
     the identity, plus the radial weights +-b_n*d/t_n in columns n+1 and n
     of row n; s0 is the c operator applied to f = 1 on the constant
     monomial.  The product costs O(n_lines^2 * B) per cycle and S takes
-    8*n_lines^2 bytes (80 KB at 100 lines, 8 MB at 1,000).  Against the
-    blocked c operator, a cycle is about 12% faster at 100 lines and 8% at
-    200, within a few percent at 400 and 12-25% slower at 800.
+    8*n_lines^2 bytes (80 KB at 100 lines, 8 MB at 1,000).
     """
 
     def __init__(self, cfg: PolarSymbolicConfig, a: np.ndarray, b: np.ndarray):

@@ -10,19 +10,12 @@ where g_n is the line source (see ``proximal`` for the Cartesian one).
 a and b depend only on (N, d, eps, K), so a solve computes them once;
 only c changes with the anchor.
 
-c is linear in g, so ``c_operator(a)`` builds it as a map once per solve.
-The lines are split into blocks of ``C_BLOCK`` rows; within a block,
-c = kap * L_b @ g + outer(L_b[:, 0], c at the last row of the block
-before), with the lower-triangular product matrix
-L_b[i, j] = a_j*...*a_i.  A cycle then costs one matmul per block instead
-of a Python step per line.  One dense (N-1)^2 product matrix would do the
-same in one call, but its work grows as N^2 per source column, against
-32*N for the blocks: on one thread of an Intel Xeon a call on N+1 source
-columns takes 41 us dense against 44 us blocked at N = M = 100, 320 against
-159 us at 200 and 2.78 against 0.51 ms at 400.
-The annulus solve still uses one (``polarsym._BackwardPass``): it builds
-its line sources, radial term included, from a dense map applied to only
-16 columns per cycle, which beats the blocks up to about 400 lines.
+c is linear in g, so ``c_operator(a)`` builds it once per solve as
+c = kap * L @ g, with the lower-triangular product matrix
+L[i, j] = a_j*...*a_i over the N-1 interior lines.  A cycle then costs one
+matmul instead of a Python step per line.  L takes 8*(N-1)^2 bytes (78 KB
+at N = 100, 8 MB at 1,000) and a call on P source columns does about
+(N-1)^2 * P multiply-adds, so its time grows as N^3 on a square grid.
 Products that underflow to 0 are harmless.
 
 ``ab_recursion`` and the c operator are the only copies of these
@@ -71,19 +64,14 @@ def ab_recursion(K: float, d: float, eps: float, count: int) -> tuple[np.ndarray
     return a, b
 
 
-# lines per block of the c operator; see the module docstring
-C_BLOCK = 32
-
-
 @dataclass(frozen=True)
 class COperator:
     """The c-recursion for one a as a linear map; see ``c_operator``.
 
-    ``blocks[k]`` is the lower-triangular product matrix of lines
-    k*C_BLOCK+1 .. (k+1)*C_BLOCK (fewer in the last block).
+    ``L`` is the lower-triangular product matrix, L[i, j] = a_j*...*a_i.
     """
 
-    blocks: tuple[np.ndarray, ...]
+    L: np.ndarray
 
     def __call__(self, g: np.ndarray, kap: float, out: np.ndarray | None = None) -> np.ndarray:
         """c_n for n = 1..size from the line sources g.
@@ -92,31 +80,18 @@ class COperator:
         only rows 1..size are read.  Returns shape (size, g.shape[1]), in
         ``out`` when it is given.
         """
-        c = np.empty((sum(len(L) for L in self.blocks), g.shape[1])) if out is None else out
-        start = 0
-        for L in self.blocks:
-            stop = start + len(L)
-            block = c[start:stop]
-            np.matmul(L, g[start + 1:stop + 1], out=block)
-            block *= kap
-            if start:
-                block += L[:, :1] * c[start - 1]
-            start = stop
+        c = np.matmul(self.L, g[1:len(self.L) + 1], out=out)
+        c *= kap
         return c
 
 
 def c_operator(a: np.ndarray) -> COperator:
     """Build the c-recursion for a_1..a_len(a) once; apply it to any sources."""
-    n_blocks = -(-a.size // C_BLOCK)
-    padded = np.zeros((n_blocks, C_BLOCK))
-    padded.flat[:a.size] = a
-    # L[:, i, j] = a_j*...*a_i, grown one row at a time in every block at once
-    L = np.zeros((n_blocks, C_BLOCK, C_BLOCK))
-    for i in range(C_BLOCK):
-        L[:, i, :i] = L[:, i - 1, :i] * padded[:, i, None]
-        L[:, i, i] = padded[:, i]
-    last = a.size - (n_blocks - 1) * C_BLOCK
-    return COperator(blocks=(*L[:-1], L[-1, :last, :last].copy()))
+    L = np.zeros((a.size, a.size))
+    for i in range(a.size):
+        L[i, :i] = L[i - 1, :i] * a[i]
+        L[i, i] = a[i]
+    return COperator(L=L)
 
 
 def outer_loop(cycle, state: np.ndarray, cap: int, converged=None) -> tuple[np.ndarray, str]:

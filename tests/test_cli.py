@@ -51,6 +51,11 @@ def test_parse_source_rejects_unsafe():
         parse_source("z + 1")
     with pytest.raises(ValueError):
         parse_source("'text'")
+    # a function only as the callee of a one-argument call: numpy would
+    # write sin(x) into y through ``out`` for "sin(x, y)"
+    for text in ("sin", "sin()", "sin(x, y)", "sin(1, 2)"):
+        with pytest.raises(ValueError):
+            parse_source(text)
 
 
 def test_parse_source_constants_are_floats():
@@ -350,7 +355,8 @@ _FUZZ_READS = {
     "compare": {"K", "M", "f", "tol", "max-iter"},
 }
 _FUZZ_SOURCES = ["const:1", "const:-2", "const:nan", "(-1)**0.5", "1/(x-0.5)",
-                 "exp(50*x)", "x - 0.5", "sin(pi*x)*sin(pi*y)", "3**50", "y**0.5", "nope("]
+                 "exp(50*x)", "x - 0.5", "sin(pi*x)*sin(pi*y)", "3**50", "y**0.5", "nope(",
+                 "sin", "sin(x, y)"]
 
 
 @settings(max_examples=300, deadline=None)

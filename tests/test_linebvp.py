@@ -313,8 +313,9 @@ def test_solve_loop_builds_no_line_system(monkeypatch):
 
 def test_solve_builds_factors_and_pass_once(monkeypatch):
     # everything that depends only on the solve is built before the first
-    # cycle: one pass, which factors each of the N-1 lines once
-    calls = {"BackwardPass": 0, "dpttrf": 0}
+    # cycle: one c operator and one pass, which factors each of the N-1
+    # lines once
+    calls = {"BackwardPass": 0, "c_operator": 0, "dpttrf": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -323,11 +324,12 @@ def test_solve_builds_factors_and_pass_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(proximal, "BackwardPass", counted("BackwardPass", proximal.BackwardPass))
+    monkeypatch.setattr(proximal, "c_operator", counted("c_operator", proximal.c_operator))
     monkeypatch.setattr(linebvp, "dpttrf", counted("dpttrf", linebvp.dpttrf))
     report = proximal_iterate(square_problem(0.1), build_cartesian_grid(UNIT_SQUARE, 8, 8),
                               max_iter=20)
     assert report.outer_iterations == 20
-    assert calls == {"BackwardPass": 1, "dpttrf": 7}
+    assert calls == {"BackwardPass": 1, "c_operator": 1, "dpttrf": 7}
 
 
 @pytest.mark.parametrize("N, M, domain", [

@@ -218,8 +218,8 @@ def test_backward_pass_matches_line_by_line_scheme():
         assert _max_coeff_diff(got, ref) <= 1e-15, caps
 
 
-def test_sweep_and_backward_pass_match_references_over_two_blocks():
-    # 39 coefficient rows: the c operator carries across a block boundary
+def test_sweep_and_backward_pass_match_references_at_40_lines():
+    # 39 coefficient rows: the c operator's longest products span 39 lines
     for caps in ROW_STEP_CAPS:
         cfg = PolarSymbolicConfig(epsilon=0.05, n_lines=40, alpha=1.3, beta=0.7,
                                   trunc=TruncationSpec(caps))
@@ -231,7 +231,7 @@ def test_sweep_and_backward_pass_match_references_over_two_blocks():
 
 
 def test_source_map_matches_c_recursion_and_radial_term():
-    # 39 source rows over two c-operator blocks; S @ rows + s0 is the c
+    # 39 source rows, as in the test above; S @ rows + s0 is the c
     # recursion plus (b_n*d/t_n)*(anchor_{n+1} - anchor_n)
     for caps in ROW_STEP_CAPS:
         cfg = PolarSymbolicConfig(epsilon=0.05, n_lines=40, trunc=TruncationSpec(caps))

@@ -148,7 +148,7 @@ def test_residual_constant_root_interior():
     assert np.max(np.abs(field[1:-1, 1:-1])) < 1e-12
 
 
-def test_fixed_iters_sets_converged_by_the_same_test():
+def test_capped_run_sets_converged_by_the_same_test():
     # a run capped at max_iter = k reports the convergence test of its last cycle
     spec = square_problem(0.1)
     grid = build_cartesian_grid(UNIT_SQUARE, 10, 10)
@@ -162,7 +162,7 @@ def test_fixed_iters_sets_converged_by_the_same_test():
     assert not before.converged and before.stop_reason == "max_iter"
 
 
-def test_fixed_iters_flag_checks_the_residual(square_grid_20):
+def test_capped_run_checks_the_residual(square_grid_20):
     # capped at the first cycle whose update is below tol, the FD residual
     # is still above K*tol, so that cycle is not converged
     spec = square_problem(0.01, source=parse_source("sin(pi*x)*sin(pi*y)"))

@@ -84,9 +84,10 @@ def _loop_c_recursion(a, g, kap):
 @pytest.mark.parametrize("q", [2.0, 2.05, 1e20])
 @pytest.mark.parametrize("size", [1, 31, 32, 33, 70])
 def test_blocked_c_recursion_matches_loop(size, q):
-    # 70 rows are blocks of 32, 32 and 6; q = 2 (K = 0) gives a_n = n/(n+1),
-    # so the carry between blocks dominates; q = 1e20 makes every product of
-    # more than 16 a's underflow to 0; q = 2 + K*d^2/eps with d = eps = 1
+    # one product matrix for 1 to 70 rows; q = 2 (K = 0) gives
+    # a_n = n/(n+1), so the products of many a's stay large and rows far
+    # apart are coupled; q = 1e20 makes every product of more than 16 a's
+    # underflow to 0; q = 2 + K*d^2/eps with d = eps = 1
     a, _ = ab_recursion(q - 2.0, 1.0, 1.0, size)
     g = np.random.default_rng(size).uniform(0.5, 1.5, size=(size + 2, 5))
     kap = 0.037
@@ -99,7 +100,7 @@ def test_blocked_c_recursion_matches_loop(size, q):
     # the operator keeps no state between calls
     np.testing.assert_array_equal(op(g, kap), got)
     if q == 1e20 and size > 16:
-        assert op.blocks[0][-1, 0] == 0.0
+        assert op.L[-1, 0] == 0.0
 
 
 def _scripted(updates):
