@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import inspect
 import json
 import math
 import sys
@@ -46,8 +47,8 @@ EXIT_IO = 4
 
 # the functions a source expression may call, by name
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
-# the CLI's own values of flags that a mode reads but was not given
-_DEFAULTS = {"f": "const:1", "tol": 1e-8, "max_iter": 5000}
+# the source of a run without --f; no library call has a default source
+_SOURCE = "const:1"
 _ALLOWED_NODES = (
     ast.Expression, ast.BinOp, ast.UnaryOp, ast.Add, ast.Sub, ast.Mult, ast.Div,
     ast.Pow, ast.USub, ast.UAdd, ast.Constant, ast.Name, ast.Call, ast.Load,
@@ -121,15 +122,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.1, help="diffusion coefficient")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--K", type=float, default=None, help="proximal weight (default: 50, "
-                   f"or the schedule's {PolarSymbolicConfig.prox_weight:g} on the annulus)")
+    p.add_argument("--K", type=float, default=None, help="proximal weight (default: "
+                   f"{ProblemSpec.prox_weight:g}, or the schedule's "
+                   f"{PolarSymbolicConfig.prox_weight:g} on the annulus)")
     p.add_argument("--N", type=int, default=100, help="number of line intervals")
     p.add_argument("--M", type=int, default=None,
                    help="transverse intervals per line (default: N)")
     p.add_argument("--f", default=None, help="source term, const:<v> or expression in x,y "
-                   f"(default {_DEFAULTS['f']})")
-    p.add_argument("--tol", type=float, default=None, help=f"default {_DEFAULTS['tol']:g}")
-    p.add_argument("--max-iter", type=int, default=None, help=f"default {_DEFAULTS['max_iter']}")
+                   f"(default {_SOURCE})")
+    solver = inspect.signature(proximal_iterate).parameters  # the defaults the solver owns
+    p.add_argument("--tol", type=float, default=None, help=f"default {solver['tol'].default:g}")
+    p.add_argument("--max-iter", type=int, default=None,
+                   help=f"default {solver['max_iter'].default}")
     p.add_argument("--iters", type=int, default=None, help="annulus: run this many outer "
                    "iterations, no convergence test; a non-finite update still stops the run "
                    f"early (default {PolarSymbolicConfig.iters})")
@@ -139,12 +143,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _given(args, **flags) -> dict:
+    """The given ones of ``flags`` (keyword=flag) as keywords; the library keeps the rest."""
+    return {kw: getattr(args, f) for kw, f in flags.items() if getattr(args, f) is not None}
+
+
 def _cartesian_setup(args):
     domain = CartesianDomain(a=0.0, b=1.0, y1=lambda x: 0.0, y2=lambda x: 1.0)
     spec = ProblemSpec(
-        epsilon=args.eps, alpha=args.alpha, beta=args.beta,
-        source=parse_source(args.f), domain=domain,
-        prox_weight=args.K if args.K is not None else 50.0,  # no library type holds it
+        epsilon=args.eps, alpha=args.alpha, beta=args.beta, domain=domain,
+        source=parse_source(args.f if args.f is not None else _SOURCE),
+        **_given(args, prox_weight="K"),
     )
     M = args.M if args.M is not None else args.N
     return spec, build_cartesian_grid(domain, args.N, M)
@@ -152,7 +161,7 @@ def _cartesian_setup(args):
 
 def _run_cartesian(args) -> int:
     spec, grid = _cartesian_setup(args)
-    report = proximal_iterate(spec, grid, tol=args.tol, max_iter=args.max_iter)
+    report = proximal_iterate(spec, grid, **_given(args, tol="tol", max_iter="max_iter"))
     center = report.solution.values[grid.n_lines // 2, grid.m_nodes // 2]
     print(
         f"cartesian: iterations={report.outer_iterations} "
@@ -171,10 +180,8 @@ def _exit_code(stop_reason: str) -> int:
 
 
 def _run_polar_symbolic(args) -> int:
-    given = {name: v for name, v in (("prox_weight", args.K), ("iters", args.iters))
-             if v is not None}
     cfg = PolarSymbolicConfig(epsilon=args.eps, n_lines=args.N, alpha=args.alpha,
-                              beta=args.beta, **given)
+                              beta=args.beta, **_given(args, prox_weight="K", iters="iters"))
     report = polar_iterate(cfg)
     lines = report.lines
     mid = cfg.n_lines // 2
@@ -206,7 +213,9 @@ def _run_polar_symbolic(args) -> int:
 
 
 def _oracle_solve(args, spec, grid):
-    """The oracle stops at --tol, and at 1e-10 at the loosest, in both modes."""
+    """The oracle stops at --tol, at 1e-10 at the loosest, in both modes; else at its default."""
+    if args.tol is None:
+        return newton_solve(spec, grid)
     check_tolerance(args.tol)
     return newton_solve(spec, grid, tol=min(args.tol, 1e-10))
 
@@ -232,7 +241,7 @@ def _json_float(x: float) -> float | None:
 
 def _run_compare(args) -> int:
     spec, grid = _cartesian_setup(args)
-    gml = proximal_iterate(spec, grid, tol=args.tol, max_iter=args.max_iter)
+    gml = proximal_iterate(spec, grid, **_given(args, tol="tol", max_iter="max_iter"))
     full = _oracle_solve(args, spec, grid)
     sup, l2 = compare_fields(gml.solution, full.solution)
     print(
@@ -284,9 +293,6 @@ def main(argv=None) -> int:
             if flag in unread and value is not None:
                 verb = "written" if flag.startswith("out_") else "read"
                 raise ValueError(f"--{flag.replace('_', '-')} is not {verb} by --mode {args.mode}")
-        for flag, value in _DEFAULTS.items():
-            if getattr(args, flag) is None:
-                setattr(args, flag, value)
         return _RUNNERS[args.mode](args)
     except (ValueError, SyntaxError) as exc:
         print(f"proxgml: {exc}", file=sys.stderr)

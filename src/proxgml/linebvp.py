@@ -1,22 +1,14 @@
-"""Per-line two-point boundary-value solves for the backward pass.
+"""The per-line two-point BVP and its Thomas solve: the reference only.
 
-Each line n requires the linear BVP
+Line n of the backward pass solves the linear BVP
 
     u - gamma * u'' = rhs(y),   gamma = b_n * d^2,   u(ends) = 0,
 
-discretized by the standard 3-point stencil at the line's M+1 nodes with
-physical step h.  The interior system is tridiagonal, symmetric positive
-definite, strictly diagonally dominant and an M-matrix.
-
-Its matrix depends only on (b_n, d, h_n), so it is the same in every outer
-cycle of a solve.  A solve builds one ``BackwardPass``: its constructor
-computes the LDL^T factors of every line (LAPACK ``dpttrf``) and allocates
-the solve's field, whose rows 1..N-1 are the c buffer and row N the
-boundary line.  A cycle writes c into the buffer and runs the pass: per
-line, two BLAS ``daxpy`` calls form the right-hand side in that line's row
-and ``dpttrs`` solves it in place, so nothing is copied out.  The field's
-end columns are the Dirichlet zeros, so c must be 0 there.  The Thomas
-solve (``assemble_line_system``, ``thomas_solve``) is the reference.
+by the 3-point stencil at the line's M+1 nodes with physical step h: a
+tridiagonal, symmetric positive definite, strictly diagonally dominant
+M-matrix system.  ``assemble_line_system`` builds it and ``thomas_solve``
+solves it.  The solver factors the same matrices in ``proximal``, which
+owns the pass and the lag it cancels; the tests hold it to this reference.
 """
 
 from __future__ import annotations
@@ -24,16 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import daxpy
-from scipy.linalg.lapack import dpttrf, dpttrs
-
-from .problem import LineGrid, ProblemSpec, transverse_steps
 
 __all__ = [
     "TridiagonalSystem",
     "assemble_line_system",
     "thomas_solve",
-    "BackwardPass",
 ]
 
 
@@ -101,56 +88,3 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
     for j in range(m - 2, -1, -1):
         x[j] = dp[j] - cp[j] * x[j + 1]
     return np.array(x)
-
-
-class BackwardPass:
-    """The backward pass of one solve, on line factors and a field it makes once.
-
-    ``u`` is the solve's (N+1) x (M+1) field, ``c`` its rows 1..N-1 and row
-    N the boundary line (zeros unless set).  Line n solves, in place on the
-    interior of row n, (I - b_n*d^2*D_yy) u_n = c_n + (a_n + b_n*kap*beta)
-    *u_{n+1} - (b_n*kap*alpha)*u_{n+1}^3, the reaction lagged at line n+1.
-    Line n has the matrix of ``assemble_line_system(b_n, d, h_n, .)``,
-    which the constructor factors with ``dpttrf``; each line's rows,
-    factors and weights are bound once, in ``steps``.
-    """
-
-    def __init__(self, a: np.ndarray, b: np.ndarray, spec: ProblemSpec, grid: LineGrid):
-        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        h = transverse_steps(grid)[1:-1]
-        if a.shape != h.shape or b.shape != h.shape:
-            raise ValueError(f"need one a_n and b_n per line 1..{h.size}, "
-                             f"got shapes {a.shape} and {b.shape}")
-        if not np.all(h > 0.0):
-            raise ValueError(f"transverse steps must be positive, got min {np.min(h)}")
-        if not np.all(b > 0.0):
-            raise ValueError(f"b_n must be positive, got min {np.min(b)}")
-        d, m = grid.d, grid.m_nodes - 1
-        g = b * d * d
-        off = -g / (h * h)
-        diag = 1.0 + 2.0 * g / (h * h)
-        kap = d**2 / spec.epsilon
-        self.u = np.zeros((grid.n_lines + 1, grid.m_nodes + 1))
-        self.c = self.u[1:-1]
-        self.cube = np.empty(m)
-        lin = (a + b * (kap * spec.beta)).tolist()
-        cub = (b * (-kap * spec.alpha)).tolist()
-        rows = self.u[:, 1:-1]
-        self.steps = []
-        for k in range(b.size - 1, -1, -1):
-            # f2py wants one off-diagonal entry even when m = 1, where LAPACK reads none
-            dk, ek, info = dpttrf(np.full(m, diag[k]), np.full(max(m - 1, 1), off[k]))
-            if info != 0:
-                raise ArithmeticError(
-                    f"line {k + 1} system is not positive definite (info={info})")
-            self.steps.append((rows[k + 1], rows[k + 2], dk, ek, lin[k], cub[k]))
-
-    def __call__(self) -> None:
-        """Solve lines N-1..1 in place, each on its row of c and the line above."""
-        t, m = self.cube, self.cube.size
-        for y, u, d, e, lin, cub in self.steps:
-            daxpy(u, y, m, lin)
-            np.multiply(u, u, t)
-            np.multiply(t, u, t)
-            daxpy(t, y, m, cub)
-            dpttrs(d, e, y, overwrite_b=1)

@@ -57,16 +57,17 @@ class CartesianDomain:
 class ProblemSpec:
     """Semilinear problem -eps*Lap(u) + alpha*u^3 - beta*u = f with weight K.
 
-    ``prox_weight`` is the proximal constant K; K = 0 degrades to the
-    unregularized sweep.  Coefficients: finite, eps > 0, K >= 0 (``check_coefficients``).
+    ``prox_weight`` is the proximal constant K, by default the paper's
+    rectangle setting 50; K = 0 degrades to the unregularized sweep.
+    Coefficients: finite, eps > 0, K >= 0 (``check_coefficients``).
     """
 
     epsilon: float
     alpha: float
     beta: float
     source: Callable[[float, float], float]
-    prox_weight: float
     domain: CartesianDomain
+    prox_weight: float = 50.0
 
     def __post_init__(self):
         check_coefficients(self)

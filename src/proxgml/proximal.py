@@ -1,28 +1,31 @@
-"""Outer proximal fixed-point driver and solution diagnostics.
+"""Outer proximal fixed-point driver, its backward pass, and solution diagnostics.
 
 The FD system is -eps*D_xx u - (R(u) + E(u) + f) = 0 on interior nodes,
 with R(u) = -alpha*u^3 + beta*u and E(u) = eps*D_yy u (3-point stencil on
 each line's step h_n).  ``_scheme_terms`` is the one definition of R and
-E: the outer cycle and the FD residual take them from it, so a change to
-the scheme is made in one place.
+E, which the outer cycle and the FD residual share.
 
-The backward pass replaces the sum that exact elimination carries,
-w_n = a_n*(w_{n-1} + T(u_n)) with T = kap*(R + E) and kap = d^2/eps, by
-b_n*kap*[R(u_{n+1}) + E(u_n)].  Each cycle adds the difference back at the
-anchor u0 (defect correction, Stetter 1978), so at the fixed point u = u0
-the pass is the exact elimination of the FD system and the fixed point
-solves it.  w obeys the same recursion as c, so the corrected c is one
-c-recursion on g = K*u0 + f + R(u0) + E(u0), minus
-b_n*kap*[R(u0_{n+1}) + E(u0_n)].  At the zero anchor g = f and that lag
-term vanishes, so the first cycle is ``backward_pass`` on the c of f.
+Exact elimination carries w_n = a_n*(w_{n-1} + T(u_n)), T = kap*(R + E),
+kap = d^2/eps.  ``BackwardPass`` lags it: line n solves (I - b_n*d^2*D_yy)
+u_n = c_n + (a_n + b_n*kap*beta)*u_{n+1} - (b_n*kap*alpha)*u_{n+1}^3, so it
+takes b_n*kap*[R(u_{n+1}) + E(u_n)] in place of the sum.  Each cycle adds
+the difference back at the anchor u0 (defect correction, Stetter 1978):
+w obeys the recursion of c, so the corrected c is one c-recursion on
+g = K*u0 + f + R(u0) + E(u0), minus the lag at u0.  At the fixed point
+u = u0 the pass is exact elimination, so the fixed point solves the FD
+system.  The lag and the correction that cancels it change together, so
+both are here.  At the zero anchor g = f and the lag is 0.
 
-The line systems depend only on (b_n, d, h_n), so a solve builds one
-``linebvp.BackwardPass``, which factors them and holds the solve's one
-field: a cycle writes c, formed from the field, into its c rows, which the
-pass solves in place; ``backward_pass`` runs a one-shot pass on a given c.
-A cycle is converged when the update is at most ``tol`` and, for K > 0,
-the FD residual is at most K*tol.  ``sweep.outer_loop`` runs the cycles,
-forms their updates, stops them and names the stop (``stop_reason``).
+The line matrices depend only on (b_n, d, h_n), so a solve builds one
+``BackwardPass``, which factors them (LAPACK ``dpttrf``) and allocates the
+solve's field: rows 1..N-1 are the c buffer, row N the boundary line.  A
+cycle writes c, formed from the field, into those rows; per line, two
+BLAS ``daxpy`` calls form the right-hand side in place and ``dpttrs``
+solves it there.  c must be 0 on the end columns, the Dirichlet zeros.
+``backward_pass`` runs a one-shot pass on a given c; ``linebvp`` holds the
+Thomas reference.  A cycle is converged when the update is at most ``tol``
+and, for K > 0, the FD residual is at most K*tol; ``sweep.outer_loop``
+runs the cycles, stops them and names the stop (``stop_reason``).
 """
 
 from __future__ import annotations
@@ -30,13 +33,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import daxpy
+from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .linebvp import BackwardPass
 from .problem import (FieldSolution, LineGrid, ProblemSpec, check_tolerance, integer_count,
                       source_values, transverse_steps)
 from .sweep import ab_recursion, c_operator, outer_loop
 
 __all__ = [
+    "BackwardPass",
     "SolveReport",
     "backward_pass",
     "proximal_iterate",
@@ -58,6 +63,54 @@ class SolveReport:
     stop_reason: str  # "converged", "max_iter" or "non-finite"
 
 
+class BackwardPass:
+    """The lagged backward pass of one solve (see the module docstring).
+
+    ``u`` is the solve's field, ``c`` its rows 1..N-1, row N the boundary
+    line.  Line n has the matrix of ``linebvp.assemble_line_system(b_n, d,
+    h_n, .)``; its rows, factors and weights are bound once, in ``steps``."""
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, spec: ProblemSpec, grid: LineGrid):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        h = transverse_steps(grid)[1:-1]
+        if a.shape != h.shape or b.shape != h.shape:
+            raise ValueError(f"need one a_n and b_n per line 1..{h.size}, "
+                             f"got shapes {a.shape} and {b.shape}")
+        if not np.all(h > 0.0):
+            raise ValueError(f"transverse steps must be positive, got min {np.min(h)}")
+        if not np.all(b > 0.0):
+            raise ValueError(f"b_n must be positive, got min {np.min(b)}")
+        d, m = grid.d, grid.m_nodes - 1
+        g = b * d * d
+        off = -g / (h * h)
+        diag = 1.0 + 2.0 * g / (h * h)
+        kap = d**2 / spec.epsilon
+        self.u = np.zeros((grid.n_lines + 1, grid.m_nodes + 1))
+        self.c = self.u[1:-1]
+        self.cube = np.empty(m)
+        lin = (a + b * (kap * spec.beta)).tolist()
+        cub = (b * (-kap * spec.alpha)).tolist()
+        rows = self.u[:, 1:-1]
+        self.steps = []
+        for k in range(b.size - 1, -1, -1):
+            # f2py wants one off-diagonal entry even when m = 1, where LAPACK reads none
+            dk, ek, info = dpttrf(np.full(m, diag[k]), np.full(max(m - 1, 1), off[k]))
+            if info != 0:
+                raise ArithmeticError(
+                    f"line {k + 1} system is not positive definite (info={info})")
+            self.steps.append((rows[k + 1], rows[k + 2], dk, ek, lin[k], cub[k]))
+
+    def __call__(self) -> None:
+        """Solve lines N-1..1 in place, each on its row of c and the line above."""
+        t, m = self.cube, self.cube.size
+        for y, u, d, e, lin, cub in self.steps:
+            daxpy(u, y, m, lin)
+            np.multiply(u, u, t)
+            np.multiply(t, u, t)
+            daxpy(t, y, m, cub)
+            dpttrs(d, e, y, overwrite_b=1)
+
+
 def backward_pass(
     spec: ProblemSpec,
     grid: LineGrid,
@@ -67,18 +120,23 @@ def backward_pass(
     """Solve lines N-1, N-2, ..., 1 on the sweep coefficients c and assemble the field.
 
     ``c`` has one row per line 1..N-1 and one column per transverse node,
-    of which only the interior ones are read; a and b come from
-    ``ab_recursion`` for ``spec`` and ``grid``.  Writes c and
-    ``u_boundary_N``, the Dirichlet data on line N (all zeros for the
-    homogeneous problem), into the field of a fresh ``BackwardPass`` and
-    runs it, so the caller's c is never written.
+    of which only the interior ones are read; ``u_boundary_N`` is the
+    Dirichlet data on line N (zeros for the homogeneous problem).  a and b
+    come from ``ab_recursion``.  Both are copied into the field of a fresh
+    ``BackwardPass``, so the caller's c is never written.  A shape other
+    than (N-1, M+1) and (M+1,), or a non-finite value read, raises
+    ValueError naming the argument.
     """
     N, M = grid.n_lines, grid.m_nodes
-    if np.shape(c) != (N - 1, M + 1):
-        raise ValueError(f"c must have shape {(N - 1, M + 1)}, got {np.shape(c)}")
+    for name, x, shape in (("c", c, (N - 1, M + 1)), ("u_boundary_N", u_boundary_N, (M + 1,))):
+        if np.shape(x) != shape:
+            raise ValueError(f"{name} must have shape {shape}, got {np.shape(x)}")
     run = BackwardPass(*ab_recursion(spec.prox_weight, grid.d, spec.epsilon, N - 1), spec, grid)
     run.c[:, 1:-1] = np.asarray(c)[:, 1:-1]
     run.u[N] = u_boundary_N
+    for name, x in (("c", run.c), ("u_boundary_N", run.u[N])):
+        if not np.all(np.isfinite(x)):
+            raise ValueError(f"{name} must be finite, got a non-finite value")
     run()
     return FieldSolution(run.u)
 

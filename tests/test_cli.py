@@ -226,6 +226,21 @@ def test_compare_report_counts_coarse_newton_steps(tmp_path):
     assert report["sup_diff"] <= 1e-5
 
 
+@pytest.mark.parametrize("mode", ["cartesian", "compare", "oracle"])
+def test_rectangle_modes_take_their_defaults_from_the_library(mode, capsys):
+    # without --K, --tol and --max-iter a run is the run with the values
+    # that ProblemSpec and the solver hold
+    base = ["--mode", mode, "--eps", "0.1", "--N", "8"]
+    explicit = ["--tol", "1e-8"] + ([] if mode == "oracle" else
+                                    ["--K", "50", "--max-iter", "5000"])
+    printed = []
+    for argv in (base, base + explicit):
+        assert main(argv) == EXIT_OK
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    assert printed[0].startswith(f"{mode}: ")
+
+
 def test_compare_mode_oracle_honours_tol(tmp_path):
     # the oracle in compare mode stops at --tol, as in oracle mode, so its
     # own residual does not set sup_diff

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 import proxgml.linebvp as linebvp
-from proxgml.linebvp import (
-    BackwardPass,
-    TridiagonalSystem,
-    assemble_line_system,
-    thomas_solve,
-)
+from proxgml.linebvp import TridiagonalSystem, assemble_line_system, thomas_solve
 from proxgml.problem import (
     CartesianDomain,
     LineGrid,
@@ -17,7 +12,7 @@ from proxgml.problem import (
     transverse_steps,
 )
 import proxgml.proximal as proximal
-from proxgml.proximal import _scheme_terms, backward_pass, proximal_iterate
+from proxgml.proximal import BackwardPass, _scheme_terms, backward_pass, proximal_iterate
 from proxgml.sweep import ab_recursion, c_operator
 
 from conftest import UNIT_SQUARE, square_problem
@@ -269,6 +264,37 @@ def test_backward_pass_rejects_misshaped_c(shape):
         backward_pass(square_problem(0.1), grid, np.ones(shape), np.zeros(5))
 
 
+@pytest.mark.parametrize("shape", [(), (4,), (6,), (1, 5)], ids=str)
+def test_backward_pass_rejects_misshaped_boundary(shape):
+    # at M = 4 line N holds M+1 = 5 values; numpy would spread a scalar or
+    # a (1, 5) row over it
+    grid = build_cartesian_grid(UNIT_SQUARE, 6, 4)
+    with pytest.raises(ValueError, match="u_boundary_N must have shape"):
+        backward_pass(square_problem(0.1), grid, np.ones((5, 5)), np.zeros(shape))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_backward_pass_rejects_non_finite_c(bad):
+    # one NaN in c once came out as 9 NaN nodes of the field, with no error;
+    # the end columns are not read, so a non-finite value there is harmless
+    grid = build_cartesian_grid(UNIT_SQUARE, 6, 4)
+    c = np.ones((5, 5))
+    c[:, [0, -1]] = bad
+    backward_pass(square_problem(0.1), grid, c, np.zeros(5))
+    c[2, 2] = bad
+    with pytest.raises(ValueError, match="c must be finite"):
+        backward_pass(square_problem(0.1), grid, c, np.zeros(5))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_backward_pass_rejects_non_finite_boundary(bad):
+    grid = build_cartesian_grid(UNIT_SQUARE, 6, 4)
+    boundary = np.zeros(5)
+    boundary[3] = bad
+    with pytest.raises(ValueError, match="u_boundary_N must be finite"):
+        backward_pass(square_problem(0.1), grid, np.ones((5, 5)), boundary)
+
+
 @pytest.mark.parametrize("a", [np.full(1, 0.4), 0.4, np.full(4, 0.4), np.full((5, 1), 0.4)],
                          ids=["1", "scalar", "4", "5x1"])
 def test_pass_rejects_an_a_that_is_not_one_per_line(a):
@@ -325,7 +351,7 @@ def test_solve_builds_factors_and_pass_once(monkeypatch):
 
     monkeypatch.setattr(proximal, "BackwardPass", counted("BackwardPass", proximal.BackwardPass))
     monkeypatch.setattr(proximal, "c_operator", counted("c_operator", proximal.c_operator))
-    monkeypatch.setattr(linebvp, "dpttrf", counted("dpttrf", linebvp.dpttrf))
+    monkeypatch.setattr(proximal, "dpttrf", counted("dpttrf", proximal.dpttrf))
     report = proximal_iterate(square_problem(0.1), build_cartesian_grid(UNIT_SQUARE, 8, 8),
                               max_iter=20)
     assert report.outer_iterations == 20

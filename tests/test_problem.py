@@ -163,6 +163,12 @@ def test_field_zeros_shape():
     assert not u.values.flags.writeable
 
 
+def test_spec_prox_weight_defaults_to_the_rectangle_setting():
+    # the paper's K = 50 on the rectangle, as the annulus schedule holds its 10
+    spec = ProblemSpec(epsilon=0.1, alpha=1.0, beta=1.0, source=ones_source, domain=UNIT_SQUARE)
+    assert spec.prox_weight == ProblemSpec.prox_weight == 50.0
+
+
 @pytest.mark.parametrize("field", ["epsilon", "alpha", "beta", "prox_weight"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_spec_rejects_non_finite(field, bad):

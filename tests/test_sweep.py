@@ -83,7 +83,7 @@ def _loop_c_recursion(a, g, kap):
 
 @pytest.mark.parametrize("q", [2.0, 2.05, 1e20])
 @pytest.mark.parametrize("size", [1, 31, 32, 33, 70])
-def test_blocked_c_recursion_matches_loop(size, q):
+def test_c_operator_matches_loop(size, q):
     # one product matrix for 1 to 70 rows; q = 2 (K = 0) gives
     # a_n = n/(n+1), so the products of many a's stay large and rows far
     # apart are coupled; q = 1e20 makes every product of more than 16 a's
