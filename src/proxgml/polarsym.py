@@ -90,6 +90,7 @@ class PolarSymbolicConfig:
 class _BackwardPass:
     """One annulus cycle on memory and operators that each solve builds once.
 
+    Built from ``cfg`` alone, with a and b from ``sweep.ab_recursion``.
     Row n of the work buffer z is [u_n | 0 | cube(u_n) | 1] and the
     line operator G_n = [A_n | 0 | cubic_n*I | s_n], with
     A_n = (a_n + b_n*kap*beta)*I + (b_n*d^2/t_n^2)*D^2 and
@@ -106,8 +107,9 @@ class _BackwardPass:
     8*n_lines^2 bytes (80 KB at 100 lines, 8 MB at 1,000).
     """
 
-    def __init__(self, cfg: PolarSymbolicConfig, a: np.ndarray, b: np.ndarray):
+    def __init__(self, cfg: PolarSymbolicConfig):
         trunc = cfg.trunc
+        a, b = ab_recursion(cfg.prox_weight, cfg.d, cfg.epsilon, cfg.n_lines - 1)
         B = len(trunc.basis)
         kap = cfg.d**2 / cfg.epsilon
         d2 = trunc.diff_matrix @ trunc.diff_matrix
@@ -170,8 +172,7 @@ def polar_iterate(cfg: PolarSymbolicConfig) -> PolarReport:
     returns inf or NaN coefficients.  The polynomials share one compact
     copy of the solved rows.
     """
-    a, b = ab_recursion(cfg.prox_weight, cfg.d, cfg.epsilon, cfg.n_lines - 1)
-    backward = _BackwardPass(cfg, a, b)
+    backward = _BackwardPass(cfg)
     updates, stop_reason = outer_loop(backward, backward.u[1:-1], cfg.iters)
     lines = [BoundaryPolynomial.from_coeffs(row, cfg.trunc) for row in backward.u.copy()]
     return PolarReport(lines=lines, update_history=updates, stop_reason=stop_reason)
@@ -250,30 +251,22 @@ def cross_check_numeric(
     cfg: PolarSymbolicConfig,
     boundary_samples: np.ndarray,
     boundary_second_derivative: np.ndarray,
-    lines: list[BoundaryPolynomial] | None = None,
 ) -> CrossCheckReport:
-    """Evaluate the line polynomials on sampled boundary data and compare
-    against the numeric explicit solve with the same configuration.
+    """Solve the line polynomials of ``cfg``, evaluate them on sampled
+    boundary data and compare against the numeric explicit solve of ``cfg``.
 
     ``boundary_second_derivative`` holds the exact d^2/dtheta^2 of the
     boundary function at the same angles (the polynomials consume uf''
     symbolically; the first derivative never survives the caps in the
-    final expressions, so it is evaluated at 0).  ``lines`` must come from
-    ``cfg``: only their count and truncation are checked, so lines solved
-    with another eps are compared as if they were cfg's.  Raises ValueError
-    on empty or non-finite samples, and on ``lines`` that are not n_lines+1
-    polynomials over cfg.trunc.
+    final expressions, so it is evaluated at 0).  Raises ValueError on
+    empty, non-finite or mismatched samples.
     """
     g = _samples("boundary_samples", boundary_samples)
     g2 = _samples("boundary_second_derivative", boundary_second_derivative)
     if g.shape != g2.shape:
         raise ValueError("boundary sample arrays must have matching shapes")
-    if lines is None:
-        lines = symbolic_solve(cfg)
-    elif len(lines) != cfg.n_lines + 1 or any(p.trunc != cfg.trunc for p in lines):
-        raise ValueError(f"lines must be {cfg.n_lines + 1} polynomials over {cfg.trunc}")
     sym = np.array([[poly_eval(p, x, 0.0, x2) for x, x2 in zip(g, g2)]
-                    for p in lines[1:cfg.n_lines]])
+                    for p in symbolic_solve(cfg)[1:cfg.n_lines]])
     num = polar_numeric_solve(cfg, g)[1:cfg.n_lines]
     per_line = np.max(np.abs(sym - num), axis=1)
     return CrossCheckReport(sup_diff=float(np.max(per_line)), per_line_sup=per_line,

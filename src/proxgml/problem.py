@@ -10,13 +10,14 @@ yet consistent with the PDE: pairing lines at matching s makes the
 x-difference U_xx along curves of constant s, and the scheme drops the
 metric terms 2*s_x*U_xs + s_x^2*U_ss + s_xx*U_s of the Laplacian in (x, s),
 so a manufactured solution on y2 = 1 + 0.5x keeps a sup error near
-4.6e-2 from N = M = 10 to 80.
+4.6e-2 from N = M = 10 to 80.  A ``LineGrid`` is derived from its domain
+and two counts, and the solvers read the geometry only from the grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -60,6 +61,7 @@ class ProblemSpec:
     ``prox_weight`` is the proximal constant K, by default the paper's
     rectangle setting 50; K = 0 degrades to the unregularized sweep.
     Coefficients: finite, eps > 0, K >= 0 (``check_coefficients``).
+    No solver reads ``domain``: they take the geometry from the grid.
     """
 
     epsilon: float
@@ -75,22 +77,44 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class LineGrid:
-    """Line abscissae plus the shared transverse reference nodes.
+    """N+1 lines of ``domain`` with M+1 nodes each, derived from (domain, N, M).
 
-    abscissae[n] = a + n*d for n = 0..N, d = (b - a)/N.
-    per_line_range[n] = (y1(x_n), y2(x_n)).
+    d = (b - a)/N, ``abscissae[n]`` = a + n*d, ``reference_nodes[j]`` = j/M
+    and ``per_line_range[n]`` = (y1(x_n), y2(x_n)), all read-only.  N and M
+    are counts of at least 2 (``integer_count``); d must be positive and
+    every line must have finite y1 < y2, so every step h_n is positive.
     """
 
+    domain: CartesianDomain
     n_lines: int
-    d: float
-    abscissae: np.ndarray
     m_nodes: int
-    reference_nodes: np.ndarray
-    per_line_range: np.ndarray  # shape (N+1, 2)
+    d: float = field(init=False)
+    abscissae: np.ndarray = field(init=False)
+    reference_nodes: np.ndarray = field(init=False)
+    per_line_range: np.ndarray = field(init=False)  # shape (N+1, 2)
 
     def __post_init__(self):
-        for arr in (self.abscissae, self.reference_nodes, self.per_line_range):
+        domain = self.domain
+        N, M = integer_count("N", self.n_lines, 2), integer_count("M", self.m_nodes, 2)
+        d = (domain.b - domain.a) / N
+        if not d > 0.0:  # b - a underflows when divided by N
+            raise ValueError(f"degenerate line spacing d={d} for a={domain.a}, b={domain.b}, N={N}")
+        abscissae = domain.a + d * np.arange(N + 1)
+        lo = np.array([float(domain.y1(x)) for x in abscissae])
+        hi = np.array([float(domain.y2(x)) for x in abscissae])
+        bad = np.nonzero(~(np.isfinite(lo) & np.isfinite(hi) & (hi > lo)))[0]
+        if bad.size:
+            n = int(bad[0])
+            raise ValueError(
+                f"degenerate strip width at line {n} (x={abscissae[n]}): "
+                f"need finite y1 < y2, got y1={lo[n]}, y2={hi[n]}"
+            )
+        arrays = abscissae, np.arange(M + 1) / M, np.column_stack([lo, hi])
+        for arr in arrays:
             arr.setflags(write=False)
+        for name, value in zip(("n_lines", "m_nodes", "d", "abscissae", "reference_nodes",
+                                "per_line_range"), (N, M, d, *arrays)):
+            object.__setattr__(self, name, value)
 
 
 def check_coefficients(run) -> None:
@@ -121,31 +145,8 @@ def integer_count(name: str, k, minimum: int) -> int:
 
 
 def build_cartesian_grid(domain: CartesianDomain, N: int, M: int) -> LineGrid:
-    """Partition [a, b] into N equal sub-intervals and each line into M.
-
-    N and M are counts of at least 2 (see ``integer_count``).  Rejects
-    degenerate strips: every line must have finite y1(x_n) < y2(x_n).
-    """
-    N, M = integer_count("N", N, 2), integer_count("M", M, 2)
-    d = (domain.b - domain.a) / N
-    abscissae = domain.a + d * np.arange(N + 1)
-    lo = np.array([float(domain.y1(x)) for x in abscissae])
-    hi = np.array([float(domain.y2(x)) for x in abscissae])
-    bad = np.nonzero(~(np.isfinite(lo) & np.isfinite(hi) & (hi > lo)))[0]
-    if bad.size:
-        n = int(bad[0])
-        raise ValueError(
-            f"degenerate strip width at line {n} (x={abscissae[n]}): "
-            f"need finite y1 < y2, got y1={lo[n]}, y2={hi[n]}"
-        )
-    return LineGrid(
-        n_lines=N,
-        d=d,
-        abscissae=abscissae,
-        m_nodes=M,
-        reference_nodes=np.arange(M + 1) / M,
-        per_line_range=np.column_stack([lo, hi]),
-    )
+    """``LineGrid(domain, N, M)``: N equal sub-intervals of [a, b], M on each line."""
+    return LineGrid(domain, N, M)
 
 
 def transverse_steps(grid: LineGrid) -> np.ndarray:

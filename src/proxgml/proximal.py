@@ -16,8 +16,9 @@ u = u0 the pass is exact elimination, so the fixed point solves the FD
 system.  The lag and the correction that cancels it change together, so
 both are here.  At the zero anchor g = f and the lag is 0.
 
-The line matrices depend only on (b_n, d, h_n), so a solve builds one
-``BackwardPass``, which factors them (LAPACK ``dpttrf``) and allocates the
+a, b and the line matrices depend only on (spec, grid), so a solve builds
+one ``BackwardPass(spec, grid)``, which forms a, b, kap and the c
+operator, factors the matrices (LAPACK ``dpttrf``) and allocates the
 solve's field: rows 1..N-1 are the c buffer, row N the boundary line.  A
 cycle writes c, formed from the field, into those rows; per line, two
 BLAS ``daxpy`` calls form the right-hand side in place and ``dpttrs``
@@ -66,25 +67,22 @@ class SolveReport:
 class BackwardPass:
     """The lagged backward pass of one solve (see the module docstring).
 
-    ``u`` is the solve's field, ``c`` its rows 1..N-1, row N the boundary
-    line.  Line n has the matrix of ``linebvp.assemble_line_system(b_n, d,
-    h_n, .)``; its rows, factors and weights are bound once, in ``steps``."""
+    Built from (spec, grid): it forms a and b (``ab_recursion``), kap, the
+    c operator ``c_op`` and the lag weights ``b_kap`` = b*kap.  ``u`` is the
+    solve's field, ``c`` its rows 1..N-1, row N the boundary line.  Line n
+    has the matrix of ``linebvp.assemble_line_system(b_n, d, h_n, .)``; its
+    rows, factors and weights are bound once, in ``steps``."""
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, spec: ProblemSpec, grid: LineGrid):
-        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        h = transverse_steps(grid)[1:-1]
-        if a.shape != h.shape or b.shape != h.shape:
-            raise ValueError(f"need one a_n and b_n per line 1..{h.size}, "
-                             f"got shapes {a.shape} and {b.shape}")
-        if not np.all(h > 0.0):
-            raise ValueError(f"transverse steps must be positive, got min {np.min(h)}")
-        if not np.all(b > 0.0):
-            raise ValueError(f"b_n must be positive, got min {np.min(b)}")
+    def __init__(self, spec: ProblemSpec, grid: LineGrid):
         d, m = grid.d, grid.m_nodes - 1
+        self.kap = kap = d**2 / spec.epsilon
+        a, b = ab_recursion(spec.prox_weight, d, spec.epsilon, grid.n_lines - 1)
+        self.c_op = c_operator(a)
+        self.b_kap = (b * kap)[:, None]
+        h = transverse_steps(grid)[1:-1]
         g = b * d * d
         off = -g / (h * h)
         diag = 1.0 + 2.0 * g / (h * h)
-        kap = d**2 / spec.epsilon
         self.u = np.zeros((grid.n_lines + 1, grid.m_nodes + 1))
         self.c = self.u[1:-1]
         self.cube = np.empty(m)
@@ -121,9 +119,9 @@ def backward_pass(
 
     ``c`` has one row per line 1..N-1 and one column per transverse node,
     of which only the interior ones are read; ``u_boundary_N`` is the
-    Dirichlet data on line N (zeros for the homogeneous problem).  a and b
-    come from ``ab_recursion``.  Both are copied into the field of a fresh
-    ``BackwardPass``, so the caller's c is never written.  A shape other
+    Dirichlet data on line N (zeros for the homogeneous problem).  Both
+    are copied into the field of a fresh ``BackwardPass(spec, grid)``, which
+    forms a and b itself, so the caller's c is never written.  A shape other
     than (N-1, M+1) and (M+1,), or a non-finite value read, raises
     ValueError naming the argument.
     """
@@ -131,7 +129,7 @@ def backward_pass(
     for name, x, shape in (("c", c, (N - 1, M + 1)), ("u_boundary_N", u_boundary_N, (M + 1,))):
         if np.shape(x) != shape:
             raise ValueError(f"{name} must have shape {shape}, got {np.shape(x)}")
-    run = BackwardPass(*ab_recursion(spec.prox_weight, grid.d, spec.epsilon, N - 1), spec, grid)
+    run = BackwardPass(spec, grid)
     run.c[:, 1:-1] = np.asarray(c)[:, 1:-1]
     run.u[N] = u_boundary_N
     for name, x in (("c", run.c), ("u_boundary_N", run.u[N])):
@@ -150,8 +148,8 @@ def proximal_iterate(
 ) -> SolveReport:
     """Run the outer proximal loop from a zero anchor, at most ``max_iter`` cycles.
 
-    a, b, f, the transverse steps, the c operator and the backward pass
-    (line factors and field) are built once per solve; a cycle writes the
+    f, the transverse steps and the backward pass (a, b, the c operator,
+    line factors and field) are built once per solve; a cycle writes the
     corrected c into the field and runs the pass.  The FD residual
     is evaluated only once the update test holds, and the report reuses the
     last cycle's; a field's residual is formed once.  Non-convergence is
@@ -161,15 +159,12 @@ def proximal_iterate(
     check_tolerance(tol)
     integer_count("max_iter", max_iter, 1)
     K = spec.prox_weight
-    kap = grid.d**2 / spec.epsilon
-    a, b = ab_recursion(K, grid.d, spec.epsilon, grid.n_lines - 1)
-    c_op = c_operator(a)
     h = transverse_steps(grid)
     f = source_values(spec, grid)
     f[:, [0, -1]] = 0.0  # read only inside; zero, so c keeps the field's Dirichlet columns 0
-    backward = BackwardPass(a, b, spec, grid)
+    backward = BackwardPass(spec, grid)
     v = backward.u  # the anchor, which each cycle overwrites with the new field
-    b_kap = (b * kap)[:, None]
+    c_op, kap, b_kap = backward.c_op, backward.kap, backward.b_kap
     residual = None
 
     def cycle() -> None:

@@ -47,19 +47,19 @@ __all__ = [
 def ab_recursion(K: float, d: float, eps: float, count: int) -> tuple[np.ndarray, np.ndarray]:
     """a_n and b_n for n = 1..count; entry k for line k+1.
 
-    The diagonal q = 2 + K*d^2/eps is formed here and nowhere else.
+    The diagonal q = 2 + K*d^2/eps is formed here and nowhere else.  It must
+    be finite and at least 2 (else ValueError), so every a_n is in (0, 1)
+    and every b_n is positive.
     """
     q = 2.0 + K * d**2 / eps
+    if not 2.0 <= q < math.inf:  # an overflowing q would give a = b = 0
+        raise ValueError(f"need a finite q = 2 + K*d^2/eps >= 2, got {q} (K={K}, eps={eps})")
     a = np.empty(count)
     b = np.empty(count)
     a[0] = 1.0 / q
     b[0] = a[0]
     for k in range(1, count):
-        denom = q - a[k - 1]
-        if denom <= 0.0:
-            # cannot happen for q >= 2 (a_n < 1 < q - 1); kept as a guard
-            raise ArithmeticError(f"non-positive sweep denominator at line {k + 1}")
-        a[k] = 1.0 / denom
+        a[k] = 1.0 / (q - a[k - 1])
         b[k] = a[k] * (b[k - 1] + 1.0)
     return a, b
 

@@ -131,9 +131,9 @@ def test_criterion_06_symbolic_eps_01(symbolic_lines_eps01):
 
 
 def test_criterion_07_symbolic_numeric_cross_validation(symbolic_lines_eps01):
-    cfg, lines = symbolic_lines_eps01
+    cfg, _ = symbolic_lines_eps01
     z = np.zeros(16)
-    report = cross_check_numeric(cfg, z, z, lines)
+    report = cross_check_numeric(cfg, z, z)
     ok = report.sup_diff <= 2e-2
     _report(7, "symbolic vs numeric annulus", ok,
             f"sup_diff={report.sup_diff:.3e} (<=2e-2)")

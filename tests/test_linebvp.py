@@ -5,14 +5,13 @@ import proxgml.linebvp as linebvp
 from proxgml.linebvp import TridiagonalSystem, assemble_line_system, thomas_solve
 from proxgml.problem import (
     CartesianDomain,
-    LineGrid,
     ProblemSpec,
     build_cartesian_grid,
     source_values,
     transverse_steps,
 )
 import proxgml.proximal as proximal
-from proxgml.proximal import BackwardPass, _scheme_terms, backward_pass, proximal_iterate
+from proxgml.proximal import _scheme_terms, backward_pass, proximal_iterate
 from proxgml.sweep import ab_recursion, c_operator
 
 from conftest import UNIT_SQUARE, square_problem
@@ -293,35 +292,6 @@ def test_backward_pass_rejects_non_finite_boundary(bad):
     boundary[3] = bad
     with pytest.raises(ValueError, match="u_boundary_N must be finite"):
         backward_pass(square_problem(0.1), grid, np.ones((5, 5)), boundary)
-
-
-@pytest.mark.parametrize("a", [np.full(1, 0.4), 0.4, np.full(4, 0.4), np.full((5, 1), 0.4)],
-                         ids=["1", "scalar", "4", "5x1"])
-def test_pass_rejects_an_a_that_is_not_one_per_line(a):
-    # lines 1..5 of N = 6 each need their own a_n, as they need their own b_n
-    spec = square_problem(0.1)
-    grid = build_cartesian_grid(UNIT_SQUARE, 6, 4)
-    b = ab_recursion(spec.prox_weight, grid.d, spec.epsilon, 5)[1]
-    with pytest.raises(ValueError, match="one a_n and b_n per line"):
-        BackwardPass(a, b, spec, grid)
-
-
-@pytest.mark.parametrize("b, h", [
-    ([0.5, 0.0], [0.1, 0.1]),
-    ([0.5, -0.2], [0.1, 0.1]),
-    ([0.5, 0.5], [0.1, 0.0]),
-    ([0.5, 0.5], [-0.1, 0.1]),
-    ([0.5, 0.5], [0.1, float("nan")]),
-])
-def test_factor_lines_rejects_non_positive_inputs(b, h):
-    # lines 1 and 2 of a 3-line grid with M = 6 have steps h; a LineGrid
-    # built directly can carry any per-line range
-    M = 6
-    grid = LineGrid(n_lines=3, d=0.1, abscissae=np.arange(4) * 0.1, m_nodes=M,
-                    reference_nodes=np.arange(M + 1) / M,
-                    per_line_range=np.array([[0.0, 0.6], *([0.0, M * x] for x in h), [0.0, 0.6]]))
-    with pytest.raises(ValueError):
-        BackwardPass(np.full(2, 0.4), np.array(b), square_problem(0.1), grid)
 
 
 def test_solve_loop_builds_no_line_system(monkeypatch):

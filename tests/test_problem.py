@@ -8,6 +8,7 @@ from proxgml.polarsym import PolarSymbolicConfig
 from proxgml.problem import (
     CartesianDomain,
     FieldSolution,
+    LineGrid,
     ProblemSpec,
     build_cartesian_grid,
     line_ordinates,
@@ -143,6 +144,50 @@ def test_grid_determinism_bit_identical():
     assert np.array_equal(g1.abscissae, g2.abscissae)
     assert np.array_equal(g1.per_line_range, g2.per_line_range)
     assert g1.d == g2.d
+
+
+@pytest.mark.parametrize("y2", [lambda x: 1.0, lambda x: 1.0 + 0.5 * x], ids=["square", "strip"])
+def test_grid_derives_its_fields_from_domain_and_counts(y2):
+    # the rule written out, as the grid builder formed it before the grid
+    # derived itself; every derived array is read-only
+    dom = CartesianDomain(a=0.0, b=1.0, y1=lambda x: 0.0, y2=y2)
+    N, M = 17, 9
+    d = (dom.b - dom.a) / N
+    x = dom.a + d * np.arange(N + 1)
+    want = {"abscissae": x, "reference_nodes": np.arange(M + 1) / M,
+            "per_line_range": np.column_stack([[float(dom.y1(v)) for v in x],
+                                               [float(dom.y2(v)) for v in x]])}
+    for grid in (LineGrid(dom, N, M), build_cartesian_grid(dom, N, M)):
+        assert (grid.domain, grid.n_lines, grid.m_nodes, grid.d) == (dom, N, M, d)
+        for name, value in want.items():
+            got = getattr(grid, name)
+            assert got.shape == value.shape and got.tobytes() == value.tobytes(), name
+            assert not got.flags.writeable, name
+
+
+@pytest.mark.parametrize("line, h", [(2, 0.0), (1, -0.1), (2, math.nan)],
+                         ids=["zero", "negative", "nan"])
+def test_grid_rejects_a_line_step_that_is_not_positive(line, h):
+    # lines 1 and 2 of a 3-line grid with M = 6: y2 gives line `line` the
+    # step h and every other line 0.1
+    M = 6
+    dom = CartesianDomain(a=0.0, b=0.3, y1=lambda x: 0.0,
+                          y2=lambda x: M * (h if round(10 * x) == line else 0.1))
+    with pytest.raises(ValueError, match=f"degenerate strip width at line {line}"):
+        LineGrid(dom, 3, M)
+
+
+def test_grid_takes_no_derived_field():
+    # d and the arrays follow from (domain, N, M): none can be passed or set,
+    # and a spacing that underflows to 0 is rejected
+    with pytest.raises(TypeError):
+        LineGrid(UNIT_SQUARE, 4, 4, d=0.0)
+    grid = LineGrid(UNIT_SQUARE, 4, 4)
+    with pytest.raises(AttributeError):
+        grid.d = -0.25
+    tiny = CartesianDomain(a=0.0, b=1e-323, y1=lambda x: 0.0, y2=lambda x: 1.0)
+    with pytest.raises(ValueError, match="degenerate line spacing"):
+        LineGrid(tiny, 4, 4)
 
 
 def test_reference_mapping_affine_and_onto():

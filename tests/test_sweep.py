@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from proxgml.polarsym import PolarSymbolicConfig, polar_iterate
 from proxgml.problem import build_cartesian_grid
+from proxgml.proximal import proximal_iterate
 from proxgml.sweep import ab_recursion, c_operator, outer_loop
 
 from conftest import UNIT_SQUARE, square_problem, ones_source
@@ -186,3 +188,21 @@ def test_outer_loop_update_is_the_sup_change_of_the_state():
     assert history[1] == pytest.approx(5.0)
     np.testing.assert_array_equal(history, np.abs(np.diff(fields, axis=0)).max(axis=(1, 2)))
     np.testing.assert_array_equal(state, fields[-1])
+
+
+@pytest.mark.parametrize("K, eps", [(1e308, 1e-10), (-1.0, 1.0)], ids=["overflow", "below-2"])
+def test_ab_recursion_rejects_a_q_that_is_not_finite_or_below_2(K, eps):
+    # an overflowing q once gave a = b = 0: a rectangle pass that raised only
+    # on b, and an annulus solve that returned NaN lines
+    with pytest.raises(ValueError, match="finite q"):
+        ab_recursion(K, 1.0, eps, 3)
+
+
+@pytest.mark.parametrize("geometry", ["rectangle", "annulus"])
+def test_solves_reject_an_overflowing_q(geometry):
+    # at eps = 1e-310, K*d^2/eps overflows on both geometries
+    with pytest.raises(ValueError, match="finite q"):
+        if geometry == "rectangle":
+            proximal_iterate(square_problem(1e-310, K=1.0), build_cartesian_grid(UNIT_SQUARE, 4, 4))
+        else:
+            polar_iterate(PolarSymbolicConfig(epsilon=1e-310, n_lines=4, iters=3))
