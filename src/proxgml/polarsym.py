@@ -17,11 +17,11 @@ built once per solve: the augmented line operators
 G_n = [A_n | 0 | -alpha*b_n*kap*I | s_n] with
 A_n = (a_n + b_n*kap*beta)*I + (b_n*d^2/t_n^2)*D^2, and the line sources
 s_n = c_n + (anchor_{n+1} - anchor_n)*b_n*d/t_n as an affine map of the
-anchor rows, S @ u + s0.  S is K times the c operator (``sweep.c_operator``)
-applied to the identity plus the radial weights, and s0 the c operator
-applied to f = 1, so the c operator runs twice per solve, not per cycle:
-its (n_lines-1)^2 matrix costs O(n_lines^3) on the identity, once, and a
-cycle's S @ u costs O(n_lines^2) per basis monomial.
+anchor rows, S @ u + s0.  S holds K*C in the columns of lines
+1..n_lines-1, with C the c operator (``sweep.c_operator``, kap included),
+zeros in those of lines 0 and n_lines, plus the radial weights; s0 is C
+applied to f = 1.  C is built once per solve and applied in no cycle, and
+a cycle's S @ u costs O(n_lines^2) per basis monomial.
 A cycle writes S @ u + s0 into the last column of every G_n (one matmul
 and one add).  A row step is then four native calls on views built once:
 gather M(u_{n+1}) from row n+1 (``TruncationSpec.mul_gather``), two
@@ -100,11 +100,11 @@ class _BackwardPass:
 
     The line sources s_n = c_n + (b_n*d/t_n)*(anchor_{n+1} - anchor_n) are
     affine in the anchor rows u, so a cycle forms them all as S @ u + s0.
-    S is dense, (n_lines-1) x (n_lines+1): K times the c operator applied to
-    the identity, plus the radial weights +-b_n*d/t_n in columns n+1 and n
-    of row n; s0 is the c operator applied to f = 1 on the constant
-    monomial.  The product costs O(n_lines^2 * B) per cycle and S takes
-    8*n_lines^2 bytes (80 KB at 100 lines, 8 MB at 1,000).
+    S is dense, (n_lines-1) x (n_lines+1): K*C in columns 1..n_lines-1, C
+    the c operator (``sweep.c_operator``, kap included), plus the radial
+    weights +-b_n*d/t_n in columns n+1 and n of row n; s0 is C applied to
+    f = 1 on the constant monomial.  The product costs O(n_lines^2 * B) per
+    cycle and S takes 8*n_lines^2 bytes (80 KB at 100 lines, 8 MB at 1,000).
     """
 
     def __init__(self, cfg: PolarSymbolicConfig):
@@ -119,14 +119,14 @@ class _BackwardPass:
         self.G[:, :, :B] = ((a + b * kap * cfg.beta)[:, None, None] * eye
                             + (b * cfg.d**2 / t**2)[:, None, None] * d2)
         self.G[:, :, B + 1:-1] = (-cfg.alpha * b * kap)[:, None, None] * eye
-        c_op = c_operator(a)
-        self.S = cfg.prox_weight * c_op(np.eye(cfg.n_lines + 1), kap)
+        C = c_operator(a, kap)
+        self.S = np.pad(cfg.prox_weight * C, ((0, 0), (1, 1)))  # no c from lines 0, n_lines
         k, radial = np.arange(cfg.n_lines - 1), b * cfg.d / t  # row k is line k+1
         self.S[k, k + 2] += radial
         self.S[k, k + 1] -= radial
-        unit = np.zeros((cfg.n_lines + 1, B))
+        unit = np.zeros((cfg.n_lines - 1, B))
         unit[:, 0] = 1.0  # f = 1 on the constant monomial, basis[0]
-        self.s0 = c_op(unit, kap)
+        self.s0 = C @ unit
         z = np.zeros((cfg.n_lines + 1, 2 * B + 2))
         z[:, -1] = 1.0
         self.u = z[:, :B]  # the anchors, then the lines; row n is line n
@@ -213,12 +213,12 @@ def polar_numeric_solve(cfg: PolarSymbolicConfig, boundary: np.ndarray) -> np.nd
     mth = boundary.size
     h_th = 2.0 * np.pi / mth
     a, b = ab_recursion(K, cfg.d, cfg.epsilon, m8 - 1)
-    c_op = c_operator(a)
+    C = c_operator(a, kap)
     nxt, prv = np.roll(np.arange(mth), -1), np.roll(np.arange(mth), 1)  # periodic neighbours
     # the anchors u and the field being solved swap every cycle; line 0 of both stays zero
     u, new = np.zeros((m8 + 1, mth)), np.zeros((m8 + 1, mth))
     for _ in range(cfg.iters):
-        c = c_op(K * u + 1.0, kap)
+        c = C @ (K * u[1:-1] + 1.0)
         new[m8] = boundary
         for n in range(m8 - 1, 0, -1):
             t = cfg.radius(n)

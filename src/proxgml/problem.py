@@ -82,7 +82,8 @@ class LineGrid:
     d = (b - a)/N, ``abscissae[n]`` = a + n*d, ``reference_nodes[j]`` = j/M
     and ``per_line_range[n]`` = (y1(x_n), y2(x_n)), all read-only.  N and M
     are counts of at least 2 (``integer_count``); d must be positive and
-    every line must have finite y1 < y2, so every step h_n is positive.
+    every line must have finite y1 < y2 and a step h_n = (y2 - y1)/M whose
+    1/h_n^2, which the line matrices read, is finite.
     """
 
     domain: CartesianDomain
@@ -109,6 +110,13 @@ class LineGrid:
                 f"degenerate strip width at line {n} (x={abscissae[n]}): "
                 f"need finite y1 < y2, got y1={lo[n]}, y2={hi[n]}"
             )
+        h = (hi - lo) / M
+        with np.errstate(divide="ignore", over="ignore"):
+            thin = np.nonzero(~np.isfinite(1.0 / (h * h)))[0]
+        if thin.size:
+            n = int(thin[0])
+            raise ValueError(f"degenerate strip width at line {n} (x={abscissae[n]}): width "
+                             f"{hi[n] - lo[n]} gives h={h[n]}, whose 1/h^2 is not finite")
         arrays = abscissae, np.arange(M + 1) / M, np.column_stack([lo, hi])
         for arr in arrays:
             arr.setflags(write=False)
@@ -188,7 +196,3 @@ class FieldSolution:
 
     def __post_init__(self):
         self.values.setflags(write=False)
-
-    @staticmethod
-    def zeros(grid: LineGrid) -> "FieldSolution":
-        return FieldSolution(np.zeros((grid.n_lines + 1, grid.m_nodes + 1)))

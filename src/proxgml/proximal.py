@@ -17,10 +17,10 @@ system.  The lag and the correction that cancels it change together, so
 both are here.  At the zero anchor g = f and the lag is 0.
 
 a, b and the line matrices depend only on (spec, grid), so a solve builds
-one ``BackwardPass(spec, grid)``, which forms a, b, kap and the c
-operator, factors the matrices (LAPACK ``dpttrf``) and allocates the
+one ``BackwardPass(spec, grid)``, which forms a, b and the c operator C
+(kap included), factors the matrices (LAPACK ``dpttrf``) and allocates the
 solve's field: rows 1..N-1 are the c buffer, row N the boundary line.  A
-cycle writes c, formed from the field, into those rows; per line, two
+cycle writes C @ g, with g from the field, into those rows; per line, two
 BLAS ``daxpy`` calls form the right-hand side in place and ``dpttrs``
 solves it there.  c must be 0 on the end columns, the Dirichlet zeros.
 ``backward_pass`` runs a one-shot pass on a given c; ``linebvp`` holds the
@@ -67,17 +67,18 @@ class SolveReport:
 class BackwardPass:
     """The lagged backward pass of one solve (see the module docstring).
 
-    Built from (spec, grid): it forms a and b (``ab_recursion``), kap, the
-    c operator ``c_op`` and the lag weights ``b_kap`` = b*kap.  ``u`` is the
-    solve's field, ``c`` its rows 1..N-1, row N the boundary line.  Line n
-    has the matrix of ``linebvp.assemble_line_system(b_n, d, h_n, .)``; its
-    rows, factors and weights are bound once, in ``steps``."""
+    Built from (spec, grid): it forms a and b (``ab_recursion``), the c
+    operator ``C`` (``sweep.c_operator``, kap included) and the lag weights
+    ``b_kap`` = b*kap.  ``u`` is the solve's field, ``c`` its rows 1..N-1,
+    row N the boundary line.  Line n has the matrix of
+    ``linebvp.assemble_line_system(b_n, d, h_n, .)``; its rows, factors and
+    weights are bound once, in ``steps``."""
 
     def __init__(self, spec: ProblemSpec, grid: LineGrid):
         d, m = grid.d, grid.m_nodes - 1
-        self.kap = kap = d**2 / spec.epsilon
+        kap = d**2 / spec.epsilon
         a, b = ab_recursion(spec.prox_weight, d, spec.epsilon, grid.n_lines - 1)
-        self.c_op = c_operator(a)
+        self.C = c_operator(a, kap)
         self.b_kap = (b * kap)[:, None]
         h = transverse_steps(grid)[1:-1]
         g = b * d * d
@@ -164,12 +165,12 @@ def proximal_iterate(
     f[:, [0, -1]] = 0.0  # read only inside; zero, so c keeps the field's Dirichlet columns 0
     backward = BackwardPass(spec, grid)
     v = backward.u  # the anchor, which each cycle overwrites with the new field
-    c_op, kap, b_kap = backward.c_op, backward.kap, backward.b_kap
+    C, b_kap = backward.C, backward.b_kap
     residual = None
 
     def cycle() -> None:
         R, E = _scheme_terms(spec, v, h)
-        c = c_op(K * v + f + R + E, kap, out=backward.c)
+        c = np.matmul(C, (K * v + f + R + E)[1:-1], out=backward.c)
         c -= b_kap * (R[2:] + E[1:-1])
         backward()
 

@@ -10,19 +10,18 @@ where g_n is the line source (see ``proximal`` for the Cartesian one).
 a and b depend only on (N, d, eps, K), so a solve computes them once;
 only c changes with the anchor.
 
-c is linear in g, so ``c_operator(a)`` builds it once per solve as
-c = kap * L @ g, with the lower-triangular product matrix
-L[i, j] = a_j*...*a_i over the N-1 interior lines.  A cycle then costs one
-matmul instead of a Python step per line.  L takes 8*(N-1)^2 bytes (78 KB
-at N = 100, 8 MB at 1,000) and a call on P source columns does about
-(N-1)^2 * P multiply-adds, so its time grows as N^3 on a square grid.
-Products that underflow to 0 are harmless.
+c is linear in g, so ``c_operator(a, kap)`` builds it once per solve as
+one lower-triangular matrix C, C[i, j] = kap*a_j*...*a_i over the N-1
+interior lines, and a caller forms c = C @ g on the rows of lines 1..N-1.
+A cycle then costs one matmul instead of a Python step per line.  C takes
+8*(N-1)^2 bytes (78 KB at N = 100, 8 MB at 1,000) and a product with P
+source columns does about (N-1)^2 * P multiply-adds, so its time grows as
+N^3 on a square grid.  Products that underflow to 0 are harmless.
 
 ``ab_recursion`` and the c operator are the only copies of these
-recursions in the package: the Cartesian outer loop
-applies the operator to a source that also carries its defect correction
-(see ``proximal``), and the annulus solvers take a and b from
-``ab_recursion`` and c from the operator.
+recursions in the package: the Cartesian outer loop applies C to a
+source that also carries its defect correction (see ``proximal``), and the
+annulus solvers take a and b from ``ab_recursion`` and c from C.
 
 ``outer_loop`` runs the outer cycles of both geometries, which advance an
 iterate in place: it is the one place that forms and records the updates,
@@ -32,12 +31,10 @@ stops a run and names why it stopped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "COperator",
     "ab_recursion",
     "c_operator",
     "outer_loop",
@@ -64,34 +61,16 @@ def ab_recursion(K: float, d: float, eps: float, count: int) -> tuple[np.ndarray
     return a, b
 
 
-@dataclass(frozen=True)
-class COperator:
-    """The c-recursion for one a as a linear map; see ``c_operator``.
+def c_operator(a: np.ndarray, kap: float) -> np.ndarray:
+    """The c-recursion for a_1..a_len(a) as one matrix C: c = C @ g[1:len(a)+1].
 
-    ``L`` is the lower-triangular product matrix, L[i, j] = a_j*...*a_i.
+    C[i, j] = kap*a_j*...*a_i, lower triangular, built row by row once.
     """
-
-    L: np.ndarray
-
-    def __call__(self, g: np.ndarray, kap: float, out: np.ndarray | None = None) -> np.ndarray:
-        """c_n for n = 1..size from the line sources g.
-
-        ``g`` is indexed by line number: row n is the source on line n, and
-        only rows 1..size are read.  Returns shape (size, g.shape[1]), in
-        ``out`` when it is given.
-        """
-        c = np.matmul(self.L, g[1:len(self.L) + 1], out=out)
-        c *= kap
-        return c
-
-
-def c_operator(a: np.ndarray) -> COperator:
-    """Build the c-recursion for a_1..a_len(a) once; apply it to any sources."""
-    L = np.zeros((a.size, a.size))
+    C = np.zeros((a.size, a.size))
     for i in range(a.size):
-        L[i, :i] = L[i - 1, :i] * a[i]
-        L[i, i] = a[i]
-    return COperator(L=L)
+        C[i, :i] = C[i - 1, :i] * a[i]
+        C[i, i] = kap * a[i]
+    return C
 
 
 def outer_loop(cycle, state: np.ndarray, cap: int, converged=None) -> tuple[np.ndarray, str]:

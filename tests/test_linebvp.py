@@ -209,7 +209,7 @@ def _random_problem(N, M, domain, seed=21):
     a, b = ab_recursion(spec.prox_weight, grid.d, spec.epsilon, N - 1)
     noise = np.random.default_rng(seed).uniform(-15.0, 15.0, (N + 1, M + 1))
     g = source_values(spec, grid) + noise
-    return spec, grid, (a, b, c_operator(a)(g, grid.d**2 / spec.epsilon))
+    return spec, grid, (a, b, c_operator(a, grid.d**2 / spec.epsilon) @ g[1:-1])
 
 
 @pytest.mark.parametrize("N, M, domain", [
@@ -348,7 +348,7 @@ def test_solve_cycles_match_fresh_backward_passes(N, M, domain):
     for _ in range(5):
         a, b = ab_recursion(K, grid.d, spec.epsilon, N - 1)
         R, E = _scheme_terms(spec, v, h)
-        c = c_operator(a)(K * v + f + R + E, kap)
+        c = c_operator(a, kap) @ (K * v + f + R + E)[1:-1]
         c -= (b * kap)[:, None] * (R[2:] + E[1:-1])
         new = backward_pass(spec, grid, c, np.zeros(M + 1)).values
         updates.append(float(np.max(np.abs(new - v))))

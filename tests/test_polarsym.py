@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import ROW_STEP_CAPS
+from proxgml import polarsym
 from proxgml.polarsym import (
     PolarSymbolicConfig,
     _BackwardPass,
@@ -12,7 +13,7 @@ from proxgml.polarsym import (
     polar_numeric_solve,
     symbolic_solve,
 )
-from proxgml.sweep import COperator, ab_recursion, c_operator
+from proxgml.sweep import ab_recursion, c_operator
 from proxgml.symalg import (
     BoundaryPolynomial,
     TruncationSpec,
@@ -51,7 +52,7 @@ def symbolic_sweep(cfg, anchors):
     a, b = ab_recursion(cfg.prox_weight, cfg.d, cfg.epsilon, cfg.n_lines - 1)
     g = cfg.prox_weight * _rows(anchors)
     g[:, 0] += 1.0  # f = 1 on the constant monomial
-    return a, b, _polys(cfg, c_operator(a)(g, cfg.d**2 / cfg.epsilon))
+    return a, b, _polys(cfg, c_operator(a, cfg.d**2 / cfg.epsilon) @ g[1:-1])
 
 
 def symbolic_backward_pass(cfg, anchors):
@@ -246,18 +247,19 @@ def test_source_map_matches_c_recursion_and_radial_term():
 
 
 @pytest.mark.parametrize("iters", [1, 5])
-def test_solve_applies_the_c_operator_only_while_building(monkeypatch, iters):
-    # once for the source map S and once for s0, whatever the cycle count
+def test_solve_builds_the_c_operator_once(monkeypatch, iters):
+    # S and s0 both come from one c operator, built before the first cycle
+    # whatever the cycle count; no cycle rebuilds it
     calls = []
-    call = COperator.__call__
+    build = polarsym.c_operator
 
-    def counted(self, *args, **kwargs):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return call(self, *args, **kwargs)
+        return build(*args, **kwargs)
 
-    monkeypatch.setattr(COperator, "__call__", counted)
+    monkeypatch.setattr(polarsym, "c_operator", counted)
     symbolic_solve(PolarSymbolicConfig(epsilon=0.1, n_lines=20, iters=iters))
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_solve_cycles_match_polynomial_references():
@@ -395,7 +397,7 @@ def test_numeric_twin_matches_a_fresh_field_per_cycle(eps, m_theta):
     kap, h2 = cfg.d**2 / cfg.epsilon, (2.0 * np.pi / m_theta) ** 2
     u = np.zeros((cfg.n_lines + 1, m_theta))
     for _ in range(cfg.iters):
-        c = c_operator(a)(cfg.prox_weight * u + 1.0, kap)
+        c = c_operator(a, kap) @ (cfg.prox_weight * u + 1.0)[1:-1]
         uo, u = u, np.zeros_like(u)
         u[-1] = g
         for n in range(cfg.n_lines - 1, 0, -1):

@@ -177,6 +177,19 @@ def test_grid_rejects_a_line_step_that_is_not_positive(line, h):
         LineGrid(dom, 3, M)
 
 
+def test_grid_rejects_a_strip_whose_inverse_squared_step_is_not_finite():
+    # on a 1e-170 strip h^2 underflows to 0 and the line matrices divide by
+    # it; a 1e-150 strip keeps 1/h^2 near 4e301, so it builds and solves
+    def strip(width):
+        return CartesianDomain(a=0.0, b=1.0, y1=lambda x: 0.0, y2=lambda x: width)
+
+    with pytest.raises(ValueError, match=r"degenerate strip width at line 0 .*width 1e-170"):
+        LineGrid(strip(1e-170), 6, 6)
+    spec = ProblemSpec(epsilon=0.1, alpha=1.0, beta=1.0, source=ones_source, domain=strip(1e-150))
+    report = proximal_iterate(spec, LineGrid(spec.domain, 6, 6))
+    assert report.converged and np.all(np.isfinite(report.solution.values))
+
+
 def test_grid_takes_no_derived_field():
     # d and the arrays follow from (domain, N, M): none can be passed or set,
     # and a spacing that underflows to 0 is rejected
@@ -203,7 +216,7 @@ def test_reference_mapping_affine_and_onto():
 
 def test_field_zeros_shape():
     grid = build_cartesian_grid(UNIT_SQUARE, 5, 7)
-    u = FieldSolution.zeros(grid)
+    u = FieldSolution(np.zeros((grid.n_lines + 1, grid.m_nodes + 1)))
     assert u.values.shape == (6, 8)
     assert not u.values.flags.writeable
 

@@ -131,7 +131,7 @@ def test_non_finite_update_stops_at_once(max_iter):
 def test_residual_zero_field_zero_source():
     spec = square_problem(0.1, source=zero_source)
     grid = build_cartesian_grid(UNIT_SQUARE, 6, 6)
-    assert residual_norm(spec, grid, FieldSolution.zeros(grid)) == 0.0
+    assert residual_norm(spec, grid, FieldSolution(np.zeros((7, 7)))) == 0.0
 
 
 def test_residual_constant_root_interior():
@@ -284,6 +284,6 @@ def test_first_cycle_is_plain_sweep():
     grid = build_cartesian_grid(CURVED, 12, 9)
     report = proximal_iterate(spec, grid, max_iter=1)
     a, _ = ab_recursion(spec.prox_weight, grid.d, spec.epsilon, grid.n_lines - 1)
-    c = c_operator(a)(source_values(spec, grid), grid.d**2 / spec.epsilon)
+    c = c_operator(a, grid.d**2 / spec.epsilon) @ source_values(spec, grid)[1:-1]
     plain = backward_pass(spec, grid, c, np.zeros(grid.m_nodes + 1))
     assert np.array_equal(report.solution.values, plain.values)
