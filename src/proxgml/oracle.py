@@ -140,6 +140,18 @@ class _Run:
     failure: str | None
 
 
+def _norm(r: np.ndarray) -> float:
+    """Euclidean norm of r; scaled by its sup only when the plain sum of
+    squares overflows (a residual of 1e300 on a thin strip), so every other
+    norm is numpy's own."""
+    with np.errstate(over="ignore"):
+        n = float(np.linalg.norm(r))
+    if math.isfinite(n):
+        return n
+    sup = float(np.max(np.abs(r)))
+    return sup * float(np.linalg.norm(r / sup)) if 0.0 < sup < math.inf else n
+
+
 def _damped_newton(A, f, u, *, alpha, beta, threshold, max_newton, stall_steps=None) -> _Run:
     """Newton on A u + alpha u^3 - beta u = f from u, one sparse solve per step,
     until the sup residual is at most threshold.  A must store its whole diagonal:
@@ -170,12 +182,12 @@ def _damped_newton(A, f, u, *, alpha, beta, threshold, max_newton, stall_steps=N
         delta = spla.spsolve(J, -Fu, permc_spec=PERMC_SPEC)
         # halving line search on the euclidean residual norm; the accepted
         # trial's residual is the next step's F(u)
-        base = np.linalg.norm(Fu)
+        base = _norm(Fu)
         t = 1.0
         while t > 1e-10:
             trial = u + t * delta
             F_trial = F(trial)
-            if np.linalg.norm(F_trial) < base:
+            if _norm(F_trial) < base:
                 break
             t *= 0.5
         else:

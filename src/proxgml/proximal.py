@@ -26,7 +26,10 @@ solves it there.  c must be 0 on the end columns, the Dirichlet zeros.
 ``backward_pass`` runs a one-shot pass on a given c; ``linebvp`` holds the
 Thomas reference.  A cycle is converged when the update is at most ``tol``
 and, for K > 0, the FD residual is at most K*tol; ``sweep.outer_loop``
-runs the cycles, stops them and names the stop (``stop_reason``).
+runs the cycles, stops them and names the stop (``stop_reason``).  It
+over-relaxes a failed cycle once the run is in its dominant mode (see
+``sweep``), which takes about a third fewer cycles at K = 50 and leaves
+the stop test's meaning as it was for the plain loop.
 """
 
 from __future__ import annotations
@@ -151,7 +154,10 @@ def proximal_iterate(
 
     f, the transverse steps and the backward pass (a, b, the c operator,
     line factors and field) are built once per solve; a cycle writes the
-    corrected c into the field and runs the pass.  The FD residual
+    corrected c into the field and runs the pass, and ``sweep.outer_loop``
+    may over-relax its output before the next one.  ``update_history``
+    holds each cycle's own sup change, and the returned field is the last
+    cycle's output, never a relaxed one.  The FD residual
     is evaluated only once the update test holds, and the report reuses the
     last cycle's; a field's residual is formed once.  Non-convergence is
     reported, not raised; numpy's overflow and invalid-value warnings are

@@ -26,6 +26,22 @@ annulus solvers take a and b from ``ab_recursion`` and c from C.
 ``outer_loop`` runs the outer cycles of both geometries, which advance an
 iterate in place: it is the one place that forms and records the updates,
 stops a run and names why it stopped.
+
+A tested run (the rectangle) is over-relaxed along the cycle's own step
+(extrapolation, Varga 1962, ch. 5): a cycle that fails the test and is not
+the last allowed one moves the state from its output x + D to
+x + RELAXATION*D when the run is in its dominant mode, that is, when the
+updates fall by a ratio r in (2 - 2/RELAXATION, 1) that is within
+RATIO_DRIFT of the previous cycle's ratio, and D keeps the previous
+step's direction.  The relaxed map has eigenvalues 1 - w*(1 - mu), so a
+dominant mode rho stays the slowest while w < 2/(2 - rho); with w = 1.5
+that is rho > 2/3, the lower end of r.  The run therefore ends in the
+plain loop's dominant mode, and the stop test (update <= tol and FD
+residual <= K*tol) certifies what it did for the plain loop.  At the
+paper's K = 50, rho is about 0.93-0.95 and a third of the cycles go.
+Without the steady-ratio test, relaxing the swinging early updates of
+runs near the divergent sources (f = 160 at N = 6) sent them
+non-finite.  The annulus's fixed schedule is never relaxed.
 """
 
 from __future__ import annotations
@@ -35,10 +51,17 @@ import math
 import numpy as np
 
 __all__ = [
+    "RATIO_DRIFT",
+    "RELAXATION",
     "ab_recursion",
     "c_operator",
     "outer_loop",
 ]
+
+# extrapolation factor of a relaxed cycle, and how far two successive update
+# ratios may differ for the run to count as in one mode (see the docstring)
+RELAXATION = 1.5
+RATIO_DRIFT = 0.05
 
 
 def ab_recursion(K: float, d: float, eps: float, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -76,21 +99,41 @@ def c_operator(a: np.ndarray, kap: float) -> np.ndarray:
 def outer_loop(cycle, state: np.ndarray, cap: int, converged=None) -> tuple[np.ndarray, str]:
     """Run ``cycle()``, which advances ``state`` in place, at most ``cap`` times.
 
-    A cycle's update is the sup-norm change of ``state``, formed in a copy.
-    Returns the updates and the stop: "non-finite" at the first update that
-    is not finite, "converged" at the first that ``converged(update)``
-    accepts, else "max_iter" after ``cap`` cycles, or "fixed_iters" when no
-    test was given, a fixed schedule that never consults one.
+    A cycle's update is the sup norm of its own step D = T(x) - x, formed in
+    a buffer of its own.  Returns the updates and the stop: "non-finite" at
+    the first update that is not finite, "converged" at the first that
+    ``converged(update)`` accepts, else "max_iter" after ``cap`` cycles, or
+    "fixed_iters" when no test was given, a fixed schedule that never
+    consults one.
+
+    With a test, a cycle that fails it and is not the last allowed one moves
+    the state on to x + RELAXATION*D when the updates fall by a steady ratio
+    (``_in_dominant_mode``) and D keeps the previous step's direction
+    (vdot > 0).  A stop always leaves the last cycle's own output in the
+    state, and a fixed schedule is never relaxed.
     """
-    change = np.empty_like(state)
+    step, previous = np.empty_like(state), np.empty_like(state)
     updates = []
-    for _ in range(cap):
-        np.copyto(change, state)
+    for k in range(cap):
+        np.copyto(step, state)
         cycle()
-        np.subtract(state, change, out=change)
-        updates.append(float(np.abs(change, out=change).max()))
+        np.subtract(state, step, out=step)
+        updates.append(float(np.abs(step).max()))
         if not math.isfinite(updates[-1]):
             return np.array(updates), "non-finite"
-        if converged is not None and converged(updates[-1]):
+        if converged is None:
+            continue
+        if converged(updates[-1]):
             return np.array(updates), "converged"
+        if 1 < k < cap - 1 and _in_dominant_mode(*updates[-3:]) and np.vdot(step, previous) > 0.0:
+            state += (RELAXATION - 1.0) * step
+        step, previous = previous, step
     return np.array(updates), "fixed_iters" if converged is None else "max_iter"
+
+
+def _in_dominant_mode(u0: float, u1: float, u2: float) -> bool:
+    """Whether three successive updates fall by a ratio r = u2/u1 in
+    (2 - 2/RELAXATION, 1) that is within RATIO_DRIFT of u1/u0.  Written
+    without division: u2 < u1 makes u1 positive, and then u0 = 0 fails."""
+    return ((2.0 - 2.0 / RELAXATION) * u1 < u2 < u1
+            and abs(u2 * u0 - u1 * u1) <= RATIO_DRIFT * u0 * u1)

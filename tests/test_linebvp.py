@@ -12,7 +12,7 @@ from proxgml.problem import (
 )
 import proxgml.proximal as proximal
 from proxgml.proximal import _scheme_terms, backward_pass, proximal_iterate
-from proxgml.sweep import ab_recursion, c_operator
+from proxgml.sweep import ab_recursion, c_operator, outer_loop
 
 from conftest import UNIT_SQUARE, square_problem
 
@@ -336,23 +336,26 @@ def test_solve_builds_factors_and_pass_once(monkeypatch):
 ])
 def test_solve_cycles_match_fresh_backward_passes(N, M, domain):
     # the solve reuses its c buffer, cube row and bound steps in every
-    # cycle; a loop that builds everything afresh each cycle must give the
-    # same bits, or state leaks from one cycle into the next
+    # cycle; a cycle that builds everything afresh, run by the same loop
+    # (which relaxes the third of these cycles), must give the same bits,
+    # or state leaks from one cycle into the next
     spec, grid, _ = _random_problem(N, M, domain)
     report = proximal_iterate(spec, grid, max_iter=5)
     K, kap = spec.prox_weight, grid.d**2 / spec.epsilon
     h = transverse_steps(grid)
     f = source_values(spec, grid)
     v = np.zeros((N + 1, M + 1))
-    updates = []
-    for _ in range(5):
+
+    def cycle():
         a, b = ab_recursion(K, grid.d, spec.epsilon, N - 1)
         R, E = _scheme_terms(spec, v, h)
         c = c_operator(a, kap) @ (K * v + f + R + E)[1:-1]
         c -= (b * kap)[:, None] * (R[2:] + E[1:-1])
-        new = backward_pass(spec, grid, c, np.zeros(M + 1)).values
-        updates.append(float(np.max(np.abs(new - v))))
-        v = new
+        v[...] = backward_pass(spec, grid, c, np.zeros(M + 1)).values
+
+    # no update of these 5 cycles is near tol, so the solve's test fails on each
+    updates, stop = outer_loop(cycle, v, 5, lambda update: False)
+    assert stop == report.stop_reason == "max_iter"
     assert np.max(np.abs(v)) > 0.01
     np.testing.assert_array_equal(report.solution.values, v)
     np.testing.assert_array_equal(report.update_history, updates)

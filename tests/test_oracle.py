@@ -5,10 +5,11 @@ import scipy.sparse.linalg as spla
 
 from proxgml import oracle
 from proxgml.oracle import NewtonDivergenceError, _reduced_root, compare_fields, newton_solve
-from proxgml.problem import CartesianDomain, FieldSolution, build_cartesian_grid, transverse_steps
-from proxgml.proximal import residual_norm
+from proxgml.problem import (CartesianDomain, FieldSolution, LineGrid, ProblemSpec,
+                             build_cartesian_grid, transverse_steps)
+from proxgml.proximal import proximal_iterate, residual_norm
 
-from conftest import UNIT_SQUARE, square_problem, zero_source
+from conftest import UNIT_SQUARE, ones_source, square_problem, zero_source
 
 
 def test_zero_source_returns_zero_immediately():
@@ -218,6 +219,37 @@ def test_compare_fields_huge_fields_without_overflow():
     # opposite signs: the difference itself overflows and reads inf
     sup, l2 = compare_fields(FieldSolution(1.5e8 * huge), FieldSolution(-1.5e8 * huge))
     assert sup == l2 == np.inf
+
+
+def test_thin_strip_solves_without_overflow():
+    # on a 1e-150 strip the first residual is near 5e300, whose plain sum of
+    # squares overflows in the line search's norm; the oracle must still
+    # reach the root the line solver finds
+    strip = CartesianDomain(a=0.0, b=1.0, y1=lambda x: 0.0, y2=lambda x: 1e-150)
+    spec = ProblemSpec(epsilon=0.1, alpha=1.0, beta=1.0, source=ones_source, domain=strip)
+    grid = LineGrid(strip, 6, 6)
+    report = newton_solve(spec, grid)
+    assert report.residual_sup <= 1e-10
+    line = proximal_iterate(spec, grid)
+    assert line.converged
+    scale = np.max(np.abs(line.solution.values))
+    assert scale > 0.0
+    assert compare_fields(report.solution, line.solution)[0] <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("r", [
+    np.array([3.0, -4.0, 1e-3]),
+    np.random.default_rng(8).normal(size=50),
+    np.zeros(4),
+], ids=["small", "random", "zero"])
+def test_line_search_norm_is_numpys_unless_it_overflows(r):
+    assert oracle._norm(r) == np.linalg.norm(r)
+
+
+def test_line_search_norm_scales_an_overflowing_sum():
+    assert oracle._norm(np.array([1e300, -1e300])) == pytest.approx(np.sqrt(2.0) * 1e300, rel=1e-15)
+    for bad in (np.nan, np.inf):
+        assert not np.isfinite(oracle._norm(np.array([1e300, bad])))
 
 
 def test_compare_fields_shape_mismatch():

@@ -4,7 +4,7 @@ import pytest
 from proxgml.polarsym import PolarSymbolicConfig, polar_iterate
 from proxgml.problem import build_cartesian_grid
 from proxgml.proximal import proximal_iterate
-from proxgml.sweep import ab_recursion, c_operator, outer_loop
+from proxgml.sweep import RATIO_DRIFT, RELAXATION, ab_recursion, c_operator, outer_loop
 
 from conftest import UNIT_SQUARE, square_problem, ones_source
 
@@ -186,6 +186,96 @@ def test_outer_loop_update_is_the_sup_change_of_the_state():
     assert history[1] == pytest.approx(5.0)
     np.testing.assert_array_equal(history, np.abs(np.diff(fields, axis=0)).max(axis=(1, 2)))
     np.testing.assert_array_equal(state, fields[-1])
+
+
+def _linear(rate):
+    """A cycle x <- rate*x + b on a zero state, and the states it was called on."""
+    b = np.random.default_rng(5).uniform(0.5, 1.0, 6)
+    state, seen = np.zeros(b.size), []
+
+    def cycle():
+        seen.append(state.copy())
+        state[...] = rate * state + b
+
+    return cycle, state, seen, lambda x: rate * x + b
+
+
+def _plain(T, cycles):
+    """The unrelaxed iterates x_k = T(x_{k-1}) from zero and their sup updates."""
+    x, updates = np.zeros(6), []
+    for _ in range(cycles):
+        new = T(x)
+        updates.append(float(np.max(np.abs(new - x))))
+        x = new
+    return x, updates
+
+
+def test_fixed_schedule_is_never_relaxed():
+    # a falling, aligned contraction that a tested loop would relax
+    cycle, state, _, T = _linear(0.95)
+    history, stop = outer_loop(cycle, state, 6)
+    x, updates = _plain(T, 6)
+    assert stop == "fixed_iters"
+    np.testing.assert_array_equal(history, updates)
+    np.testing.assert_array_equal(state, x)
+
+
+def test_falling_aligned_steps_are_moved_by_the_relaxation_factor():
+    cycle, state, seen, T = _linear(0.95)
+    history, stop = outer_loop(cycle, state, 6, lambda update: False)
+    assert stop == "max_iter"
+    # two cycles give no ratio to compare, so they stay plain
+    for k in (0, 1):
+        np.testing.assert_array_equal(seen[k + 1], T(seen[k]))
+    for k in (2, 3, 4):
+        step = T(seen[k]) - seen[k]
+        assert history[k] == np.max(np.abs(step))
+        np.testing.assert_allclose(seen[k + 1] - seen[k], RELAXATION * step, rtol=1e-14)
+    assert np.all(np.diff(history) < 0.0)
+
+
+@pytest.mark.parametrize("rate", [-0.9, 1.05, 0.5], ids=["alternating", "growing", "fast"])
+def test_alternating_growing_or_fast_steps_run_the_plain_loop(rate):
+    # a fast contraction (ratio below 2 - 2/RELAXATION) would lose its
+    # dominant mode to relaxation, so it is left plain too
+    cycle, state, _, T = _linear(rate)
+    history, stop = outer_loop(cycle, state, 8, lambda update: False)
+    x, updates = _plain(T, 8)
+    np.testing.assert_array_equal(history, updates)
+    np.testing.assert_array_equal(state, x)
+
+
+def test_only_steps_that_fall_by_a_steady_ratio_are_relaxed():
+    # cycle k adds its own aligned step, whatever the state, so its update is
+    # sizes[k]; ratios 0.9, 0.9, 0.6, 0.9, 0.9, 0.9: the second is steady,
+    # the third is below 2/3, the fourth drifts from the third, and the last
+    # cycle is never relaxed
+    assert RATIO_DRIFT < 0.3 and 2.0 - 2.0 / RELAXATION > 0.6
+    sizes = [1.0, 0.9, 0.81, 0.486, 0.4374, 0.39366, 0.354294]
+    state = np.zeros(3)
+    steps = iter(sizes)
+
+    def cycle():
+        state[...] += next(steps) * np.array([1.0, 0.5, -0.25])
+
+    history, stop = outer_loop(cycle, state, len(sizes), lambda update: False)
+    np.testing.assert_allclose(history, sizes, rtol=1e-14)
+    relaxed = sizes[2] + sizes[5]
+    np.testing.assert_allclose(state[0], sum(sizes) + (RELAXATION - 1.0) * relaxed, rtol=1e-15)
+
+
+@pytest.mark.parametrize("cap, converged, stop", [
+    (5, lambda update: False, "max_iter"),
+    (50, lambda update: update <= 0.2, "converged"),
+])
+def test_a_stop_leaves_the_last_cycles_output_unrelaxed(cap, converged, stop):
+    # every cycle but the first and the last is relaxed here, so only the
+    # stop rule keeps the last cycle's output in the state
+    cycle, state, seen, T = _linear(0.95)
+    history, got = outer_loop(cycle, state, cap, converged)
+    assert got == stop and len(history) > 2
+    np.testing.assert_array_equal(state, T(seen[-1]))
+    assert not np.array_equal(seen[-1], T(seen[-2]))
 
 
 @pytest.mark.parametrize("K, eps", [(1e308, 1e-10), (-1.0, 1.0)], ids=["overflow", "below-2"])
