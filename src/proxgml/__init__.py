@@ -6,7 +6,6 @@ from .problem import (
     LineGrid,
     FieldSolution,
     build_cartesian_grid,
-    transverse_steps,
 )
 from .linebvp import TridiagonalSystem, assemble_line_system, thomas_solve
 from .proximal import SolveReport, backward_pass, proximal_iterate, residual_norm
@@ -29,8 +28,8 @@ from .oracle import NewtonReport, newton_solve, compare_fields
 
 __all__ = [
     "CartesianDomain", "ProblemSpec", "LineGrid", "FieldSolution", "build_cartesian_grid",
-    "transverse_steps", "TridiagonalSystem", "assemble_line_system", "thomas_solve", "SolveReport",
-    "backward_pass", "proximal_iterate", "residual_norm", "TruncationSpec", "DEFAULT_TRUNCATION",
+    "TridiagonalSystem", "assemble_line_system", "thomas_solve", "SolveReport", "backward_pass",
+    "proximal_iterate", "residual_norm", "TruncationSpec", "DEFAULT_TRUNCATION",
     "BoundaryPolynomial", "poly_add", "poly_mul", "poly_diff", "poly_eval", "PolarSymbolicConfig",
     "symbolic_solve", "polar_numeric_solve", "cross_check_numeric", "NewtonReport", "newton_solve",
     "compare_fields",

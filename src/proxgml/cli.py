@@ -32,7 +32,6 @@ from .problem import (
     ProblemSpec,
     build_cartesian_grid,
     check_tolerance,
-    line_ordinates,
 )
 from .proximal import proximal_iterate
 from .symalg import format_terms, to_json_dict
@@ -107,9 +106,8 @@ def parse_source(text: str):
 def write_field_csv(path: str, grid, field: FieldSolution):
     """One "x,y,u" row per node, line by line, every value to 17 significant digits."""
     x = np.repeat(grid.abscissae, grid.m_nodes + 1)
-    y = np.concatenate([line_ordinates(grid, n) for n in range(grid.n_lines + 1)])
-    np.savetxt(path, np.column_stack([x, y, field.values.ravel()]), fmt="%.17g",
-               delimiter=",", header="x,y,u", comments="")
+    np.savetxt(path, np.column_stack([x, grid.ordinates.ravel(), field.values.ravel()]),
+               fmt="%.17g", delimiter=",", header="x,y,u", comments="")
 
 
 def _build_parser() -> argparse.ArgumentParser:

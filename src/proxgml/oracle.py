@@ -47,7 +47,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .problem import (FieldSolution, LineGrid, ProblemSpec, check_tolerance, integer_count,
-                      source_values, transverse_steps)
+                      source_values)
 
 __all__ = ["NewtonReport", "NewtonDivergenceError", "newton_solve", "compare_fields"]
 
@@ -84,7 +84,7 @@ def _require_uniform_rectangle(grid: LineGrid) -> float:
     if not (np.allclose(widths, widths[0], rtol=0, atol=1e-13 * abs(widths[0]))
             and np.allclose(lows, lows[0], rtol=0, atol=1e-13 * (1 + abs(lows[0])))):
         raise ValueError("full-grid oracle requires a rectangle with constant y-range")
-    return transverse_steps(grid)[0]
+    return grid.h[0]
 
 
 def _laplacian(N: int, M: int, d: float, h: float) -> sp.csc_matrix:

@@ -1,17 +1,19 @@
 """Problem definition: PDE coefficients, domain geometry and line grids.
 
 The solver works on a family of vertical lines x = x_n.  On curved strips
-each line carries its own physical y-range [y1(x_n), y2(x_n)]; all lines
-share M+1 reference nodes s_j = j/M in [0, 1], mapped affinely onto the
-physical range.  Line-to-line arithmetic always pairs values at matching
-reference nodes, so no interpolation is ever needed.  On the rectangle
-this is the plain finite-difference scheme.  On a curved strip it is not
-yet consistent with the PDE: pairing lines at matching s makes the
-x-difference U_xx along curves of constant s, and the scheme drops the
-metric terms 2*s_x*U_xs + s_x^2*U_ss + s_xx*U_s of the Laplacian in (x, s),
-so a manufactured solution on y2 = 1 + 0.5x keeps a sup error near
-4.6e-2 from N = M = 10 to 80.  A ``LineGrid`` is derived from its domain
-and two counts, and the solvers read the geometry only from the grid.
+each line carries its own physical y-range [y1(x_n), y2(x_n)]; every line
+has M+1 nodes at the fractions s_j = j/M of that range, with step h_n.
+Line-to-line arithmetic always pairs values at matching j, so no
+interpolation is ever needed.  On the rectangle this is the plain
+finite-difference scheme.  On a curved strip it is not yet consistent
+with the PDE: pairing lines at matching s makes the x-difference U_xx
+along curves of constant s, and the scheme drops the metric terms
+2*s_x*U_xs + s_x^2*U_ss + s_xx*U_s of the Laplacian in (x, s), so a
+manufactured solution on y2 = 1 + 0.5x keeps a sup error near 4.6e-2
+from N = M = 10 to 80.  A ``LineGrid`` is derived from its domain and
+two counts and holds the steps and node ordinates, and the solvers read
+the geometry only from the grid.  The FD system reads the source only at
+interior nodes, so ``source_values`` samples it only there.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ __all__ = [
     "build_cartesian_grid",
     "check_coefficients", "check_tolerance",
     "integer_count",
-    "transverse_steps",
-    "line_ordinates",
     "source_values",
 ]
 
@@ -58,6 +58,9 @@ class CartesianDomain:
 class ProblemSpec:
     """Semilinear problem -eps*Lap(u) + alpha*u^3 - beta*u = f with weight K.
 
+    ``source`` is called as source(x_n, y) with one line's abscissa x_n
+    and the array y of that line's interior ordinates; it returns an
+    array of y's shape or a scalar (``source_values``).
     ``prox_weight`` is the proximal constant K, by default the paper's
     rectangle setting 50; K = 0 degrades to the unregularized sweep.
     Coefficients: finite, eps > 0, K >= 0 (``check_coefficients``).
@@ -67,7 +70,7 @@ class ProblemSpec:
     epsilon: float
     alpha: float
     beta: float
-    source: Callable[[float, float], float]
+    source: Callable[[float, np.ndarray], np.ndarray | float]
     domain: CartesianDomain
     prox_weight: float = 50.0
 
@@ -79,10 +82,11 @@ class ProblemSpec:
 class LineGrid:
     """N+1 lines of ``domain`` with M+1 nodes each, derived from (domain, N, M).
 
-    d = (b - a)/N, ``abscissae[n]`` = a + n*d, ``reference_nodes[j]`` = j/M
-    and ``per_line_range[n]`` = (y1(x_n), y2(x_n)), all read-only.  N and M
-    are counts of at least 2 (``integer_count``); d must be positive and
-    every line must have finite y1 < y2 and a step h_n = (y2 - y1)/M whose
+    d = (b - a)/N, ``abscissae[n]`` = a + n*d, ``per_line_range[n]`` =
+    (y1(x_n), y2(x_n)), the step ``h[n]`` = (y2 - y1)/M and the node
+    ordinates ``ordinates[n, j]`` = y1 + (j/M)*(y2 - y1), all read-only.
+    N and M are counts of at least 2 (``integer_count``); d must be
+    positive and every line must have finite y1 < y2 and a step h_n whose
     1/h_n^2, which the line matrices read, is finite.
     """
 
@@ -91,8 +95,9 @@ class LineGrid:
     m_nodes: int
     d: float = field(init=False)
     abscissae: np.ndarray = field(init=False)
-    reference_nodes: np.ndarray = field(init=False)
     per_line_range: np.ndarray = field(init=False)  # shape (N+1, 2)
+    h: np.ndarray = field(init=False)  # shape (N+1,)
+    ordinates: np.ndarray = field(init=False)  # shape (N+1, M+1)
 
     def __post_init__(self):
         domain = self.domain
@@ -117,11 +122,12 @@ class LineGrid:
             n = int(thin[0])
             raise ValueError(f"degenerate strip width at line {n} (x={abscissae[n]}): width "
                              f"{hi[n] - lo[n]} gives h={h[n]}, whose 1/h^2 is not finite")
-        arrays = abscissae, np.arange(M + 1) / M, np.column_stack([lo, hi])
+        ordinates = lo[:, None] + np.arange(M + 1) / M * (hi - lo)[:, None]
+        arrays = abscissae, np.column_stack([lo, hi]), h, ordinates
         for arr in arrays:
             arr.setflags(write=False)
-        for name, value in zip(("n_lines", "m_nodes", "d", "abscissae", "reference_nodes",
-                                "per_line_range"), (N, M, d, *arrays)):
+        for name, value in zip(("n_lines", "m_nodes", "d", "abscissae", "per_line_range", "h",
+                                "ordinates"), (N, M, d, *arrays)):
             object.__setattr__(self, name, value)
 
 
@@ -157,30 +163,19 @@ def build_cartesian_grid(domain: CartesianDomain, N: int, M: int) -> LineGrid:
     return LineGrid(domain, N, M)
 
 
-def transverse_steps(grid: LineGrid) -> np.ndarray:
-    """Physical transverse step h_n = (y2(x_n) - y1(x_n)) / M of every line n = 0..N."""
-    lo, hi = grid.per_line_range.T
-    return (hi - lo) / grid.m_nodes
-
-
-def line_ordinates(grid: LineGrid, n: int) -> np.ndarray:
-    """Physical y-coordinates of the M+1 nodes of line n."""
-    lo, hi = grid.per_line_range[n]
-    return lo + grid.reference_nodes * (hi - lo)
-
-
 def source_values(spec: ProblemSpec, grid: LineGrid) -> np.ndarray:
-    """Sample f pointwise at every grid node; shape (N+1, M+1).
+    """f at the interior nodes, the only ones the FD system reads; shape (N+1, M+1).
 
-    Raises ValueError if any sampled value is NaN or infinite.
+    The source is called once per interior line n = 1..N-1 on that line's
+    interior ordinates, so it may be singular on the boundary; the
+    boundary rows and columns are 0.  Raises ValueError if any sampled
+    value is NaN or infinite.
     """
     N, M = grid.n_lines, grid.m_nodes
-    out = np.empty((N + 1, M + 1))
-    for n in range(N + 1):
-        x = grid.abscissae[n]
-        y = line_ordinates(grid, n)
-        vals = spec.source(x, y)
-        out[n] = np.broadcast_to(np.asarray(vals, dtype=float), (M + 1,))
+    out = np.zeros((N + 1, M + 1))
+    for n in range(1, N):
+        vals = spec.source(grid.abscissae[n], grid.ordinates[n, 1:-1])
+        out[n, 1:-1] = np.broadcast_to(np.asarray(vals, dtype=float), (M - 1,))
     bad = np.argwhere(~np.isfinite(out))
     if bad.size:
         n, j = bad[0]
@@ -190,7 +185,7 @@ def source_values(spec: ProblemSpec, grid: LineGrid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FieldSolution:
-    """Per-line solution values; values[n][j] = u_n at reference node s_j."""
+    """Per-line solution values; values[n][j] = u_n at ``grid.ordinates[n, j]``."""
 
     values: np.ndarray  # shape (N+1, M+1)
 

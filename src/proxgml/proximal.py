@@ -2,8 +2,9 @@
 
 The FD system is -eps*D_xx u - (R(u) + E(u) + f) = 0 on interior nodes,
 with R(u) = -alpha*u^3 + beta*u and E(u) = eps*D_yy u (3-point stencil on
-each line's step h_n).  ``_scheme_terms`` is the one definition of R and
-E, which the outer cycle and the FD residual share.
+each line's step h_n, ``grid.h``); f is read only at interior nodes, and
+``source_values`` gives 0 elsewhere.  ``_scheme_terms`` is the one
+definition of R and E, which the outer cycle and the FD residual share.
 
 Exact elimination carries w_n = a_n*(w_{n-1} + T(u_n)), T = kap*(R + E),
 kap = d^2/eps.  ``BackwardPass`` lags it: line n solves (I - b_n*d^2*D_yy)
@@ -41,7 +42,7 @@ from scipy.linalg.blas import daxpy
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .problem import (FieldSolution, LineGrid, ProblemSpec, check_tolerance, integer_count,
-                      source_values, transverse_steps)
+                      source_values)
 from .sweep import ab_recursion, c_operator, outer_loop
 
 __all__ = [
@@ -83,7 +84,7 @@ class BackwardPass:
         a, b = ab_recursion(spec.prox_weight, d, spec.epsilon, grid.n_lines - 1)
         self.C = c_operator(a, kap)
         self.b_kap = (b * kap)[:, None]
-        h = transverse_steps(grid)[1:-1]
+        h = grid.h[1:-1]
         g = b * d * d
         off = -g / (h * h)
         diag = 1.0 + 2.0 * g / (h * h)
@@ -152,10 +153,10 @@ def proximal_iterate(
 ) -> SolveReport:
     """Run the outer proximal loop from a zero anchor, at most ``max_iter`` cycles.
 
-    f, the transverse steps and the backward pass (a, b, the c operator,
-    line factors and field) are built once per solve; a cycle writes the
-    corrected c into the field and runs the pass, and ``sweep.outer_loop``
-    may over-relax its output before the next one.  ``update_history``
+    f and the backward pass (a, b, the c operator, line factors and
+    field) are built once per solve; a cycle writes the corrected c into
+    the field and runs the pass, and ``sweep.outer_loop`` may over-relax
+    its output before the next one.  ``update_history``
     holds each cycle's own sup change, and the returned field is the last
     cycle's output, never a relaxed one.  The FD residual
     is evaluated only once the update test holds, and the report reuses the
@@ -166,22 +167,20 @@ def proximal_iterate(
     check_tolerance(tol)
     integer_count("max_iter", max_iter, 1)
     K = spec.prox_weight
-    h = transverse_steps(grid)
-    f = source_values(spec, grid)
-    f[:, [0, -1]] = 0.0  # read only inside; zero, so c keeps the field's Dirichlet columns 0
+    f = source_values(spec, grid)  # 0 on the end columns, so c keeps the Dirichlet zeros
     backward = BackwardPass(spec, grid)
     v = backward.u  # the anchor, which each cycle overwrites with the new field
     C, b_kap = backward.C, backward.b_kap
     residual = None
 
     def cycle() -> None:
-        R, E = _scheme_terms(spec, v, h)
+        R, E = _scheme_terms(spec, v, grid.h)
         c = np.matmul(C, (K * v + f + R + E)[1:-1], out=backward.c)
         c -= b_kap * (R[2:] + E[1:-1])
         backward()
 
     def residual_sup() -> float:
-        return float(np.max(np.abs(_fd_residual(spec, grid, v, f, h))))
+        return float(np.max(np.abs(_fd_residual(spec, grid, v, f))))
 
     def converged(update: float) -> bool:
         nonlocal residual
@@ -217,10 +216,8 @@ def _scheme_terms(
     return R, E
 
 
-def _fd_residual(
-    spec: ProblemSpec, grid: LineGrid, v: np.ndarray, f: np.ndarray, h: np.ndarray
-) -> np.ndarray:
-    R, E = _scheme_terms(spec, v, h)
+def _fd_residual(spec: ProblemSpec, grid: LineGrid, v: np.ndarray, f: np.ndarray) -> np.ndarray:
+    R, E = _scheme_terms(spec, v, grid.h)
     d_xx = (v[2:, 1:-1] - 2.0 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / grid.d**2
     return -spec.epsilon * d_xx - (R + E + f)[1:-1, 1:-1]
 
@@ -231,7 +228,7 @@ def residual_field(spec: ProblemSpec, grid: LineGrid, u: FieldSolution) -> np.nd
     This is the defect of the original finite-difference system (no
     proximal terms): -eps*(D_xx + D_yy)u + alpha*u^3 - beta*u - f.
     """
-    return _fd_residual(spec, grid, u.values, source_values(spec, grid), transverse_steps(grid))
+    return _fd_residual(spec, grid, u.values, source_values(spec, grid))
 
 
 def residual_norm(spec: ProblemSpec, grid: LineGrid, u: FieldSolution) -> float:

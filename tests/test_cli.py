@@ -226,6 +226,25 @@ def test_compare_report_counts_coarse_newton_steps(tmp_path):
     assert report["sup_diff"] <= 1e-5
 
 
+def test_source_singular_on_the_boundary_is_a_valid_flag(tmp_path):
+    # 1/y is infinite on y = 0, where the FD system never reads f
+    out = tmp_path / "report.json"
+    rc = main(["--mode", "compare", "--N", "16", "--f", "1/y", "--out-report", str(out)])
+    assert rc == EXIT_OK
+    report = _strict_json(out.read_text())
+    assert report["gml_stop_reason"] == "converged"
+    assert report["sup_diff"] <= 1e-6
+
+
+@pytest.mark.parametrize("mode", ["cartesian", "oracle", "compare"])
+@pytest.mark.parametrize("source, grid", [("1/(x-0.5)", ["--N", "8"]),
+                                          ("1/(y-0.5)", ["--N", "6", "--M", "8"])])
+def test_source_singular_at_an_interior_node_exits_2(capsys, mode, source, grid):
+    # line 4 of N = 8 lies on x = 0.5, node 4 of M = 8 on y = 0.5
+    assert main(["--mode", mode, *grid, "--f", source]) == EXIT_USAGE
+    assert "not real and finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("mode", ["cartesian", "compare", "oracle"])
 def test_rectangle_modes_take_their_defaults_from_the_library(mode, capsys):
     # without --K, --tol and --max-iter a run is the run with the values

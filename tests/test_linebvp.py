@@ -8,7 +8,6 @@ from proxgml.problem import (
     ProblemSpec,
     build_cartesian_grid,
     source_values,
-    transverse_steps,
 )
 import proxgml.proximal as proximal
 from proxgml.proximal import _scheme_terms, backward_pass, proximal_iterate
@@ -140,7 +139,7 @@ def solve_line(n, coeffs, u_next, spec, grid):
         + b_n * (-spec.alpha * u_next**3 + spec.beta * u_next) * kap
         + c[n - 1]
     )
-    sys = assemble_line_system(b_n, grid.d, transverse_steps(grid)[n], rhs_full[1:-1])
+    sys = assemble_line_system(b_n, grid.d, grid.h[n], rhs_full[1:-1])
     out = np.zeros(grid.m_nodes + 1)
     out[1:-1] = thomas_solve(sys)
     return out
@@ -342,7 +341,7 @@ def test_solve_cycles_match_fresh_backward_passes(N, M, domain):
     spec, grid, _ = _random_problem(N, M, domain)
     report = proximal_iterate(spec, grid, max_iter=5)
     K, kap = spec.prox_weight, grid.d**2 / spec.epsilon
-    h = transverse_steps(grid)
+    h = grid.h
     f = source_values(spec, grid)
     v = np.zeros((N + 1, M + 1))
 

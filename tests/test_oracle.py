@@ -4,12 +4,27 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from proxgml import oracle
+from proxgml.cli import parse_source
 from proxgml.oracle import NewtonDivergenceError, _reduced_root, compare_fields, newton_solve
 from proxgml.problem import (CartesianDomain, FieldSolution, LineGrid, ProblemSpec,
-                             build_cartesian_grid, transverse_steps)
-from proxgml.proximal import proximal_iterate, residual_norm
+                             build_cartesian_grid)
+from proxgml.proximal import proximal_iterate, residual_field, residual_norm
 
 from conftest import UNIT_SQUARE, ones_source, square_problem, zero_source
+
+
+@pytest.mark.parametrize("text, N", [("1/y", 16), ("1/(x*(1-x)*y*(1-y))", 8)])
+def test_source_singular_on_the_boundary_solves(text, N):
+    # the FD system reads f only at interior nodes, so a source that is
+    # infinite on the boundary poses a valid problem to both solvers
+    spec = square_problem(0.1, source=parse_source(text))
+    grid = build_cartesian_grid(UNIT_SQUARE, N, N)
+    lines = proximal_iterate(spec, grid)
+    newton = newton_solve(spec, grid)
+    assert lines.stop_reason == "converged"
+    assert np.max(np.abs(residual_field(spec, grid, lines.solution))) <= spec.prox_weight * 1e-8
+    assert residual_norm(spec, grid, newton.solution) <= newton.residual_sup + 1e-12
+    assert compare_fields(lines.solution, newton.solution)[0] <= 1e-6
 
 
 def test_zero_source_returns_zero_immediately():
@@ -137,7 +152,7 @@ def test_indefinite_jacobian_matches_dense_solve(monkeypatch, eps, beta, negativ
     spec = square_problem(eps, beta=beta, source=_x_minus_half)
     sparse = newton_solve(spec, grid)
     u = sparse.solution.values[1:-1, 1:-1].ravel()
-    lap = oracle._laplacian(20, 20, grid.d, transverse_steps(grid)[0])
+    lap = oracle._laplacian(20, 20, grid.d, grid.h[0])
     J = -eps * lap + sp.diags(3.0 * u**2 - beta)
     assert np.count_nonzero(np.linalg.eigvalsh(J.toarray()) < 0.0) == negative
 

@@ -11,10 +11,9 @@ from proxgml.problem import (
     LineGrid,
     ProblemSpec,
     build_cartesian_grid,
-    line_ordinates,
-    transverse_steps,
+    source_values,
 )
-from proxgml.proximal import proximal_iterate
+from proxgml.proximal import proximal_iterate, residual_field
 
 from conftest import UNIT_SQUARE, ones_source, square_problem
 
@@ -28,7 +27,7 @@ def test_grid_spacing_unit_interval():
 def test_smallest_legal_grid():
     grid = build_cartesian_grid(UNIT_SQUARE, 2, 2)
     np.testing.assert_allclose(grid.abscissae, [0.0, 0.5, 1.0])
-    np.testing.assert_allclose(grid.reference_nodes, [0.0, 0.5, 1.0])
+    np.testing.assert_allclose(grid.ordinates, [[0.0, 0.5, 1.0]] * 3)
 
 
 def test_curved_strip_per_line_range():
@@ -127,14 +126,14 @@ def test_domain_invariants():
 
 def test_transverse_step():
     grid = build_cartesian_grid(UNIT_SQUARE, 10, 100)
-    assert transverse_steps(grid).shape == (11,)
-    assert transverse_steps(grid)[3] == pytest.approx(0.01)
+    assert grid.h.shape == (11,)
+    assert grid.h[3] == pytest.approx(0.01)
     dom = CartesianDomain(a=0.0, b=1.0, y1=lambda x: -1.0, y2=lambda x: 1.0)
     g2 = build_cartesian_grid(dom, 4, 4)
-    assert transverse_steps(g2)[0] == pytest.approx(0.5)
+    assert g2.h[0] == pytest.approx(0.5)
     g3 = build_cartesian_grid(
         CartesianDomain(a=0.0, b=1.0, y1=lambda x: 0.0, y2=lambda x: 1.5), 4, 3)
-    assert transverse_steps(g3)[1] == pytest.approx(0.5)
+    assert g3.h[1] == pytest.approx(0.5)
 
 
 def test_grid_determinism_bit_identical():
@@ -148,15 +147,18 @@ def test_grid_determinism_bit_identical():
 
 @pytest.mark.parametrize("y2", [lambda x: 1.0, lambda x: 1.0 + 0.5 * x], ids=["square", "strip"])
 def test_grid_derives_its_fields_from_domain_and_counts(y2):
-    # the rule written out, as the grid builder formed it before the grid
-    # derived itself; every derived array is read-only
+    # the rule written out, as the grid builder and the step and ordinate
+    # functions formed it before the grid derived itself; every derived
+    # array is read-only
     dom = CartesianDomain(a=0.0, b=1.0, y1=lambda x: 0.0, y2=y2)
     N, M = 17, 9
     d = (dom.b - dom.a) / N
     x = dom.a + d * np.arange(N + 1)
-    want = {"abscissae": x, "reference_nodes": np.arange(M + 1) / M,
-            "per_line_range": np.column_stack([[float(dom.y1(v)) for v in x],
-                                               [float(dom.y2(v)) for v in x]])}
+    ranges = np.column_stack([[float(dom.y1(v)) for v in x], [float(dom.y2(v)) for v in x]])
+    s = np.arange(M + 1) / M
+    want = {"abscissae": x, "per_line_range": ranges,
+            "h": (ranges[:, 1] - ranges[:, 0]) / M,
+            "ordinates": np.array([lo + s * (hi - lo) for lo, hi in ranges])}
     for grid in (LineGrid(dom, N, M), build_cartesian_grid(dom, N, M)):
         assert (grid.domain, grid.n_lines, grid.m_nodes, grid.d) == (dom, N, M, d)
         for name, value in want.items():
@@ -193,11 +195,15 @@ def test_grid_rejects_a_strip_whose_inverse_squared_step_is_not_finite():
 def test_grid_takes_no_derived_field():
     # d and the arrays follow from (domain, N, M): none can be passed or set,
     # and a spacing that underflows to 0 is rejected
-    with pytest.raises(TypeError):
-        LineGrid(UNIT_SQUARE, 4, 4, d=0.0)
     grid = LineGrid(UNIT_SQUARE, 4, 4)
-    with pytest.raises(AttributeError):
-        grid.d = -0.25
+    for name, value in (("d", 0.0), ("h", np.full(5, 0.5)), ("ordinates", np.zeros((5, 5)))):
+        with pytest.raises(TypeError):
+            LineGrid(UNIT_SQUARE, 4, 4, **{name: value})
+        with pytest.raises(AttributeError):
+            setattr(grid, name, value)
+    for name in ("h", "ordinates"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(grid, name)[0] = 1.0
     tiny = CartesianDomain(a=0.0, b=1e-323, y1=lambda x: 0.0, y2=lambda x: 1.0)
     with pytest.raises(ValueError, match="degenerate line spacing"):
         LineGrid(tiny, 4, 4)
@@ -207,11 +213,50 @@ def test_reference_mapping_affine_and_onto():
     dom = CartesianDomain(a=0.0, b=2.0, y1=lambda x: x, y2=lambda x: x + 1.0 + x * x)
     grid = build_cartesian_grid(dom, 5, 8)
     for n in range(6):
-        y = line_ordinates(grid, n)
+        y = grid.ordinates[n]
         lo, hi = grid.per_line_range[n]
         assert y[0] == pytest.approx(lo)
         assert y[-1] == pytest.approx(hi)
-        np.testing.assert_allclose(np.diff(y), transverse_steps(grid)[n], rtol=1e-12)
+        np.testing.assert_allclose(np.diff(y), grid.h[n], rtol=1e-12)
+
+
+def _reciprocal(shift):
+    # 1/shift(x, y) without a warning, so the library's own check sees the inf
+    def source(x, y):
+        with np.errstate(divide="ignore"):
+            return np.divide(1.0, shift(x, np.asarray(y)))
+    return source
+
+
+@pytest.mark.parametrize("shift, node", [
+    (lambda x, y: x - 0.5, "line 4, node 1"),
+    (lambda x, y: y - 0.5, "line 1, node 4"),
+], ids=["x", "y"])
+@pytest.mark.parametrize("solve", [
+    proximal_iterate, newton_solve,
+    lambda spec, grid: residual_field(spec, grid, FieldSolution(np.zeros((9, 9)))),
+], ids=["proximal_iterate", "newton_solve", "residual_field"])
+def test_source_singular_at_an_interior_node_is_rejected(solve, shift, node):
+    # at N = M = 8, line 4 lies on x = 0.5 and node 4 of each line on y = 0.5
+    spec = square_problem(0.1, source=_reciprocal(shift))
+    grid = build_cartesian_grid(UNIT_SQUARE, 8, 8)
+    with pytest.raises(ValueError, match=f"source is not finite at {node}:"):
+        solve(spec, grid)
+
+
+def test_source_values_are_the_interior_samples_and_zero_on_the_boundary():
+    # f(x, y) = 1/y + x is infinite on y = 0, a boundary node that the FD
+    # system does not read, so it is never sampled
+    dom = CartesianDomain(a=0.0, b=2.0, y1=lambda x: 0.0, y2=lambda x: 1.0 + x * x)
+    spec = ProblemSpec(epsilon=0.1, alpha=1.0, beta=1.0, domain=dom,
+                       source=lambda x, y: 1.0 / y + x)
+    grid = build_cartesian_grid(dom, 5, 8)
+    f = source_values(spec, grid)
+    assert f.shape == (6, 9)
+    for edge in (f[0], f[-1], f[:, 0], f[:, -1]):
+        assert np.array_equal(edge, np.zeros_like(edge))
+    x, y = grid.abscissae[1:-1, None], grid.ordinates[1:-1, 1:-1]
+    assert np.array_equal(f[1:-1, 1:-1], 1.0 / y + x)
 
 
 def test_field_zeros_shape():
