@@ -61,7 +61,8 @@ def parse_source(text: str):
     called on exactly one argument.  Numbers are floats, so no expression
     can build a huge integer.  An expression nested too deeply to parse or
     compile, or an evaluation that overflows or gives a complex or
-    non-finite value, raises ValueError.
+    non-finite value, raises ValueError; the last names x and the first
+    bad ordinate y.
     """
     if text.startswith("const:"):
         v = float(text[len("const:"):])
@@ -97,7 +98,9 @@ def parse_source(text: str):
         except ArithmeticError as exc:
             raise ValueError(f"source expression {text!r} fails to evaluate: {exc}") from None
         if np.iscomplexobj(v) or not np.all(np.isfinite(v)):
-            raise ValueError(f"source expression {text!r} is not real and finite at x={x}")
+            bad, ys = np.broadcast_arrays(np.iscomplex(v) | ~np.isfinite(v), y)
+            raise ValueError(f"source expression {text!r} is not real and finite "
+                             f"at x={x}, y={ys.flat[np.argmax(bad)]}")
         return v
 
     return f

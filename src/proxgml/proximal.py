@@ -29,8 +29,13 @@ Thomas reference.  A cycle is converged when the update is at most ``tol``
 and, for K > 0, the FD residual is at most K*tol; ``sweep.outer_loop``
 runs the cycles, stops them and names the stop (``stop_reason``).  It
 over-relaxes a failed cycle once the run is in its dominant mode (see
-``sweep``), which takes about a third fewer cycles at K = 50 and leaves
-the stop test's meaning as it was for the plain loop.
+``sweep``), which leaves the stop test's meaning as it was for the plain
+loop.  The factor needs a lower bound on the cycle map's spectrum, which
+``_spectral_floor`` takes from the proximal model of a cycle: near the
+root it maps an error e to about K*(K + J)^-1 e, J the FD system's
+Jacobian, whose eigenvalues Gershgorin's theorem puts at most
+lam_hi = max(0, 3*max(alpha, 0)*max|v|^2 - beta) + 4*eps*(1/d^2 + 1/min(h)^2),
+so the spectrum is at least K/(K + lam_hi).
 """
 
 from __future__ import annotations
@@ -187,7 +192,7 @@ def proximal_iterate(
         residual = residual_sup() if update <= tol and K > 0.0 else None
         return update <= tol and (residual is None or residual <= K * tol)
 
-    updates, stop_reason = outer_loop(cycle, v, max_iter, converged)
+    updates, stop_reason = outer_loop(cycle, v, max_iter, converged, _spectral_floor(spec, grid))
     if stop_reason == "non-finite":  # that cycle was never tested
         residual = None
     return SolveReport(
@@ -199,6 +204,23 @@ def proximal_iterate(
         update_history=updates,
         stop_reason=stop_reason,
     )
+
+
+def _spectral_floor(spec: ProblemSpec, grid: LineGrid):
+    """``floor(v)``: K/(K + lam_hi) at field v, a lower bound on the spectrum of
+    K*(K + J(v))^-1 from the Gershgorin bound lam_hi on J(v) (module
+    docstring); 3*max(alpha, 0)*v^2 bounds the reaction's 3*alpha*v^2 for
+    either sign of alpha, and a v^2 or 1/d^2 that overflows gives 0."""
+    K = spec.prox_weight
+    with np.errstate(divide="ignore", over="ignore"):  # d^2 may underflow to 0
+        diffusion = 4.0 * spec.epsilon * np.sum(1.0 / np.square([grid.d, np.min(grid.h[1:-1])]))
+    reaction = 3.0 * max(spec.alpha, 0.0)
+
+    def floor(v: np.ndarray) -> float:
+        vmax = max(v.max(), -v.min())
+        return K / (K + max(0.0, reaction * vmax * vmax - spec.beta) + diffusion)
+
+    return floor
 
 
 def _scheme_terms(

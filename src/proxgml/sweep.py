@@ -29,19 +29,35 @@ stops a run and names why it stopped.
 
 A tested run (the rectangle) is over-relaxed along the cycle's own step
 (extrapolation, Varga 1962, ch. 5): a cycle that fails the test and is not
-the last allowed one moves the state from its output x + D to
-x + RELAXATION*D when the run is in its dominant mode, that is, when the
-updates fall by a ratio r in (2 - 2/RELAXATION, 1) that is within
-RATIO_DRIFT of the previous cycle's ratio, and D keeps the previous
-step's direction.  The relaxed map has eigenvalues 1 - w*(1 - mu), so a
-dominant mode rho stays the slowest while w < 2/(2 - rho); with w = 1.5
-that is rho > 2/3, the lower end of r.  The run therefore ends in the
-plain loop's dominant mode, and the stop test (update <= tol and FD
-residual <= K*tol) certifies what it did for the plain loop.  At the
-paper's K = 50, rho is about 0.93-0.95 and a third of the cycles go.
-Without the steady-ratio test, relaxing the swinging early updates of
-runs near the divergent sources (f = 160 at N = 6) sent them
-non-finite.  The annulus's fixed schedule is never relaxed.
+the last allowed one moves the state from its output x + D to x + w*D when
+the run is in its dominant mode, that is, when the updates fall by a ratio
+r in (RATIO_LOW, 1) = (2/3, 1) that is within RATIO_DRIFT of the previous
+cycle's ratio, and D keeps the previous step's direction.  The relaxed map
+scales a mode that the plain cycle scales by mu by 1 - w*(1 - mu).  For a
+spectrum in [mu_lo, rho] the factor that minimises the largest of these is
+w* = 2/(2 - rho - mu_lo), where the two ends are scaled by equal and
+opposite amounts; below w* the dominant mode rho stays the slowest.  A
+relaxed cycle takes rho from the observed ratio r and goes the share
+RELAXATION_SHARE = 0.9 of the way from 1 to w*:
+
+    w = 1 + RELAXATION_SHARE*(2/(2 - r - mu_lo) - 1),
+
+so the run still ends in the plain loop's dominant mode, and the stop
+test (update <= tol and FD residual <= K*tol) certifies what it did for
+the plain loop.  mu_lo comes from the caller's ``floor(state)``, a lower
+bound on the cycle map's spectrum, and is 0 without one.  The rectangle's
+is a Gershgorin bound on its proximal model (see ``proximal``); the lagged
+cycle's own lowest eigenvalue can sit a little below it (0.782 against
+0.803 at N = M = 10, f = 1, eps 0.01), and the share 0.9 leaves room for
+that.  A fixed w = 1.5 assumed a spectrum reaching down to 0, which it
+does not: a finite-difference Jacobian of the cycle map at the root puts
+it in [0.196, 0.963], [0.560, 0.961] and [0.855, 0.971] for the
+N = M = 20 sin(pi*x)*sin(pi*y) source at K = 50 and eps 0.1/0.01/0.001,
+where w* is 2.4, 4.7 and 11.5.  That source takes 198/140/139 cycles
+(268/299/431 at w = 1.5), and f = 1 at N = M = 100 178/154/119
+(209/183/184).  Without the steady-ratio test, relaxing the swinging
+early updates of runs near the divergent sources (f = 160 at N = 6) sent
+them non-finite.  The annulus's fixed schedule is never relaxed.
 """
 
 from __future__ import annotations
@@ -52,15 +68,18 @@ import numpy as np
 
 __all__ = [
     "RATIO_DRIFT",
-    "RELAXATION",
+    "RATIO_LOW",
+    "RELAXATION_SHARE",
     "ab_recursion",
     "c_operator",
     "outer_loop",
 ]
 
-# extrapolation factor of a relaxed cycle, and how far two successive update
-# ratios may differ for the run to count as in one mode (see the docstring)
-RELAXATION = 1.5
+# share of the way from 1 to the optimal factor that a relaxed cycle goes, and
+# the band of update ratios that counts as one mode: the lower end and how far
+# two successive ratios may differ (see the docstring)
+RELAXATION_SHARE = 0.9
+RATIO_LOW = 2.0 / 3.0
 RATIO_DRIFT = 0.05
 
 
@@ -96,7 +115,8 @@ def c_operator(a: np.ndarray, kap: float) -> np.ndarray:
     return C
 
 
-def outer_loop(cycle, state: np.ndarray, cap: int, converged=None) -> tuple[np.ndarray, str]:
+def outer_loop(cycle, state: np.ndarray, cap: int, converged=None,
+               floor=None) -> tuple[np.ndarray, str]:
     """Run ``cycle()``, which advances ``state`` in place, at most ``cap`` times.
 
     A cycle's update is the sup norm of its own step D = T(x) - x, formed in
@@ -107,10 +127,13 @@ def outer_loop(cycle, state: np.ndarray, cap: int, converged=None) -> tuple[np.n
     consults one.
 
     With a test, a cycle that fails it and is not the last allowed one moves
-    the state on to x + RELAXATION*D when the updates fall by a steady ratio
+    the state on to x + w*D when the updates fall by a steady ratio r
     (``_in_dominant_mode``) and D keeps the previous step's direction
-    (vdot > 0).  A stop always leaves the last cycle's own output in the
-    state, and a fixed schedule is never relaxed.
+    (vdot > 0), with w = 1 + RELAXATION_SHARE*(2/(2 - r - mu_lo) - 1).
+    mu_lo is ``floor(state)``, a lower bound below 1 on the cycle map's
+    spectrum at the cycle's output, called only for a relaxed cycle, or 0
+    without ``floor``.  A stop always leaves the last cycle's own output in
+    the state, and a fixed schedule is never relaxed.
     """
     step, previous = np.empty_like(state), np.empty_like(state)
     updates = []
@@ -126,14 +149,16 @@ def outer_loop(cycle, state: np.ndarray, cap: int, converged=None) -> tuple[np.n
         if converged(updates[-1]):
             return np.array(updates), "converged"
         if 1 < k < cap - 1 and _in_dominant_mode(*updates[-3:]) and np.vdot(step, previous) > 0.0:
-            state += (RELAXATION - 1.0) * step
+            r = updates[-1] / updates[-2]
+            mu_lo = 0.0 if floor is None else floor(state)
+            state += RELAXATION_SHARE * (2.0 / (2.0 - r - mu_lo) - 1.0) * step
         step, previous = previous, step
     return np.array(updates), "fixed_iters" if converged is None else "max_iter"
 
 
 def _in_dominant_mode(u0: float, u1: float, u2: float) -> bool:
     """Whether three successive updates fall by a ratio r = u2/u1 in
-    (2 - 2/RELAXATION, 1) that is within RATIO_DRIFT of u1/u0.  Written
-    without division: u2 < u1 makes u1 positive, and then u0 = 0 fails."""
-    return ((2.0 - 2.0 / RELAXATION) * u1 < u2 < u1
+    (RATIO_LOW, 1) that is within RATIO_DRIFT of u1/u0.  Written without
+    division: u2 < u1 makes u1 positive, and then u0 = 0 fails."""
+    return (RATIO_LOW * u1 < u2 < u1
             and abs(u2 * u0 - u1 * u1) <= RATIO_DRIFT * u0 * u1)

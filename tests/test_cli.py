@@ -240,9 +240,12 @@ def test_source_singular_on_the_boundary_is_a_valid_flag(tmp_path):
 @pytest.mark.parametrize("source, grid", [("1/(x-0.5)", ["--N", "8"]),
                                           ("1/(y-0.5)", ["--N", "6", "--M", "8"])])
 def test_source_singular_at_an_interior_node_exits_2(capsys, mode, source, grid):
-    # line 4 of N = 8 lies on x = 0.5, node 4 of M = 8 on y = 0.5
+    # line 4 of N = 8 lies on x = 0.5, node 4 of M = 8 on y = 0.5; the
+    # message names the line and the first bad node on it
     assert main(["--mode", mode, *grid, "--f", source]) == EXIT_USAGE
-    assert "not real and finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "not real and finite" in err
+    assert ("at x=0.5, y=0.125" if "x" in source else "y=0.5") in err
 
 
 @pytest.mark.parametrize("mode", ["cartesian", "compare", "oracle"])

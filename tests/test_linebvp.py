@@ -10,7 +10,7 @@ from proxgml.problem import (
     source_values,
 )
 import proxgml.proximal as proximal
-from proxgml.proximal import _scheme_terms, backward_pass, proximal_iterate
+from proxgml.proximal import _scheme_terms, _spectral_floor, backward_pass, proximal_iterate
 from proxgml.sweep import ab_recursion, c_operator, outer_loop
 
 from conftest import UNIT_SQUARE, square_problem
@@ -353,7 +353,7 @@ def test_solve_cycles_match_fresh_backward_passes(N, M, domain):
         v[...] = backward_pass(spec, grid, c, np.zeros(M + 1)).values
 
     # no update of these 5 cycles is near tol, so the solve's test fails on each
-    updates, stop = outer_loop(cycle, v, 5, lambda update: False)
+    updates, stop = outer_loop(cycle, v, 5, lambda update: False, _spectral_floor(spec, grid))
     assert stop == report.stop_reason == "max_iter"
     assert np.max(np.abs(v)) > 0.01
     np.testing.assert_array_equal(report.solution.values, v)

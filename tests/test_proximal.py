@@ -18,7 +18,7 @@ from proxgml.proximal import (
     residual_field,
     residual_norm,
 )
-from proxgml.sweep import ab_recursion, c_operator
+from proxgml.sweep import RELAXATION_SHARE, ab_recursion, c_operator
 
 from conftest import UNIT_SQUARE, ones_source, square_problem, zero_source
 
@@ -155,7 +155,7 @@ def test_capped_run_sets_converged_by_the_same_test():
     grid = build_cartesian_grid(UNIT_SQUARE, 10, 10)
     reference = proximal_iterate(spec, grid, tol=1e-8)
     k = reference.outer_iterations
-    assert k == 211
+    assert k == 126
     at_k = proximal_iterate(spec, grid, tol=1e-8, max_iter=k)
     assert at_k.converged and at_k.stop_reason == "converged"
     assert np.array_equal(at_k.solution.values, reference.solution.values)
@@ -164,9 +164,9 @@ def test_capped_run_sets_converged_by_the_same_test():
 
 
 def test_capped_run_checks_the_residual(square_grid_20):
-    # capped at the first cycle whose update is below tol (430 of 431), the
+    # capped at the first cycle whose update is below tol (139 of 140), the
     # FD residual is still above K*tol, so that cycle is not converged
-    spec = square_problem(0.001, source=parse_source("sin(pi*x)*sin(pi*y)"))
+    spec = square_problem(0.01, source=parse_source("sin(pi*x)*sin(pi*y)"))
     report = proximal_iterate(spec, square_grid_20, tol=1e-8)
     first_small = int(np.argmax(report.update_history <= 1e-8)) + 1
     assert first_small < report.outer_iterations
@@ -177,15 +177,15 @@ def test_capped_run_checks_the_residual(square_grid_20):
 
 @pytest.mark.parametrize("source, max_iter, stop", [
     ("sin(pi*x)*sin(pi*y)", 5000, "converged"),
-    ("sin(pi*x)*sin(pi*y)", 430, "max_iter"),
+    ("sin(pi*x)*sin(pi*y)", 139, "max_iter"),
     ("sin(pi*x)*sin(pi*y)", 20, "max_iter"),
     ("3**50", 5000, "non-finite"),
 ], ids=["converged", "max_iter-first-small-update", "max_iter-untested", "non-finite"])
 def test_fd_residual_formed_once_per_field(monkeypatch, square_grid_20, source, max_iter, stop):
     # the stop test forms the residual of each cycle whose update is at most
-    # tol, and the report reuses the last cycle's; max_iter = 430 stops at the
+    # tol, and the report reuses the last cycle's; max_iter = 139 stops at the
     # first such cycle, whose residual was once formed twice
-    spec = square_problem(0.001, source=parse_source(source))
+    spec = square_problem(0.01, source=parse_source(source))
     calls = []
     residual = proximal._fd_residual
 
@@ -294,7 +294,7 @@ def test_first_cycle_is_plain_sweep():
 
 def test_slow_contraction_converges_under_the_default_cap():
     # f = x - 0.5 at eps 0.001, N = M = 50: the plain loop needs 6,281 cycles,
-    # more than the default max_iter of 5,000; the relaxed loop takes 4,203
+    # more than the default max_iter of 5,000; the relaxed loop takes 1,157
     spec = square_problem(0.001, source=lambda x, y: np.full_like(np.asarray(y, dtype=float), x - 0.5))
     grid = build_cartesian_grid(UNIT_SQUARE, 50, 50)
     report = proximal_iterate(spec, grid)
@@ -313,3 +313,33 @@ def test_relaxation_keeps_moderate_sources_converging(N, f, cycles):
     report = proximal_iterate(spec, build_cartesian_grid(UNIT_SQUARE, N, N))
     assert report.stop_reason == "converged"
     assert report.outer_iterations == cycles
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.01, 0.001])
+def test_relaxed_linearised_map_is_a_contraction(eps):
+    # the cycle map T at the FD root, linearised by central differences over
+    # the 81 unknowns of N = M = 10, f = 1; its spectral radius rho is what the
+    # observed update ratio estimates, and the relaxation rule's factor at
+    # r = rho must leave I + w*(J - I) a faster contraction than J itself
+    spec = square_problem(eps)
+    grid = build_cartesian_grid(UNIT_SQUARE, 10, 10)
+    run, f, K = proximal.BackwardPass(spec, grid), source_values(spec, grid), spec.prox_weight
+
+    def T(x):
+        v = np.zeros((11, 11))
+        v[1:-1, 1:-1] = x.reshape(9, 9)
+        R, E = proximal._scheme_terms(spec, v, grid.h)
+        run.c[...] = run.C @ (K * v + f + R + E)[1:-1] - run.b_kap * (R[2:] + E[1:-1])
+        run()
+        return run.u[1:-1, 1:-1].ravel()
+
+    root = newton_solve(spec, grid, tol=1e-12).solution.values
+    x, step, eye = root[1:-1, 1:-1].ravel(), 1e-6, np.eye(81)
+    assert np.max(np.abs(T(x) - x)) <= 1e-14
+    J = np.column_stack([(T(x + step * e) - T(x - step * e)) / (2.0 * step) for e in eye])
+    rho = np.max(np.abs(np.linalg.eigvals(J)))
+    mu_lo = proximal._spectral_floor(spec, grid)(root)
+    w = 1.0 + RELAXATION_SHARE * (2.0 / (2.0 - rho - mu_lo) - 1.0)
+    relaxed = np.max(np.abs(np.linalg.eigvals(eye + w * (J - eye))))
+    assert 0.9 < rho < 1.0 and w > 2.0
+    assert relaxed < rho < 1.0

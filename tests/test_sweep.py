@@ -4,7 +4,8 @@ import pytest
 from proxgml.polarsym import PolarSymbolicConfig, polar_iterate
 from proxgml.problem import build_cartesian_grid
 from proxgml.proximal import proximal_iterate
-from proxgml.sweep import RATIO_DRIFT, RELAXATION, ab_recursion, c_operator, outer_loop
+from proxgml.sweep import (RATIO_DRIFT, RATIO_LOW, RELAXATION_SHARE, ab_recursion, c_operator,
+                           outer_loop)
 
 from conftest import UNIT_SQUARE, square_problem, ones_source
 
@@ -220,6 +221,11 @@ def test_fixed_schedule_is_never_relaxed():
     np.testing.assert_array_equal(state, x)
 
 
+def _factor(r, mu_lo=0.0):
+    """The relaxation rule: a share of the way from 1 to 2/(2 - r - mu_lo)."""
+    return 1.0 + RELAXATION_SHARE * (2.0 / (2.0 - r - mu_lo) - 1.0)
+
+
 def test_falling_aligned_steps_are_moved_by_the_relaxation_factor():
     cycle, state, seen, T = _linear(0.95)
     history, stop = outer_loop(cycle, state, 6, lambda update: False)
@@ -230,14 +236,14 @@ def test_falling_aligned_steps_are_moved_by_the_relaxation_factor():
     for k in (2, 3, 4):
         step = T(seen[k]) - seen[k]
         assert history[k] == np.max(np.abs(step))
-        np.testing.assert_allclose(seen[k + 1] - seen[k], RELAXATION * step, rtol=1e-14)
+        w = _factor(history[k] / history[k - 1])
+        np.testing.assert_allclose(seen[k + 1] - seen[k], w * step, rtol=1e-14)
     assert np.all(np.diff(history) < 0.0)
 
 
 @pytest.mark.parametrize("rate", [-0.9, 1.05, 0.5], ids=["alternating", "growing", "fast"])
 def test_alternating_growing_or_fast_steps_run_the_plain_loop(rate):
-    # a fast contraction (ratio below 2 - 2/RELAXATION) would lose its
-    # dominant mode to relaxation, so it is left plain too
+    # a fast contraction (ratio below RATIO_LOW) is left plain too
     cycle, state, _, T = _linear(rate)
     history, stop = outer_loop(cycle, state, 8, lambda update: False)
     x, updates = _plain(T, 8)
@@ -249,19 +255,31 @@ def test_only_steps_that_fall_by_a_steady_ratio_are_relaxed():
     # cycle k adds its own aligned step, whatever the state, so its update is
     # sizes[k]; ratios 0.9, 0.9, 0.6, 0.9, 0.9, 0.9: the second is steady,
     # the third is below 2/3, the fourth drifts from the third, and the last
-    # cycle is never relaxed
-    assert RATIO_DRIFT < 0.3 and 2.0 - 2.0 / RELAXATION > 0.6
+    # cycle is never relaxed; mu_lo is 0 without a floor, and a floor is read
+    # only for the relaxed cycles, at the cycle's output
+    assert RATIO_DRIFT < 0.3 and 0.6 < RATIO_LOW < 0.9
     sizes = [1.0, 0.9, 0.81, 0.486, 0.4374, 0.39366, 0.354294]
-    state = np.zeros(3)
-    steps = iter(sizes)
+    for mu_lo in (None, 0.25):
+        state = np.zeros(3)
+        steps = iter(sizes)
+        floored = []
 
-    def cycle():
-        state[...] += next(steps) * np.array([1.0, 0.5, -0.25])
+        def cycle():
+            state[...] += next(steps) * np.array([1.0, 0.5, -0.25])
 
-    history, stop = outer_loop(cycle, state, len(sizes), lambda update: False)
-    np.testing.assert_allclose(history, sizes, rtol=1e-14)
-    relaxed = sizes[2] + sizes[5]
-    np.testing.assert_allclose(state[0], sum(sizes) + (RELAXATION - 1.0) * relaxed, rtol=1e-15)
+        def floor(x):
+            floored.append(x[0])
+            return mu_lo
+
+        history, stop = outer_loop(cycle, state, len(sizes), lambda update: False,
+                                   None if mu_lo is None else floor)
+        np.testing.assert_allclose(history, sizes, rtol=1e-14)
+        w = _factor(0.9, mu_lo or 0.0)
+        np.testing.assert_allclose(state[0], sum(sizes) + (w - 1.0) * (sizes[2] + sizes[5]),
+                                   rtol=1e-15)
+        if mu_lo is not None:
+            np.testing.assert_allclose(
+                floored, [sum(sizes[:3]), sum(sizes[:6]) + (w - 1.0) * sizes[2]], rtol=1e-15)
 
 
 @pytest.mark.parametrize("cap, converged, stop", [
