@@ -59,8 +59,8 @@ class ProblemSpec:
     """Semilinear problem -eps*Lap(u) + alpha*u^3 - beta*u = f with weight K.
 
     ``source`` is called as source(x_n, y) with one line's abscissa x_n
-    and the array y of that line's interior ordinates; it returns an
-    array of y's shape or a scalar (``source_values``).
+    and the array y of that line's interior ordinates; it returns a real,
+    finite array of y's shape or scalar (``source_values`` checks both).
     ``prox_weight`` is the proximal constant K, by default the paper's
     rectangle setting 50; K = 0 degrades to the unregularized sweep.
     Coefficients: finite, eps > 0, K >= 0 (``check_coefficients``).
@@ -86,8 +86,8 @@ class LineGrid:
     (y1(x_n), y2(x_n)), the step ``h[n]`` = (y2 - y1)/M and the node
     ordinates ``ordinates[n, j]`` = y1 + (j/M)*(y2 - y1), all read-only.
     N and M are counts of at least 2 (``integer_count``); d must be
-    positive and every line must have finite y1 < y2 and a step h_n whose
-    1/h_n^2, which the line matrices read, is finite.
+    positive and every line must have real, finite y1 < y2 and a step h_n
+    whose 1/h_n^2, which the line matrices read, is finite.
     """
 
     domain: CartesianDomain
@@ -106,8 +106,12 @@ class LineGrid:
         if not d > 0.0:  # b - a underflows when divided by N
             raise ValueError(f"degenerate line spacing d={d} for a={domain.a}, b={domain.b}, N={N}")
         abscissae = domain.a + d * np.arange(N + 1)
-        lo = np.array([float(domain.y1(x)) for x in abscissae])
-        hi = np.array([float(domain.y2(x)) for x in abscissae])
+        lo, hi = np.empty(N + 1), np.empty(N + 1)
+        for n, x in enumerate(abscissae):
+            y1, y2 = domain.y1(x), domain.y2(x)
+            if np.iscomplexobj(y1) or np.iscomplexobj(y2):
+                raise ValueError(f"complex strip bound at line {n} (x={x}): y1={y1}, y2={y2}")
+            lo[n], hi[n] = y1, y2
         bad = np.nonzero(~(np.isfinite(lo) & np.isfinite(hi) & (hi > lo)))[0]
         if bad.size:
             n = int(bad[0])
@@ -168,18 +172,27 @@ def source_values(spec: ProblemSpec, grid: LineGrid) -> np.ndarray:
 
     The source is called once per interior line n = 1..N-1 on that line's
     interior ordinates, so it may be singular on the boundary; the
-    boundary rows and columns are 0.  Raises ValueError if any sampled
-    value is NaN or infinite.
+    boundary rows and columns are 0.  Numpy's warnings are silenced while
+    sampling; a ValueError names the line and x of a source that raises an
+    ArithmeticError or returns a complex value, and the line, node, x and
+    y of the first value that is NaN or infinite.
     """
-    N, M = grid.n_lines, grid.m_nodes
-    out = np.zeros((N + 1, M + 1))
-    for n in range(1, N):
-        vals = spec.source(grid.abscissae[n], grid.ordinates[n, 1:-1])
-        out[n, 1:-1] = np.broadcast_to(np.asarray(vals, dtype=float), (M - 1,))
+    out = np.zeros_like(grid.ordinates)
+    with np.errstate(all="ignore"):
+        for n in range(1, grid.n_lines):
+            x = grid.abscissae[n]
+            try:
+                vals = spec.source(x, grid.ordinates[n, 1:-1])
+            except ArithmeticError as exc:
+                raise ValueError(f"source fails to evaluate at line {n} (x={x}): {exc}") from None
+            if np.iscomplexobj(vals):
+                raise ValueError(f"source is complex at line {n} (x={x})")
+            out[n, 1:-1] = vals
     bad = np.argwhere(~np.isfinite(out))
     if bad.size:
         n, j = bad[0]
-        raise ValueError(f"source is not finite at line {n}, node {j}: {out[n, j]}")
+        raise ValueError(f"source is not finite at line {n}, node {j}: {out[n, j]} "
+                         f"(x={grid.abscissae[n]}, y={grid.ordinates[n, j]})")
     return out
 
 

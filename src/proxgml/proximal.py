@@ -30,12 +30,12 @@ and, for K > 0, the FD residual is at most K*tol; ``sweep.outer_loop``
 runs the cycles, stops them and names the stop (``stop_reason``).  It
 over-relaxes a failed cycle once the run is in its dominant mode (see
 ``sweep``), which leaves the stop test's meaning as it was for the plain
-loop.  The factor needs a lower bound on the cycle map's spectrum, which
-``_spectral_floor`` takes from the proximal model of a cycle: near the
-root it maps an error e to about K*(K + J)^-1 e, J the FD system's
-Jacobian, whose eigenvalues Gershgorin's theorem puts at most
-lam_hi = max(0, 3*max(alpha, 0)*max|v|^2 - beta) + 4*eps*(1/d^2 + 1/min(h)^2),
-so the spectrum is at least K/(K + lam_hi).
+loop.  The factor reads the floor K/(K + lam_hi) of ``_spectral_floor``,
+which bounds the proximal model of a cycle (near the root an error e goes
+to about K*(K + J)^-1 e, J the FD system's Jacobian), not the lagged cycle,
+whose spectrum can sit a little lower: the share 0.9 of ``sweep`` covers
+that.  Gershgorin's theorem puts the eigenvalues of J at most
+lam_hi = max(0, 3*max(alpha, 0)*max|v|^2 - beta) + 4*eps*(1/d^2 + 1/min(h)^2).
 """
 
 from __future__ import annotations

@@ -44,8 +44,8 @@ RELAXATION_SHARE = 0.9 of the way from 1 to w*:
 
 so the run still ends in the plain loop's dominant mode, and the stop
 test (update <= tol and FD residual <= K*tol) certifies what it did for
-the plain loop.  mu_lo comes from the caller's ``floor(state)``, a lower
-bound on the cycle map's spectrum, and is 0 without one.  The rectangle's
+the plain loop.  mu_lo is the caller's ``floor(state)``, a lower bound on
+a model of the cycle map's spectrum, 0 without one.  The rectangle's
 is a Gershgorin bound on its proximal model (see ``proximal``); the lagged
 cycle's own lowest eigenvalue can sit a little below it (0.782 against
 0.803 at N = M = 10, f = 1, eps 0.01), and the share 0.9 leaves room for
@@ -130,10 +130,11 @@ def outer_loop(cycle, state: np.ndarray, cap: int, converged=None,
     the state on to x + w*D when the updates fall by a steady ratio r
     (``_in_dominant_mode``) and D keeps the previous step's direction
     (vdot > 0), with w = 1 + RELAXATION_SHARE*(2/(2 - r - mu_lo) - 1).
-    mu_lo is ``floor(state)``, a lower bound below 1 on the cycle map's
-    spectrum at the cycle's output, called only for a relaxed cycle, or 0
-    without ``floor``.  A stop always leaves the last cycle's own output in
-    the state, and a fixed schedule is never relaxed.
+    mu_lo is ``floor(state)`` < 1 at the cycle's output, called only for a
+    relaxed cycle, or 0 without ``floor``: a lower bound on the spectrum of
+    a model of the cycle map (on the rectangle K*(K + J)^-1, whose gap to
+    the lagged cycle RELAXATION_SHARE covers).  A stop always leaves the
+    last cycle's own output in the state; a fixed schedule is never relaxed.
     """
     step, previous = np.empty_like(state), np.empty_like(state)
     updates = []

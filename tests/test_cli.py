@@ -18,7 +18,8 @@ from proxgml.cli import (
     parse_source,
     write_field_csv,
 )
-from proxgml.problem import FieldSolution, build_cartesian_grid
+from proxgml.oracle import newton_solve
+from proxgml.problem import FieldSolution, build_cartesian_grid, source_values
 from proxgml.proximal import proximal_iterate, residual_norm
 from proxgml.symalg import from_json_dict
 
@@ -58,15 +59,38 @@ def test_parse_source_rejects_unsafe():
             parse_source(text)
 
 
+@pytest.mark.parametrize("text", ["x.real", "y[0]", "x < y", "lambda: x", "[x]", "(x, y)",
+                                  "x if y else 1", "x and y", "f'{x}'", "sin(x, out=y)"])
+def test_parse_source_rejects_every_other_element(text):
+    # default deny: sin(x, out=y) would have numpy write into the grid's ordinates
+    with pytest.raises(ValueError, match="unsupported element in source expression"):
+        parse_source(text)
+
+
 def test_parse_source_constants_are_floats():
     assert type(parse_source("3**50")(0.0, 0.0)) is float
 
 
+def test_const_prefix_is_an_expression():
+    spec = square_problem(0.1, source=parse_source("const: 2 "))
+    grid = build_cartesian_grid(UNIT_SQUARE, 6, 5)
+    expected = source_values(square_problem(0.1, source=parse_source("2")), grid)
+    assert np.array_equal(source_values(spec, grid), expected)
+    one = parse_source("const:1")(0.5, np.zeros(3))  # source_values broadcasts it
+    assert type(one) is float and one == 1.0
+    for text in ("const:nan", "const:inf"):
+        with pytest.raises(ValueError, match="is not x, y, pi"):
+            parse_source(text)
+
+
 @pytest.mark.parametrize("expr", ["2**1024", "1/0", "exp(1000)", "x/0"])
-def test_parse_source_rejects_overflow_and_non_finite(expr):
-    f = parse_source(expr)
-    with pytest.raises(ValueError):
-        f(0.0, np.linspace(0.0, 1.0, 5))
+def test_overflowing_or_non_finite_source_is_rejected_where_sampled(expr, capsys):
+    # the expression parses; the library judges its values when it samples them
+    spec = square_problem(0.1, source=parse_source(expr))
+    with pytest.raises(ValueError, match="at line 1"):
+        source_values(spec, build_cartesian_grid(UNIT_SQUARE, 4, 4))
+    assert main(["--mode", "cartesian", "--N", "4", "--f", expr]) == EXIT_USAGE
+    assert "at line 1" in capsys.readouterr().err
 
 
 def test_power_tower_source_exits_2_promptly():
@@ -106,6 +130,19 @@ def test_cartesian_mode_and_csv_round_trip(tmp_path, capsys):
     np.testing.assert_array_equal(reloaded.values, reference.solution.values)
     assert abs(residual_norm(spec, grid, reloaded)
                - residual_norm(spec, grid, reference.solution)) <= 1e-12
+
+
+def test_oracle_mode_csv_round_trip(tmp_path, capsys):
+    out = tmp_path / "newton.csv"
+    assert main(["--mode", "oracle", "--N", "8", "--out-field", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("oracle: ")
+    assert len(out.read_text().splitlines()) == 1 + 81
+
+    grid = build_cartesian_grid(UNIT_SQUARE, 8, 8)
+    reloaded = read_field_csv(str(out), grid).values
+    np.testing.assert_array_equal(reloaded, newton_solve(square_problem(0.1), grid).solution.values)
+    for edge in (reloaded[0], reloaded[-1], reloaded[:, 0], reloaded[:, -1]):
+        assert np.array_equal(edge, np.zeros_like(edge))
 
 
 def test_write_read_full_precision(tmp_path):
@@ -241,11 +278,11 @@ def test_source_singular_on_the_boundary_is_a_valid_flag(tmp_path):
                                           ("1/(y-0.5)", ["--N", "6", "--M", "8"])])
 def test_source_singular_at_an_interior_node_exits_2(capsys, mode, source, grid):
     # line 4 of N = 8 lies on x = 0.5, node 4 of M = 8 on y = 0.5; the
-    # message names the line and the first bad node on it
+    # message names the line, the first bad node on it and its x and y
     assert main(["--mode", mode, *grid, "--f", source]) == EXIT_USAGE
     err = capsys.readouterr().err
-    assert "not real and finite" in err
-    assert ("at x=0.5, y=0.125" if "x" in source else "y=0.5") in err
+    assert "source is not finite at" in err
+    assert ("x=0.5, y=0.125" if "x" in source else "y=0.5") in err
 
 
 @pytest.mark.parametrize("mode", ["cartesian", "compare", "oracle"])

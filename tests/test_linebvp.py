@@ -123,6 +123,14 @@ def test_zero_pivot_guard():
         thomas_solve(sys)
 
 
+def test_zero_pivot_guard_after_the_first_row():
+    # diag [1, 1] with off-diagonals 1: the second pivot is 1 - 1*1 = 0
+    sys = TridiagonalSystem(sub=np.array([1.0]), diag=np.array([1.0, 1.0]),
+                            sup=np.array([1.0]), rhs=np.array([1.0, 1.0]))
+    with pytest.raises(ZeroDivisionError, match="zero pivot at row 1"):
+        thomas_solve(sys)
+
+
 def solve_line(n, coeffs, u_next, spec, grid):
     """Thomas reference for line n given the already-computed line n+1.
 

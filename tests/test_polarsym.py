@@ -433,6 +433,12 @@ def test_boundary_samples_must_be_finite_and_non_empty(samples):
         cross_check_numeric(cfg, zeros, samples)
 
 
+def test_boundary_sample_arrays_must_match():
+    cfg = PolarSymbolicConfig(epsilon=0.1, n_lines=4, iters=2)
+    with pytest.raises(ValueError, match="matching shapes"):
+        cross_check_numeric(cfg, np.zeros(8), np.zeros(9))
+
+
 def test_diverging_solve_returns_non_finite_lines_without_warning():
     # K = 0 at eps = 1e-4 overflows within 20 cycles; RuntimeWarning fails the suite
     cfg = PolarSymbolicConfig(epsilon=1e-4, n_lines=10, prox_weight=0.0, iters=20)

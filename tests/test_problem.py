@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +67,16 @@ def test_rejects_non_finite_strip_bounds(y1, y2):
     dom = CartesianDomain(a=0.0, b=1.0, y1=lambda x: y1, y2=lambda x: y2)
     with pytest.raises(ValueError, match="degenerate"):
         build_cartesian_grid(dom, 4, 4)
+
+
+@pytest.mark.parametrize("y2, line", [
+    (lambda x: np.complex128(1 + 0.5j), 0),  # float() would drop 0.5j, giving h = 0.25
+    (lambda x: 1.0 + (0.5j if x > 0.5 else 0.0), 3),  # float() raises a bare TypeError
+], ids=["numpy", "python"])
+def test_rejects_complex_strip_bounds(y2, line):
+    dom = CartesianDomain(a=0.0, b=1.0, y1=lambda x: 0.0, y2=y2)
+    with pytest.raises(ValueError, match=f"complex strip bound at line {line} "):
+        LineGrid(dom, 4, 4)
 
 
 @pytest.mark.parametrize("N, M", [
@@ -220,6 +231,12 @@ def test_reference_mapping_affine_and_onto():
         np.testing.assert_allclose(np.diff(y), grid.h[n], rtol=1e-12)
 
 
+# the three library calls that sample the source, at N = M = 8
+_SOLVES = [proximal_iterate, newton_solve,
+           lambda spec, grid: residual_field(spec, grid, FieldSolution(np.zeros((9, 9))))]
+_SOLVE_IDS = ["proximal_iterate", "newton_solve", "residual_field"]
+
+
 def _reciprocal(shift):
     # 1/shift(x, y) without a warning, so the library's own check sees the inf
     def source(x, y):
@@ -232,16 +249,39 @@ def _reciprocal(shift):
     (lambda x, y: x - 0.5, "line 4, node 1"),
     (lambda x, y: y - 0.5, "line 1, node 4"),
 ], ids=["x", "y"])
-@pytest.mark.parametrize("solve", [
-    proximal_iterate, newton_solve,
-    lambda spec, grid: residual_field(spec, grid, FieldSolution(np.zeros((9, 9)))),
-], ids=["proximal_iterate", "newton_solve", "residual_field"])
+@pytest.mark.parametrize("solve", _SOLVES, ids=_SOLVE_IDS)
 def test_source_singular_at_an_interior_node_is_rejected(solve, shift, node):
     # at N = M = 8, line 4 lies on x = 0.5 and node 4 of each line on y = 0.5
     spec = square_problem(0.1, source=_reciprocal(shift))
     grid = build_cartesian_grid(UNIT_SQUARE, 8, 8)
     with pytest.raises(ValueError, match=f"source is not finite at {node}:"):
         solve(spec, grid)
+
+
+@pytest.mark.parametrize("solve", _SOLVES, ids=_SOLVE_IDS)
+def test_complex_source_is_rejected(solve):
+    # a float cast would drop 1j*y and solve f = 1 with only a ComplexWarning
+    spec = square_problem(0.1, source=lambda x, y: 1 + 1j * y)
+    with pytest.raises(ValueError, match="source is complex at line 1 "):
+        solve(spec, build_cartesian_grid(UNIT_SQUARE, 8, 8))
+
+
+def test_source_that_raises_an_arithmetic_error_is_rejected():
+    # float(x) - 0.5 is 0.0 on line 4 of N = 8, and Python's 1/0.0 raises
+    spec = square_problem(0.1, source=lambda x, y: 1 / (float(x) - 0.5) + 0 * y)
+    with pytest.raises(ValueError, match=r"source fails to evaluate at line 4 \(x=0.5\)"):
+        source_values(spec, build_cartesian_grid(UNIT_SQUARE, 8, 8))
+
+
+def test_numpy_warnings_of_a_source_become_the_value_error():
+    # no errstate of the source's own: its divide warning would otherwise be
+    # an error under the suite's filter, before the check could name the node
+    spec = square_problem(0.1, source=lambda x, y: 1 / (y - 0.5))
+    grid = build_cartesian_grid(UNIT_SQUARE, 8, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=r"not finite at line 1, node 4: inf \(x=0.125, y=0.5\)"):
+            source_values(spec, grid)
 
 
 def test_source_values_are_the_interior_samples_and_zero_on_the_boundary():

@@ -161,6 +161,12 @@ def test_non_finite_coefficients_are_kept(bad):
     assert len(BoundaryPolynomial.from_coeffs(coeffs).terms) == 1
 
 
+@pytest.mark.parametrize("size", [15, 17])
+def test_from_coeffs_rejects_a_vector_of_the_wrong_length(size):
+    with pytest.raises(ValueError, match=f"need 16 coefficients, got shape \\({size},\\)"):
+        BoundaryPolynomial.from_coeffs(np.zeros(size), DEFAULT_TRUNCATION)
+
+
 @pytest.mark.parametrize("repeat", [[0, 1, 0, 0, 0], [0, True, 0, 0, 0], [0, 1.0, 0, 0, 0]],
                          ids=["equal", "bool", "float"])
 def test_json_rejects_a_repeated_exponent(repeat):
