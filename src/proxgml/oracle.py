@@ -11,6 +11,9 @@ J's diagonal, A's diagonal + 3*alpha*u^2 - beta.  Each Newton step solves J
 with a sparse LU ordered by minimum degree on A^T + A, which follows the
 symmetric 5-point structure: at N=M=100, eps=0.01 the factors hold 364,676
 nonzeros, against 666,448 under the default column ordering (COLAMD).
+``scipy.sparse`` and ``scipy.sparse.linalg`` are imported at the first
+solve, so ``import proxgml`` and the line solves never load them, and
+``spsolve`` is looked up on ``scipy.sparse.linalg`` at each call.
 
 Newton is sequenced over coarser grids (nested iteration): while N and M are
 both even and the halved grid keeps at least ``COARSE_MIN`` intervals each
@@ -43,8 +46,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .problem import (FieldSolution, LineGrid, ProblemSpec, check_tolerance, integer_count,
                       source_values)
@@ -87,7 +88,9 @@ def _require_uniform_rectangle(grid: LineGrid) -> float:
     return grid.h[0]
 
 
-def _laplacian(N: int, M: int, d: float, h: float) -> sp.csc_matrix:
+def _laplacian(N: int, M: int, d: float, h: float) -> "scipy.sparse.csc_matrix":
+    import scipy.sparse as sp
+
     # interior unknowns, line-major flattening: index k = (n-1)*(M-1) + (j-1);
     # column k holds rows k-(M-1), k-1, k, k+1, k+(M-1) where they exist, in
     # ascending order, and always its diagonal
@@ -157,6 +160,8 @@ def _damped_newton(A, f, u, *, alpha, beta, threshold, max_newton, stall_steps=N
     until the sup residual is at most threshold.  A must store its whole diagonal:
     J is A's copy, and a step writes only J's diagonal.  With ``stall_steps`` the
     run fails once its sup residual after that many steps is above half its first."""
+
+    import scipy.sparse.linalg as spla
 
     def F(v):
         return A @ v + alpha * v**3 - beta * v - f

@@ -167,7 +167,7 @@ def polar_iterate(cfg: PolarSymbolicConfig) -> PolarReport:
     """Run cfg.iters cycles from zero anchors through ``sweep.outer_loop``; lines 0..n_lines.
 
     Each cycle is one ``_BackwardPass`` on operators built before the first.
-    The schedule is fixed and never over-relaxed, so only an update that
+    The schedule is fixed and never accelerated, so only an update that
     is not finite ends it early, with that cycle's lines: a diverging solve
     raises no warning and returns inf or NaN coefficients.  The polynomials share one compact
     copy of the solved rows.

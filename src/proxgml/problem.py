@@ -86,8 +86,8 @@ class LineGrid:
     (y1(x_n), y2(x_n)), the step ``h[n]`` = (y2 - y1)/M and the node
     ordinates ``ordinates[n, j]`` = y1 + (j/M)*(y2 - y1), all read-only.
     N and M are counts of at least 2 (``integer_count``); d must be
-    positive and every line must have real, finite y1 < y2 and a step h_n
-    whose 1/h_n^2, which the line matrices read, is finite.
+    positive and every line must have real, scalar, finite y1 < y2 and a
+    step h_n whose 1/h_n^2, which the line matrices read, is finite.
     """
 
     domain: CartesianDomain
@@ -111,6 +111,8 @@ class LineGrid:
             y1, y2 = domain.y1(x), domain.y2(x)
             if np.iscomplexobj(y1) or np.iscomplexobj(y2):
                 raise ValueError(f"complex strip bound at line {n} (x={x}): y1={y1}, y2={y2}")
+            if np.ndim(y1) or np.ndim(y2):
+                raise ValueError(f"non-scalar strip bound at line {n} (x={x}): y1={y1}, y2={y2}")
             lo[n], hi[n] = y1, y2
         bad = np.nonzero(~(np.isfinite(lo) & np.isfinite(hi) & (hi > lo)))[0]
         if bad.size:
@@ -174,7 +176,8 @@ def source_values(spec: ProblemSpec, grid: LineGrid) -> np.ndarray:
     interior ordinates, so it may be singular on the boundary; the
     boundary rows and columns are 0.  Numpy's warnings are silenced while
     sampling; a ValueError names the line and x of a source that raises an
-    ArithmeticError or returns a complex value, and the line, node, x and
+    ArithmeticError, returns a complex array or returns values that float()
+    rejects (an object array of complex numbers), and the line, node, x and
     y of the first value that is NaN or infinite.
     """
     out = np.zeros_like(grid.ordinates)
@@ -187,7 +190,10 @@ def source_values(spec: ProblemSpec, grid: LineGrid) -> np.ndarray:
                 raise ValueError(f"source fails to evaluate at line {n} (x={x}): {exc}") from None
             if np.iscomplexobj(vals):
                 raise ValueError(f"source is complex at line {n} (x={x})")
-            out[n, 1:-1] = vals
+            try:
+                out[n, 1:-1] = vals
+            except TypeError as exc:  # an object array of complex numbers, say
+                raise ValueError(f"source is not real at line {n} (x={x}): {exc}") from None
     bad = np.argwhere(~np.isfinite(out))
     if bad.size:
         n, j = bad[0]

@@ -27,14 +27,15 @@ solves it there.  c must be 0 on the end columns, the Dirichlet zeros.
 ``backward_pass`` runs a one-shot pass on a given c; ``linebvp`` holds the
 Thomas reference.  A cycle is converged when the update is at most ``tol``
 and, for K > 0, the FD residual is at most K*tol; ``sweep.outer_loop``
-runs the cycles, stops them and names the stop (``stop_reason``).  It
-over-relaxes a failed cycle once the run is in its dominant mode (see
-``sweep``), which leaves the stop test's meaning as it was for the plain
-loop.  The factor reads the floor K/(K + lam_hi) of ``_spectral_floor``,
-which bounds the proximal model of a cycle (near the root an error e goes
-to about K*(K + J)^-1 e, J the FD system's Jacobian), not the lagged cycle,
-whose spectrum can sit a little lower: the share 0.9 of ``sweep`` covers
-that.  Gershgorin's theorem puts the eigenvalues of J at most
+runs the cycles, stops them and names the stop (``stop_reason``).  Once
+the updates fall by a steady ratio it moves a failed cycle by the
+heavy-ball step (see ``sweep``), which leaves the stop test's meaning as it
+was for the plain loop.  The step reads the floor K/(K + lam_hi) of
+``_spectral_floor``, which bounds the proximal model of a cycle (near the
+root an error e goes to about K*(K + J)^-1 e, J the FD system's Jacobian),
+not the lagged cycle, whose spectrum can sit a little lower: the factor
+1/0.9 on ``sweep``'s L covers that.  Gershgorin's theorem puts the
+eigenvalues of J at most
 lam_hi = max(0, 3*max(alpha, 0)*max|v|^2 - beta) + 4*eps*(1/d^2 + 1/min(h)^2).
 """
 
@@ -160,10 +161,10 @@ def proximal_iterate(
 
     f and the backward pass (a, b, the c operator, line factors and
     field) are built once per solve; a cycle writes the corrected c into
-    the field and runs the pass, and ``sweep.outer_loop`` may over-relax
-    its output before the next one.  ``update_history``
+    the field and runs the pass, and ``sweep.outer_loop`` may move its
+    output by the heavy-ball step before the next one.  ``update_history``
     holds each cycle's own sup change, and the returned field is the last
-    cycle's output, never a relaxed one.  The FD residual
+    cycle's output, never a moved one.  The FD residual
     is evaluated only once the update test holds, and the report reuses the
     last cycle's; a field's residual is formed once.  Non-convergence is
     reported, not raised; numpy's overflow and invalid-value warnings are

@@ -27,37 +27,53 @@ annulus solvers take a and b from ``ab_recursion`` and c from C.
 iterate in place: it is the one place that forms and records the updates,
 stops a run and names why it stopped.
 
-A tested run (the rectangle) is over-relaxed along the cycle's own step
-(extrapolation, Varga 1962, ch. 5): a cycle that fails the test and is not
-the last allowed one moves the state from its output x + D to x + w*D when
-the run is in its dominant mode, that is, when the updates fall by a ratio
-r in (RATIO_LOW, 1) = (2/3, 1) that is within RATIO_DRIFT of the previous
-cycle's ratio, and D keeps the previous step's direction.  The relaxed map
-scales a mode that the plain cycle scales by mu by 1 - w*(1 - mu).  For a
-spectrum in [mu_lo, rho] the factor that minimises the largest of these is
-w* = 2/(2 - rho - mu_lo), where the two ends are scaled by equal and
-opposite amounts; below w* the dominant mode rho stays the slowest.  A
-relaxed cycle takes rho from the observed ratio r and goes the share
-RELAXATION_SHARE = 0.9 of the way from 1 to w*:
+A tested run (the rectangle) is accelerated by Polyak's heavy-ball step
+with adaptive restart (Polyak 1964; O'Donoghue and Candes 2015).  The
+rule arms once four successive update ratios of plain cycles lie in
+(2/3, 1), the largest within 2% of the smallest, and the cycle's step D
+keeps the previous step's direction.  From then on, a cycle that fails
+the test and is not the last allowed one moves the state from its output
+x + D to
 
-    w = 1 + RELAXATION_SHARE*(2/(2 - r - mu_lo) - 1),
+    x + w*D + beta*(x - x_prev),
+    w = 4/(sqrt(L) + sqrt(m))^2,  beta = ((sqrt(L) - sqrt(m))/(sqrt(L) + sqrt(m)))^2,
 
-so the run still ends in the plain loop's dominant mode, and the stop
-test (update <= tol and FD residual <= K*tol) certifies what it did for
-the plain loop.  mu_lo is the caller's ``floor(state)``, a lower bound on
-a model of the cycle map's spectrum, 0 without one.  The rectangle's
-is a Gershgorin bound on its proximal model (see ``proximal``); the lagged
+where x_prev is the previous cycle's input, m = 1 - rho-hat comes from
+the window's mean ratio rho-hat and L = (1 - mu_lo)/0.9 from the caller's
+``floor(state)`` mu_lo (0 without one), read at the arming cycle's output.
+For a mode that the plain cycle scales by mu, lam = 1 - mu, the two-step
+map has the roots of z^2 - (1 + beta - w*lam)*z + beta; for lam in [m, L]
+both have modulus sqrt(beta), about 1 - 2*sqrt(m/L), where the best single
+over-relaxation factor reaches (L - m)/(L + m), about 1 - 2*m/L, and the
+map is stable for lam in (0, L + m).  The rectangle's mu_lo is a
+Gershgorin bound on its proximal model (see ``proximal``); the lagged
 cycle's own lowest eigenvalue can sit a little below it (0.782 against
-0.803 at N = M = 10, f = 1, eps 0.01), and the share 0.9 leaves room for
-that.  A fixed w = 1.5 assumed a spectrum reaching down to 0, which it
-does not: a finite-difference Jacobian of the cycle map at the root puts
-it in [0.196, 0.963], [0.560, 0.961] and [0.855, 0.971] for the
-N = M = 20 sin(pi*x)*sin(pi*y) source at K = 50 and eps 0.1/0.01/0.001,
-where w* is 2.4, 4.7 and 11.5.  That source takes 198/140/139 cycles
-(268/299/431 at w = 1.5), and f = 1 at N = M = 100 178/154/119
-(209/183/184).  Without the steady-ratio test, relaxing the swinging
-early updates of runs near the divergent sources (f = 160 at N = 6) sent
-them non-finite.  The annulus's fixed schedule is never relaxed.
+0.803 at N = M = 10, f = 1, eps 0.01), and the factor 1/0.9 on L covers
+that.  At the root of that case, eps 0.1/0.01/0.001, the two-step map has
+spectral radius 0.578/0.295/0.111, where the plain cycle has
+0.950/0.935/0.921.
+
+The rule drops back to plain cycles, and re-arms on four new plain
+ratios, at a cycle whose D turns against the momentum (vdot(D, x - x_prev)
+< 0) or whose update exceeds 4 times the smallest since it armed.  An
+estimate rho-hat below the true rho leaves the slowest mode a real root
+q > sqrt(beta); when four accelerated ratios settle, within 2% of each
+other, in (1.05*sqrt(beta), 1), the rule lowers m to that mode's
+(1 + beta - q - beta/q)/w = (1 - q)*(1 - beta/q)/w.  Ratios are compared
+by products, so an update of 0 fails a test before any ratio is formed.
+The stop test (update <= tol and FD residual <= K*tol) is unchanged, the
+recorded update is the cycle's own step, and a stop leaves the last
+cycle's own output, so what a stop certifies is what it certified for
+the plain loop.  A finite-difference Jacobian of the cycle map at the root
+puts its spectrum in [0.196, 0.963], [0.560, 0.961] and [0.855, 0.971] for
+the N = M = 20 sin(pi*x)*sin(pi*y) source at K = 50 and eps
+0.1/0.01/0.001.  That source takes 49/63/77 cycles (198/140/139 with the
+best single factor, 404/440/637 plain), and f = 1 at N = M = 100 130/66/60
+(178/154/119, 312/266/267).  The window keeps the rule off the swinging
+early updates of runs near the divergent sources (f = 160 at N = 6) and of
+the stalled K = 3 run, which a rule that armed on any falling, aligned
+step and never restarted sent non-finite.  The annulus's fixed schedule
+is never accelerated.
 """
 
 from __future__ import annotations
@@ -67,20 +83,22 @@ import math
 import numpy as np
 
 __all__ = [
-    "RATIO_DRIFT",
-    "RATIO_LOW",
-    "RELAXATION_SHARE",
     "ab_recursion",
     "c_operator",
     "outer_loop",
 ]
 
-# share of the way from 1 to the optimal factor that a relaxed cycle goes, and
-# the band of update ratios that counts as one mode: the lower end and how far
-# two successive ratios may differ (see the docstring)
-RELAXATION_SHARE = 0.9
-RATIO_LOW = 2.0 / 3.0
-RATIO_DRIFT = 0.05
+# the heavy-ball rule (see the docstring): it arms once _RATIOS successive
+# plain update ratios lie in (_BAND_LOW, 1), the largest within _DRIFT of the
+# smallest; it restarts when an update exceeds _GROWTH times the smallest since
+# it armed; it lowers m when the accelerated ratio settles above _SETTLE*sqrt(beta);
+# and it takes L = (1 - mu_lo)/_FLOOR_SHARE
+_RATIOS = 4
+_BAND_LOW = 2.0 / 3.0
+_DRIFT = 0.02
+_GROWTH = 4.0
+_SETTLE = 1.05
+_FLOOR_SHARE = 0.9
 
 
 def ab_recursion(K: float, d: float, eps: float, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -126,18 +144,16 @@ def outer_loop(cycle, state: np.ndarray, cap: int, converged=None,
     "fixed_iters" when no test was given, a fixed schedule that never
     consults one.
 
-    With a test, a cycle that fails it and is not the last allowed one moves
-    the state on to x + w*D when the updates fall by a steady ratio r
-    (``_in_dominant_mode``) and D keeps the previous step's direction
-    (vdot > 0), with w = 1 + RELAXATION_SHARE*(2/(2 - r - mu_lo) - 1).
-    mu_lo is ``floor(state)`` < 1 at the cycle's output, called only for a
-    relaxed cycle, or 0 without ``floor``: a lower bound on the spectrum of
-    a model of the cycle map (on the rectangle K*(K + J)^-1, whose gap to
-    the lagged cycle RELAXATION_SHARE covers).  A stop always leaves the
-    last cycle's own output in the state; a fixed schedule is never relaxed.
+    With a test, the heavy-ball rule of the module docstring moves a cycle
+    that fails it and is not the last allowed one from its output x + D to
+    x + w*D + beta*(x - x_prev) once the rule is armed.  mu_lo is
+    ``floor(state)`` < 1 at the arming cycle's output, or 0 without
+    ``floor``.  A stop always leaves the last cycle's own output in the
+    state; a fixed schedule is never accelerated.
     """
-    step, previous = np.empty_like(state), np.empty_like(state)
+    step, move = np.empty_like(state), np.zeros_like(state)  # D, and x - x_prev
     updates = []
+    armed, chain = False, 0  # while unarmed, updates[chain:] have the plain map's ratios
     for k in range(cap):
         np.copyto(step, state)
         cycle()
@@ -149,17 +165,47 @@ def outer_loop(cycle, state: np.ndarray, cap: int, converged=None,
             continue
         if converged(updates[-1]):
             return np.array(updates), "converged"
-        if 1 < k < cap - 1 and _in_dominant_mode(*updates[-3:]) and np.vdot(step, previous) > 0.0:
-            r = updates[-1] / updates[-2]
-            mu_lo = 0.0 if floor is None else floor(state)
-            state += RELAXATION_SHARE * (2.0 / (2.0 - r - mu_lo) - 1.0) * step
-        step, previous = previous, step
+        if k == cap - 1:
+            break
+        along = np.vdot(step, move)
+        if armed and (along < 0.0 or updates[-1] > _GROWTH * best):
+            armed, chain = False, k  # restart: this cycle is plain
+        elif armed:
+            best = min(best, updates[-1])
+            q = _steady_ratio(updates, since, _SETTLE * math.sqrt(beta))
+            if q is not None:  # a root q > sqrt(beta): lower m to its mode's
+                w, beta = _heavy_ball((1.0 - q) * (1.0 - beta / q) / w, L)
+                since = k
+        elif along > 0.0 and (rho := _steady_ratio(updates, chain, _BAND_LOW)) is not None:
+            L = (1.0 - (0.0 if floor is None else floor(state))) / _FLOOR_SHARE
+            w, beta = _heavy_ball(1.0 - rho, L)
+            armed, best, since = True, updates[-1], k
+        if armed:
+            move *= beta
+            move += w * step
+            state += move
+            state -= step
+        else:
+            step, move = move, step
     return np.array(updates), "fixed_iters" if converged is None else "max_iter"
 
 
-def _in_dominant_mode(u0: float, u1: float, u2: float) -> bool:
-    """Whether three successive updates fall by a ratio r = u2/u1 in
-    (RATIO_LOW, 1) that is within RATIO_DRIFT of u1/u0.  Written without
-    division: u2 < u1 makes u1 positive, and then u0 = 0 fails."""
-    return (RATIO_LOW * u1 < u2 < u1
-            and abs(u2 * u0 - u1 * u1) <= RATIO_DRIFT * u0 * u1)
+def _heavy_ball(m: float, L: float) -> tuple[float, float]:
+    """Polyak's step w = 4/(sqrt(L) + sqrt(m))^2 and momentum
+    beta = ((sqrt(L) - sqrt(m))/(sqrt(L) + sqrt(m)))^2 for I - J in [m, L]."""
+    s, t = math.sqrt(L), math.sqrt(m)
+    return 4.0 / (s + t) ** 2, ((s - t) / (s + t)) ** 2
+
+
+def _steady_ratio(updates: list[float], start: int, low: float) -> float | None:
+    """The geometric mean of the last _RATIOS ratios of ``updates[start:]``
+    when there are that many, each lies in (low, 1) and the largest is
+    within _DRIFT of the smallest, else None.  The band is tested by
+    products, so an update of 0 fails it before any ratio is formed."""
+    if len(updates) - start <= _RATIOS:
+        return None
+    u = updates[-_RATIOS - 1:]
+    if not all(low * a < b < a for a, b in zip(u, u[1:])):
+        return None
+    r = [b / a for a, b in zip(u, u[1:])]
+    return (u[-1] / u[0]) ** (1.0 / _RATIOS) if max(r) <= (1.0 + _DRIFT) * min(r) else None

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -98,9 +102,21 @@ def test_sign_changing_source_converges(eps):
     assert np.max(np.abs(v + v[::-1, :])) <= 1e-10
 
 
+def test_import_leaves_scipy_sparse_unloaded():
+    # the oracle imports scipy.sparse at its first solve, so a line solve or
+    # the CLI never loads it; a fresh process, as this suite has loaded it
+    code = ("import sys, proxgml, proxgml.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+    src = os.path.dirname(os.path.dirname(oracle.__file__))
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 @pytest.fixture
 def solve_counter(monkeypatch):
-    """Records the keyword arguments of every sparse solve the oracle makes."""
+    """Records the keyword arguments of every sparse solve the oracle makes;
+    the oracle looks spsolve up on scipy.sparse.linalg at each call."""
     calls = []
     spsolve = spla.spsolve
 
@@ -108,7 +124,7 @@ def solve_counter(monkeypatch):
         calls.append(kwargs)
         return spsolve(*args, **kwargs)
 
-    monkeypatch.setattr(oracle.spla, "spsolve", counted)
+    monkeypatch.setattr(spla, "spsolve", counted)
     return calls
 
 
@@ -156,7 +172,7 @@ def test_indefinite_jacobian_matches_dense_solve(monkeypatch, eps, beta, negativ
     J = -eps * lap + sp.diags(3.0 * u**2 - beta)
     assert np.count_nonzero(np.linalg.eigvalsh(J.toarray()) < 0.0) == negative
 
-    monkeypatch.setattr(oracle.spla, "spsolve",
+    monkeypatch.setattr(spla, "spsolve",
                         lambda J, b, **kwargs: np.linalg.solve(J.toarray(), b))
     dense = newton_solve(spec, grid)
     assert sparse.iterations == dense.iterations

@@ -79,6 +79,16 @@ def test_rejects_complex_strip_bounds(y2, line):
         LineGrid(dom, 4, 4)
 
 
+@pytest.mark.parametrize("y1, y2, line", [
+    (lambda x: 0.0, lambda x: np.array([1.0]), 0),  # numpy raised a bare ValueError
+    (lambda x: [0.0] if x > 0.5 else 0.0, lambda x: 1.0, 3),
+], ids=["array", "list"])
+def test_rejects_non_scalar_strip_bounds(y1, y2, line):
+    dom = CartesianDomain(a=0.0, b=1.0, y1=y1, y2=y2)
+    with pytest.raises(ValueError, match=f"non-scalar strip bound at line {line} "):
+        LineGrid(dom, 4, 4)
+
+
 @pytest.mark.parametrize("N, M", [
     (4.5, 4), (4, 4.0), (True, 4), (4, True), ("4", 4), (np.float64(4), 4),
 ])
@@ -263,6 +273,15 @@ def test_complex_source_is_rejected(solve):
     # a float cast would drop 1j*y and solve f = 1 with only a ComplexWarning
     spec = square_problem(0.1, source=lambda x, y: 1 + 1j * y)
     with pytest.raises(ValueError, match="source is complex at line 1 "):
+        solve(spec, build_cartesian_grid(UNIT_SQUARE, 8, 8))
+
+
+@pytest.mark.parametrize("solve", _SOLVES, ids=_SOLVE_IDS)
+def test_object_array_of_complex_numbers_is_rejected(solve):
+    # np.iscomplexobj is False for object dtype, and the float cast of the
+    # row assignment raised a bare TypeError that named no line
+    spec = square_problem(0.1, source=lambda x, y: np.array([1j] * y.size, dtype=object))
+    with pytest.raises(ValueError, match=r"source is not real at line 1 \(x=0.125\): .*complex"):
         solve(spec, build_cartesian_grid(UNIT_SQUARE, 8, 8))
 
 

@@ -1,11 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from proxgml.polarsym import PolarSymbolicConfig, polar_iterate
 from proxgml.problem import build_cartesian_grid
 from proxgml.proximal import proximal_iterate
-from proxgml.sweep import (RATIO_DRIFT, RATIO_LOW, RELAXATION_SHARE, ab_recursion, c_operator,
-                           outer_loop)
+from proxgml.sweep import ab_recursion, c_operator, outer_loop
 
 from conftest import UNIT_SQUARE, square_problem, ones_source
 
@@ -202,7 +203,7 @@ def _linear(rate):
 
 
 def _plain(T, cycles):
-    """The unrelaxed iterates x_k = T(x_{k-1}) from zero and their sup updates."""
+    """The plain iterates x_k = T(x_{k-1}) from zero and their sup updates."""
     x, updates = np.zeros(6), []
     for _ in range(cycles):
         new = T(x)
@@ -211,87 +212,181 @@ def _plain(T, cycles):
     return x, updates
 
 
+def _polyak(rho, mu_lo=0.0):
+    """Polyak's step and momentum for a spectrum of I - J in [1 - rho, (1 - mu_lo)/0.9]."""
+    s, t = math.sqrt((1.0 - mu_lo) / 0.9), math.sqrt(1.0 - rho)
+    return 4.0 / (s + t) ** 2, ((s - t) / (s + t)) ** 2
+
+
 def test_fixed_schedule_is_never_relaxed():
-    # a falling, aligned contraction that a tested loop would relax
+    # a falling, aligned contraction that a tested loop would accelerate
     cycle, state, _, T = _linear(0.95)
-    history, stop = outer_loop(cycle, state, 6)
-    x, updates = _plain(T, 6)
+    history, stop = outer_loop(cycle, state, 12)
+    x, updates = _plain(T, 12)
     assert stop == "fixed_iters"
     np.testing.assert_array_equal(history, updates)
     np.testing.assert_array_equal(state, x)
 
 
-def _factor(r, mu_lo=0.0):
-    """The relaxation rule: a share of the way from 1 to 2/(2 - r - mu_lo)."""
-    return 1.0 + RELAXATION_SHARE * (2.0 / (2.0 - r - mu_lo) - 1.0)
-
-
-def test_falling_aligned_steps_are_moved_by_the_relaxation_factor():
+@pytest.mark.parametrize("mu_lo", [None, 0.25], ids=["no-floor", "floor"])
+def test_falling_aligned_steps_take_the_heavy_ball_step(mu_lo):
+    # four plain ratios of 0.95 arm the rule at the fifth cycle; from then on
+    # a cycle moves to x + w*D + beta*(x - x_prev); the floor is read once, at
+    # the arming cycle's output, and the last cycle is left plain
     cycle, state, seen, T = _linear(0.95)
-    history, stop = outer_loop(cycle, state, 6, lambda update: False)
+    floored = []
+
+    def floor(x):
+        floored.append(x.copy())
+        return mu_lo
+
+    history, stop = outer_loop(cycle, state, 9, lambda update: False,
+                               None if mu_lo is None else floor)
     assert stop == "max_iter"
-    # two cycles give no ratio to compare, so they stay plain
-    for k in (0, 1):
+    for k in range(4):
         np.testing.assert_array_equal(seen[k + 1], T(seen[k]))
-    for k in (2, 3, 4):
+    w, beta = _polyak(0.95, mu_lo or 0.0)
+    for k in range(4, 8):
         step = T(seen[k]) - seen[k]
         assert history[k] == np.max(np.abs(step))
-        w = _factor(history[k] / history[k - 1])
-        np.testing.assert_allclose(seen[k + 1] - seen[k], w * step, rtol=1e-14)
+        momentum = seen[k] - seen[k - 1]
+        np.testing.assert_allclose(seen[k + 1], seen[k] + w * step + beta * momentum, rtol=1e-13)
+    np.testing.assert_array_equal(state, T(seen[8]))
+    if mu_lo is not None:
+        assert len(floored) == 1
+        np.testing.assert_array_equal(floored[0], T(seen[4]))
     assert np.all(np.diff(history) < 0.0)
 
 
 @pytest.mark.parametrize("rate", [-0.9, 1.05, 0.5], ids=["alternating", "growing", "fast"])
 def test_alternating_growing_or_fast_steps_run_the_plain_loop(rate):
-    # a fast contraction (ratio below RATIO_LOW) is left plain too
+    # a fast contraction (ratio below 2/3) is left plain too
     cycle, state, _, T = _linear(rate)
-    history, stop = outer_loop(cycle, state, 8, lambda update: False)
-    x, updates = _plain(T, 8)
+    history, stop = outer_loop(cycle, state, 12, lambda update: False)
+    x, updates = _plain(T, 12)
     np.testing.assert_array_equal(history, updates)
     np.testing.assert_array_equal(state, x)
 
 
+_DIRECTION = np.array([1.0, 0.5, -0.25])
+
+
+def _moved(sizes, signs=None, floor=None):
+    """Scripted steps: cycle k adds signs[k]*sizes[k]*_DIRECTION to the state,
+    whatever the state, so its update is sizes[k].  Returns the updates and
+    the cycles whose output the loop moved on."""
+    signs = [1.0] * len(sizes) if signs is None else signs
+    state, seen = np.zeros(3), []
+    steps = iter(zip(signs, sizes))
+
+    def cycle():
+        seen.append(state.copy())
+        sign, size = next(steps)
+        state[...] += sign * size * _DIRECTION
+
+    history, stop = outer_loop(cycle, state, len(sizes), lambda update: False, floor)
+    assert stop == "max_iter"
+    seen.append(state)
+    plain = [seen[k] + sign * size * _DIRECTION for k, (sign, size) in enumerate(zip(signs, sizes))]
+    return history, [k for k, x in enumerate(plain) if not np.array_equal(seen[k + 1], x)]
+
+
+def _sizes(ratios):
+    return list(np.cumprod([1.0] + list(ratios)))
+
+
 def test_only_steps_that_fall_by_a_steady_ratio_are_relaxed():
-    # cycle k adds its own aligned step, whatever the state, so its update is
-    # sizes[k]; ratios 0.9, 0.9, 0.6, 0.9, 0.9, 0.9: the second is steady,
-    # the third is below 2/3, the fourth drifts from the third, and the last
-    # cycle is never relaxed; mu_lo is 0 without a floor, and a floor is read
-    # only for the relaxed cycles, at the cycle's output
-    assert RATIO_DRIFT < 0.3 and 0.6 < RATIO_LOW < 0.9
-    sizes = [1.0, 0.9, 0.81, 0.486, 0.4374, 0.39366, 0.354294]
-    for mu_lo in (None, 0.25):
-        state = np.zeros(3)
-        steps = iter(sizes)
-        floored = []
+    # ratios 0.9 (three), 0.6, 0.9 (three), then 0.93: a window of four holds
+    # no ratio below 2/3 and no two more than 2% apart only from cycle 11 on,
+    # and the last cycle, 12, is never moved
+    sizes = _sizes([0.9] * 3 + [0.6] + [0.9] * 3 + [0.93] * 5)
+    history, moved = _moved(sizes)
+    np.testing.assert_allclose(history, sizes, rtol=1e-14)
+    assert moved == [11]
 
-        def cycle():
-            state[...] += next(steps) * np.array([1.0, 0.5, -0.25])
 
-        def floor(x):
-            floored.append(x[0])
-            return mu_lo
+@pytest.mark.parametrize("ratios, signs, moved", [
+    ([0.9, 0.9 * 1.015, 0.9, 0.9 * 1.015, 0.9], None, [4]),
+    ([0.9, 0.9 * 1.025, 0.9, 0.9 * 1.025, 0.9], None, []),
+    ([0.67] * 5, None, [4]),
+    ([0.66] * 5, None, []),
+    ([0.9] * 7, [1.0] * 4 + [-1.0] + [1.0] * 3, [6]),
+], ids=["drift-1.5%", "drift-2.5%", "ratio-0.67", "ratio-0.66", "turned-step"])
+def test_the_rule_arms_on_four_steady_ratios_and_an_aligned_step(ratios, signs, moved):
+    # the window's ratios must lie in (2/3, 1) and within 2% of each other,
+    # and the arming cycle's step must keep the previous step's direction
+    assert _moved(_sizes(ratios), signs)[1] == moved
 
-        history, stop = outer_loop(cycle, state, len(sizes), lambda update: False,
-                                   None if mu_lo is None else floor)
-        np.testing.assert_allclose(history, sizes, rtol=1e-14)
-        w = _factor(0.9, mu_lo or 0.0)
-        np.testing.assert_allclose(state[0], sum(sizes) + (w - 1.0) * (sizes[2] + sizes[5]),
-                                   rtol=1e-15)
-        if mu_lo is not None:
-            np.testing.assert_allclose(
-                floored, [sum(sizes[:3]), sum(sizes[:6]) + (w - 1.0) * sizes[2]], rtol=1e-15)
+
+def test_restart_when_the_step_turns_against_the_momentum():
+    # armed at cycle 4; cycle 6 steps backwards, so it is plain, and five
+    # plain updates later, at cycle 10, the rule arms again
+    signs = [1.0] * 6 + [-1.0] + [1.0] * 5
+    assert _moved(_sizes([0.9] * 11), signs)[1] == [4, 5, 10]
+
+
+@pytest.mark.parametrize("growth, moved", [(3.9, [4, 5, 6, 7, 8, 9, 10]), (4.1, [4, 5, 10])],
+                         ids=["3.9", "4.1"])
+def test_restart_when_an_update_exceeds_four_times_the_smallest(growth, moved):
+    # armed at cycle 4; cycle 6's update is growth times cycle 5's, the
+    # smallest since arming: past 4 times it, the cycle is plain and the rule
+    # re-arms on five new plain updates
+    ratios = [0.9] * 5 + [growth] + [0.9] * 5
+    assert _moved(_sizes(ratios))[1] == moved
+
+
+@pytest.mark.parametrize("sizes, moved", [
+    ([0.0] * 8, []),
+    ([1.0] + [0.0] * 7, []),
+    ([1.0, 0.9, 0.81, 0.0, 0.7, 0.63, 0.567, 0.51, 0.459], []),
+    ([1.0, 0.9, 0.81, 0.729, 0.6561, 0.0, 0.5, 0.45], [4, 5]),
+], ids=["zeros", "one-then-zeros", "zero-in-window", "zero-after-arming"])
+def test_zero_updates_are_never_divided_by(sizes, moved):
+    # an update of 0 fails the ratio band before a ratio is formed; after
+    # arming it leaves the smallest update 0, so the next positive one restarts
+    history, got = _moved(sizes)
+    np.testing.assert_allclose(history, sizes, rtol=1e-14)
+    assert got == moved
+
+
+def test_a_settled_ratio_above_sqrt_beta_lowers_m():
+    # x <- J x + b with a fast mode (0.8) that sets the plain ratios and a
+    # slow one (0.99) a thousand times smaller: the rule arms at cycle 4 on
+    # rho = 0.8, whose heavy-ball map takes the slow mode at a real root
+    # q = 0.979 > 1.05*sqrt(beta) = 0.42; once four ratios of q have settled,
+    # m falls to (1 - q)(1 - beta/q)/w, the slow mode's 1 - 0.99, and the
+    # moves after it take that m's step and momentum
+    J, b = np.array([0.8, 0.99]), np.array([1.0, 1e-3])
+    state, seen = np.zeros(2), []
+
+    def cycle():
+        seen.append(state.copy())
+        state[...] = J * state + b
+
+    outer_loop(cycle, state, 20, lambda update: False)
+    seen.append(state)
+    params = []
+    for k in range(4, 19):  # solve each move for its (w, beta)
+        step = J * seen[k] + b - seen[k]
+        A = np.column_stack([step, seen[k] - seen[k - 1]])
+        params.append(np.linalg.solve(A, seen[k + 1] - seen[k]))
+    lowered = next(i for i, p in enumerate(params) if not np.allclose(p, params[0], rtol=1e-9))
+    assert 5 <= lowered < len(params) - 1
+    np.testing.assert_allclose(params[:lowered], [_polyak(0.8)] * lowered, rtol=1e-9)
+    np.testing.assert_allclose(params[lowered:], [_polyak(0.99)] * (len(params) - lowered),
+                               rtol=1e-6)
 
 
 @pytest.mark.parametrize("cap, converged, stop", [
-    (5, lambda update: False, "max_iter"),
+    (9, lambda update: False, "max_iter"),
     (50, lambda update: update <= 0.2, "converged"),
-])
-def test_a_stop_leaves_the_last_cycles_output_unrelaxed(cap, converged, stop):
-    # every cycle but the first and the last is relaxed here, so only the
+], ids=["max_iter", "converged"])
+def test_a_stop_leaves_the_last_cycles_own_output(cap, converged, stop):
+    # every cycle from the fifth on but the last is moved here, so only the
     # stop rule keeps the last cycle's output in the state
     cycle, state, seen, T = _linear(0.95)
     history, got = outer_loop(cycle, state, cap, converged)
-    assert got == stop and len(history) > 2
+    assert got == stop and len(history) > 5
     np.testing.assert_array_equal(state, T(seen[-1]))
     assert not np.array_equal(seen[-1], T(seen[-2]))
 
