@@ -8,7 +8,7 @@ from .problem import (
     build_cartesian_grid,
 )
 from .linebvp import TridiagonalSystem, assemble_line_system, thomas_solve
-from .proximal import SolveReport, backward_pass, proximal_iterate, residual_norm
+from .proximal import SolveReport, backward_pass, proximal_iterate
 from .symalg import (
     TruncationSpec,
     DEFAULT_TRUNCATION,
@@ -29,10 +29,9 @@ from .oracle import NewtonReport, newton_solve, compare_fields
 __all__ = [
     "CartesianDomain", "ProblemSpec", "LineGrid", "FieldSolution", "build_cartesian_grid",
     "TridiagonalSystem", "assemble_line_system", "thomas_solve", "SolveReport", "backward_pass",
-    "proximal_iterate", "residual_norm", "TruncationSpec", "DEFAULT_TRUNCATION",
-    "BoundaryPolynomial", "poly_add", "poly_mul", "poly_diff", "poly_eval", "PolarSymbolicConfig",
-    "symbolic_solve", "polar_numeric_solve", "cross_check_numeric", "NewtonReport", "newton_solve",
-    "compare_fields",
+    "proximal_iterate", "TruncationSpec", "DEFAULT_TRUNCATION", "BoundaryPolynomial", "poly_add",
+    "poly_mul", "poly_diff", "poly_eval", "PolarSymbolicConfig", "symbolic_solve",
+    "polar_numeric_solve", "cross_check_numeric", "NewtonReport", "newton_solve", "compare_fields",
 ]
 
 __version__ = "0.1.0"

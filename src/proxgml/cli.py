@@ -26,13 +26,7 @@ import numpy as np
 
 from .oracle import NewtonDivergenceError, compare_fields, newton_solve
 from .polarsym import PolarSymbolicConfig, polar_iterate
-from .problem import (
-    CartesianDomain,
-    FieldSolution,
-    ProblemSpec,
-    build_cartesian_grid,
-    check_tolerance,
-)
+from .problem import CartesianDomain, FieldSolution, LineGrid, ProblemSpec, check_tolerance
 from .proximal import proximal_iterate
 from .symalg import format_terms, to_json_dict
 
@@ -103,8 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="proxgml",
         description="Proximal generalized method of lines for Ginzburg-Landau-type problems",
     )
-    p.add_argument("--mode", required=True,
-                   choices=["cartesian", "polar-symbolic", "oracle", "compare"])
+    p.add_argument("--mode", required=True, choices=list(_MODES))
     p.add_argument("--eps", type=float, default=0.1, help="diffusion coefficient")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=1.0)
@@ -142,7 +135,7 @@ def _cartesian_setup(args):
         **_given(args, prox_weight="K"),
     )
     M = args.M if args.M is not None else args.N
-    return spec, build_cartesian_grid(domain, args.N, M)
+    return spec, LineGrid(domain, args.N, M)
 
 
 def _run_cartesian(args) -> int:
@@ -152,7 +145,7 @@ def _run_cartesian(args) -> int:
     print(
         f"cartesian: iterations={report.outer_iterations} "
         f"converged={report.converged} stop={report.stop_reason} "
-        f"update={report.anchor_update_norm:.3e} "
+        f"update={report.update_history[-1]:.3e} "
         f"residual={report.residual_sup:.3e} center={center:.6g}"
     )
     if args.out_field and report.stop_reason != "non-finite":
@@ -252,19 +245,14 @@ def _run_compare(args) -> int:
     return _exit_code(gml.stop_reason)
 
 
-_RUNNERS = {
-    "cartesian": _run_cartesian,
-    "polar-symbolic": _run_polar_symbolic,
-    "oracle": _run_oracle,
-    "compare": _run_compare,
-}
-# the flags each mode reads beyond --eps, --alpha, --beta and --N, which every
-# mode reads; these default to None, so a given flag can be told from an absent one
-_READS = {
-    "cartesian": {"K", "M", "f", "tol", "max_iter", "out_field"},
-    "polar-symbolic": {"K", "iters", "out_expr"},
-    "oracle": {"M", "f", "tol", "out_field"},
-    "compare": {"K", "M", "f", "tol", "max_iter", "out_report"},
+# each mode's runner and the flags it reads beyond --eps, --alpha, --beta and
+# --N, which every mode reads; these default to None, so a given flag can be
+# told from an absent one
+_MODES = {
+    "cartesian": (_run_cartesian, {"K", "M", "f", "tol", "max_iter", "out_field"}),
+    "polar-symbolic": (_run_polar_symbolic, {"K", "iters", "out_expr"}),
+    "oracle": (_run_oracle, {"M", "f", "tol", "out_field"}),
+    "compare": (_run_compare, {"K", "M", "f", "tol", "max_iter", "out_report"}),
 }
 
 
@@ -274,12 +262,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        unread = set().union(*_READS.values()) - _READS[args.mode]
+        run, reads = _MODES[args.mode]
+        unread = set().union(*(flags for _, flags in _MODES.values())) - reads
         for flag, value in vars(args).items():  # in the parser's order
             if flag in unread and value is not None:
                 verb = "written" if flag.startswith("out_") else "read"
                 raise ValueError(f"--{flag.replace('_', '-')} is not {verb} by --mode {args.mode}")
-        return _RUNNERS[args.mode](args)
+        return run(args)
     except (ValueError, SyntaxError) as exc:
         print(f"proxgml: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -12,8 +12,9 @@ with a sparse LU ordered by minimum degree on A^T + A, which follows the
 symmetric 5-point structure: at N=M=100, eps=0.01 the factors hold 364,676
 nonzeros, against 666,448 under the default column ordering (COLAMD).
 ``scipy.sparse`` and ``scipy.sparse.linalg`` are imported at the first
-solve, so ``import proxgml`` and the line solves never load them, and
-``spsolve`` is looked up on ``scipy.sparse.linalg`` at each call.
+solve, so ``import proxgml`` and the line solves never load them; the
+first Newton run binds ``scipy.sparse.linalg`` to the module's ``_spla``,
+on which ``spsolve`` is looked up at each call.
 
 Newton is sequenced over coarser grids (nested iteration): while N and M are
 both even and the halved grid keeps at least ``COARSE_MIN`` intervals each
@@ -63,6 +64,7 @@ STALL_STEPS = 3
 # a coarse level stops once its sup residual is at most this times max(1, sup|f|):
 # a prolonged start carries a residual of about sup|f| anyway
 COARSE_TOL = 1e-2
+_spla = None  # scipy.sparse.linalg, bound by the first Newton run
 
 
 class NewtonDivergenceError(RuntimeError):
@@ -80,12 +82,11 @@ class NewtonReport:
 
 
 def _require_uniform_rectangle(grid: LineGrid) -> float:
-    widths = grid.per_line_range[:, 1] - grid.per_line_range[:, 0]
-    lows = grid.per_line_range[:, 0]
-    if not (np.allclose(widths, widths[0], rtol=0, atol=1e-13 * abs(widths[0]))
+    h, lows = grid.h, grid.ordinates[:, 0]
+    if not (np.allclose(h, h[0], rtol=0, atol=1e-13 * abs(h[0]))
             and np.allclose(lows, lows[0], rtol=0, atol=1e-13 * (1 + abs(lows[0])))):
         raise ValueError("full-grid oracle requires a rectangle with constant y-range")
-    return grid.h[0]
+    return h[0]
 
 
 def _laplacian(N: int, M: int, d: float, h: float) -> "scipy.sparse.csc_matrix":
@@ -161,7 +162,9 @@ def _damped_newton(A, f, u, *, alpha, beta, threshold, max_newton, stall_steps=N
     J is A's copy, and a step writes only J's diagonal.  With ``stall_steps`` the
     run fails once its sup residual after that many steps is above half its first."""
 
-    import scipy.sparse.linalg as spla
+    global _spla
+    if _spla is None:
+        import scipy.sparse.linalg as _spla
 
     def F(v):
         return A @ v + alpha * v**3 - beta * v - f
@@ -184,7 +187,7 @@ def _damped_newton(A, f, u, *, alpha, beta, threshold, max_newton, stall_steps=N
             failure, solves = "stalled", it
             break
         J.data[diag] = a_diag + (3.0 * alpha * u**2 - beta)
-        delta = spla.spsolve(J, -Fu, permc_spec=PERMC_SPEC)
+        delta = _spla.spsolve(J, -Fu, permc_spec=PERMC_SPEC)
         # halving line search on the euclidean residual norm; the accepted
         # trial's residual is the next step's F(u)
         base = _norm(Fu)

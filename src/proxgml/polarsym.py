@@ -242,7 +242,6 @@ class CrossCheckReport:
     """Symbolic-vs-numeric comparison on a sampled boundary function."""
 
     sup_diff: float
-    per_line_sup: np.ndarray  # entry k for line k+1
     symbolic_values: np.ndarray = field(repr=False)
     numeric_values: np.ndarray = field(repr=False)
 
@@ -268,6 +267,5 @@ def cross_check_numeric(
     sym = np.array([[poly_eval(p, x, 0.0, x2) for x, x2 in zip(g, g2)]
                     for p in symbolic_solve(cfg)[1:cfg.n_lines]])
     num = polar_numeric_solve(cfg, g)[1:cfg.n_lines]
-    per_line = np.max(np.abs(sym - num), axis=1)
-    return CrossCheckReport(sup_diff=float(np.max(per_line)), per_line_sup=per_line,
+    return CrossCheckReport(sup_diff=float(np.max(np.abs(sym - num))),
                             symbolic_values=sym, numeric_values=num)

@@ -64,7 +64,8 @@ class ProblemSpec:
     ``prox_weight`` is the proximal constant K, by default the paper's
     rectangle setting 50; K = 0 degrades to the unregularized sweep.
     Coefficients: finite, eps > 0, K >= 0 (``check_coefficients``).
-    No solver reads ``domain``: they take the geometry from the grid.
+    The solvers take the geometry from the grid, and ``source_values``
+    rejects a grid whose nodes are not those of ``domain``.
     """
 
     epsilon: float
@@ -82,9 +83,9 @@ class ProblemSpec:
 class LineGrid:
     """N+1 lines of ``domain`` with M+1 nodes each, derived from (domain, N, M).
 
-    d = (b - a)/N, ``abscissae[n]`` = a + n*d, ``per_line_range[n]`` =
-    (y1(x_n), y2(x_n)), the step ``h[n]`` = (y2 - y1)/M and the node
-    ordinates ``ordinates[n, j]`` = y1 + (j/M)*(y2 - y1), all read-only.
+    d = (b - a)/N, ``abscissae[n]`` = a + n*d and, with y1, y2 at x_n, the
+    step ``h[n]`` = (y2 - y1)/M and the node ordinates ``ordinates[n, j]``
+    = y1 + (j/M)*(y2 - y1), all read-only.
     N and M are counts of at least 2 (``integer_count``); d must be
     positive and every line must have real, scalar, finite y1 < y2 and a
     step h_n whose 1/h_n^2, which the line matrices read, is finite.
@@ -95,7 +96,6 @@ class LineGrid:
     m_nodes: int
     d: float = field(init=False)
     abscissae: np.ndarray = field(init=False)
-    per_line_range: np.ndarray = field(init=False)  # shape (N+1, 2)
     h: np.ndarray = field(init=False)  # shape (N+1,)
     ordinates: np.ndarray = field(init=False)  # shape (N+1, M+1)
 
@@ -129,11 +129,11 @@ class LineGrid:
             raise ValueError(f"degenerate strip width at line {n} (x={abscissae[n]}): width "
                              f"{hi[n] - lo[n]} gives h={h[n]}, whose 1/h^2 is not finite")
         ordinates = lo[:, None] + np.arange(M + 1) / M * (hi - lo)[:, None]
-        arrays = abscissae, np.column_stack([lo, hi]), h, ordinates
+        arrays = abscissae, h, ordinates
         for arr in arrays:
             arr.setflags(write=False)
-        for name, value in zip(("n_lines", "m_nodes", "d", "abscissae", "per_line_range", "h",
-                                "ordinates"), (N, M, d, *arrays)):
+        for name, value in zip(("n_lines", "m_nodes", "d", "abscissae", "h", "ordinates"),
+                               (N, M, d, *arrays)):
             object.__setattr__(self, name, value)
 
 
@@ -164,9 +164,8 @@ def integer_count(name: str, k, minimum: int) -> int:
     return int(k)
 
 
-def build_cartesian_grid(domain: CartesianDomain, N: int, M: int) -> LineGrid:
-    """``LineGrid(domain, N, M)``: N equal sub-intervals of [a, b], M on each line."""
-    return LineGrid(domain, N, M)
+# a second name for LineGrid, kept only while the benchmark calls it
+build_cartesian_grid = LineGrid
 
 
 def source_values(spec: ProblemSpec, grid: LineGrid) -> np.ndarray:
@@ -174,12 +173,18 @@ def source_values(spec: ProblemSpec, grid: LineGrid) -> np.ndarray:
 
     The source is called once per interior line n = 1..N-1 on that line's
     interior ordinates, so it may be singular on the boundary; the
-    boundary rows and columns are 0.  Numpy's warnings are silenced while
-    sampling; a ValueError names the line and x of a source that raises an
-    ArithmeticError, returns a complex array or returns values that float()
-    rejects (an object array of complex numbers), and the line, node, x and
-    y of the first value that is NaN or infinite.
+    boundary rows and columns are 0.  A ValueError rejects a spec whose
+    domain is not the grid's and gives other nodes.  Numpy's warnings are
+    silenced while sampling; a ValueError names the line and x of a source
+    that raises an ArithmeticError, returns a complex array or returns
+    values that float() rejects (an object array of complex numbers), and
+    the line, node, x and y of the first value that is NaN or infinite.
     """
+    if spec.domain != grid.domain:
+        own = LineGrid(spec.domain, grid.n_lines, grid.m_nodes)
+        if not (np.array_equal(own.abscissae, grid.abscissae)
+                and np.array_equal(own.ordinates, grid.ordinates)):
+            raise ValueError("the spec's domain gives other nodes than the grid's")
     out = np.zeros_like(grid.ordinates)
     with np.errstate(all="ignore"):
         for n in range(1, grid.n_lines):

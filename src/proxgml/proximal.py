@@ -57,7 +57,6 @@ __all__ = [
     "backward_pass",
     "proximal_iterate",
     "residual_field",
-    "residual_norm",
 ]
 
 
@@ -67,7 +66,6 @@ class SolveReport:
 
     solution: FieldSolution
     outer_iterations: int
-    anchor_update_norm: float
     residual_sup: float
     converged: bool
     update_history: np.ndarray  # sup-norm anchor update of every iteration
@@ -199,7 +197,6 @@ def proximal_iterate(
     return SolveReport(
         solution=FieldSolution(v),
         outer_iterations=len(updates),
-        anchor_update_norm=float(updates[-1]),
         residual_sup=residual_sup() if residual is None else residual,
         converged=stop_reason == "converged",
         update_history=updates,
@@ -252,9 +249,3 @@ def residual_field(spec: ProblemSpec, grid: LineGrid, u: FieldSolution) -> np.nd
     proximal terms): -eps*(D_xx + D_yy)u + alpha*u^3 - beta*u - f.
     """
     return _fd_residual(spec, grid, u.values, source_values(spec, grid))
-
-
-def residual_norm(spec: ProblemSpec, grid: LineGrid, u: FieldSolution) -> float:
-    """Sup-norm of the unregularized residual over interior nodes."""
-    return float(np.max(np.abs(residual_field(spec, grid, u))))
-

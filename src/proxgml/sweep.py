@@ -67,13 +67,10 @@ cycle's own output, so what a stop certifies is what it certified for
 the plain loop.  A finite-difference Jacobian of the cycle map at the root
 puts its spectrum in [0.196, 0.963], [0.560, 0.961] and [0.855, 0.971] for
 the N = M = 20 sin(pi*x)*sin(pi*y) source at K = 50 and eps
-0.1/0.01/0.001.  That source takes 49/63/77 cycles (198/140/139 with the
-best single factor, 404/440/637 plain), and f = 1 at N = M = 100 130/66/60
-(178/154/119, 312/266/267).  The window keeps the rule off the swinging
-early updates of runs near the divergent sources (f = 160 at N = 6) and of
-the stalled K = 3 run, which a rule that armed on any falling, aligned
-step and never restarted sent non-finite.  The annulus's fixed schedule
-is never accelerated.
+0.1/0.01/0.001; that source takes 49/63/77 cycles, and f = 1 at
+N = M = 100 130/66/60.  The window keeps the rule off the swinging early
+updates of runs near the divergent sources (f = 160 at N = 6) and of the
+stalled K = 3 run.  The annulus's fixed schedule is never accelerated.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from proxgml.polarsym import PolarSymbolicConfig, symbolic_solve
-from proxgml.problem import CartesianDomain, ProblemSpec, build_cartesian_grid
+from proxgml.problem import CartesianDomain, LineGrid, ProblemSpec
 from proxgml.proximal import proximal_iterate
 
 UNIT_SQUARE = CartesianDomain(a=0.0, b=1.0, y1=lambda x: 0.0, y2=lambda x: 1.0)
@@ -28,7 +28,7 @@ def square_problem(epsilon, K=50.0, alpha=1.0, beta=1.0, source=ones_source):
 
 @pytest.fixture(scope="session")
 def square_grid_20():
-    return build_cartesian_grid(UNIT_SQUARE, 20, 20)
+    return LineGrid(UNIT_SQUARE, 20, 20)
 
 
 @pytest.fixture(scope="session")
@@ -41,7 +41,7 @@ def run_eps01_n20(square_grid_20):
 @pytest.fixture(scope="session")
 def reference_runs_n100():
     """Converged runs at N=M=100 for eps in {0.1, 0.01, 0.001}."""
-    grid = build_cartesian_grid(UNIT_SQUARE, 100, 100)
+    grid = LineGrid(UNIT_SQUARE, 100, 100)
     out = {}
     for eps in (0.1, 0.01, 0.001):
         spec = square_problem(eps)

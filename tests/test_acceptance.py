@@ -10,7 +10,7 @@ import pytest
 from proxgml.linebvp import TridiagonalSystem, assemble_line_system, thomas_solve
 from proxgml.oracle import compare_fields, newton_solve
 from proxgml.polarsym import cross_check_numeric, polar_numeric_solve
-from proxgml.problem import build_cartesian_grid
+from proxgml.problem import LineGrid
 import proxgml.proximal as proximal
 from proxgml.proximal import proximal_iterate
 from proxgml.sweep import ab_recursion
@@ -224,7 +224,7 @@ def test_criterion_10_sweep_coefficient_properties(monkeypatch):
         eps = float(10.0 ** rng.uniform(-3, 0))
         N = int(rng.integers(5, 150))
         spec = square_problem(eps, K=K)
-        grid = build_cartesian_grid(UNIT_SQUARE, N, 3)
+        grid = LineGrid(UNIT_SQUARE, N, 3)
         a, b = ab_recursion(K, grid.d, eps, N - 1)
         q = 2.0 + K * grid.d**2 / eps
         a_star = (q - np.sqrt(q * q - 4.0)) / 2.0
@@ -246,7 +246,7 @@ def test_criterion_10_sweep_coefficient_properties(monkeypatch):
 
     monkeypatch.setattr(proximal, "ab_recursion", logged("ab", proximal.ab_recursion))
     monkeypatch.setattr(proximal, "_scheme_terms", logged("anchor", proximal._scheme_terms))
-    spec, grid = square_problem(0.1, K=50.0), build_cartesian_grid(UNIT_SQUARE, 30, 10)
+    spec, grid = square_problem(0.1, K=50.0), LineGrid(UNIT_SQUARE, 30, 10)
     report = proximal_iterate(spec, grid, max_iter=20)
     once_ok = (report.outer_iterations == 20 and events.count("ab") == 1
                and events[0] == "ab" and events.count("anchor") >= 20)

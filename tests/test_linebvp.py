@@ -5,8 +5,8 @@ import proxgml.linebvp as linebvp
 from proxgml.linebvp import TridiagonalSystem, assemble_line_system, thomas_solve
 from proxgml.problem import (
     CartesianDomain,
+    LineGrid,
     ProblemSpec,
-    build_cartesian_grid,
     source_values,
 )
 import proxgml.proximal as proximal
@@ -161,7 +161,7 @@ def _coeffs_for(grid, spec, c_value=0.0):
 
 def test_solve_line_zero_inputs():
     spec = square_problem(0.1, K=5.0)
-    grid = build_cartesian_grid(UNIT_SQUARE, 6, 8)
+    grid = LineGrid(UNIT_SQUARE, 6, 8)
     coeffs = _coeffs_for(grid, spec, c_value=0.0)
     sol = solve_line(3, coeffs, np.zeros(9), spec, grid)
     np.testing.assert_array_equal(sol, np.zeros(9))
@@ -170,7 +170,7 @@ def test_solve_line_zero_inputs():
 def test_terminal_line_reduces_to_c_only():
     # u_N = 0 kills the coupling terms: the last line solves u - gamma u'' = c
     spec = square_problem(0.1, K=5.0)
-    grid = build_cartesian_grid(UNIT_SQUARE, 6, 12)
+    grid = LineGrid(UNIT_SQUARE, 6, 12)
     coeffs = _coeffs_for(grid, spec, c_value=0.37)
     n = grid.n_lines - 1
     got = solve_line(n, coeffs, np.zeros(13), spec, grid)
@@ -182,7 +182,7 @@ def test_terminal_line_reduces_to_c_only():
 
 def test_linear_chain_when_nonlinearity_off():
     spec = square_problem(0.1, K=5.0, alpha=0.0, beta=0.0)
-    grid = build_cartesian_grid(UNIT_SQUARE, 6, 10)
+    grid = LineGrid(UNIT_SQUARE, 6, 10)
     coeffs = _coeffs_for(grid, spec, c_value=0.1)
     rng = np.random.default_rng(4)
     u_next = np.zeros(11)
@@ -212,7 +212,7 @@ def _random_problem(N, M, domain, seed=21):
     spec = ProblemSpec(epsilon=0.07, alpha=2.0, beta=0.5,
                        source=lambda x, y: np.cos(3.0 * x) * np.sin(np.pi * y),
                        prox_weight=11.0, domain=domain)
-    grid = build_cartesian_grid(domain, N, M)
+    grid = LineGrid(domain, N, M)
     a, b = ab_recursion(spec.prox_weight, grid.d, spec.epsilon, N - 1)
     noise = np.random.default_rng(seed).uniform(-15.0, 15.0, (N + 1, M + 1))
     g = source_values(spec, grid) + noise
@@ -265,7 +265,7 @@ def test_backward_solve_on_non_contiguous_arrays():
 def test_backward_pass_rejects_misshaped_c(shape):
     # at N = 6, M = 4 the pass needs one c row of M+1 values per line 1..5;
     # numpy would broadcast any of these shapes over every line
-    grid = build_cartesian_grid(UNIT_SQUARE, 6, 4)
+    grid = LineGrid(UNIT_SQUARE, 6, 4)
     with pytest.raises(ValueError, match="shape"):
         backward_pass(square_problem(0.1), grid, np.ones(shape), np.zeros(5))
 
@@ -274,7 +274,7 @@ def test_backward_pass_rejects_misshaped_c(shape):
 def test_backward_pass_rejects_misshaped_boundary(shape):
     # at M = 4 line N holds M+1 = 5 values; numpy would spread a scalar or
     # a (1, 5) row over it
-    grid = build_cartesian_grid(UNIT_SQUARE, 6, 4)
+    grid = LineGrid(UNIT_SQUARE, 6, 4)
     with pytest.raises(ValueError, match="u_boundary_N must have shape"):
         backward_pass(square_problem(0.1), grid, np.ones((5, 5)), np.zeros(shape))
 
@@ -283,7 +283,7 @@ def test_backward_pass_rejects_misshaped_boundary(shape):
 def test_backward_pass_rejects_non_finite_c(bad):
     # one NaN in c once came out as 9 NaN nodes of the field, with no error;
     # the end columns are not read, so a non-finite value there is harmless
-    grid = build_cartesian_grid(UNIT_SQUARE, 6, 4)
+    grid = LineGrid(UNIT_SQUARE, 6, 4)
     c = np.ones((5, 5))
     c[:, [0, -1]] = bad
     backward_pass(square_problem(0.1), grid, c, np.zeros(5))
@@ -294,7 +294,7 @@ def test_backward_pass_rejects_non_finite_c(bad):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_backward_pass_rejects_non_finite_boundary(bad):
-    grid = build_cartesian_grid(UNIT_SQUARE, 6, 4)
+    grid = LineGrid(UNIT_SQUARE, 6, 4)
     boundary = np.zeros(5)
     boundary[3] = bad
     with pytest.raises(ValueError, match="u_boundary_N must be finite"):
@@ -309,7 +309,7 @@ def test_solve_loop_builds_no_line_system(monkeypatch):
 
     for name in ("assemble_line_system", "thomas_solve", "TridiagonalSystem"):
         monkeypatch.setattr(linebvp, name, forbidden)
-    report = proximal_iterate(square_problem(0.1), build_cartesian_grid(UNIT_SQUARE, 8, 8),
+    report = proximal_iterate(square_problem(0.1), LineGrid(UNIT_SQUARE, 8, 8),
                               max_iter=3)
     assert report.outer_iterations == 3
 
@@ -329,7 +329,7 @@ def test_solve_builds_factors_and_pass_once(monkeypatch):
     monkeypatch.setattr(proximal, "BackwardPass", counted("BackwardPass", proximal.BackwardPass))
     monkeypatch.setattr(proximal, "c_operator", counted("c_operator", proximal.c_operator))
     monkeypatch.setattr(proximal, "dpttrf", counted("dpttrf", proximal.dpttrf))
-    report = proximal_iterate(square_problem(0.1), build_cartesian_grid(UNIT_SQUARE, 8, 8),
+    report = proximal_iterate(square_problem(0.1), LineGrid(UNIT_SQUARE, 8, 8),
                               max_iter=20)
     assert report.outer_iterations == 20
     assert calls == {"BackwardPass": 1, "c_operator": 1, "dpttrf": 7}

@@ -11,7 +11,6 @@ from proxgml.problem import (
     FieldSolution,
     LineGrid,
     ProblemSpec,
-    build_cartesian_grid,
     source_values,
 )
 from proxgml.proximal import proximal_iterate, residual_field
@@ -20,34 +19,34 @@ from conftest import UNIT_SQUARE, ones_source, square_problem
 
 
 def test_grid_spacing_unit_interval():
-    grid = build_cartesian_grid(UNIT_SQUARE, 100, 100)
+    grid = LineGrid(UNIT_SQUARE, 100, 100)
     assert grid.d == pytest.approx(0.01, abs=0)
     assert grid.abscissae[50] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_smallest_legal_grid():
-    grid = build_cartesian_grid(UNIT_SQUARE, 2, 2)
+    grid = LineGrid(UNIT_SQUARE, 2, 2)
     np.testing.assert_allclose(grid.abscissae, [0.0, 0.5, 1.0])
     np.testing.assert_allclose(grid.ordinates, [[0.0, 0.5, 1.0]] * 3)
 
 
-def test_curved_strip_per_line_range():
+def test_curved_strip_line_range():
     dom = CartesianDomain(a=0.0, b=1.0, y1=lambda x: 0.0, y2=lambda x: 1.0 + x)
-    grid = build_cartesian_grid(dom, 4, 4)
-    assert tuple(grid.per_line_range[2]) == (0.0, 1.5)
+    grid = LineGrid(dom, 4, 4)
+    assert (grid.ordinates[2, 0], grid.ordinates[2, -1]) == (0.0, 1.5)
 
 
 def test_rejects_small_n_or_m():
     with pytest.raises(ValueError):
-        build_cartesian_grid(UNIT_SQUARE, 1, 10)
+        LineGrid(UNIT_SQUARE, 1, 10)
     with pytest.raises(ValueError):
-        build_cartesian_grid(UNIT_SQUARE, 10, 1)
+        LineGrid(UNIT_SQUARE, 10, 1)
 
 
 def test_rejects_degenerate_width():
     pinched = CartesianDomain(a=0.0, b=1.0, y1=lambda x: 0.0, y2=lambda x: 1.0 - x)
     with pytest.raises(ValueError, match="degenerate"):
-        build_cartesian_grid(pinched, 4, 4)
+        LineGrid(pinched, 4, 4)
 
 
 @pytest.mark.parametrize("a, b", [
@@ -66,7 +65,7 @@ def test_rejects_non_finite_strip_bounds(y1, y2):
     # hi <= lo is False for NaN, so a NaN bound once passed the width test
     dom = CartesianDomain(a=0.0, b=1.0, y1=lambda x: y1, y2=lambda x: y2)
     with pytest.raises(ValueError, match="degenerate"):
-        build_cartesian_grid(dom, 4, 4)
+        LineGrid(dom, 4, 4)
 
 
 @pytest.mark.parametrize("y2, line", [
@@ -94,10 +93,10 @@ def test_rejects_non_scalar_strip_bounds(y1, y2, line):
 ])
 def test_rejects_non_integer_counts(N, M):
     with pytest.raises(ValueError, match="integer"):
-        build_cartesian_grid(UNIT_SQUARE, N, M)
+        LineGrid(UNIT_SQUARE, N, M)
 
 
-_SMALL = build_cartesian_grid(UNIT_SQUARE, 4, 4)
+_SMALL = LineGrid(UNIT_SQUARE, 4, 4)
 # every library count argument, each called with the count under test
 COUNT_ARGUMENTS = {
     "n_lines": lambda k: PolarSymbolicConfig(epsilon=0.1, n_lines=k),
@@ -129,7 +128,7 @@ def test_count_arguments_reject_values_below_their_minimum(name):
 
 
 def test_accepts_numpy_integer_counts():
-    grid = build_cartesian_grid(UNIT_SQUARE, np.int64(4), np.int32(3))
+    grid = LineGrid(UNIT_SQUARE, np.int64(4), np.int32(3))
     assert (grid.n_lines, grid.m_nodes) == (4, 3)
     assert type(grid.n_lines) is int and type(grid.m_nodes) is int
 
@@ -146,23 +145,22 @@ def test_domain_invariants():
 
 
 def test_transverse_step():
-    grid = build_cartesian_grid(UNIT_SQUARE, 10, 100)
+    grid = LineGrid(UNIT_SQUARE, 10, 100)
     assert grid.h.shape == (11,)
     assert grid.h[3] == pytest.approx(0.01)
     dom = CartesianDomain(a=0.0, b=1.0, y1=lambda x: -1.0, y2=lambda x: 1.0)
-    g2 = build_cartesian_grid(dom, 4, 4)
+    g2 = LineGrid(dom, 4, 4)
     assert g2.h[0] == pytest.approx(0.5)
-    g3 = build_cartesian_grid(
-        CartesianDomain(a=0.0, b=1.0, y1=lambda x: 0.0, y2=lambda x: 1.5), 4, 3)
+    g3 = LineGrid(CartesianDomain(a=0.0, b=1.0, y1=lambda x: 0.0, y2=lambda x: 1.5), 4, 3)
     assert g3.h[1] == pytest.approx(0.5)
 
 
 def test_grid_determinism_bit_identical():
     dom = CartesianDomain(a=-0.3, b=1.7, y1=np.sin, y2=lambda x: np.cos(x) + 2.0)
-    g1 = build_cartesian_grid(dom, 17, 9)
-    g2 = build_cartesian_grid(dom, 17, 9)
+    g1 = LineGrid(dom, 17, 9)
+    g2 = LineGrid(dom, 17, 9)
     assert np.array_equal(g1.abscissae, g2.abscissae)
-    assert np.array_equal(g1.per_line_range, g2.per_line_range)
+    assert np.array_equal(g1.ordinates, g2.ordinates)
     assert g1.d == g2.d
 
 
@@ -177,15 +175,14 @@ def test_grid_derives_its_fields_from_domain_and_counts(y2):
     x = dom.a + d * np.arange(N + 1)
     ranges = np.column_stack([[float(dom.y1(v)) for v in x], [float(dom.y2(v)) for v in x]])
     s = np.arange(M + 1) / M
-    want = {"abscissae": x, "per_line_range": ranges,
-            "h": (ranges[:, 1] - ranges[:, 0]) / M,
+    want = {"abscissae": x, "h": (ranges[:, 1] - ranges[:, 0]) / M,
             "ordinates": np.array([lo + s * (hi - lo) for lo, hi in ranges])}
-    for grid in (LineGrid(dom, N, M), build_cartesian_grid(dom, N, M)):
-        assert (grid.domain, grid.n_lines, grid.m_nodes, grid.d) == (dom, N, M, d)
-        for name, value in want.items():
-            got = getattr(grid, name)
-            assert got.shape == value.shape and got.tobytes() == value.tobytes(), name
-            assert not got.flags.writeable, name
+    grid = LineGrid(dom, N, M)
+    assert (grid.domain, grid.n_lines, grid.m_nodes, grid.d) == (dom, N, M, d)
+    for name, value in want.items():
+        got = getattr(grid, name)
+        assert got.shape == value.shape and got.tobytes() == value.tobytes(), name
+        assert not got.flags.writeable, name
 
 
 @pytest.mark.parametrize("line, h", [(2, 0.0), (1, -0.1), (2, math.nan)],
@@ -232,12 +229,11 @@ def test_grid_takes_no_derived_field():
 
 def test_reference_mapping_affine_and_onto():
     dom = CartesianDomain(a=0.0, b=2.0, y1=lambda x: x, y2=lambda x: x + 1.0 + x * x)
-    grid = build_cartesian_grid(dom, 5, 8)
+    grid = LineGrid(dom, 5, 8)
     for n in range(6):
         y = grid.ordinates[n]
-        lo, hi = grid.per_line_range[n]
-        assert y[0] == pytest.approx(lo)
-        assert y[-1] == pytest.approx(hi)
+        assert y[0] == pytest.approx(dom.y1(grid.abscissae[n]))
+        assert y[-1] == pytest.approx(dom.y2(grid.abscissae[n]))
         np.testing.assert_allclose(np.diff(y), grid.h[n], rtol=1e-12)
 
 
@@ -263,7 +259,7 @@ def _reciprocal(shift):
 def test_source_singular_at_an_interior_node_is_rejected(solve, shift, node):
     # at N = M = 8, line 4 lies on x = 0.5 and node 4 of each line on y = 0.5
     spec = square_problem(0.1, source=_reciprocal(shift))
-    grid = build_cartesian_grid(UNIT_SQUARE, 8, 8)
+    grid = LineGrid(UNIT_SQUARE, 8, 8)
     with pytest.raises(ValueError, match=f"source is not finite at {node}:"):
         solve(spec, grid)
 
@@ -273,7 +269,7 @@ def test_complex_source_is_rejected(solve):
     # a float cast would drop 1j*y and solve f = 1 with only a ComplexWarning
     spec = square_problem(0.1, source=lambda x, y: 1 + 1j * y)
     with pytest.raises(ValueError, match="source is complex at line 1 "):
-        solve(spec, build_cartesian_grid(UNIT_SQUARE, 8, 8))
+        solve(spec, LineGrid(UNIT_SQUARE, 8, 8))
 
 
 @pytest.mark.parametrize("solve", _SOLVES, ids=_SOLVE_IDS)
@@ -282,21 +278,48 @@ def test_object_array_of_complex_numbers_is_rejected(solve):
     # row assignment raised a bare TypeError that named no line
     spec = square_problem(0.1, source=lambda x, y: np.array([1j] * y.size, dtype=object))
     with pytest.raises(ValueError, match=r"source is not real at line 1 \(x=0.125\): .*complex"):
-        solve(spec, build_cartesian_grid(UNIT_SQUARE, 8, 8))
+        solve(spec, LineGrid(UNIT_SQUARE, 8, 8))
+
+
+@pytest.mark.parametrize("domain", [
+    CartesianDomain(a=0.0, b=3.0, y1=lambda x: 0.0, y2=lambda x: 2.0),
+    CartesianDomain(a=0.0, b=3.0, y1=lambda x: 0.0, y2=lambda x: 1.0),
+    CartesianDomain(a=0.0, b=1.0, y1=lambda x: 0.0, y2=lambda x: 1.0 + x),
+], ids=["wider", "other-abscissae", "other-ordinates"])
+@pytest.mark.parametrize("solve", _SOLVES, ids=_SOLVE_IDS)
+def test_spec_on_another_domain_is_rejected(solve, domain):
+    # a spec on [0, 3] x [0, 2] solved on a unit-square grid once returned the
+    # unit square's answer without a word
+    spec = ProblemSpec(epsilon=0.1, alpha=1.0, beta=1.0, source=ones_source, domain=domain)
+    with pytest.raises(ValueError, match="domain gives other nodes than the grid's"):
+        solve(spec, LineGrid(UNIT_SQUARE, 8, 8))
+
+
+@pytest.mark.parametrize("solve", _SOLVES, ids=_SOLVE_IDS)
+def test_spec_on_an_equal_domain_solves(solve):
+    # a separately written unit square is not the grid's domain object, but
+    # it gives the same nodes, so the answer is the same
+    same = CartesianDomain(a=0.0, b=1.0, y1=lambda x: 0.0, y2=lambda x: 1.0)
+    assert same != UNIT_SQUARE
+    grid = LineGrid(UNIT_SQUARE, 8, 8)
+    spec = ProblemSpec(epsilon=0.1, alpha=1.0, beta=1.0, source=ones_source, domain=same)
+    got, want = (r if isinstance(r, np.ndarray) else r.solution.values
+                 for r in (solve(spec, grid), solve(square_problem(0.1), grid)))
+    assert np.array_equal(got, want)
 
 
 def test_source_that_raises_an_arithmetic_error_is_rejected():
     # float(x) - 0.5 is 0.0 on line 4 of N = 8, and Python's 1/0.0 raises
     spec = square_problem(0.1, source=lambda x, y: 1 / (float(x) - 0.5) + 0 * y)
     with pytest.raises(ValueError, match=r"source fails to evaluate at line 4 \(x=0.5\)"):
-        source_values(spec, build_cartesian_grid(UNIT_SQUARE, 8, 8))
+        source_values(spec, LineGrid(UNIT_SQUARE, 8, 8))
 
 
 def test_numpy_warnings_of_a_source_become_the_value_error():
     # no errstate of the source's own: its divide warning would otherwise be
     # an error under the suite's filter, before the check could name the node
     spec = square_problem(0.1, source=lambda x, y: 1 / (y - 0.5))
-    grid = build_cartesian_grid(UNIT_SQUARE, 8, 8)
+    grid = LineGrid(UNIT_SQUARE, 8, 8)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match=r"not finite at line 1, node 4: inf \(x=0.125, y=0.5\)"):
@@ -309,7 +332,7 @@ def test_source_values_are_the_interior_samples_and_zero_on_the_boundary():
     dom = CartesianDomain(a=0.0, b=2.0, y1=lambda x: 0.0, y2=lambda x: 1.0 + x * x)
     spec = ProblemSpec(epsilon=0.1, alpha=1.0, beta=1.0, domain=dom,
                        source=lambda x, y: 1.0 / y + x)
-    grid = build_cartesian_grid(dom, 5, 8)
+    grid = LineGrid(dom, 5, 8)
     f = source_values(spec, grid)
     assert f.shape == (6, 9)
     for edge in (f[0], f[-1], f[:, 0], f[:, -1]):
@@ -319,7 +342,7 @@ def test_source_values_are_the_interior_samples_and_zero_on_the_boundary():
 
 
 def test_field_zeros_shape():
-    grid = build_cartesian_grid(UNIT_SQUARE, 5, 7)
+    grid = LineGrid(UNIT_SQUARE, 5, 7)
     u = FieldSolution(np.zeros((grid.n_lines + 1, grid.m_nodes + 1)))
     assert u.values.shape == (6, 8)
     assert not u.values.flags.writeable
@@ -348,6 +371,6 @@ def test_spec_rejects_non_finite(field, bad):
 def test_non_finite_source_rejected(solve, bad):
     spec = ProblemSpec(epsilon=0.1, alpha=1.0, beta=1.0, prox_weight=50.0, domain=UNIT_SQUARE,
                        source=lambda x, y: np.where(np.asarray(y) > 0.5, bad, 1.0))
-    grid = build_cartesian_grid(UNIT_SQUARE, 6, 6)
+    grid = LineGrid(UNIT_SQUARE, 6, 6)
     with pytest.raises(ValueError, match="source is not finite"):
         solve(spec, grid)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from proxgml.polarsym import PolarSymbolicConfig, polar_iterate
-from proxgml.problem import build_cartesian_grid
+from proxgml.problem import LineGrid
 from proxgml.proximal import proximal_iterate
 from proxgml.sweep import ab_recursion, c_operator, outer_loop
 
@@ -12,7 +12,7 @@ from conftest import UNIT_SQUARE, square_problem, ones_source
 
 
 def test_a1_b1_unregularized():
-    grid = build_cartesian_grid(UNIT_SQUARE, 10, 4)
+    grid = LineGrid(UNIT_SQUARE, 10, 4)
     a, b = ab_recursion(0.0, grid.d, 0.1, grid.n_lines - 1)
     assert a[0] == pytest.approx(0.5, abs=0)
     assert b[0] == pytest.approx(0.5, abs=0)
@@ -20,7 +20,7 @@ def test_a1_b1_unregularized():
 
 def test_a1_reference_parameters():
     # K*d^2/eps = 50*1e-4/0.1 = 0.05, so a_1 = 1/2.05
-    grid = build_cartesian_grid(UNIT_SQUARE, 100, 4)
+    grid = LineGrid(UNIT_SQUARE, 100, 4)
     a, _ = ab_recursion(50.0, grid.d, 0.1, grid.n_lines - 1)
     assert a[0] == pytest.approx(1.0 / 2.05, rel=1e-15)
     assert a[0] == pytest.approx(0.487805, abs=5e-7)
@@ -28,7 +28,7 @@ def test_a1_reference_parameters():
 
 def test_c1_zero_anchor_unit_source():
     # at the zero anchor the line source is f = 1
-    grid = build_cartesian_grid(UNIT_SQUARE, 100, 4)
+    grid = LineGrid(UNIT_SQUARE, 100, 4)
     a, _ = ab_recursion(50.0, grid.d, 0.1, grid.n_lines - 1)
     c = c_operator(a, grid.d**2 / 0.1) @ np.ones((101, 5))[1:-1]
     np.testing.assert_allclose(c[0], (1.0 / 2.05) * 0.001, rtol=1e-14)
@@ -36,7 +36,7 @@ def test_c1_zero_anchor_unit_source():
 
 def test_full_recursion_against_direct_evaluation():
     eps, K = 0.05, 7.0
-    grid = build_cartesian_grid(UNIT_SQUARE, 6, 3)
+    grid = LineGrid(UNIT_SQUARE, 6, 3)
     g = np.random.default_rng(3).normal(size=(7, 4))
     a, b = ab_recursion(K, grid.d, eps, grid.n_lines - 1)
     q = 2.0 + K * grid.d**2 / eps
@@ -63,7 +63,7 @@ def test_a_monotone_and_bounded_by_fixed_point():
         eps = 10.0 ** rng.uniform(-3, 0)
         N = int(rng.integers(5, 120))
         spec = square_problem(eps, K=K)
-        grid = build_cartesian_grid(UNIT_SQUARE, N, 3)
+        grid = LineGrid(UNIT_SQUARE, N, 3)
         a, b = ab_recursion(K, grid.d, eps, N - 1)
         q = 2.0 + K * grid.d**2 / eps
         a_star = (q - np.sqrt(q * q - 4.0)) / 2.0
@@ -404,6 +404,6 @@ def test_solves_reject_an_overflowing_q(geometry):
     # at eps = 1e-310, K*d^2/eps overflows on both geometries
     with pytest.raises(ValueError, match="finite q"):
         if geometry == "rectangle":
-            proximal_iterate(square_problem(1e-310, K=1.0), build_cartesian_grid(UNIT_SQUARE, 4, 4))
+            proximal_iterate(square_problem(1e-310, K=1.0), LineGrid(UNIT_SQUARE, 4, 4))
         else:
             polar_iterate(PolarSymbolicConfig(epsilon=1e-310, n_lines=4, iters=3))
