@@ -27,7 +27,8 @@ solves it there.  c must be 0 on the end columns, the Dirichlet zeros.
 ``backward_pass`` runs a one-shot pass on a given c; ``linebvp`` holds the
 Thomas reference.  A cycle is converged when the update is at most ``tol``
 and, for K > 0, the FD residual is at most K*tol; ``sweep.outer_loop``
-runs the cycles, stops them and names the stop (``stop_reason``).  Once
+runs the cycles on ``tol`` and a ``certify()`` that forms the residual,
+stops them and names the stop (``stop_reason``).  Once
 the updates fall by a steady ratio it moves a failed cycle by the
 heavy-ball step (see ``sweep``), which leaves the stop test's meaning as it
 was for the plain loop.  The step reads the floor K/(K + lam_hi) of
@@ -186,13 +187,14 @@ def proximal_iterate(
     def residual_sup() -> float:
         return float(np.max(np.abs(_fd_residual(spec, grid, v, f))))
 
-    def converged(update: float) -> bool:
+    def certify() -> bool:
         nonlocal residual
-        residual = residual_sup() if update <= tol and K > 0.0 else None
-        return update <= tol and (residual is None or residual <= K * tol)
+        residual = residual_sup()
+        return residual <= K * tol
 
-    updates, stop_reason = outer_loop(cycle, v, max_iter, converged, _spectral_floor(spec, grid))
-    if stop_reason == "non-finite":  # that cycle was never tested
+    updates, stop_reason = outer_loop(cycle, v, max_iter, tol, certify if K > 0.0 else None,
+                                      _spectral_floor(spec, grid))
+    if stop_reason == "non-finite" or updates[-1] > tol:  # the last field was not certified
         residual = None
     return SolveReport(
         solution=FieldSolution(v),

@@ -5,11 +5,10 @@ as they are produced.
 """
 
 import numpy as np
-import pytest
 
 from proxgml.linebvp import TridiagonalSystem, assemble_line_system, thomas_solve
 from proxgml.oracle import compare_fields, newton_solve
-from proxgml.polarsym import cross_check_numeric, polar_numeric_solve
+from proxgml.polarsym import cross_check_numeric
 from proxgml.problem import LineGrid
 import proxgml.proximal as proximal
 from proxgml.proximal import proximal_iterate

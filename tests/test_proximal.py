@@ -300,6 +300,42 @@ def test_slow_contraction_converges_under_the_default_cap():
     assert compare_fields(report.solution, root.solution)[0] <= 1e-5
 
 
+def test_four_hundred_lines_converge():
+    # f = 1, eps 0.1 on N = 400 lines, M = 100: the lagged cycle's complex
+    # modes make the heavy-ball phases grow; before the failed-phase stop
+    # the run restarted on growth for 5,000 cycles, and now it converges in 237
+    spec = square_problem(0.1)
+    report = proximal_iterate(spec, LineGrid(UNIT_SQUARE, 400, 100), max_iter=400)
+    assert report.stop_reason == "converged"
+    assert report.residual_sup <= spec.prox_weight * 1e-8
+
+
+def test_manufactured_bistable_case_keeps_its_cycles():
+    # u* = 2*sin(pi*x)*sin(pi*y), N = M = 32, eps 0.003, f = -eps*Lap(u*) + u*^3 - u*:
+    # a rule that never armed again after its second growth restart took
+    # 2,109 cycles here; the failed-phase stop leaves the 264 of the full rule
+    eps = 0.003
+
+    def source(x, y):
+        u = 2.0 * np.sin(np.pi * x) * np.sin(np.pi * y)
+        return 2.0 * np.pi**2 * eps * u + u**3 - u
+
+    report = proximal_iterate(square_problem(eps, source=source), LineGrid(UNIT_SQUARE, 32, 32))
+    assert report.stop_reason == "converged"
+    assert report.outer_iterations == 264
+
+
+def test_a_failed_certificate_restarts_the_rule(reference_runs_n100):
+    # f = 1, eps 0.1, N = M = 100: a cycle whose update is within tol but
+    # whose FD residual is not within K*tol restarts the armed rule; the run
+    # tests the residual on 19 cycles, from the first update within tol at
+    # cycle 95 to the stop at 113 (36 cycles, to 130, when they stayed armed)
+    report = reference_runs_n100[1][0.1][1]
+    small = np.flatnonzero(report.update_history <= 1e-8) + 1
+    assert report.converged
+    assert (small[0], small.size, report.outer_iterations) == (95, 19, 113)
+
+
 @pytest.mark.parametrize("N, f, cycles", [(6, 160, 66), (20, 130, 49)])
 def test_relaxation_keeps_moderate_sources_converging(N, f, cycles):
     # near the sources where the loop diverges its early updates swing; a

@@ -8,7 +8,7 @@ from proxgml.problem import LineGrid
 from proxgml.proximal import proximal_iterate
 from proxgml.sweep import ab_recursion, c_operator, outer_loop
 
-from conftest import UNIT_SQUARE, square_problem, ones_source
+from conftest import UNIT_SQUARE, square_problem
 
 
 def test_a1_b1_unregularized():
@@ -105,6 +105,9 @@ def test_c_operator_matches_loop(size, q):
         assert C[-1, 0] == 0.0
 
 
+NEVER = -1.0  # a tol that no update, a sup norm, can meet
+
+
 def _scripted(updates):
     """A cycle and the zero state it advances: cycle k sets entry k to updates[k].
 
@@ -121,29 +124,37 @@ def _scripted(updates):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("converged", [None, lambda update: False])
-def test_outer_loop_stops_at_the_first_non_finite_update(bad, converged):
-    history, stop = outer_loop(*_scripted([0.5, 0.25, bad, 0.1, 0.0]), 5, converged)
+@pytest.mark.parametrize("tol", [None, NEVER])
+def test_outer_loop_stops_at_the_first_non_finite_update(bad, tol):
+    history, stop = outer_loop(*_scripted([0.5, 0.25, bad, 0.1, 0.0]), 5, tol)
     assert stop == "non-finite"
     np.testing.assert_array_equal(history, [0.5, 0.25, bad])
 
 
 def test_outer_loop_stops_at_the_first_passing_update():
-    judged = []
-
-    def converged(update):
-        judged.append(update)
-        return update <= 0.1
-
-    history, stop = outer_loop(*_scripted([0.5, 0.1, 0.05]), 10, converged)
+    history, stop = outer_loop(*_scripted([0.5, 0.1, 0.05]), 10, 0.1)
     assert stop == "converged"
     np.testing.assert_array_equal(history, [0.5, 0.1])
-    assert judged == [0.5, 0.1]
+
+
+def test_certify_is_asked_only_on_updates_within_tol():
+    # the second update within tol is the first whose output certify accepts
+    cycle, state = _scripted([0.5, 0.1, 0.3, 0.05, 0.01, 0.0])
+    judged = []
+
+    def certify():
+        judged.append(state.copy())
+        return len(judged) == 2
+
+    history, stop = outer_loop(cycle, state, 10, 0.1, certify)
+    assert stop == "converged"
+    np.testing.assert_array_equal(history, [0.5, 0.1, 0.3, 0.05])
+    np.testing.assert_array_equal(judged, [[0.5, 0.1, 0, 0, 0, 0], [0.5, 0.1, 0.3, 0.05, 0, 0]])
 
 
 def test_outer_loop_stops_at_the_cap():
     updates = [0.5, 0.4, 0.3, 0.2]
-    history, stop = outer_loop(*_scripted(updates), 3, lambda update: False)
+    history, stop = outer_loop(*_scripted(updates), 3, NEVER)
     assert stop == "max_iter"
     np.testing.assert_array_equal(history, updates[:3])
     history, stop = outer_loop(*_scripted(updates), 3)
@@ -157,17 +168,17 @@ def test_fixed_schedule_runs_past_updates_that_would_pass():
     assert (stop, len(history)) == ("fixed_iters", 4)
 
 
-@pytest.mark.parametrize("cap, converged, stop, cycles", [
-    (6, lambda update: False, "non-finite", 3),
-    (6, lambda update: update <= 0.25, "converged", 2),
-    (2, lambda update: False, "max_iter", 2),
+@pytest.mark.parametrize("cap, tol, stop, cycles", [
+    (6, NEVER, "non-finite", 3),
+    (6, 0.25, "converged", 2),
+    (2, NEVER, "max_iter", 2),
     (2, None, "fixed_iters", 2),
 ])
-def test_outer_loop_leaves_the_last_cycles_values_in_the_state(cap, converged, stop, cycles):
+def test_outer_loop_leaves_the_last_cycles_values_in_the_state(cap, tol, stop, cycles):
     # the driver forms the update in its own buffer, never in the state
     updates = [0.5, 0.25, np.nan, 0.1, 0.0, 0.0]
     cycle, state = _scripted(updates)
-    history, got = outer_loop(cycle, state, cap, converged)
+    history, got = outer_loop(cycle, state, cap, tol)
     assert (got, len(history)) == (stop, cycles)
     np.testing.assert_array_equal(state, updates[:cycles] + [0.0] * (len(updates) - cycles))
 
@@ -240,8 +251,7 @@ def test_falling_aligned_steps_take_the_heavy_ball_step(mu_lo):
         floored.append(x.copy())
         return mu_lo
 
-    history, stop = outer_loop(cycle, state, 9, lambda update: False,
-                               None if mu_lo is None else floor)
+    history, stop = outer_loop(cycle, state, 9, NEVER, floor=None if mu_lo is None else floor)
     assert stop == "max_iter"
     for k in range(4):
         np.testing.assert_array_equal(seen[k + 1], T(seen[k]))
@@ -262,7 +272,7 @@ def test_falling_aligned_steps_take_the_heavy_ball_step(mu_lo):
 def test_alternating_growing_or_fast_steps_run_the_plain_loop(rate):
     # a fast contraction (ratio below 2/3) is left plain too
     cycle, state, _, T = _linear(rate)
-    history, stop = outer_loop(cycle, state, 12, lambda update: False)
+    history, stop = outer_loop(cycle, state, 12, NEVER)
     x, updates = _plain(T, 12)
     np.testing.assert_array_equal(history, updates)
     np.testing.assert_array_equal(state, x)
@@ -271,7 +281,7 @@ def test_alternating_growing_or_fast_steps_run_the_plain_loop(rate):
 _DIRECTION = np.array([1.0, 0.5, -0.25])
 
 
-def _moved(sizes, signs=None, floor=None):
+def _moved(sizes, signs=None, floor=None, tol=NEVER, certify=None):
     """Scripted steps: cycle k adds signs[k]*sizes[k]*_DIRECTION to the state,
     whatever the state, so its update is sizes[k].  Returns the updates and
     the cycles whose output the loop moved on."""
@@ -284,7 +294,7 @@ def _moved(sizes, signs=None, floor=None):
         sign, size = next(steps)
         state[...] += sign * size * _DIRECTION
 
-    history, stop = outer_loop(cycle, state, len(sizes), lambda update: False, floor)
+    history, stop = outer_loop(cycle, state, len(sizes), tol, certify, floor)
     assert stop == "max_iter"
     seen.append(state)
     plain = [seen[k] + sign * size * _DIRECTION for k, (sign, size) in enumerate(zip(signs, sizes))]
@@ -335,6 +345,43 @@ def test_restart_when_an_update_exceeds_four_times_the_smallest(growth, moved):
     assert _moved(_sizes(ratios))[1] == moved
 
 
+def test_a_certificate_that_fails_within_tol_restarts_the_rule():
+    # armed at cycle 4; from cycle 6 on every update is within tol, and the
+    # certificate fails on each: cycle 6, armed, is left plain, and the rule
+    # re-arms five plain updates later, at cycle 10, and restarts again at 11
+    sizes = _sizes([0.9] * 12)
+    asked = []
+
+    def certify():
+        asked.append(True)
+        return False
+
+    history, moved = _moved(sizes, tol=sizes[6] * (1.0 + 1e-12), certify=certify)
+    np.testing.assert_allclose(history, sizes, rtol=1e-14)
+    assert moved == [4, 5, 10]
+    assert len(asked) == 7
+    assert _moved(sizes)[1] == list(range(4, 12))
+
+
+_TURN_AT_5 = [1.0] * 5 + [-1.0] + [1.0] * 7
+
+
+@pytest.mark.parametrize("ratios, signs, moved", [
+    ([0.9] * 4 + [1.1, 4.1] + [0.9] * 6, None, [4, 5]),
+    ([0.9] * 4 + [0.95, 4.1] + [0.9] * 6, None, [4, 5, 10, 11]),
+    ([0.9] * 4 + [1.1, 0.9] + [0.9] * 6, None, list(range(4, 12))),
+    ([0.9] * 4 + [1.1] + [0.9] * 7, _TURN_AT_5, [4, 9, 10, 11]),
+], ids=["failed-then-grew", "new-smallest-then-grew", "failed-no-growth", "failed-then-turned"])
+def test_a_phase_that_fails_and_grows_ends_the_rule(ratios, signs, moved):
+    # armed at cycle 4, on an update that is the run's smallest so far; a
+    # phase whose updates never fall below it and that ends on growth (cycle
+    # 6 grows past 4 times the smallest since arming) never re-arms, however
+    # steady the plain ratios after it; a phase that set a new smallest
+    # update (0.95 times it at cycle 5) re-arms on five plain ones, and so
+    # does a failed phase that ends on a turn (cycle 5 steps backwards)
+    assert _moved(_sizes(ratios), signs)[1] == moved
+
+
 @pytest.mark.parametrize("sizes, moved", [
     ([0.0] * 8, []),
     ([1.0] + [0.0] * 7, []),
@@ -363,7 +410,7 @@ def test_a_settled_ratio_above_sqrt_beta_lowers_m():
         seen.append(state.copy())
         state[...] = J * state + b
 
-    outer_loop(cycle, state, 20, lambda update: False)
+    outer_loop(cycle, state, 20, NEVER)
     seen.append(state)
     params = []
     for k in range(4, 19):  # solve each move for its (w, beta)
@@ -377,15 +424,15 @@ def test_a_settled_ratio_above_sqrt_beta_lowers_m():
                                rtol=1e-6)
 
 
-@pytest.mark.parametrize("cap, converged, stop", [
-    (9, lambda update: False, "max_iter"),
-    (50, lambda update: update <= 0.2, "converged"),
+@pytest.mark.parametrize("cap, tol, stop", [
+    (9, NEVER, "max_iter"),
+    (50, 0.2, "converged"),
 ], ids=["max_iter", "converged"])
-def test_a_stop_leaves_the_last_cycles_own_output(cap, converged, stop):
+def test_a_stop_leaves_the_last_cycles_own_output(cap, tol, stop):
     # every cycle from the fifth on but the last is moved here, so only the
     # stop rule keeps the last cycle's output in the state
     cycle, state, seen, T = _linear(0.95)
-    history, got = outer_loop(cycle, state, cap, converged)
+    history, got = outer_loop(cycle, state, cap, tol)
     assert got == stop and len(history) > 5
     np.testing.assert_array_equal(state, T(seen[-1]))
     assert not np.array_equal(seen[-1], T(seen[-2]))
