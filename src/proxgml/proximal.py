@@ -31,18 +31,22 @@ runs the cycles on ``tol`` and a ``certify()`` that forms the residual,
 stops them and names the stop (``stop_reason``).  Once
 the updates fall by a steady ratio it moves a failed cycle by the
 heavy-ball step (see ``sweep``), which leaves the stop test's meaning as it
-was for the plain loop.  The step reads the floor K/(K + lam_hi) of
-``_spectral_floor``, which bounds the proximal model of a cycle (near the
-root an error e goes to about K*(K + J)^-1 e, J the FD system's Jacobian),
-not the lagged cycle, whose spectrum can sit a little lower: the factor
-1/0.9 on ``sweep``'s L covers that.  Gershgorin's theorem puts the
-eigenvalues of J at most
+was for the plain loop; once such a phase has grown, every second armed
+cycle runs on the mirrored line order, through the pass's twin
+``BackwardPass.mirrored()`` and the reversed source rows.  The step reads
+the floor K/(K + lam_hi) of ``_spectral_floor``, which bounds the proximal
+model of a cycle (near the root an error e goes to about K*(K + J)^-1 e, J
+the FD system's Jacobian), not the lagged cycle, whose spectrum can sit a
+little lower: the factor 1/0.9 on ``sweep``'s L covers that.  Gershgorin's
+theorem puts the eigenvalues of J at most
 lam_hi = max(0, 3*max(alpha, 0)*max|v|^2 - beta) + 4*eps*(1/d^2 + 1/min(h)^2).
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg.blas import daxpy
@@ -79,34 +83,48 @@ class BackwardPass:
     Built from (spec, grid): it forms a and b (``ab_recursion``), the c
     operator ``C`` (``sweep.c_operator``, kap included) and the lag weights
     ``b_kap`` = b*kap.  ``u`` is the solve's field, ``c`` its rows 1..N-1,
-    row N the boundary line.  Line n has the matrix of
-    ``linebvp.assemble_line_system(b_n, d, h_n, .)``; its rows, factors and
-    weights are bound once, in ``steps``."""
+    row N the boundary line, and ``h`` its line steps.  Line n has the matrix
+    of ``linebvp.assemble_line_system(b_n, d, h_n, .)``; its rows, factors
+    and weights are bound once, in ``steps``."""
 
     def __init__(self, spec: ProblemSpec, grid: LineGrid):
-        d, m = grid.d, grid.m_nodes - 1
+        d = grid.d
         kap = d**2 / spec.epsilon
         a, b = ab_recursion(spec.prox_weight, d, spec.epsilon, grid.n_lines - 1)
         self.C = c_operator(a, kap)
         self.b_kap = (b * kap)[:, None]
-        h = grid.h[1:-1]
-        g = b * d * d
+        self._g = b * d * d
+        self._lin = (a + b * (kap * spec.beta)).tolist()
+        self._cub = (b * (-kap * spec.alpha)).tolist()
+        self.cube = np.empty(grid.m_nodes - 1)
+        self._bind(np.zeros((grid.n_lines + 1, grid.m_nodes + 1)), grid.h)
+
+    def _bind(self, u: np.ndarray, h: np.ndarray) -> None:
+        """Run on field ``u``, whose line n has step h[n]: factor the line matrices."""
+        self.u, self.c, self.h = u, u[1:-1], h
+        m = self.cube.size
+        g, h = self._g, h[1:-1]
         off = -g / (h * h)
         diag = 1.0 + 2.0 * g / (h * h)
-        self.u = np.zeros((grid.n_lines + 1, grid.m_nodes + 1))
-        self.c = self.u[1:-1]
-        self.cube = np.empty(m)
-        lin = (a + b * (kap * spec.beta)).tolist()
-        cub = (b * (-kap * spec.alpha)).tolist()
-        rows = self.u[:, 1:-1]
+        rows = u[:, 1:-1]
         self.steps = []
-        for k in range(b.size - 1, -1, -1):
+        for k in range(g.size - 1, -1, -1):
             # f2py wants one off-diagonal entry even when m = 1, where LAPACK reads none
             dk, ek, info = dpttrf(np.full(m, diag[k]), np.full(max(m - 1, 1), off[k]))
             if info != 0:
                 raise ArithmeticError(
                     f"line {k + 1} system is not positive definite (info={info})")
-            self.steps.append((rows[k + 1], rows[k + 2], dk, ek, lin[k], cub[k]))
+            self.steps.append((rows[k + 1], rows[k + 2], dk, ek, self._lin[k], self._cub[k]))
+
+    def mirrored(self) -> "BackwardPass":
+        """The same pass on the same field with its lines in reverse order.
+
+        a, b, C and the lag weights depend only on the line index, so the
+        twin shares them; its line matrices are factored on the reversed
+        steps, and its ``u`` is the reversed view of this pass's field."""
+        twin = copy.copy(self)
+        twin._bind(self.u[::-1], self.h[::-1])
+        return twin
 
     def __call__(self) -> None:
         """Solve lines N-1..1 in place, each on its row of c and the line above."""
@@ -175,14 +193,15 @@ def proximal_iterate(
     f = source_values(spec, grid)  # 0 on the end columns, so c keeps the Dirichlet zeros
     backward = BackwardPass(spec, grid)
     v = backward.u  # the anchor, which each cycle overwrites with the new field
-    C, b_kap = backward.C, backward.b_kap
-    residual = None
+    mirror, residual = None, None
 
-    def cycle() -> None:
-        R, E = _scheme_terms(spec, v, grid.h)
-        c = np.matmul(C, (K * v + f + R + E)[1:-1], out=backward.c)
-        c -= b_kap * (R[2:] + E[1:-1])
-        backward()
+    cycle = partial(_corrected_cycle, spec, backward, f)
+
+    def mirrored() -> None:
+        nonlocal mirror
+        if mirror is None:
+            mirror = backward.mirrored()
+        _corrected_cycle(spec, mirror, f[::-1])
 
     def residual_sup() -> float:
         return float(np.max(np.abs(_fd_residual(spec, grid, v, f))))
@@ -193,7 +212,7 @@ def proximal_iterate(
         return residual <= K * tol
 
     updates, stop_reason = outer_loop(cycle, v, max_iter, tol, certify if K > 0.0 else None,
-                                      _spectral_floor(spec, grid))
+                                      _spectral_floor(spec, grid), mirrored)
     if stop_reason == "non-finite" or updates[-1] > tol:  # the last field was not certified
         residual = None
     return SolveReport(
@@ -204,6 +223,15 @@ def proximal_iterate(
         update_history=updates,
         stop_reason=stop_reason,
     )
+
+
+def _corrected_cycle(spec: ProblemSpec, run: BackwardPass, f: np.ndarray) -> None:
+    """One cycle on ``run``'s field, in its line order, with the source rows
+    ``f`` in that order: write the corrected c (module docstring), run the pass."""
+    R, E = _scheme_terms(spec, run.u, run.h)
+    c = np.matmul(run.C, (spec.prox_weight * run.u + f + R + E)[1:-1], out=run.c)
+    c -= run.b_kap * (R[2:] + E[1:-1])
+    run()
 
 
 def _spectral_floor(spec: ProblemSpec, grid: LineGrid):

@@ -53,37 +53,44 @@ cycle's own lowest eigenvalue can sit a little below it (0.782 against
 0.803 at N = M = 10, f = 1, eps 0.01), and the factor 1/0.9 on L covers
 that.  At the root of that case, eps 0.1/0.01/0.001, the two-step map has
 spectral radius 0.578/0.295/0.111, where the plain cycle has
-0.950/0.935/0.921.  The rule assumes a real spectrum of I - J in [m, L].
-The lagged cycle's is complex: |Im mu| reaches 0.24 at N = M = 40,
-eps 0.1, where the two-step map has radius 1.016 on 26 modes, so a phase
-can grow, and the restarts below are what keep such runs converging.
+0.950/0.935/0.921.
+
+The rule assumes a real spectrum of I - J in [m, L].  The lagged cycle
+sweeps its lines in one direction, and its spectrum is complex: at the
+root of f = 1, eps 0.1, |Im mu| reaches 0.140/0.197/0.241 at N = M =
+20/30/40, and at 40 the two-step map has radius 1.016 on 26 modes, so an
+armed phase can grow.  The two-pass map, the cycle followed by the same
+cycle on the mirrored line order, has a real spectrum (|Im mu| 1.5e-5 at
+N = M = 20, 0 at 30 and 40) of radius rho^2 to within 2e-6 (0.902105
+against 0.949791^2 = 0.902103 at 20).  So once a phase has ended on
+growth, every second armed cycle, the one at odd k, runs the caller's
+``mirrored()`` in place of ``cycle()``: f = 1, eps 0.1 takes
+63/94/116/138 cycles at N = M = 100/200/300/400 (113/160/562/325 for the
+one-directional rule) and 138 at N = 400, M = 100 (237).  A run that
+never grows never mirrors, and runs as the one-directional rule.
 
 The rule drops back to plain cycles, and re-arms on four new plain ratios,
 at a cycle whose D turns against the momentum (vdot(D, x - x_prev) < 0),
 whose update exceeds 4 times the smallest since it armed, or whose update
 is at most tol while ``certify()`` rejects its output, where the update
-has outrun the residual (f = 1, N = M = 100, eps 0.1 has its first update
-within tol at cycle 95 and stops at 113 with this restart, at 130 without
-it).  A phase whose updates never fell below the run's smallest one from
-before it armed, and that ends on growth, has failed, and the rule never
-arms again in that run: with this stop f = 1, eps 0.1 on 400 lines
-converges in 237 (M = 100) or 325 (M = 400) cycles, and without it not in
-5,000.  A phase that set a new smallest update, or that ends on a turn,
-may re-arm.  An estimate rho-hat below the true rho leaves the slowest
-mode a real root q > sqrt(beta); when four accelerated ratios settle,
-within 2% of each other, in (1.05*sqrt(beta), 1), the rule lowers m to
-that mode's (1 + beta - q - beta/q)/w = (1 - q)*(1 - beta/q)/w.  Ratios
-are compared by products, so an update of 0 fails a test before any ratio
-is formed.  The stop test is the plain loop's, the recorded update is the
-cycle's own step, and a stop leaves the last cycle's own output, so what a
-stop certifies is what it certified for the plain loop.  A
-finite-difference Jacobian of the cycle map at the root puts its spectrum
-in [0.196, 0.963], [0.560, 0.961] and [0.855, 0.971] for the N = M = 20
-sin(pi*x)*sin(pi*y) source at K = 50 and eps 0.1/0.01/0.001; that source
-takes 49/63/77 cycles, and f = 1 at N = M = 100 113/66/60.  The window
-keeps the rule off the swinging early updates of runs near the divergent
-sources (f = 160 at N = 6) and of the stalled K = 3 run.  The annulus's
-fixed schedule is never accelerated.
+has outrun the residual (for the one-directional rule, f = 1, N = M = 100,
+eps 0.1 had its first update within tol at cycle 95 and stopped at 113
+with this restart, at 130 without it).  An estimate rho-hat below the
+true rho leaves the slowest mode a real root q > sqrt(beta); when four
+accelerated ratios settle, within 2% of each other, in
+(1.05*sqrt(beta), 1), the rule lowers m to that mode's
+(1 + beta - q - beta/q)/w = (1 - q)*(1 - beta/q)/w.  Ratios are compared
+by products, so an update of 0 fails a test before any ratio is formed.
+The stop test is the plain loop's, the recorded update is the cycle's own
+step (a mirrored cycle's included), and a stop leaves the last cycle's
+own output, so what a stop certifies is what it certified for the plain
+loop.  A finite-difference Jacobian of the cycle map at the root puts its
+spectrum in [0.196, 0.963], [0.560, 0.961] and [0.855, 0.971] for the
+N = M = 20 sin(pi*x)*sin(pi*y) source at K = 50 and eps 0.1/0.01/0.001;
+that source takes 49/63/77 cycles, and f = 1 at N = M = 100 63/66/60.
+The window keeps the rule off the swinging early updates of runs near the
+divergent sources (f = 160 at N = 6) and of the stalled K = 3 run.  The
+annulus's fixed schedule is never accelerated, so it never mirrors.
 """
 
 from __future__ import annotations
@@ -144,7 +151,7 @@ def c_operator(a: np.ndarray, kap: float) -> np.ndarray:
 
 
 def outer_loop(cycle, state: np.ndarray, cap: int, tol: float | None = None,
-               certify=None, floor=None) -> tuple[np.ndarray, str]:
+               certify=None, floor=None, mirrored=None) -> tuple[np.ndarray, str]:
     """Run ``cycle()``, which advances ``state`` in place, at most ``cap`` times.
 
     A cycle's update is the sup norm of its own step D = T(x) - x, formed in
@@ -159,16 +166,19 @@ def outer_loop(cycle, state: np.ndarray, cap: int, tol: float | None = None,
     that fails the test and is not the last allowed one from its output
     x + D to x + w*D + beta*(x - x_prev) once the rule is armed.  mu_lo is
     ``floor(state)`` < 1 at the arming cycle's output, or 0 without
-    ``floor``.  A stop always leaves the last cycle's own output in the
-    state; a fixed schedule is never accelerated.
+    ``floor``.  Once a phase has ended on growth, every second armed cycle
+    (the one at odd k) runs ``mirrored()``, the same cycle on the reversed
+    line order, in place of ``cycle()``; without ``mirrored`` none does.  A
+    stop always leaves the last cycle's own output in the state; a fixed
+    schedule is never accelerated.
     """
     step, move = np.empty_like(state), np.zeros_like(state)  # D, and x - x_prev
     updates = []
     armed, chain = False, 0  # while unarmed, updates[chain:] have the plain map's ratios
-    spent = False  # a phase failed and ended on growth: the rule never arms again
+    grew = False  # a phase has ended on growth: armed cycles at odd k are mirrored
     for k in range(cap):
         np.copyto(step, state)
-        cycle()
+        (mirrored if armed and grew and k % 2 else cycle)()
         np.subtract(state, step, out=step)
         updates.append(float(np.abs(step).max()))
         if not math.isfinite(updates[-1]):
@@ -183,7 +193,7 @@ def outer_loop(cycle, state: np.ndarray, cap: int, tol: float | None = None,
         along = np.vdot(step, move)
         grown = armed and updates[-1] > _GROWTH * best
         if armed and (along < 0.0 or gated or grown):
-            spent = grown and best >= record
+            grew = grew or (grown and mirrored is not None)
             armed, chain = False, k  # restart: this cycle is plain
         elif armed:
             best = min(best, updates[-1])
@@ -191,12 +201,10 @@ def outer_loop(cycle, state: np.ndarray, cap: int, tol: float | None = None,
             if q is not None:  # a root q > sqrt(beta): lower m to its mode's
                 w, beta = _heavy_ball((1.0 - q) * (1.0 - beta / q) / w, L)
                 since = k
-        elif (not spent and along > 0.0
-              and (rho := _steady_ratio(updates, chain, _BAND_LOW)) is not None):
+        elif along > 0.0 and (rho := _steady_ratio(updates, chain, _BAND_LOW)) is not None:
             L = (1.0 - (0.0 if floor is None else floor(state))) / _FLOOR_SHARE
             w, beta = _heavy_ball(1.0 - rho, L)
             armed, best, since = True, updates[-1], k
-            record = min(updates)  # the run's smallest update before this phase
         if armed:
             move *= beta
             move += w * step

@@ -302,18 +302,44 @@ def test_slow_contraction_converges_under_the_default_cap():
 
 def test_four_hundred_lines_converge():
     # f = 1, eps 0.1 on N = 400 lines, M = 100: the lagged cycle's complex
-    # modes make the heavy-ball phases grow; before the failed-phase stop
-    # the run restarted on growth for 5,000 cycles, and now it converges in 237
+    # modes make the heavy-ball phases grow; once one has grown, every second
+    # armed cycle runs mirrored and the run converges in 138 cycles (5,000
+    # and more without any net, 237 with the retired failed-phase stop)
     spec = square_problem(0.1)
     report = proximal_iterate(spec, LineGrid(UNIT_SQUARE, 400, 100), max_iter=400)
     assert report.stop_reason == "converged"
     assert report.residual_sup <= spec.prox_weight * 1e-8
 
 
+def test_three_hundred_lines_converge_faster_than_the_plain_loop():
+    # f = 1, eps 0.1, N = M = 300: the plain loop takes 312 cycles; the
+    # one-directional heavy-ball rule took 562, and with mirrored cycles
+    # after its first growth the run takes 116
+    spec = square_problem(0.1)
+    report = proximal_iterate(spec, LineGrid(UNIT_SQUARE, 300, 300))
+    assert report.stop_reason == "converged"
+    assert report.outer_iterations < 312
+    assert report.residual_sup <= spec.prox_weight * 1e-8
+
+
+@pytest.mark.parametrize("source, cycles", [("1", 88), ("1 + 0.5*x", 81)])
+def test_a_growing_run_on_the_strip_mirrors_its_own_lines(source, cycles):
+    # eps 0.1 on y2 = 1 + 0.5x, N = M = 100 grows in its first heavy-ball
+    # phase; its mirrored cycles run on the reversed steps and, for the
+    # source that varies with x, on the reversed source rows (108 and 95
+    # cycles for the one-directional rule)
+    spec = curved_problem(0.1, source=parse_source(source))
+    report = proximal_iterate(spec, LineGrid(CURVED, 100, 100))
+    assert report.stop_reason == "converged"
+    assert report.outer_iterations == cycles
+    assert report.residual_sup <= spec.prox_weight * 1e-8
+
+
 def test_manufactured_bistable_case_keeps_its_cycles():
     # u* = 2*sin(pi*x)*sin(pi*y), N = M = 32, eps 0.003, f = -eps*Lap(u*) + u*^3 - u*:
     # a rule that never armed again after its second growth restart took
-    # 2,109 cycles here; the failed-phase stop leaves the 264 of the full rule
+    # 2,109 cycles here; mirroring every second armed cycle after the first
+    # growth takes 294 (264 for the one-directional rule)
     eps = 0.003
 
     def source(x, y):
@@ -322,18 +348,85 @@ def test_manufactured_bistable_case_keeps_its_cycles():
 
     report = proximal_iterate(square_problem(eps, source=source), LineGrid(UNIT_SQUARE, 32, 32))
     assert report.stop_reason == "converged"
-    assert report.outer_iterations == 264
+    assert report.outer_iterations == 294
 
 
 def test_a_failed_certificate_restarts_the_rule(reference_runs_n100):
     # f = 1, eps 0.1, N = M = 100: a cycle whose update is within tol but
     # whose FD residual is not within K*tol restarts the armed rule; the run
-    # tests the residual on 19 cycles, from the first update within tol at
-    # cycle 95 to the stop at 113 (36 cycles, to 130, when they stayed armed)
+    # tests the residual on 3 cycles, from the first update within tol at
+    # cycle 61 to the stop at 63 (on 19, from 95 to 113, without mirrored cycles)
     report = reference_runs_n100[1][0.1][1]
     small = np.flatnonzero(report.update_history <= 1e-8) + 1
     assert report.converged
-    assert (small[0], small.size, report.outer_iterations) == (95, 19, 113)
+    assert (small[0], small.size, report.outer_iterations) == (61, 3, 63)
+
+
+def test_the_mirrored_cycle_is_the_cycle_of_the_reflected_strip():
+    # the mirrored pass runs the lines of y2 = 1 + 0.5x from x = 1 back to
+    # x = 0, on the reversed steps and source rows: on any field it gives
+    # the forward cycle of the strip reflected to y2 = 1.5 - 0.5x, with
+    # source f(1 - x, y), on the reversed field
+    def source(x, y):
+        return (1.0 + x) * np.sin(np.pi * x) * np.sin(np.pi * y)
+
+    reflected = CartesianDomain(a=0.0, b=1.0, y1=lambda x: 0.0, y2=lambda x: 1.5 - 0.5 * x)
+    spec = curved_problem(0.01, source=source)
+    mirror_spec = ProblemSpec(epsilon=0.01, alpha=1.0, beta=1.0, prox_weight=50.0,
+                              source=lambda x, y: source(1.0 - x, y), domain=reflected)
+    grid, mirror_grid = LineGrid(CURVED, 12, 9), LineGrid(reflected, 12, 9)
+    field = np.zeros((13, 10))
+    field[1:-1, 1:-1] = np.random.default_rng(3).uniform(0.0, 1.0, (11, 8))
+    run, twin = proximal.BackwardPass(spec, grid), proximal.BackwardPass(mirror_spec, mirror_grid)
+    run.u[...], twin.u[...] = field, field[::-1]
+    proximal._corrected_cycle(spec, run.mirrored(), source_values(spec, grid)[::-1])
+    proximal._corrected_cycle(mirror_spec, twin, source_values(mirror_spec, mirror_grid))
+    assert not np.allclose(run.u, field)
+    np.testing.assert_allclose(run.u[::-1], twin.u, rtol=1e-12, atol=1e-15)
+
+
+@pytest.fixture(scope="module")
+def cycle_maps_n20():
+    """The cycle map and the two-pass map (the cycle, then the mirrored cycle)
+    at the FD root of f = 1, eps 0.1, K = 50, N = M = 20, linearised by
+    central differences over the 361 unknowns."""
+    spec = square_problem(0.1)
+    grid = LineGrid(UNIT_SQUARE, 20, 20)
+    run, f = proximal.BackwardPass(spec, grid), source_values(spec, grid)
+    mirror = run.mirrored()
+    root = newton_solve(spec, grid, tol=1e-12).solution.values
+    x, step = root[1:-1, 1:-1].ravel(), 1e-6
+
+    def T(x, passes):
+        run.u[1:-1, 1:-1] = x.reshape(19, 19)
+        for p, g in passes:
+            proximal._corrected_cycle(spec, p, g)
+        return run.u[1:-1, 1:-1].ravel()
+
+    def linearised(*passes):
+        assert np.max(np.abs(T(x, passes) - x)) <= 1e-14
+        return np.column_stack([(T(x + step * e, passes) - T(x - step * e, passes)) / (2.0 * step)
+                                for e in np.eye(x.size)])
+
+    return linearised((run, f)), linearised((run, f), (mirror, f[::-1]))
+
+
+def test_the_one_directional_cycle_has_a_complex_spectrum(cycle_maps_n20):
+    # the heavy-ball rule assumes a real spectrum; the lagged cycle's has
+    # |Im mu| up to 0.140 here, which is why its armed phases can grow
+    mu = np.linalg.eigvals(cycle_maps_n20[0])
+    assert np.max(np.abs(mu.imag)) >= 0.1
+    assert 0.9 < np.max(np.abs(mu)) < 1.0
+
+
+def test_the_two_pass_map_has_a_real_spectrum_of_radius_rho_squared(cycle_maps_n20):
+    # the cycle followed by the mirrored cycle: |Im mu| 1.5e-5 here, and a
+    # spectral radius of 0.902105 against the one-pass 0.949791^2 = 0.902103,
+    # a gap of 1.7e-6 that stays put for difference steps from 1e-4 to 1e-7
+    one, two = (np.linalg.eigvals(J) for J in cycle_maps_n20)
+    rho = np.max(np.abs(one))
+    assert np.max(np.abs(two.imag)) <= 1e-3
+    assert abs(np.max(np.abs(two)) - rho**2) <= 2e-6
 
 
 @pytest.mark.parametrize("N, f, cycles", [(6, 160, 66), (20, 130, 49)])
@@ -358,14 +451,11 @@ def test_relaxed_linearised_map_is_a_contraction(eps):
     # itself, although the floor bounds the proximal model, not T
     spec = square_problem(eps)
     grid = LineGrid(UNIT_SQUARE, 10, 10)
-    run, f, K = proximal.BackwardPass(spec, grid), source_values(spec, grid), spec.prox_weight
+    run, f = proximal.BackwardPass(spec, grid), source_values(spec, grid)
 
     def T(x):
-        v = np.zeros((11, 11))
-        v[1:-1, 1:-1] = x.reshape(9, 9)
-        R, E = proximal._scheme_terms(spec, v, grid.h)
-        run.c[...] = run.C @ (K * v + f + R + E)[1:-1] - run.b_kap * (R[2:] + E[1:-1])
-        run()
+        run.u[1:-1, 1:-1] = x.reshape(9, 9)
+        proximal._corrected_cycle(spec, run, f)
         return run.u[1:-1, 1:-1].ravel()
 
     root = newton_solve(spec, grid, tol=1e-12).solution.values

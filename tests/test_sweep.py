@@ -281,10 +281,12 @@ def test_alternating_growing_or_fast_steps_run_the_plain_loop(rate):
 _DIRECTION = np.array([1.0, 0.5, -0.25])
 
 
-def _moved(sizes, signs=None, floor=None, tol=NEVER, certify=None):
+def _moved(sizes, signs=None, floor=None, tol=NEVER, certify=None, mirrored=None):
     """Scripted steps: cycle k adds signs[k]*sizes[k]*_DIRECTION to the state,
     whatever the state, so its update is sizes[k].  Returns the updates and
-    the cycles whose output the loop moved on."""
+    the cycles whose output the loop moved on.  Given a list ``mirrored``,
+    the loop also gets a mirrored cycle that takes the same step and appends
+    its k there."""
     signs = [1.0] * len(sizes) if signs is None else signs
     state, seen = np.zeros(3), []
     steps = iter(zip(signs, sizes))
@@ -294,7 +296,12 @@ def _moved(sizes, signs=None, floor=None, tol=NEVER, certify=None):
         sign, size = next(steps)
         state[...] += sign * size * _DIRECTION
 
-    history, stop = outer_loop(cycle, state, len(sizes), tol, certify, floor)
+    def mirror():
+        mirrored.append(len(seen))
+        cycle()
+
+    history, stop = outer_loop(cycle, state, len(sizes), tol, certify, floor,
+                               None if mirrored is None else mirror)
     assert stop == "max_iter"
     seen.append(state)
     plain = [seen[k] + sign * size * _DIRECTION for k, (sign, size) in enumerate(zip(signs, sizes))]
@@ -363,22 +370,23 @@ def test_a_certificate_that_fails_within_tol_restarts_the_rule():
     assert _moved(sizes)[1] == list(range(4, 12))
 
 
-_TURN_AT_5 = [1.0] * 5 + [-1.0] + [1.0] * 7
-
-
-@pytest.mark.parametrize("ratios, signs, moved", [
-    ([0.9] * 4 + [1.1, 4.1] + [0.9] * 6, None, [4, 5]),
-    ([0.9] * 4 + [0.95, 4.1] + [0.9] * 6, None, [4, 5, 10, 11]),
-    ([0.9] * 4 + [1.1, 0.9] + [0.9] * 6, None, list(range(4, 12))),
-    ([0.9] * 4 + [1.1] + [0.9] * 7, _TURN_AT_5, [4, 9, 10, 11]),
-], ids=["failed-then-grew", "new-smallest-then-grew", "failed-no-growth", "failed-then-turned"])
-def test_a_phase_that_fails_and_grows_ends_the_rule(ratios, signs, moved):
-    # armed at cycle 4, on an update that is the run's smallest so far; a
-    # phase whose updates never fall below it and that ends on growth (cycle
-    # 6 grows past 4 times the smallest since arming) never re-arms, however
-    # steady the plain ratios after it; a phase that set a new smallest
-    # update (0.95 times it at cycle 5) re-arms on five plain ones, and so
-    # does a failed phase that ends on a turn (cycle 5 steps backwards)
+@pytest.mark.parametrize("ratios, signs, moved, mirrored", [
+    ([0.9] * 5 + [4.1] + [0.9] * 10, None, [4, 5] + list(range(10, 16)), [11, 13, 15]),
+    ([0.9] * 16, None, list(range(4, 16)), []),
+    ([0.9] * 5 + [3.9] + [0.9] * 10, None, list(range(4, 16)), []),
+    ([0.9] * 16, [1.0] * 6 + [-1.0] + [1.0] * 10, [4, 5] + list(range(10, 16)), []),
+], ids=["grew", "never-grew", "grew-3.9", "turned"])
+def test_after_a_phase_grows_every_second_armed_cycle_is_mirrored(ratios, signs, moved, mirrored):
+    # armed at cycle 4; in the first case cycle 6 grows past 4 times the
+    # smallest update since arming, the rule restarts and re-arms at cycle
+    # 10, and from then on the armed cycles at odd k run the mirrored cycle
+    # in place of the cycle; the heavy-ball moves are those of a run without
+    # one.  A run that never grew past 4 times, or whose phase ended on a
+    # turn (cycle 6 steps backwards), never mirrors
+    got = []
+    history, got_moved = _moved(_sizes(ratios), signs, mirrored=got)
+    np.testing.assert_allclose(history, _sizes(ratios), rtol=1e-14)
+    assert (got_moved, got) == (moved, mirrored)
     assert _moved(_sizes(ratios), signs)[1] == moved
 
 
