@@ -7,10 +7,10 @@ Modes:
   compare         cartesian solve vs oracle on the same grid, JSON report
                   (a NaN or infinite number in it is written as null)
 
-Each mode reads some of the flags and writes one kind of file; a flag
-that it does not read, output flags included, is an invalid flag.  Exit
-codes: 0 success, 2 invalid flags, 3 solver non-convergence or a
-non-finite result, 4 I/O.
+Each mode reads some of the flags, and --out names the one file it
+writes; a flag that it does not read is an invalid flag.  Exit codes:
+0 success, 2 invalid flags, 3 solver non-convergence or a non-finite
+result, 4 I/O.
 """
 
 from __future__ import annotations
@@ -116,9 +116,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=None, help="annulus: run this many outer "
                    "iterations, no convergence test; a non-finite update still stops the run "
                    f"early (default {PolarSymbolicConfig.iters})")
-    p.add_argument("--out-field", default=None, help="field CSV path")
-    p.add_argument("--out-expr", default=None, help="line-polynomial JSON path")
-    p.add_argument("--out-report", default=None, help="comparison report JSON path")
+    p.add_argument("--out", default=None, metavar="PATH", help="the file the mode writes: "
+                   "the field CSV (cartesian, oracle), the line polynomials (polar-symbolic) "
+                   "or the report (compare)")
     return p
 
 
@@ -148,8 +148,8 @@ def _run_cartesian(args) -> int:
         f"update={report.update_history[-1]:.3e} "
         f"residual={report.residual_sup:.3e} center={center:.6g}"
     )
-    if args.out_field and report.stop_reason != "non-finite":
-        write_field_csv(args.out_field, grid, report.solution)
+    if args.out and report.stop_reason != "non-finite":
+        write_field_csv(args.out, grid, report.solution)
     return _exit_code(report.stop_reason)
 
 
@@ -170,7 +170,7 @@ def _run_polar_symbolic(args) -> int:
         f"mid-line constant={lines[mid].coefficient((0, 0, 0, 0, 0)):.5f}"
     )
     rc = _exit_code(report.stop_reason)
-    if args.out_expr and rc == EXIT_OK:
+    if args.out and rc == EXIT_OK:
         payload = {
             "epsilon": cfg.epsilon,
             "prox_weight": cfg.prox_weight,
@@ -186,7 +186,7 @@ def _run_polar_symbolic(args) -> int:
                 for n in range(1, cfg.n_lines)
             ],
         }
-        with open(args.out_expr, "w") as fh:
+        with open(args.out, "w") as fh:
             json.dump(payload, fh, indent=1)
     return rc
 
@@ -208,8 +208,8 @@ def _run_oracle(args) -> int:
         f"coarse_iterations={report.coarse_iterations} "
         f"residual={report.residual_sup:.3e} center={center:.6g}"
     )
-    if args.out_field:
-        write_field_csv(args.out_field, grid, report.solution)
+    if args.out:
+        write_field_csv(args.out, grid, report.solution)
     return EXIT_OK
 
 
@@ -228,7 +228,7 @@ def _run_compare(args) -> int:
         f"stop={gml.stop_reason} "
         f"sup_diff={sup:.3e} l2_diff={l2:.3e}"
     )
-    if args.out_report:
+    if args.out:
         payload = {
             "sup_diff": _json_float(sup),
             "l2_diff": _json_float(l2),
@@ -240,19 +240,19 @@ def _run_compare(args) -> int:
             "newton_coarse_iterations": full.coarse_iterations,
             "newton_residual_sup": _json_float(full.residual_sup),
         }
-        with open(args.out_report, "w") as fh:
+        with open(args.out, "w") as fh:
             json.dump(payload, fh, indent=1, allow_nan=False)
     return _exit_code(gml.stop_reason)
 
 
-# each mode's runner and the flags it reads beyond --eps, --alpha, --beta and
-# --N, which every mode reads; these default to None, so a given flag can be
-# told from an absent one
+# each mode's runner and the flags it reads beyond --eps, --alpha, --beta, --N
+# and --out, which every mode reads; these default to None, so a given flag
+# can be told from an absent one
 _MODES = {
-    "cartesian": (_run_cartesian, {"K", "M", "f", "tol", "max_iter", "out_field"}),
-    "polar-symbolic": (_run_polar_symbolic, {"K", "iters", "out_expr"}),
-    "oracle": (_run_oracle, {"M", "f", "tol", "out_field"}),
-    "compare": (_run_compare, {"K", "M", "f", "tol", "max_iter", "out_report"}),
+    "cartesian": (_run_cartesian, {"K", "M", "f", "tol", "max_iter"}),
+    "polar-symbolic": (_run_polar_symbolic, {"K", "iters"}),
+    "oracle": (_run_oracle, {"M", "f", "tol"}),
+    "compare": (_run_compare, {"K", "M", "f", "tol", "max_iter"}),
 }
 
 
@@ -266,8 +266,7 @@ def main(argv=None) -> int:
         unread = set().union(*(flags for _, flags in _MODES.values())) - reads
         for flag, value in vars(args).items():  # in the parser's order
             if flag in unread and value is not None:
-                verb = "written" if flag.startswith("out_") else "read"
-                raise ValueError(f"--{flag.replace('_', '-')} is not {verb} by --mode {args.mode}")
+                raise ValueError(f"--{flag.replace('_', '-')} is not read by --mode {args.mode}")
         return run(args)
     except (ValueError, SyntaxError) as exc:
         print(f"proxgml: {exc}", file=sys.stderr)

@@ -48,8 +48,7 @@ from functools import partial
 
 import numpy as np
 
-from .problem import (FieldSolution, LineGrid, ProblemSpec, check_tolerance, integer_count,
-                      source_values)
+from .problem import FieldSolution, LineGrid, ProblemSpec, check_tolerance, source_values
 
 __all__ = ["NewtonReport", "NewtonDivergenceError", "newton_solve", "compare_fields"]
 
@@ -64,6 +63,8 @@ STALL_STEPS = 3
 # a coarse level stops once its sup residual is at most this times max(1, sup|f|):
 # a prolonged start carries a residual of about sup|f| anyway
 COARSE_TOL = 1e-2
+# a run that has not converged after this many Newton steps ends as failed
+MAX_NEWTON = 50
 _spla = None  # scipy.sparse.linalg, bound by the first Newton run
 
 
@@ -208,12 +209,7 @@ def _damped_newton(A, f, u, *, alpha, beta, threshold, max_newton, stall_steps=N
                 f"{failure} after {it} Newton steps (residual {sup:.3e})")
 
 
-def newton_solve(
-    spec: ProblemSpec,
-    grid: LineGrid,
-    tol: float = 1e-10,
-    max_newton: int = 50,
-) -> NewtonReport:
+def newton_solve(spec: ProblemSpec, grid: LineGrid, tol: float = 1e-10) -> NewtonReport:
     """Damped Newton, sequenced over coarser grids (see the module docstring).
     The requested grid stops once its sup residual is at most
     tol*max(1, sup|f|), as rounding in the residual grows with the source;
@@ -223,10 +219,9 @@ def newton_solve(
     solve: those on the coarser grids, and those of a failed run from the
     prolonged start.
     ``residual_sup`` is the absolute residual.  A failed line search or the
-    step limit on the requested grid raises NewtonDivergenceError with the
-    number of steps taken."""
+    step limit ``MAX_NEWTON`` on the requested grid raises
+    NewtonDivergenceError with the number of steps taken."""
     check_tolerance(tol)
-    integer_count("max_newton", max_newton, 1)
     N, M = grid.n_lines, grid.m_nodes
     h = _require_uniform_rectangle(grid)
     f_nodes = source_values(spec, grid)
@@ -245,7 +240,7 @@ def newton_solve(
         f = f_nodes[::stride, ::stride][1:-1, 1:-1].ravel()
         newton = partial(_damped_newton, A, f, alpha=spec.alpha, beta=spec.beta,
                          threshold=threshold if stride == 1 else coarse_threshold,
-                         max_newton=max_newton)
+                         max_newton=MAX_NEWTON)
         run = None
         if prolonged is not None:
             run = newton(prolonged[1:-1, 1:-1].ravel(), stall_steps=STALL_STEPS)

@@ -28,17 +28,14 @@ solves it there.  c must be 0 on the end columns, the Dirichlet zeros.
 Thomas reference.  A cycle is converged when the update is at most ``tol``
 and, for K > 0, the FD residual is at most K*tol; ``sweep.outer_loop``
 runs the cycles on ``tol`` and a ``certify()`` that forms the residual,
-stops them and names the stop (``stop_reason``).  Once
-the updates fall by a steady ratio it moves a failed cycle by the
-heavy-ball step (see ``sweep``), which leaves the stop test's meaning as it
-was for the plain loop; once such a phase has grown, every second armed
-cycle runs on the mirrored line order, through the pass's twin
-``BackwardPass.mirrored()`` and the reversed source rows.  The step reads
-the floor K/(K + lam_hi) of ``_spectral_floor``, which bounds the proximal
-model of a cycle (near the root an error e goes to about K*(K + J)^-1 e, J
-the FD system's Jacobian), not the lagged cycle, whose spectrum can sit a
-little lower: the factor 1/0.9 on ``sweep``'s L covers that.  Gershgorin's
-theorem puts the eigenvalues of J at most
+stops them and names the stop (``stop_reason``), and accelerates them by
+the heavy-ball rule that ``sweep`` states, which leaves what a stop
+certifies as it was for the plain loop.  Its ``mirrored()`` cycle runs
+through the pass's twin ``BackwardPass.mirrored()`` on the reversed source
+rows, and its floor is K/(K + lam_hi) from ``_spectral_floor``, a bound
+on the proximal model of a cycle (near the root an error e goes to about
+K*(K + J)^-1 e, J the FD system's Jacobian), with Gershgorin's bound on
+the eigenvalues of J,
 lam_hi = max(0, 3*max(alpha, 0)*max|v|^2 - beta) + 4*eps*(1/d^2 + 1/min(h)^2).
 """
 

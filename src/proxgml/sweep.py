@@ -65,18 +65,15 @@ N = M = 20, 0 at 30 and 40) of radius rho^2 to within 2e-6 (0.902105
 against 0.949791^2 = 0.902103 at 20).  So once a phase has ended on
 growth, every second armed cycle, the one at odd k, runs the caller's
 ``mirrored()`` in place of ``cycle()``: f = 1, eps 0.1 takes
-63/94/116/138 cycles at N = M = 100/200/300/400 (113/160/562/325 for the
-one-directional rule) and 138 at N = 400, M = 100 (237).  A run that
-never grows never mirrors, and runs as the one-directional rule.
+63/94/116/138 cycles at N = M = 100/200/300/400 and 138 at N = 400,
+M = 100.  A run that never grows never mirrors.
 
 The rule drops back to plain cycles, and re-arms on four new plain ratios,
 at a cycle whose D turns against the momentum (vdot(D, x - x_prev) < 0),
 whose update exceeds 4 times the smallest since it armed, or whose update
 is at most tol while ``certify()`` rejects its output, where the update
-has outrun the residual (for the one-directional rule, f = 1, N = M = 100,
-eps 0.1 had its first update within tol at cycle 95 and stopped at 113
-with this restart, at 130 without it).  An estimate rho-hat below the
-true rho leaves the slowest mode a real root q > sqrt(beta); when four
+has outrun the residual.  An estimate rho-hat below the true rho leaves
+the slowest mode a real root q > sqrt(beta); when four
 accelerated ratios settle, within 2% of each other, in
 (1.05*sqrt(beta), 1), the rule lowers m to that mode's
 (1 + beta - q - beta/q)/w = (1 - q)*(1 - beta/q)/w.  Ratios are compared

@@ -250,13 +250,13 @@ def from_json_dict(data: dict, trunc: TruncationSpec = DEFAULT_TRUNCATION) -> Bo
     return BoundaryPolynomial(terms, trunc)
 
 
-def format_terms(p: BoundaryPolynomial, fmt: str = "%.6g") -> str:
-    """Human-readable rendering, constant first then by exponent order."""
+def format_terms(p: BoundaryPolynomial) -> str:
+    """Human-readable rendering, constant first then by exponent order, at 6 significant digits."""
     pieces = []
     for monomial, c in zip(p.trunc.monomial_text, p.coeffs.tolist()):
         if abs(c) < _DROP_BELOW:
             continue
-        text = " ".join(filter(None, (fmt % c, monomial)))
+        text = " ".join(filter(None, ("%.6g" % c, monomial)))
         if pieces:
             text = "- " + text[1:] if text.startswith("-") else "+ " + text
         pieces.append(text)

@@ -119,7 +119,7 @@ def test_deeply_nested_source_is_rejected(terms, capsys):
 def test_cartesian_mode_and_csv_round_trip(tmp_path, capsys):
     out = tmp_path / "field.csv"
     rc = main(["--mode", "cartesian", "--eps", "0.1", "--K", "50", "--N", "12",
-               "--M", "12", "--f", "const:1", "--out-field", str(out)])
+               "--M", "12", "--f", "const:1", "--out", str(out)])
     assert rc == EXIT_OK
     assert "center=" in capsys.readouterr().out
 
@@ -134,7 +134,7 @@ def test_cartesian_mode_and_csv_round_trip(tmp_path, capsys):
 
 def test_oracle_mode_csv_round_trip(tmp_path, capsys):
     out = tmp_path / "newton.csv"
-    assert main(["--mode", "oracle", "--N", "8", "--out-field", str(out)]) == EXIT_OK
+    assert main(["--mode", "oracle", "--N", "8", "--out", str(out)]) == EXIT_OK
     assert capsys.readouterr().out.startswith("oracle: ")
     assert len(out.read_text().splitlines()) == 1 + 81
 
@@ -174,7 +174,7 @@ def test_field_csv_bytes(tmp_path):
 def test_polar_symbolic_mode(tmp_path, capsys):
     out = tmp_path / "lines.json"
     rc = main(["--mode", "polar-symbolic", "--eps", "0.1", "--K", "50",
-               "--N", "20", "--iters", "30", "--out-expr", str(out)])
+               "--N", "20", "--iters", "30", "--out", str(out)])
     assert rc == EXIT_OK
     payload = json.loads(out.read_text())
     assert (payload["prox_weight"], payload["iters"]) == (50.0, 30)
@@ -193,7 +193,7 @@ def test_polar_symbolic_defaults_run_the_reference_schedule(tmp_path, capsys, re
     # the command-line run once used the rectangle's K = 50 and missed the
     # reference constants by up to 4.3e-2
     out = tmp_path / "lines.json"
-    assert main(["--mode", "polar-symbolic", "--eps", eps, "--out-expr", str(out)]) == EXIT_OK
+    assert main(["--mode", "polar-symbolic", "--eps", eps, "--out", str(out)]) == EXIT_OK
     payload = json.loads(out.read_text())
     assert (payload["prox_weight"], payload["iters"]) == (10.0, 149)
     _, lines = request.getfixturevalue(fixture)
@@ -213,7 +213,7 @@ def test_polar_symbolic_prints_the_stop_and_last_update(capsys):
 def test_polar_symbolic_non_finite_exits_3_without_export(tmp_path, capsys):
     out = tmp_path / "lines.json"
     rc = main(["--mode", "polar-symbolic", "--N", "10", "--iters", "20", "--eps", "1e-4",
-               "--K", "0", "--out-expr", str(out)])
+               "--K", "0", "--out", str(out)])
     assert rc == EXIT_NO_CONVERGENCE
     assert "stop=non-finite" in capsys.readouterr().out
     assert not out.exists()
@@ -245,7 +245,7 @@ def _strict_json(text):
 def test_compare_mode_writes_report(tmp_path):
     out = tmp_path / "report.json"
     rc = main(["--mode", "compare", "--eps", "0.1", "--N", "10", "--M", "10",
-               "--out-report", str(out)])
+               "--out", str(out)])
     assert rc == EXIT_OK
     report = _strict_json(out.read_text())
     assert report["gml_converged"] is True
@@ -256,7 +256,7 @@ def test_compare_mode_writes_report(tmp_path):
 
 def test_compare_report_counts_coarse_newton_steps(tmp_path):
     out = tmp_path / "report.json"
-    rc = main(["--mode", "compare", "--N", "32", "--out-report", str(out)])
+    rc = main(["--mode", "compare", "--N", "32", "--out", str(out)])
     assert rc == EXIT_OK
     report = _strict_json(out.read_text())
     assert report["newton_coarse_iterations"] > 0
@@ -266,7 +266,7 @@ def test_compare_report_counts_coarse_newton_steps(tmp_path):
 def test_source_singular_on_the_boundary_is_a_valid_flag(tmp_path):
     # 1/y is infinite on y = 0, where the FD system never reads f
     out = tmp_path / "report.json"
-    rc = main(["--mode", "compare", "--N", "16", "--f", "1/y", "--out-report", str(out)])
+    rc = main(["--mode", "compare", "--N", "16", "--f", "1/y", "--out", str(out)])
     assert rc == EXIT_OK
     report = _strict_json(out.read_text())
     assert report["gml_stop_reason"] == "converged"
@@ -304,7 +304,7 @@ def test_compare_mode_oracle_honours_tol(tmp_path):
     # the oracle in compare mode stops at --tol, as in oracle mode, so its
     # own residual does not set sup_diff
     out = tmp_path / "report.json"
-    rc = main(["--mode", "compare", "--N", "6", "--tol", "1e-12", "--out-report", str(out)])
+    rc = main(["--mode", "compare", "--N", "6", "--tol", "1e-12", "--out", str(out)])
     assert rc == EXIT_OK
     assert json.loads(out.read_text())["newton_residual_sup"] <= 1e-12
 
@@ -320,7 +320,7 @@ def test_compare_report_is_strict_json_on_non_finite_stop(tmp_path):
     # f = 300 drives the line solve to a non-finite update; the report's
     # NaN numbers are written as null, not as the bare NaN that JSON lacks
     out = tmp_path / "report.json"
-    rc = main(["--mode", "compare", "--N", "6", "--f", "300", "--out-report", str(out)])
+    rc = main(["--mode", "compare", "--N", "6", "--f", "300", "--out", str(out)])
     assert rc == EXIT_NO_CONVERGENCE
     report = _strict_json(out.read_text())
     assert report["gml_stop_reason"] == "non-finite"
@@ -341,19 +341,28 @@ def test_invalid_flags_exit_2():
         assert main(["--mode", mode, "--N", "6", "--iters", "0"]) == EXIT_USAGE
 
 
-@pytest.mark.parametrize("argv, flag", [
-    (["--mode", "compare", "--N", "4", "--out-field", "u.csv"], "--out-field"),
-    (["--mode", "cartesian", "--N", "4", "--out-report", "r.json"], "--out-report"),
-    (["--mode", "oracle", "--N", "4", "--out-expr", "e.json"], "--out-expr"),
-    (["--mode", "polar-symbolic", "--N", "4", "--iters", "3", "--out-field", "u.csv"],
-     "--out-field"),
-], ids=["compare", "cartesian", "oracle", "polar-symbolic"])
-def test_output_flag_the_mode_does_not_write_exits_2(tmp_path, monkeypatch, capsys, argv, flag):
-    # each of these once exited 0 and wrote no file
+@pytest.mark.parametrize("argv, key", [
+    (["--mode", "cartesian", "--N", "4"], None),
+    (["--mode", "oracle", "--N", "4"], None),
+    (["--mode", "polar-symbolic", "--N", "4", "--iters", "3"], "lines"),
+    (["--mode", "compare", "--N", "4"], "sup_diff"),
+], ids=["cartesian", "oracle", "polar-symbolic", "compare"])
+def test_out_writes_the_one_file_of_the_mode(tmp_path, monkeypatch, argv, key):
+    # --out writes a field CSV, or JSON holding ``key``; --out-field,
+    # --out-expr and --out-report are unknown arguments
     monkeypatch.chdir(tmp_path)
-    assert main(argv) == EXIT_USAGE
-    assert f"{flag} is not written by --mode {argv[1]}" in capsys.readouterr().err
+    assert main(argv) == EXIT_OK
     assert not any(tmp_path.iterdir())
+    assert main(argv + ["--out", "product"]) == EXIT_OK
+    assert [p.name for p in tmp_path.iterdir()] == ["product"]
+    text = (tmp_path / "product").read_text()
+    if key is None:
+        assert text.startswith("x,y,u\n")
+    else:
+        assert key in _strict_json(text)
+    for flag in ("--out-field", "--out-expr", "--out-report"):
+        assert main(argv + [flag, "old"]) == EXIT_USAGE
+    assert [p.name for p in tmp_path.iterdir()] == ["product"]
 
 
 @pytest.mark.parametrize("mode, flag, value", [
@@ -396,7 +405,7 @@ def test_non_finite_update_exits_3_at_once(capsys, extra):
 def test_cartesian_field_is_written_unless_non_finite(tmp_path, capsys, argv, stop, written):
     # the non-finite stop once wrote 49 rows, 10 of them nan; a capped run's field is finite
     out = tmp_path / "u.csv"
-    rc = main(["--mode", "cartesian", "--N", "6", "--out-field", str(out)] + argv)
+    rc = main(["--mode", "cartesian", "--N", "6", "--out", str(out)] + argv)
     assert rc == EXIT_NO_CONVERGENCE
     assert f"stop={stop}" in capsys.readouterr().out
     assert out.exists() == written
@@ -414,7 +423,7 @@ def test_diverged_center_is_printed_short(capsys):
 
 def test_io_error_exit_4(tmp_path):
     rc = main(["--mode", "cartesian", "--eps", "0.1", "--N", "8", "--M", "8",
-               "--out-field", str(tmp_path / "no" / "such" / "dir" / "f.csv")])
+               "--out", str(tmp_path / "no" / "such" / "dir" / "f.csv")])
     assert rc == EXIT_IO
 
 

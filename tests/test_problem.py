@@ -102,12 +102,11 @@ COUNT_ARGUMENTS = {
     "n_lines": lambda k: PolarSymbolicConfig(epsilon=0.1, n_lines=k),
     "iters": lambda k: PolarSymbolicConfig(epsilon=0.1, iters=k),
     "max_iter": lambda k: proximal_iterate(square_problem(0.1), _SMALL, max_iter=k),
-    "max_newton": lambda k: newton_solve(square_problem(0.1), _SMALL, max_newton=k),
 }
 
 
 # the least legal value of each count
-COUNT_MINIMUM = {"n_lines": 2, "iters": 1, "max_iter": 1, "max_newton": 1}
+COUNT_MINIMUM = {"n_lines": 2, "iters": 1, "max_iter": 1}
 
 
 @pytest.mark.parametrize("value", [2.5, 3.0, True, np.float64(3), "3"],

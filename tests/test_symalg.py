@@ -193,13 +193,13 @@ def test_format_terms_readable():
     assert format_terms(poly_zero()) == "0"
 
 
-def _format_terms_per_term(p, fmt="%.6g"):
+def _format_terms_per_term(p):
     # format_terms with each monomial's text built again for every term
     names = ("uf", "uf'", "uf''", "uf'''", "uf''''")
     pieces = []
     for e, c in p.terms.items():
         monomial = "*".join(name if k == 1 else f"{name}^{k}" for name, k in zip(names, e) if k)
-        text = " ".join(filter(None, (fmt % c, monomial)))
+        text = " ".join(filter(None, ("%.6g" % c, monomial)))
         if pieces:
             text = "- " + text[1:] if text.startswith("-") else "+ " + text
         pieces.append(text)
@@ -217,8 +217,7 @@ def test_format_terms_matches_per_term_reference(caps):
         picks = rng.random(len(spec.basis)) < 0.4
         coeffs[picks] = rng.choice(special, int(picks.sum()))
         p = BoundaryPolynomial.from_coeffs(coeffs, spec)
-        for fmt in ("%.6g", "%.17g"):
-            assert format_terms(p, fmt) == _format_terms_per_term(p, fmt)
+        assert format_terms(p) == _format_terms_per_term(p)
 
 
 # -- ring properties ----------------------------------------------------------
