@@ -7,10 +7,11 @@ Modes:
   compare         cartesian solve vs oracle on the same grid, JSON report
                   (a NaN or infinite number in it is written as null)
 
-Each mode reads some of the flags, and --out names the one file it
-writes; a flag that it does not read is an invalid flag.  Exit codes:
-0 success, 2 invalid flags, 3 solver non-convergence or a non-finite
-result, 4 I/O.
+Each mode reads some of the flags; a flag that it does not read is an
+invalid flag.  A mode's runner returns its exit code and its product, the
+one file --out names, and ``main`` writes that file after the run; an
+empty or unwritable path exits 4.  Exit codes: 0 success, 2 invalid
+flags, 3 solver non-convergence or a non-finite result, 4 I/O.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ EXIT_IO = 4
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 # the source of a run without --f; no library call has a default source
 _SOURCE = "const:1"
+# the oracle's own stop, read from newton_solve: the loosest --tol it runs at
+_NEWTON_TOL = inspect.signature(newton_solve).parameters["tol"].default
 _ALLOWED_NODES = (
     ast.Expression, ast.BinOp, ast.UnaryOp, ast.Add, ast.Sub, ast.Mult, ast.Div,
     ast.Pow, ast.USub, ast.UAdd, ast.Constant, ast.Name, ast.Call, ast.Load,
@@ -110,7 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", default=None, help="source term, const:<v> or expression in x,y "
                    f"(default {_SOURCE})")
     solver = inspect.signature(proximal_iterate).parameters  # the defaults the solver owns
-    p.add_argument("--tol", type=float, default=None, help=f"default {solver['tol'].default:g}")
+    p.add_argument("--tol", type=float, default=None, help=f"default {solver['tol'].default:g}; "
+                   f"the oracle's default {_NEWTON_TOL:g} is also the loosest it runs at")
     p.add_argument("--max-iter", type=int, default=None,
                    help=f"default {solver['max_iter'].default}")
     p.add_argument("--iters", type=int, default=None, help="annulus: run this many outer "
@@ -138,7 +142,7 @@ def _cartesian_setup(args):
     return spec, LineGrid(domain, args.N, M)
 
 
-def _run_cartesian(args) -> int:
+def _run_cartesian(args) -> tuple[int, object]:
     spec, grid = _cartesian_setup(args)
     report = proximal_iterate(spec, grid, **_given(args, tol="tol", max_iter="max_iter"))
     center = report.solution.values[grid.n_lines // 2, grid.m_nodes // 2]
@@ -148,9 +152,8 @@ def _run_cartesian(args) -> int:
         f"update={report.update_history[-1]:.3e} "
         f"residual={report.residual_sup:.3e} center={center:.6g}"
     )
-    if args.out and report.stop_reason != "non-finite":
-        write_field_csv(args.out, grid, report.solution)
-    return _exit_code(report.stop_reason)
+    product = None if report.stop_reason == "non-finite" else (grid, report.solution)
+    return _exit_code(report.stop_reason), product
 
 
 def _exit_code(stop_reason: str) -> int:
@@ -158,7 +161,7 @@ def _exit_code(stop_reason: str) -> int:
     return EXIT_NO_CONVERGENCE if stop_reason in ("non-finite", "max_iter") else EXIT_OK
 
 
-def _run_polar_symbolic(args) -> int:
+def _run_polar_symbolic(args) -> tuple[int, object]:
     cfg = PolarSymbolicConfig(epsilon=args.eps, n_lines=args.N, alpha=args.alpha,
                               beta=args.beta, **_given(args, prox_weight="K", iters="iters"))
     report = polar_iterate(cfg)
@@ -170,36 +173,34 @@ def _run_polar_symbolic(args) -> int:
         f"mid-line constant={lines[mid].coefficient((0, 0, 0, 0, 0)):.5f}"
     )
     rc = _exit_code(report.stop_reason)
-    if args.out and rc == EXIT_OK:
-        payload = {
-            "epsilon": cfg.epsilon,
-            "prox_weight": cfg.prox_weight,
-            "n_lines": cfg.n_lines,
-            "iters": cfg.iters,
-            "lines": [
-                {
-                    "line": n,
-                    "radius": cfg.radius(n),
-                    "text": format_terms(lines[n]),
-                    **to_json_dict(lines[n]),
-                }
-                for n in range(1, cfg.n_lines)
-            ],
-        }
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=1)
-    return rc
+    if rc != EXIT_OK:
+        return rc, None
+    return rc, {
+        "epsilon": cfg.epsilon,
+        "prox_weight": cfg.prox_weight,
+        "n_lines": cfg.n_lines,
+        "iters": cfg.iters,
+        "lines": [
+            {
+                "line": n,
+                "radius": cfg.radius(n),
+                "text": format_terms(lines[n]),
+                **to_json_dict(lines[n]),
+            }
+            for n in range(1, cfg.n_lines)
+        ],
+    }
 
 
 def _oracle_solve(args, spec, grid):
-    """The oracle stops at --tol, at 1e-10 at the loosest, in both modes; else at its default."""
+    """The oracle stops at --tol, never looser than its own default, in both modes."""
     if args.tol is None:
         return newton_solve(spec, grid)
     check_tolerance(args.tol)
-    return newton_solve(spec, grid, tol=min(args.tol, 1e-10))
+    return newton_solve(spec, grid, tol=min(args.tol, _NEWTON_TOL))
 
 
-def _run_oracle(args) -> int:
+def _run_oracle(args) -> tuple[int, object]:
     spec, grid = _cartesian_setup(args)
     report = _oracle_solve(args, spec, grid)
     center = report.solution.values[grid.n_lines // 2, grid.m_nodes // 2]
@@ -208,9 +209,7 @@ def _run_oracle(args) -> int:
         f"coarse_iterations={report.coarse_iterations} "
         f"residual={report.residual_sup:.3e} center={center:.6g}"
     )
-    if args.out:
-        write_field_csv(args.out, grid, report.solution)
-    return EXIT_OK
+    return EXIT_OK, (grid, report.solution)
 
 
 def _json_float(x: float) -> float | None:
@@ -218,7 +217,7 @@ def _json_float(x: float) -> float | None:
     return x if math.isfinite(x) else None
 
 
-def _run_compare(args) -> int:
+def _run_compare(args) -> tuple[int, object]:
     spec, grid = _cartesian_setup(args)
     gml = proximal_iterate(spec, grid, **_given(args, tol="tol", max_iter="max_iter"))
     full = _oracle_solve(args, spec, grid)
@@ -228,24 +227,30 @@ def _run_compare(args) -> int:
         f"stop={gml.stop_reason} "
         f"sup_diff={sup:.3e} l2_diff={l2:.3e}"
     )
-    if args.out:
-        payload = {
-            "sup_diff": _json_float(sup),
-            "l2_diff": _json_float(l2),
-            "gml_iterations": gml.outer_iterations,
-            "gml_converged": gml.converged,
-            "gml_stop_reason": gml.stop_reason,
-            "gml_residual_sup": _json_float(gml.residual_sup),
-            "newton_iterations": full.iterations,
-            "newton_coarse_iterations": full.coarse_iterations,
-            "newton_residual_sup": _json_float(full.residual_sup),
-        }
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=1, allow_nan=False)
-    return _exit_code(gml.stop_reason)
+    return _exit_code(gml.stop_reason), {
+        "sup_diff": _json_float(sup),
+        "l2_diff": _json_float(l2),
+        "gml_iterations": gml.outer_iterations,
+        "gml_converged": gml.converged,
+        "gml_stop_reason": gml.stop_reason,
+        "gml_residual_sup": _json_float(gml.residual_sup),
+        "newton_iterations": full.iterations,
+        "newton_coarse_iterations": full.coarse_iterations,
+        "newton_residual_sup": _json_float(full.residual_sup),
+    }
 
 
-# each mode's runner and the flags it reads beyond --eps, --alpha, --beta, --N
+def _write(path: str, product) -> None:
+    """Write a run's product: a (grid, field) pair as the field CSV, a dict as strict JSON."""
+    if isinstance(product, dict):
+        with open(path, "w") as fh:
+            json.dump(product, fh, indent=1, allow_nan=False)
+    else:
+        write_field_csv(path, *product)
+
+
+# each mode's runner, which returns its exit code and its product (None when
+# it writes none), and the flags it reads beyond --eps, --alpha, --beta, --N
 # and --out, which every mode reads; these default to None, so a given flag
 # can be told from an absent one
 _MODES = {
@@ -267,7 +272,10 @@ def main(argv=None) -> int:
         for flag, value in vars(args).items():  # in the parser's order
             if flag in unread and value is not None:
                 raise ValueError(f"--{flag.replace('_', '-')} is not read by --mode {args.mode}")
-        return run(args)
+        rc, product = run(args)
+        if args.out is not None and product is not None:
+            _write(args.out, product)
+        return rc
     except (ValueError, SyntaxError) as exc:
         print(f"proxgml: {exc}", file=sys.stderr)
         return EXIT_USAGE

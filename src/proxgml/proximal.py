@@ -94,6 +94,7 @@ class BackwardPass:
         self._lin = (a + b * (kap * spec.beta)).tolist()
         self._cub = (b * (-kap * spec.alpha)).tolist()
         self.cube = np.empty(grid.m_nodes - 1)
+        self._twin = None
         self._bind(np.zeros((grid.n_lines + 1, grid.m_nodes + 1)), grid.h)
 
     def _bind(self, u: np.ndarray, h: np.ndarray) -> None:
@@ -118,10 +119,12 @@ class BackwardPass:
 
         a, b, C and the lag weights depend only on the line index, so the
         twin shares them; its line matrices are factored on the reversed
-        steps, and its ``u`` is the reversed view of this pass's field."""
-        twin = copy.copy(self)
-        twin._bind(self.u[::-1], self.h[::-1])
-        return twin
+        steps, and its ``u`` is the reversed view of this pass's field.  The
+        first call builds the twin, and every later call returns it."""
+        if self._twin is None:
+            self._twin = copy.copy(self)
+            self._twin._bind(self.u[::-1], self.h[::-1])
+        return self._twin
 
     def __call__(self) -> None:
         """Solve lines N-1..1 in place, each on its row of c and the line above."""
@@ -190,32 +193,28 @@ def proximal_iterate(
     f = source_values(spec, grid)  # 0 on the end columns, so c keeps the Dirichlet zeros
     backward = BackwardPass(spec, grid)
     v = backward.u  # the anchor, which each cycle overwrites with the new field
-    mirror, residual = None, None
+    judged = []  # the FD residual of each field that certify() judged, in order
 
     cycle = partial(_corrected_cycle, spec, backward, f)
 
     def mirrored() -> None:
-        nonlocal mirror
-        if mirror is None:
-            mirror = backward.mirrored()
-        _corrected_cycle(spec, mirror, f[::-1])
+        _corrected_cycle(spec, backward.mirrored(), f[::-1])
 
     def residual_sup() -> float:
         return float(np.max(np.abs(_fd_residual(spec, grid, v, f))))
 
     def certify() -> bool:
-        nonlocal residual
-        residual = residual_sup()
-        return residual <= K * tol
+        judged.append(residual_sup())
+        return judged[-1] <= K * tol
 
     updates, stop_reason = outer_loop(cycle, v, max_iter, tol, certify if K > 0.0 else None,
                                       _spectral_floor(spec, grid), mirrored)
-    if stop_reason == "non-finite" or updates[-1] > tol:  # the last field was not certified
-        residual = None
+    # the last field was judged unless it stopped non-finite or on an update above tol
+    last_judged = judged and stop_reason != "non-finite" and updates[-1] <= tol
     return SolveReport(
         solution=FieldSolution(v),
         outer_iterations=len(updates),
-        residual_sup=residual_sup() if residual is None else residual,
+        residual_sup=judged[-1] if last_judged else residual_sup(),
         converged=stop_reason == "converged",
         update_history=updates,
         stop_reason=stop_reason,

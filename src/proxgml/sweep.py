@@ -64,9 +64,8 @@ cycle on the mirrored line order, has a real spectrum (|Im mu| 1.5e-5 at
 N = M = 20, 0 at 30 and 40) of radius rho^2 to within 2e-6 (0.902105
 against 0.949791^2 = 0.902103 at 20).  So once a phase has ended on
 growth, every second armed cycle, the one at odd k, runs the caller's
-``mirrored()`` in place of ``cycle()``: f = 1, eps 0.1 takes
-63/94/116/138 cycles at N = M = 100/200/300/400 and 138 at N = 400,
-M = 100.  A run that never grows never mirrors.
+``mirrored()`` in place of ``cycle()``.  A run that never grows never
+mirrors.
 
 The rule drops back to plain cycles, and re-arms on four new plain ratios,
 at a cycle whose D turns against the momentum (vdot(D, x - x_prev) < 0),
@@ -81,13 +80,10 @@ by products, so an update of 0 fails a test before any ratio is formed.
 The stop test is the plain loop's, the recorded update is the cycle's own
 step (a mirrored cycle's included), and a stop leaves the last cycle's
 own output, so what a stop certifies is what it certified for the plain
-loop.  A finite-difference Jacobian of the cycle map at the root puts its
-spectrum in [0.196, 0.963], [0.560, 0.961] and [0.855, 0.971] for the
-N = M = 20 sin(pi*x)*sin(pi*y) source at K = 50 and eps 0.1/0.01/0.001;
-that source takes 49/63/77 cycles, and f = 1 at N = M = 100 63/66/60.
-The window keeps the rule off the swinging early updates of runs near the
-divergent sources (f = 160 at N = 6) and of the stalled K = 3 run.  The
-annulus's fixed schedule is never accelerated, so it never mirrors.
+loop.  The window keeps the rule off the swinging early updates of runs
+near the divergent sources (f = 160 at N = 6) and of the stalled K = 3
+run.  The annulus's fixed schedule is never accelerated, so it never
+mirrors.
 """
 
 from __future__ import annotations

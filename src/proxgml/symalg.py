@@ -73,25 +73,20 @@ class TruncationSpec:
         return {e: k for k, e in enumerate(itertools.product(*(range(c + 1) for c in self.caps)))}
 
     @functools.cached_property
-    def _products(self) -> tuple[np.ndarray, ...]:
-        # (i, j, k): the monomials at positions i and j multiply to the one at k
-        ijk = [(i, j, self.basis[e]) for (e1, i), (e2, j)
-               in itertools.product(self.basis.items(), repeat=2)
-               if (e := tuple(x + y for x, y in zip(e1, e2))) in self.basis]
-        return tuple(np.array(col, dtype=np.intp) for col in zip(*ijk))
-
-    @functools.cached_property
     def mul_gather(self) -> np.ndarray:
         """Positions into [p, 0] that gather the B*B entries of M(p), row by row.
 
-        M(p)[k, j] = p[i] for each product (i, j -> k).  Monomials k and j
-        fix i, so each (k, j) has at most one product and M(p) needs no
+        M(p)[k, j] = p[i] for each product (i, j -> k): the monomials at
+        positions i and j multiply to the one at k.  Monomials k and j fix
+        i, so each (k, j) has at most one product and M(p) needs no
         summation: each entry is one coefficient of p or the trailing zero.
         """
-        i, j, k = self._products
         B = len(self.basis)
         gather = np.full(B * B, B, dtype=np.intp)
-        gather[k * B + j] = i
+        for (e1, i), (e2, j) in itertools.product(self.basis.items(), repeat=2):
+            k = self.basis.get(tuple(x + y for x, y in zip(e1, e2)))
+            if k is not None:
+                gather[k * B + j] = i
         gather.setflags(write=False)
         return gather
 

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -316,6 +317,17 @@ def test_oracle_mode_rejects_a_tolerance_that_is_not_finite(capsys):
     assert "tol" in capsys.readouterr().err
 
 
+def test_help_gives_both_solvers_default_tol(capsys):
+    # the line solve's default and the oracle's, which is also the loosest
+    # --tol the oracle runs at, both read from the solvers' signatures
+    assert main(["--help"]) == EXIT_OK
+    text = " ".join(capsys.readouterr().out.split())
+    start = text.rindex("--tol TOL")  # the option's entry, not the usage line
+    entry = text[start:text.index("--max-iter", start)]
+    for solver in (proximal_iterate, newton_solve):
+        assert f"{inspect.signature(solver).parameters['tol'].default:g}" in entry
+
+
 def test_compare_report_is_strict_json_on_non_finite_stop(tmp_path):
     # f = 300 drives the line solve to a non-finite update; the report's
     # NaN numbers are written as null, not as the bare NaN that JSON lacks
@@ -348,10 +360,13 @@ def test_invalid_flags_exit_2():
     (["--mode", "compare", "--N", "4"], "sup_diff"),
 ], ids=["cartesian", "oracle", "polar-symbolic", "compare"])
 def test_out_writes_the_one_file_of_the_mode(tmp_path, monkeypatch, argv, key):
-    # --out writes a field CSV, or JSON holding ``key``; --out-field,
-    # --out-expr and --out-report are unknown arguments
+    # --out writes a field CSV, or JSON holding ``key``; an empty path is an
+    # I/O failure, not "no --out"; --out-field, --out-expr and --out-report
+    # are unknown arguments
     monkeypatch.chdir(tmp_path)
     assert main(argv) == EXIT_OK
+    assert not any(tmp_path.iterdir())
+    assert main(argv + ["--out", ""]) == EXIT_IO
     assert not any(tmp_path.iterdir())
     assert main(argv + ["--out", "product"]) == EXIT_OK
     assert [p.name for p in tmp_path.iterdir()] == ["product"]

@@ -385,6 +385,31 @@ def test_the_mirrored_cycle_is_the_cycle_of_the_reflected_strip():
     np.testing.assert_allclose(run.u[::-1], twin.u, rtol=1e-12, atol=1e-15)
 
 
+@pytest.mark.parametrize("n, cycles, binds", [(40, 60, 2), (30, 58, 1)])
+def test_a_solve_factors_its_mirror_once(monkeypatch, n, cycles, binds):
+    # f = 1, eps 0.1: N = M = 40 grows and mirrors, and every mirrored cycle
+    # runs on the one twin, so the lines are factored twice in all; N = M =
+    # 30 never mirrors and factors them once
+    bind, mirrored = proximal.BackwardPass._bind, proximal.BackwardPass.mirrored
+    bound, twins = [], []
+
+    def spy_bind(self, u, h):
+        bound.append(self)
+        bind(self, u, h)
+
+    def spy_mirrored(self):
+        twins.append(mirrored(self))
+        return twins[-1]
+
+    monkeypatch.setattr(proximal.BackwardPass, "_bind", spy_bind)
+    monkeypatch.setattr(proximal.BackwardPass, "mirrored", spy_mirrored)
+    report = proximal_iterate(square_problem(0.1), LineGrid(UNIT_SQUARE, n, n))
+    assert (report.stop_reason, report.outer_iterations) == ("converged", cycles)
+    assert len(bound) == binds
+    assert len(twins) > 1 if binds == 2 else twins == []
+    assert all(t is bound[-1] for t in twins)
+
+
 @pytest.fixture(scope="module")
 def cycle_maps_n20():
     """The cycle map and the two-pass map (the cycle, then the mirrored cycle)

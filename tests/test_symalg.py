@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import math
 import pickle
@@ -325,21 +326,29 @@ def test_pickle_and_deepcopy_round_trip():
         assert q == p and not q.coeffs.flags.writeable
 
 
+def _product_table(spec):
+    """(i, j, k): the monomials at positions i and j multiply to the one at k."""
+    ijk = [(i, j, spec.basis[e]) for (e1, i), (e2, j)
+           in itertools.product(spec.basis.items(), repeat=2)
+           if (e := tuple(x + y for x, y in zip(e1, e2))) in spec.basis]
+    return tuple(np.array(col, dtype=np.intp) for col in zip(*ijk))
+
+
 @pytest.mark.parametrize("caps", [(3, 1, 1, 0, 0), (2, 1, 1, 0, 0), (2, 1, 1, 1, 1)])
 def test_mul_matrix_matches_product_table(caps):
     spec = TruncationSpec(caps)
     rng = np.random.default_rng(11 + sum(caps))
+    i, j, k = _product_table(spec)
     for _ in range(100):
         p, q = rng.uniform(-2.0, 2.0, size=(2, len(spec.basis)))
         # the product table summed term by term
-        i, j, k = spec._products
         want = np.bincount(k, weights=p[i] * q[j], minlength=len(spec.basis))
         np.testing.assert_allclose(spec.mul_matrix(p) @ q, want, rtol=1e-14,
                                    atol=1e-14 * np.max(np.abs(want)))
     # one gathered entry of M(p) per product pair, each at its own position
-    i, j, k = spec._products
     B = len(spec.basis)
     assert len(np.unique(k * B + j)) == len(i)
+    assert np.array_equal(spec.mul_gather[k * B + j], i)
     assert np.count_nonzero(spec.mul_gather < B) == len(i)
     if caps == (3, 1, 1, 0, 0):
         assert len(i) == 90
