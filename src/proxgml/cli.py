@@ -7,11 +7,9 @@ Modes:
   compare         cartesian solve vs oracle on the same grid, JSON report
                   (a NaN or infinite number in it is written as null)
 
-Each mode reads some of the flags; a flag that it does not read is an
-invalid flag.  A mode's runner returns its exit code and its product, the
-one file --out names, and ``main`` writes that file after the run; an
-empty or unwritable path exits 4.  Exit codes: 0 success, 2 invalid
-flags, 3 solver non-convergence or a non-finite result, 4 I/O.
+Exit codes: 0 success, 2 invalid flags, 3 solver non-convergence or a
+non-finite result, 4 I/O.  ``main`` states how a mode's flags and its file
+are handled.
 """
 
 from __future__ import annotations
@@ -249,10 +247,9 @@ def _write(path: str, product) -> None:
         write_field_csv(path, *product)
 
 
-# each mode's runner, which returns its exit code and its product (None when
-# it writes none), and the flags it reads beyond --eps, --alpha, --beta, --N
-# and --out, which every mode reads; these default to None, so a given flag
-# can be told from an absent one
+# each mode's runner and the flags it reads beyond --eps, --alpha, --beta, --N
+# and --out, which every mode reads; these default to None, so a given flag can
+# be told from an absent one
 _MODES = {
     "cartesian": (_run_cartesian, {"K", "M", "f", "tol", "max_iter"}),
     "polar-symbolic": (_run_polar_symbolic, {"K", "iters"}),
@@ -262,6 +259,12 @@ _MODES = {
 
 
 def main(argv=None) -> int:
+    """Run one mode and return its exit code.
+
+    A flag the mode does not read is an invalid flag.  The mode's runner
+    returns its exit code and its product (None when it writes none), and
+    ``main`` writes the product to the one file ``--out`` names, after the
+    run; an empty or unwritable path exits 4."""
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -5,39 +5,31 @@ Assembles the complete nonlinear finite-difference system on the 2D grid
 reaction alpha*u^3 - beta*u) and drives it to a root with damped Newton.
 Shares no code path with the line sweep, so agreement between the two is a
 meaningful check.  Each grid level builds its operator A = -eps * Laplacian
-once, as CSC arrays by index arithmetic with every diagonal entry stored, and
-each Newton run copies it into the Jacobian J once; a step then writes only
-J's diagonal, A's diagonal + 3*alpha*u^2 - beta.  Each Newton step solves J
-with a sparse LU ordered by minimum degree on A^T + A, which follows the
-symmetric 5-point structure: at N=M=100, eps=0.01 the factors hold 364,676
-nonzeros, against 666,448 under the default column ordering (COLAMD).
+once (``_laplacian``), and each Newton run (``_damped_newton``) solves its
+Jacobian with a sparse LU ordered by minimum degree on A^T + A
+(``PERMC_SPEC``), which follows the symmetric 5-point structure: at
+N=M=100, eps=0.01 the factors hold 364,676 nonzeros, against 666,448 under
+the default column ordering (COLAMD), and the solve takes about half the time.
 ``scipy.sparse`` and ``scipy.sparse.linalg`` are imported at the first
 solve, so ``import proxgml`` and the line solves never load them; the
 first Newton run binds ``scipy.sparse.linalg`` to the module's ``_spla``,
-on which ``spsolve`` is looked up at each call.
+on which ``spsolve`` is looked up at each call, so that a tracer that
+wraps it counts the solves.
 
-Newton is sequenced over coarser grids (nested iteration): while N and M are
-both even and the halved grid keeps at least ``COARSE_MIN`` intervals each
-way, the grid is halved, so N=M=100 is solved on 25, then 50, then 100
-lines, and a grid with N or M <= 31 is solved on itself alone.  Every level
-samples the requested grid's source at its own nodes.  A coarse level stops
-once its sup residual is at most max(tol, COARSE_TOL) * max(1, sup|f|): its
-root only starts the next level, whose prolonged start carries a residual
-of about sup|f| anyway (nested iteration needs a coarse root about as
-accurate as the discretization error the next level removes).  The coarsest
-level starts from the root of the reduced problem alpha*u^3 - beta*u = f
-(the eps -> 0 limit), or from zero unless alpha, beta > 0; each finer level
-starts from the coarser root, prolonged by 4-point cubic midpoint
-interpolation along each axis (``_prolong``).  A coarse level that fails
-hands the next level the reduced start instead, and the requested grid,
-should it fail from the prolonged start, runs again from the reduced start.  A run from a prolonged start
-whose sup residual after ``STALL_STEPS`` steps is above half its starting
-residual has stalled outside the basin (an indefinite problem whose coarse
-root misses an interior layer) and ends as failed in the same way.  The
-coarse levels resolve the boundary layers that the reduced start ignores at
-a fraction of the cost, and the requested grid then needs two or three steps
-instead of five: at N=M=100, eps 0.1/0.01/0.001, the 25-, 50- and 100-line
-levels take 3/1/2, 3/1/2 and 3/2/3 steps.
+``newton_solve`` sequences the runs over coarser grids (nested iteration).
+The coarse levels resolve the boundary layers that the reduced start
+ignores at a fraction of the cost, and the requested grid then needs two or
+three steps instead of five: at N=M=100 the 25-, 50- and 100-line levels
+take 3, 1 and 2 steps at eps 0.1 and 0.01, and 3, 2 and 3 at eps 0.001.
+A coarse root only starts the next level, whose prolonged start carries a
+residual of about sup|f| anyway (1.0-1.4 on the benchmark cases), so the
+coarse levels stop at a looser tolerance: nested iteration needs a coarse
+root about as accurate as the discretization error the next level removes.
+A run from a prolonged start can stall outside the basin (an indefinite
+problem whose coarse root misses an interior layer: at beta = 30,
+f = x - 0.5, eps = 0.001 and N = M = 64 the 32-line level stalls, and the
+solve takes 2 + 3 + 5 steps), so it ends as failed once ``STALL_STEPS``
+steps have not halved its residual, and the reduced start takes over.
 """
 
 from __future__ import annotations
@@ -54,14 +46,11 @@ __all__ = ["NewtonReport", "NewtonDivergenceError", "newton_solve", "compare_fie
 
 # SuperLU column ordering for the Jacobian: its sparsity pattern is symmetric
 PERMC_SPEC = "MMD_AT_PLUS_A"
-# grid sequencing halves N and M while both are even and the halved grid keeps
-# at least this many intervals each way
+# the fewest intervals each way of a coarse level (``newton_solve``)
 COARSE_MIN = 16
-# a run from a prolonged start whose sup residual after this many Newton steps
-# is above half its starting residual ends as failed (stalled)
+# the Newton steps after which a run from a prolonged start may stall (``_damped_newton``)
 STALL_STEPS = 3
-# a coarse level stops once its sup residual is at most this times max(1, sup|f|):
-# a prolonged start carries a residual of about sup|f| anyway
+# the coarse levels' residual tolerance relative to max(1, sup|f|) (``newton_solve``)
 COARSE_TOL = 1e-2
 # a run that has not converged after this many Newton steps ends as failed
 MAX_NEWTON = 50
@@ -177,7 +166,7 @@ def _damped_newton(A, f, u, *, alpha, beta, threshold, max_newton, stall_steps=N
     step_hist = []
     Fu = F(u)
     for it in range(max_newton + 1):
-        sup = float(np.max(np.abs(Fu))) if Fu.size else 0.0
+        sup = float(np.max(np.abs(Fu)))
         res_hist.append(sup)
         if sup <= threshold:
             return _Run(u, np.array(res_hist), np.array(step_hist), it, None)
@@ -210,8 +199,20 @@ def _damped_newton(A, f, u, *, alpha, beta, threshold, max_newton, stall_steps=N
 
 
 def newton_solve(spec: ProblemSpec, grid: LineGrid, tol: float = 1e-10) -> NewtonReport:
-    """Damped Newton, sequenced over coarser grids (see the module docstring).
-    The requested grid stops once its sup residual is at most
+    """Damped Newton on the FD system, sequenced over coarser grids.
+
+    While N and M are both even and the halved grid keeps at least
+    ``COARSE_MIN`` intervals each way, the grid is halved, so N=M=100 is
+    solved on 25, then 50, then 100 lines, and a grid with N or M <= 31 on
+    itself alone.  Every level samples the requested grid's source at its
+    own nodes.  The coarsest level starts from the root of the reduced
+    problem alpha*u^3 - beta*u = f (``_reduced_root``, the eps -> 0 limit),
+    or from zero unless alpha, beta > 0; each finer level starts from the
+    coarser root, prolonged by ``_prolong``.  A coarse level that fails
+    hands the next level the reduced start instead, and the requested grid,
+    should it fail from the prolonged start, runs again from the reduced
+    start, so the sequenced oracle converges wherever the single-grid one
+    does.  The requested grid stops once its sup residual is at most
     tol*max(1, sup|f|), as rounding in the residual grows with the source;
     a coarser one at max(tol, COARSE_TOL)*max(1, sup|f|).  ``iterations``
     counts the Newton steps of the run that solved the requested grid, one
@@ -245,8 +246,6 @@ def newton_solve(spec: ProblemSpec, grid: LineGrid, tol: float = 1e-10) -> Newto
         if prolonged is not None:
             run = newton(prolonged[1:-1, 1:-1].ravel(), stall_steps=STALL_STEPS)
             if run.failure is not None and stride == 1:
-                # the requested grid runs again from the default start, so the
-                # sequenced oracle converges wherever the single-grid one does
                 coarse_iterations += run.solves
                 run = None
         if run is None:
@@ -256,7 +255,6 @@ def newton_solve(spec: ProblemSpec, grid: LineGrid, tol: float = 1e-10) -> Newto
         values[1:-1, 1:-1] = run.u.reshape(n - 1, m - 1)
         if stride > 1:
             coarse_iterations += run.solves
-            # a coarse level that fails hands the next one the default start
             prolonged = _prolong(values) if run.failure is None else None
     if run.failure is not None:
         raise NewtonDivergenceError(run.failure)

@@ -3,36 +3,20 @@
 Lines are the circles r = t_n = 1 + n*d.  The inner circle carries u = 0,
 the outer circle the symbol uf (the boundary function of the angle).  The
 sweep coefficients a_n, b_n are the scalars of the Cartesian solver, from
-``sweep.ab_recursion`` with q = 2 + K*d^2/eps; c_n is polynomial-valued
-because the proximal anchor is.  The backward pass is fully explicit: the
-angular second derivative is taken symbolically on the already-known line
-n+1 and the radial first derivative uses the previous outer iterate's
-anchors, so no per-line solve is needed.  Every product is truncated to
-the configured caps as it is formed.
+``sweep.ab_recursion``; c_n is polynomial-valued because the proximal
+anchor is.  The backward pass is fully explicit: the angular second
+derivative is taken symbolically on the already-known line n+1 and the
+radial first derivative uses the previous outer iterate's anchors, so no
+per-line solve is needed.  Every product is truncated to the configured
+caps as it is formed (``symalg``).
 
-The solve keeps all lines in one work buffer, allocated once per solve:
-row n is [u_n | 0 | cube(u_n) | 1], with u_n the coefficient row of line n
-over the truncation basis (see ``symalg``).  Everything linear is also
-built once per solve: the augmented line operators
-G_n = [A_n | 0 | -alpha*b_n*kap*I | s_n] with
-A_n = (a_n + b_n*kap*beta)*I + (b_n*d^2/t_n^2)*D^2, and the line sources
-s_n = c_n + (anchor_{n+1} - anchor_n)*b_n*d/t_n as an affine map of the
-anchor rows, S @ u + s0.  S holds K*C in the columns of lines
-1..n_lines-1, with C the c operator (``sweep.c_operator``, kap included),
-zeros in those of lines 0 and n_lines, plus the radial weights; s0 is C
-applied to f = 1.  C is built once per solve and applied in no cycle, and
-a cycle's S @ u costs O(n_lines^2) per basis monomial.
-A cycle writes S @ u + s0 into the last column of every G_n (one matmul
-and one add).  A row step is then four native calls on views built once:
-gather M(u_{n+1}) from row n+1 (``TruncationSpec.mul_gather``), two
-products with it that write cube(u_{n+1}) into that row's cube slot, and
-u_n = G_n @ row n+1.  The returned polynomials share one compact copy of
-the u columns; ``polar_iterate`` runs the cycles through
-``sweep.outer_loop``.  A numeric mirror of the scheme (periodic finite
-differences in the angle) shares a, b and the c operator, which it
-applies every cycle, but has its own backward pass, loop and output
-check, so cross-checking it against the polynomials still compares two
-implementations.
+``_BackwardPass`` holds one cycle's memory and operators, which each solve
+builds once, and ``polar_iterate`` runs its cycles through
+``sweep.outer_loop``.  A numeric mirror of the scheme
+(``polar_numeric_solve``, periodic finite differences in the angle) shares
+a, b and the c operator, which it applies every cycle, but has its own
+backward pass, loop and output check, so cross-checking it against the
+polynomials (``cross_check_numeric``) still compares two implementations.
 """
 
 from __future__ import annotations
@@ -91,20 +75,26 @@ class _BackwardPass:
     """One annulus cycle on memory and operators that each solve builds once.
 
     Built from ``cfg`` alone, with a and b from ``sweep.ab_recursion``.
-    Row n of the work buffer z is [u_n | 0 | cube(u_n) | 1] and the
-    line operator G_n = [A_n | 0 | cubic_n*I | s_n], with
+    Row n of the work buffer z is [u_n | 0 | cube(u_n) | 1], u_n the
+    coefficient row of line n over the truncation basis, and the line
+    operator G_n = [A_n | 0 | cubic_n*I | s_n], with
     A_n = (a_n + b_n*kap*beta)*I + (b_n*d^2/t_n^2)*D^2 and
     cubic_n = -alpha*b_n*kap, so u_n = G_n @ z_{n+1}.  Only the s column of
     G changes between cycles; the zero slot and the unit column are never
     written, and a row's cube slot is written just before G reads it.
 
     The line sources s_n = c_n + (b_n*d/t_n)*(anchor_{n+1} - anchor_n) are
-    affine in the anchor rows u, so a cycle forms them all as S @ u + s0.
+    affine in the anchor rows u, so a cycle forms them all as S @ u + s0,
+    one matmul and one add, and writes them into the s column of every G_n.
     S is dense, (n_lines-1) x (n_lines+1): K*C in columns 1..n_lines-1, C
     the c operator (``sweep.c_operator``, kap included), plus the radial
     weights +-b_n*d/t_n in columns n+1 and n of row n; s0 is C applied to
-    f = 1 on the constant monomial.  The product costs O(n_lines^2 * B) per
-    cycle and S takes 8*n_lines^2 bytes (80 KB at 100 lines, 8 MB at 1,000).
+    f = 1 on the constant monomial, so C itself is applied in no cycle.  The
+    product costs O(n_lines^2 * B) per cycle and S takes 8*n_lines^2 bytes
+    (80 KB at 100 lines, 8 MB at 1,000).  A row step is then four native
+    calls on views bound once, in ``steps``: gather M(u_{n+1}) from row n+1
+    (``TruncationSpec.mul_gather``), two products with it that write
+    cube(u_{n+1}) into that row's cube slot, and u_n = G_n @ z_{n+1}.
     """
 
     def __init__(self, cfg: PolarSymbolicConfig):

@@ -10,10 +10,11 @@ with the PDE: pairing lines at matching s makes the x-difference U_xx
 along curves of constant s, and the scheme drops the metric terms
 2*s_x*U_xs + s_x^2*U_ss + s_xx*U_s of the Laplacian in (x, s), so a
 manufactured solution on y2 = 1 + 0.5x keeps a sup error near 4.6e-2
-from N = M = 10 to 80.  A ``LineGrid`` is derived from its domain and
-two counts and holds the steps and node ordinates, and the solvers read
-the geometry only from the grid.  The FD system reads the source only at
-interior nodes, so ``source_values`` samples it only there.
+from N = M = 10 to 80.  ``LineGrid`` is the one owner of the line
+geometry, which every solver reads from it; ``source_values`` is the one
+place a source is sampled and judged, and ``check_coefficients``,
+``check_tolerance`` and ``integer_count`` are the input rules that the
+solvers share.
 """
 
 from __future__ import annotations
@@ -85,7 +86,8 @@ class LineGrid:
 
     d = (b - a)/N, ``abscissae[n]`` = a + n*d and, with y1, y2 at x_n, the
     step ``h[n]`` = (y2 - y1)/M and the node ordinates ``ordinates[n, j]``
-    = y1 + (j/M)*(y2 - y1), all read-only.
+    = y1 + (j/M)*(y2 - y1), whose last column is y2 up to rounding, all
+    read-only.
     N and M are counts of at least 2 (``integer_count``); d must be
     positive and every line must have real, scalar, finite y1 < y2 and a
     step h_n whose 1/h_n^2, which the line matrices read, is finite.

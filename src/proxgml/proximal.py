@@ -12,31 +12,16 @@ u_n = c_n + (a_n + b_n*kap*beta)*u_{n+1} - (b_n*kap*alpha)*u_{n+1}^3, so it
 takes b_n*kap*[R(u_{n+1}) + E(u_n)] in place of the sum.  Each cycle adds
 the difference back at the anchor u0 (defect correction, Stetter 1978):
 w obeys the recursion of c, so the corrected c is one c-recursion on
-g = K*u0 + f + R(u0) + E(u0), minus the lag at u0.  At the fixed point
-u = u0 the pass is exact elimination, so the fixed point solves the FD
-system.  The lag and the correction that cancels it change together, so
-both are here.  At the zero anchor g = f and the lag is 0.
+g = K*u0 + f + R(u0) + E(u0), minus the lag at u0 (``_corrected_cycle``).
+At the fixed point u = u0 the pass is exact elimination, so the fixed point
+solves the FD system.  The lag and the correction that cancels it change
+together, so both are here.  At the zero anchor g = f and the lag is 0.
 
-a, b and the line matrices depend only on (spec, grid), so a solve builds
-one ``BackwardPass(spec, grid)``, which forms a, b and the c operator C
-(kap included), factors the matrices (LAPACK ``dpttrf``) and allocates the
-solve's field: rows 1..N-1 are the c buffer, row N the boundary line.  A
-cycle writes C @ g, with g from the field, into those rows; per line, two
-BLAS ``daxpy`` calls form the right-hand side in place and ``dpttrs``
-solves it there.  c must be 0 on the end columns, the Dirichlet zeros.
-``backward_pass`` runs a one-shot pass on a given c; ``linebvp`` holds the
-Thomas reference.  A cycle is converged when the update is at most ``tol``
-and, for K > 0, the FD residual is at most K*tol; ``sweep.outer_loop``
-runs the cycles on ``tol`` and a ``certify()`` that forms the residual,
-stops them and names the stop (``stop_reason``), and accelerates them by
-the heavy-ball rule that ``sweep`` states, which leaves what a stop
-certifies as it was for the plain loop.  Its ``mirrored()`` cycle runs
-through the pass's twin ``BackwardPass.mirrored()`` on the reversed source
-rows, and its floor is K/(K + lam_hi) from ``_spectral_floor``, a bound
-on the proximal model of a cycle (near the root an error e goes to about
-K*(K + J)^-1 e, J the FD system's Jacobian), with Gershgorin's bound on
-the eigenvalues of J,
-lam_hi = max(0, 3*max(alpha, 0)*max|v|^2 - beta) + 4*eps*(1/d^2 + 1/min(h)^2).
+``proximal_iterate`` builds one ``BackwardPass`` per solve and runs its
+cycles through ``sweep.outer_loop``, which stops them and accelerates them
+by the heavy-ball rule, with ``_spectral_floor`` as the rule's floor and the
+pass's ``mirrored()`` twin as its mirrored cycle.  ``backward_pass`` runs a
+one-shot pass on a given c; ``linebvp`` holds the Thomas reference.
 """
 
 from __future__ import annotations
@@ -77,12 +62,23 @@ class SolveReport:
 class BackwardPass:
     """The lagged backward pass of one solve (see the module docstring).
 
-    Built from (spec, grid): it forms a and b (``ab_recursion``), the c
-    operator ``C`` (``sweep.c_operator``, kap included) and the lag weights
-    ``b_kap`` = b*kap.  ``u`` is the solve's field, ``c`` its rows 1..N-1,
-    row N the boundary line, and ``h`` its line steps.  Line n has the matrix
-    of ``linebvp.assemble_line_system(b_n, d, h_n, .)``; its rows, factors
-    and weights are bound once, in ``steps``."""
+    Built once per solve from (spec, grid) alone, since a, b and the line
+    matrices depend on nothing else: it forms a and b
+    (``sweep.ab_recursion``), the c operator ``C`` (``sweep.c_operator``,
+    kap included) and the lag weights ``b_kap`` = b*kap that a cycle reads,
+    factors the matrix of each line n, that of
+    ``linebvp.assemble_line_system(b_n, d, h_n, .)``, by LAPACK ``dpttrf``
+    (an LDL^T factorization), and allocates the solve's one (N+1) x (M+1)
+    field ``u`` and a scratch row ``cube``.  Rows 1..N-1 of the field are
+    the c buffer ``c``, row N the boundary line, and ``h`` holds the line
+    steps; each line's rows, factors and weights are bound once, in
+    ``steps``.  A cycle writes c into the field, 0 on the end columns (the
+    Dirichlet zeros), and calls the pass, five native calls per line from
+    N-1 down, all in the line's own row: two BLAS ``daxpy`` calls add the
+    line equation's u_{n+1} and u_{n+1}^3 terms (module docstring) to c_n,
+    with u_{n+1}^3 formed by two ``np.multiply`` calls in ``cube``, and
+    ``dpttrs`` solves in place, so the new line replaces c_n and nothing is
+    copied out."""
 
     def __init__(self, spec: ProblemSpec, grid: LineGrid):
         d = grid.d
@@ -150,8 +146,8 @@ def backward_pass(
     Dirichlet data on line N (zeros for the homogeneous problem).  Both
     are copied into the field of a fresh ``BackwardPass(spec, grid)``, which
     forms a and b itself, so the caller's c is never written.  A shape other
-    than (N-1, M+1) and (M+1,), or a non-finite value read, raises
-    ValueError naming the argument.
+    than (N-1, M+1) and (M+1,) (a scalar is not spread over line N), or a
+    non-finite value read, raises ValueError naming the argument.
     """
     N, M = grid.n_lines, grid.m_nodes
     for name, x, shape in (("c", c, (N - 1, M + 1)), ("u_boundary_N", u_boundary_N, (M + 1,))):
@@ -176,16 +172,18 @@ def proximal_iterate(
 ) -> SolveReport:
     """Run the outer proximal loop from a zero anchor, at most ``max_iter`` cycles.
 
-    f and the backward pass (a, b, the c operator, line factors and
-    field) are built once per solve; a cycle writes the corrected c into
-    the field and runs the pass, and ``sweep.outer_loop`` may move its
+    A cycle converges when its update is at most ``tol`` and, for K > 0,
+    the FD residual of its output is at most K*tol.  ``certify()`` forms
+    that residual for ``sweep.outer_loop`` only once the update test holds,
+    and the report reuses the last cycle's, so a field's residual is formed
+    once; ``residual_sup`` is always the returned field's.  f and the
+    backward pass are built once per solve; a cycle writes the corrected c
+    into the field and runs the pass, and the outer loop may move its
     output by the heavy-ball step before the next one.  ``update_history``
     holds each cycle's own sup change, and the returned field is the last
-    cycle's output, never a moved one.  The FD residual
-    is evaluated only once the update test holds, and the report reuses the
-    last cycle's; a field's residual is formed once.  Non-convergence is
-    reported, not raised; numpy's overflow and invalid-value warnings are
-    off, as the "non-finite" stop reports them.
+    cycle's output, never a moved one.  Non-convergence is reported, not
+    raised; numpy's overflow and invalid-value warnings are off, as the
+    "non-finite" stop reports them.
     """
     check_tolerance(tol)
     integer_count("max_iter", max_iter, 1)
@@ -209,8 +207,8 @@ def proximal_iterate(
 
     updates, stop_reason = outer_loop(cycle, v, max_iter, tol, certify if K > 0.0 else None,
                                       _spectral_floor(spec, grid), mirrored)
-    # the last field was judged unless it stopped non-finite or on an update above tol
-    last_judged = judged and stop_reason != "non-finite" and updates[-1] <= tol
+    # the last field was judged unless its update was above tol (a non-finite one is)
+    last_judged = judged and updates[-1] <= tol
     return SolveReport(
         solution=FieldSolution(v),
         outer_iterations=len(updates),
@@ -232,9 +230,12 @@ def _corrected_cycle(spec: ProblemSpec, run: BackwardPass, f: np.ndarray) -> Non
 
 def _spectral_floor(spec: ProblemSpec, grid: LineGrid):
     """``floor(v)``: K/(K + lam_hi) at field v, a lower bound on the spectrum of
-    K*(K + J(v))^-1 from the Gershgorin bound lam_hi on J(v) (module
-    docstring); 3*max(alpha, 0)*v^2 bounds the reaction's 3*alpha*v^2 for
-    either sign of alpha, and a v^2 or 1/d^2 that overflows gives 0."""
+    the proximal model of a cycle, which near the root maps an error e to
+    about K*(K + J)^-1 e, J the FD system's Jacobian.  Gershgorin's theorem
+    bounds the eigenvalues of J(v) by
+    lam_hi = max(0, 3*max(alpha, 0)*max|v|^2 - beta) + 4*eps*(1/d^2 + 1/min(h)^2);
+    3*max(alpha, 0)*v^2 bounds the reaction's 3*alpha*v^2 for either sign of
+    alpha, and a v^2 or 1/d^2 that overflows gives 0."""
     K = spec.prox_weight
     with np.errstate(divide="ignore", over="ignore"):  # d^2 may underflow to 0
         diffusion = 4.0 * spec.epsilon * np.sum(1.0 / np.square([grid.d, np.min(grid.h[1:-1])]))

@@ -1,4 +1,4 @@
-"""Forward recursion for the sweep coefficients a_n, b_n, c_n.
+"""Forward recursion for the sweep coefficients a_n, b_n, c_n, and the outer loop.
 
 With q = 2 + K*d^2/eps and kap = d^2/eps the recursion is
 
@@ -8,52 +8,27 @@ With q = 2 + K*d^2/eps and kap = d^2/eps the recursion is
 
 where g_n is the line source (see ``proximal`` for the Cartesian one).
 a and b depend only on (N, d, eps, K), so a solve computes them once;
-only c changes with the anchor.
+only c changes with the anchor.  ``ab_recursion`` and ``c_operator`` are
+the only copies of these recursions in the package: both geometries take
+a and b from the first, the rectangle applies C to a source that also
+carries its defect correction (see ``proximal``), and the annulus folds C
+into its source map (``polarsym._BackwardPass``).
 
-c is linear in g, so ``c_operator(a, kap)`` builds it once per solve as
-one lower-triangular matrix C, C[i, j] = kap*a_j*...*a_i over the N-1
-interior lines, and a caller forms c = C @ g on the rows of lines 1..N-1.
-A cycle then costs one matmul instead of a Python step per line.  C takes
-8*(N-1)^2 bytes (78 KB at N = 100, 8 MB at 1,000) and a product with P
-source columns does about (N-1)^2 * P multiply-adds, so its time grows as
-N^3 on a square grid.  Products that underflow to 0 are harmless.
-
-``ab_recursion`` and the c operator are the only copies of these
-recursions in the package: the Cartesian outer loop applies C to a
-source that also carries its defect correction (see ``proximal``), and the
-annulus solvers take a and b from ``ab_recursion`` and c from C.
-
-``outer_loop`` runs the outer cycles of both geometries, which advance an
-iterate in place: it is the one place that forms and records the updates,
-stops a run and names why it stopped.  It holds the whole stop test: an
-update at most ``tol``, then the caller's ``certify()`` of that cycle's
-output (the rectangle's FD residual at most K*tol).
-
-A tested run (the rectangle) is accelerated by Polyak's heavy-ball step
-with adaptive restart (Polyak 1964; O'Donoghue and Candes 2015).  The
-rule arms once four successive update ratios of plain cycles lie in
-(2/3, 1), the largest within 2% of the smallest, and the cycle's step D
-keeps the previous step's direction.  From then on, a cycle that fails
-the test and is not the last allowed one moves the state from its output
-x + D to
-
-    x + w*D + beta*(x - x_prev),
-    w = 4/(sqrt(L) + sqrt(m))^2,  beta = ((sqrt(L) - sqrt(m))/(sqrt(L) + sqrt(m)))^2,
-
-where x_prev is the previous cycle's input, m = 1 - rho-hat comes from
-the window's mean ratio rho-hat and L = (1 - mu_lo)/0.9 from the caller's
-``floor(state)`` mu_lo (0 without one), read at the arming cycle's output.
-For a mode that the plain cycle scales by mu, lam = 1 - mu, the two-step
-map has the roots of z^2 - (1 + beta - w*lam)*z + beta; for lam in [m, L]
-both have modulus sqrt(beta), about 1 - 2*sqrt(m/L), where the best single
-over-relaxation factor reaches (L - m)/(L + m), about 1 - 2*m/L, and the
-map is stable for lam in (0, L + m).  The rectangle's mu_lo is a
-Gershgorin bound on its proximal model (see ``proximal``); the lagged
-cycle's own lowest eigenvalue can sit a little below it (0.782 against
-0.803 at N = M = 10, f = 1, eps 0.01), and the factor 1/0.9 on L covers
-that.  At the root of that case, eps 0.1/0.01/0.001, the two-step map has
-spectral radius 0.578/0.295/0.111, where the plain cycle has
-0.950/0.935/0.921.
+``outer_loop`` runs the outer cycles of both geometries and accelerates
+the rectangle's by the heavy-ball rule its docstring states.  Why the rule
+is shaped so: for a mode that the plain cycle scales by mu, lam = 1 - mu,
+the two-step map has the roots of z^2 - (1 + beta - w*lam)*z + beta; for
+lam in [m, L] both have modulus sqrt(beta), about 1 - 2*sqrt(m/L), where
+the best single over-relaxation factor reaches (L - m)/(L + m), about
+1 - 2*m/L, and the map is stable for lam in (0, L + m).  The floor mu_lo
+bounds the proximal model of a cycle (``proximal._spectral_floor``), not
+the lagged cycle itself, whose lowest eigenvalue at the root of
+N = M = 10, f = 1 is 0.445/0.782/0.896 against floors of
+0.380/0.803/0.908 at eps 0.1/0.01/0.001; the factor 1/0.9 on L covers
+that.  There the two-step map has spectral radius 0.578/0.295/0.111,
+where the plain cycle has 0.950/0.935/0.921.  An estimate rho-hat below
+the true rho leaves the slowest mode a real root q > sqrt(beta), which
+the lowering of m answers.
 
 The rule assumes a real spectrum of I - J in [m, L].  The lagged cycle
 sweeps its lines in one direction, and its spectrum is complex: at the
@@ -62,28 +37,12 @@ root of f = 1, eps 0.1, |Im mu| reaches 0.140/0.197/0.241 at N = M =
 armed phase can grow.  The two-pass map, the cycle followed by the same
 cycle on the mirrored line order, has a real spectrum (|Im mu| 1.5e-5 at
 N = M = 20, 0 at 30 and 40) of radius rho^2 to within 2e-6 (0.902105
-against 0.949791^2 = 0.902103 at 20).  So once a phase has ended on
-growth, every second armed cycle, the one at odd k, runs the caller's
-``mirrored()`` in place of ``cycle()``.  A run that never grows never
-mirrors.
-
-The rule drops back to plain cycles, and re-arms on four new plain ratios,
-at a cycle whose D turns against the momentum (vdot(D, x - x_prev) < 0),
-whose update exceeds 4 times the smallest since it armed, or whose update
-is at most tol while ``certify()`` rejects its output, where the update
-has outrun the residual.  An estimate rho-hat below the true rho leaves
-the slowest mode a real root q > sqrt(beta); when four
-accelerated ratios settle, within 2% of each other, in
-(1.05*sqrt(beta), 1), the rule lowers m to that mode's
-(1 + beta - q - beta/q)/w = (1 - q)*(1 - beta/q)/w.  Ratios are compared
-by products, so an update of 0 fails a test before any ratio is formed.
-The stop test is the plain loop's, the recorded update is the cycle's own
-step (a mirrored cycle's included), and a stop leaves the last cycle's
-own output, so what a stop certifies is what it certified for the plain
-loop.  The window keeps the rule off the swinging early updates of runs
-near the divergent sources (f = 160 at N = 6) and of the stalled K = 3
-run.  The annulus's fixed schedule is never accelerated, so it never
-mirrors.
+against 0.949791^2 = 0.902103 at 20), hence the mirrored cycles once a
+phase has grown.  The four-ratio window keeps the rule off the swinging
+early updates of runs near the divergent sources: it never arms on
+f = 160 at N = 6 or f = 130 at N = 20, while a rule that armed on any
+falling, aligned step sent both, and the stalled K = 3 run, non-finite
+within 6 cycles.
 """
 
 from __future__ import annotations
@@ -98,11 +57,9 @@ __all__ = [
     "outer_loop",
 ]
 
-# the heavy-ball rule (see the docstring): it arms once _RATIOS successive
-# plain update ratios lie in (_BAND_LOW, 1), the largest within _DRIFT of the
-# smallest; it restarts when an update exceeds _GROWTH times the smallest since
-# it armed; it lowers m when the accelerated ratio settles above _SETTLE*sqrt(beta);
-# and it takes L = (1 - mu_lo)/_FLOOR_SHARE
+# the numbers of outer_loop's heavy-ball rule: the arming window's ratio count,
+# band and drift, the growth restart, the settle band that lowers m, and the
+# floor's share in L
 _RATIOS = 4
 _BAND_LOW = 2.0 / 3.0
 _DRIFT = 0.02
@@ -134,7 +91,12 @@ def ab_recursion(K: float, d: float, eps: float, count: int) -> tuple[np.ndarray
 def c_operator(a: np.ndarray, kap: float) -> np.ndarray:
     """The c-recursion for a_1..a_len(a) as one matrix C: c = C @ g[1:len(a)+1].
 
-    C[i, j] = kap*a_j*...*a_i, lower triangular, built row by row once.
+    C[i, j] = kap*a_j*...*a_i, lower triangular, built row by row.  c is
+    linear in g, so a solve builds C once and a cycle forms c with one
+    matmul instead of a Python step per line.  C takes 8*(N-1)^2 bytes
+    (78 KB at N = 100, 8 MB at 1,000), and a product with P source columns
+    does about (N-1)^2 * P multiply-adds, so its time grows as N^3 on a
+    square grid.  Products that underflow to 0 are harmless.
     """
     C = np.zeros((a.size, a.size))
     for i in range(a.size):
@@ -152,18 +114,31 @@ def outer_loop(cycle, state: np.ndarray, cap: int, tol: float | None = None,
     the first update that is not finite, "converged" at the first that is at
     most ``tol`` and whose output ``certify()`` accepts (it is asked only
     then, and never without ``certify``), else "max_iter" after ``cap``
-    cycles, or "fixed_iters" when ``tol`` is None, a fixed schedule that
-    never tests a cycle.
+    cycles, or "fixed_iters" when ``tol`` is None, a fixed schedule that is
+    never tested or accelerated.  A stop always leaves the last cycle's own
+    output in the state, and the recorded update is always the cycle's own
+    step, so a stop certifies what it would for the plain loop.
 
-    With a ``tol``, the heavy-ball rule of the module docstring moves a cycle
-    that fails the test and is not the last allowed one from its output
-    x + D to x + w*D + beta*(x - x_prev) once the rule is armed.  mu_lo is
-    ``floor(state)`` < 1 at the arming cycle's output, or 0 without
-    ``floor``.  Once a phase has ended on growth, every second armed cycle
-    (the one at odd k) runs ``mirrored()``, the same cycle on the reversed
-    line order, in place of ``cycle()``; without ``mirrored`` none does.  A
-    stop always leaves the last cycle's own output in the state; a fixed
-    schedule is never accelerated.
+    With a ``tol``, Polyak's heavy-ball step with adaptive restart (Polyak
+    1964; O'Donoghue and Candes 2015) arms once four successive update
+    ratios of plain cycles lie in (2/3, 1), the largest within 2% of the
+    smallest (``_steady_ratio``), and the cycle's D keeps the previous
+    step's direction.  From then on, a cycle that fails the test and is not
+    the last allowed one moves the state from its output x + D to
+    x + w*D + beta*(x - x_prev), x_prev the previous cycle's input, with
+    (w, beta) = ``_heavy_ball(m, L)``: m = 1 - rho-hat from the window's
+    mean ratio rho-hat, and L = (1 - mu_lo)/0.9 from ``floor(state)`` =
+    mu_lo < 1 at the arming cycle's output (mu_lo = 0 without ``floor``).
+    The rule drops back to plain cycles, and re-arms on four new plain
+    ratios, at a cycle whose D turns against the momentum
+    (vdot(D, x - x_prev) < 0), whose update exceeds 4 times the smallest
+    since it armed, or whose update is at most tol while ``certify()``
+    rejects its output.  When four accelerated ratios settle, within 2% of
+    each other, in (1.05*sqrt(beta), 1) at mean q, it lowers m to
+    (1 - q)*(1 - beta/q)/w, that mode's.  Once a phase has ended on
+    growth, every second armed cycle (the one at odd k) runs
+    ``mirrored()``, the same cycle on the reversed line order, in place of
+    ``cycle()``; without ``mirrored`` none does.
     """
     step, move = np.empty_like(state), np.zeros_like(state)  # D, and x - x_prev
     updates = []

@@ -9,11 +9,10 @@ a monomial over a cap, which reproduces the series-truncation semantics
 of multiplying then cutting.  The default caps (3, 1, 1, 0, 0) give 16
 monomials.  Each spec builds its product table, its derivative matrix
 and the text of each monomial (for ``format_terms``) on first use.  M(p),
-the matrix of q -> p*q, is one gather from [p, 0] through ``mul_gather``
-(each entry is one coefficient of p or zero).  M(p) is the
-one definition of the product: ``poly_mul(p, q)`` is M(p) @ q, and the
-annulus solver runs the same gather on its own buffers, one row at a
-time, with the cube of a row u as M(u) @ (M(u) @ u).
+the matrix of q -> p*q, is one gather from [p, 0] through ``mul_gather``,
+and it is the one definition of the product: ``poly_mul(p, q)`` is
+M(p) @ q, and the annulus row step (``polarsym._BackwardPass``) runs the
+same gather on its own buffers.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import os
 import pkgutil
@@ -44,6 +45,38 @@ def test_readme_library_example_runs(tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_pointers_resolve():
+    # the README names the code that states each rule instead of restating it:
+    # every module-qualified name in backticks (`sweep.outer_loop`,
+    # `proxgml.oracle`, `max(tol, oracle.COARSE_TOL)`) must import, and every
+    # `Class.attr` of an exported class must be a dataclass field or attribute
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    submodules = {m.name for m in pkgutil.iter_modules(proxgml.__path__)}
+    checked, missing = set(), []
+    prose = re.sub(r"```.*?```", "", readme, flags=re.S)
+    for span in re.findall(r"`([^`]+)`", prose):
+        for dotted in re.findall(r"(?<![\w.])[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+", span):
+            head, *rest = dotted.removeprefix("proxgml.").split(".")
+            if head in submodules:
+                obj = importlib.import_module(f"proxgml.{head}")
+            elif dotted.startswith("proxgml.") or (
+                    head in proxgml.__all__ and isinstance(getattr(proxgml, head), type)):
+                obj, rest = proxgml, [head, *rest]
+            else:
+                continue
+            checked.add(dotted)
+            for name in rest:
+                if isinstance(obj, type) and dataclasses.is_dataclass(obj) and name in {
+                        f.name for f in dataclasses.fields(obj)}:
+                    break
+                if not hasattr(obj, name):
+                    missing.append(dotted)
+                    break
+                obj = getattr(obj, name)
+    assert {"sweep.outer_loop", "ProblemSpec.prox_weight"} <= checked
+    assert not missing, f"README names that do not resolve: {missing}"
 
 
 def test_the_library_calls_the_benchmark_makes():

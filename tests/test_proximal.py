@@ -303,8 +303,7 @@ def test_slow_contraction_converges_under_the_default_cap():
 def test_four_hundred_lines_converge():
     # f = 1, eps 0.1 on N = 400 lines, M = 100: the lagged cycle's complex
     # modes make the heavy-ball phases grow; once one has grown, every second
-    # armed cycle runs mirrored and the run converges in 138 cycles (5,000
-    # and more without any net, 237 with the retired failed-phase stop)
+    # armed cycle runs mirrored and the run converges in 138 cycles
     spec = square_problem(0.1)
     report = proximal_iterate(spec, LineGrid(UNIT_SQUARE, 400, 100), max_iter=400)
     assert report.stop_reason == "converged"
@@ -312,9 +311,8 @@ def test_four_hundred_lines_converge():
 
 
 def test_three_hundred_lines_converge_faster_than_the_plain_loop():
-    # f = 1, eps 0.1, N = M = 300: the plain loop takes 312 cycles; the
-    # one-directional heavy-ball rule took 562, and with mirrored cycles
-    # after its first growth the run takes 116
+    # f = 1, eps 0.1, N = M = 300: the plain loop takes 312 cycles, and the
+    # accelerated run, which mirrors after its first growth, takes 116
     spec = square_problem(0.1)
     report = proximal_iterate(spec, LineGrid(UNIT_SQUARE, 300, 300))
     assert report.stop_reason == "converged"
@@ -326,8 +324,7 @@ def test_three_hundred_lines_converge_faster_than_the_plain_loop():
 def test_a_growing_run_on_the_strip_mirrors_its_own_lines(source, cycles):
     # eps 0.1 on y2 = 1 + 0.5x, N = M = 100 grows in its first heavy-ball
     # phase; its mirrored cycles run on the reversed steps and, for the
-    # source that varies with x, on the reversed source rows (108 and 95
-    # cycles for the one-directional rule)
+    # source that varies with x, on the reversed source rows
     spec = curved_problem(0.1, source=parse_source(source))
     report = proximal_iterate(spec, LineGrid(CURVED, 100, 100))
     assert report.stop_reason == "converged"
@@ -337,9 +334,8 @@ def test_a_growing_run_on_the_strip_mirrors_its_own_lines(source, cycles):
 
 def test_manufactured_bistable_case_keeps_its_cycles():
     # u* = 2*sin(pi*x)*sin(pi*y), N = M = 32, eps 0.003, f = -eps*Lap(u*) + u*^3 - u*:
-    # a rule that never armed again after its second growth restart took
-    # 2,109 cycles here; mirroring every second armed cycle after the first
-    # growth takes 294 (264 for the one-directional rule)
+    # mirroring every second armed cycle after the first growth takes 294; a
+    # rule that never arms again after its second growth restart takes 2,109
     eps = 0.003
 
     def source(x, y):
@@ -355,7 +351,7 @@ def test_a_failed_certificate_restarts_the_rule(reference_runs_n100):
     # f = 1, eps 0.1, N = M = 100: a cycle whose update is within tol but
     # whose FD residual is not within K*tol restarts the armed rule; the run
     # tests the residual on 3 cycles, from the first update within tol at
-    # cycle 61 to the stop at 63 (on 19, from 95 to 113, without mirrored cycles)
+    # cycle 61 to the stop at 63
     report = reference_runs_n100[1][0.1][1]
     small = np.flatnonzero(report.update_history <= 1e-8) + 1
     assert report.converged
